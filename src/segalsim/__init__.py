@@ -60,6 +60,7 @@ from .restriction import (
 from .measurement import (
     DoubletState,
     EnvironmentSpec,
+    EventBatch,
     EventRecord,
     MeasurementModel,
     PointerBasisReport,
@@ -76,11 +77,13 @@ from .measurement import (
     make_model,
     pointer_algebra,
     pointer_characters,
+    pointer_histogram,
     pointer_state_stability,
     premeasure,
     premeasurement_unitary,
     run_ensemble,
     run_event,
+    system_state,
     wigner_friend_report,
 )
 from .scenarios import (
@@ -101,6 +104,7 @@ __all__ = [
     "DoubletState",
     "EnsembleOverCharacters",
     "EnvironmentSpec",
+    "EventBatch",
     "EventRecord",
     "Gemenge",
     "InvariantViolation",
@@ -142,6 +146,7 @@ __all__ = [
     "partial_trace",
     "pointer_algebra",
     "pointer_characters",
+    "pointer_histogram",
     "pointer_state_stability",
     "premeasure",
     "premeasurement_unitary",
@@ -153,6 +158,7 @@ __all__ = [
     "run_scenario",
     "sample_gemenge",
     "sample_individual_restriction",
+    "system_state",
     "tensor",
     "unitary_from_hamiltonian",
     "vector_fidelity",

@@ -28,7 +28,6 @@ __all__ = [
     "degenerate_clusters",
     "hermitian_eig",
     "hs_inner",
-    "hs_norm",
     "identity",
     "is_hermitian",
     "partial_trace",
@@ -142,10 +141,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
-
-
-def hs_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:

@@ -60,6 +60,7 @@ from .states import (
     StateVector,
     density_from_vector,
     expectation,
+    inverse_cdf,
     purity,
     sample_gemenge,
 )
@@ -67,6 +68,7 @@ from .states import (
 __all__ = [
     "DoubletState",
     "EnvironmentSpec",
+    "EventBatch",
     "EventRecord",
     "MeasurementModel",
     "PointerBasisReport",
@@ -559,12 +561,47 @@ def run_event(
     return record, DoubletState(density_from_vector(xi), char, event_index)
 
 
-def _scan(cumulative: list[float], u: float) -> int:
-    """First index whose cumulative value exceeds u (inverse CDF)."""
-    for idx, c in enumerate(cumulative):
-        if u < c:
-            return idx
-    return len(cumulative) - 1
+@dataclass(frozen=True, eq=False)
+class EventBatch:
+    """Columnar log of one ensemble run, event i at position i of each column.
+
+    ``pointer_index`` and ``probability`` hold the sampled pointer and the
+    probability it carried; ``gemenge_row`` holds the sampled ensemble row,
+    or is ``None`` for a pure input.  The seed, the input kind and the
+    pointer values are stored once.  Indexing and iteration give the
+    per-event :class:`EventRecord` that :func:`run_event` returns.
+    """
+
+    seed: int
+    input_kind: str
+    pointer_values: tuple[float, ...]
+    pointer_index: np.ndarray
+    gemenge_row: np.ndarray | None
+    probability: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.pointer_index, self.gemenge_row, self.probability):
+            if column is not None:
+                column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.pointer_index.size
+
+    def __getitem__(self, i: int) -> EventRecord:
+        i = range(len(self))[i]
+        pointer_index = int(self.pointer_index[i])
+        return EventRecord(
+            event_index=i,
+            seed=self.seed,
+            input_kind=self.input_kind,
+            gemenge_row=None if self.gemenge_row is None else int(self.gemenge_row[i]),
+            pointer_index=pointer_index,
+            impression=self.pointer_values[pointer_index],
+            probability=float(self.probability[i]),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def run_ensemble(
@@ -572,13 +609,13 @@ def run_ensemble(
     source: StateVector | Gemenge,
     n_events: int,
     seed: int,
-) -> list[EventRecord]:
+) -> EventBatch:
     """Batch of events with per-event derived streams.
 
     Event i reproduces run_event(..., event_rng(seed, i)) record for
-    record; the deterministic pipeline prefix is hoisted out of the loop
-    and all event streams are evaluated in one vectorized pass, which is
-    what makes 1e5-event ensembles cheap.
+    record.  The deterministic pipeline prefix runs once per input row,
+    all event streams are evaluated in one vectorized pass, and each
+    inverse CDF is one search over the whole batch.
     """
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
@@ -587,56 +624,48 @@ def run_ensemble(
         if source.layout != system_layout(model):
             raise ValueError("ensemble rows must live on the bare system layout")
         states = [state for state, _ in source.rows]
-        row_cumulative = source.cumulative.tolist()
         kind = "gemenge"
     else:
         if source.layout != system_layout(model):
             raise ValueError("input state must live on the bare system layout")
         states = [source]
-        row_cumulative = None
         kind = "pure"
 
-    prepared = []
+    probs = []
     for state in states:
         amp = setup.pipeline_unitary @ np.kron(state.amplitudes, setup.ready_tail)
-        probs = character_probabilities(StateVector(setup.layout, amp), setup.algebra)
-        prepared.append((probs.tolist(), draw_cumulative(probs).tolist()))
+        probs.append(character_probabilities(StateVector(setup.layout, amp), setup.algebra))
+    probs = np.array(probs)
+    cumulatives = [draw_cumulative(p) for p in probs]
 
-    to_pointer = setup.extremal_to_pointer.tolist()
-    qo = model.qo_values
-    uniforms = event_uniforms(seed, n_events, 2 if kind == "gemenge" else 1).tolist()
-    records = []
-    for i in range(n_events):
-        u = uniforms[i]
-        if row_cumulative is None:
-            row = None
-            probs, cumulative = prepared[0]
-            k = _scan(cumulative, u[0])
-        else:
-            row = _scan(row_cumulative, u[0])
-            probs, cumulative = prepared[row]
-            k = _scan(cumulative, u[1])
-        pointer_index = to_pointer[k]
-        records.append(
-            EventRecord(
-                event_index=i,
-                seed=seed,
-                input_kind=kind,
-                gemenge_row=row,
-                pointer_index=pointer_index,
-                impression=qo[pointer_index],
-                probability=probs[k],
-            )
-        )
-    return records
+    # A pure input draws the pointer only; an ensemble draws its row first.
+    uniforms = event_uniforms(seed, n_events, 2 if kind == "gemenge" else 1)
+    if kind == "gemenge":
+        rows = inverse_cdf(source.cumulative, uniforms[:, 0])
+        k = np.empty(n_events, dtype=np.intp)
+        order = np.argsort(rows)
+        bounds = np.searchsorted(rows[order], np.arange(len(states) + 1))
+        for row, cumulative in enumerate(cumulatives):
+            events = order[bounds[row] : bounds[row + 1]]
+            k[events] = inverse_cdf(cumulative, uniforms[events, 1])
+        probability = probs[rows, k]
+    else:
+        rows = None
+        k = inverse_cdf(cumulatives[0], uniforms[:, 0])
+        probability = probs[0, k]
+    return EventBatch(
+        seed=seed,
+        input_kind=kind,
+        pointer_values=model.qo_values,
+        pointer_index=setup.extremal_to_pointer[k],
+        gemenge_row=rows,
+        probability=probability,
+    )
 
 
-def pointer_histogram(model: MeasurementModel, records: Sequence[EventRecord]) -> np.ndarray:
+def pointer_histogram(model: MeasurementModel, records: EventBatch) -> np.ndarray:
     """Event counts per pointer value, in ``qo_values`` order."""
-    counts = np.zeros(model.o_dim, dtype=int)
-    for r in records:
-        counts[r.pointer_index] += 1
-    return counts
+    return np.bincount(records.pointer_index, minlength=model.o_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +902,7 @@ def wigner_friend_report(
     n_events: int,
     seed: int,
     breuer_tol: float = STATE_EQUALITY_ATOL,
-    records: Sequence[EventRecord] | None = None,
+    records: EventBatch | None = None,
 ) -> WignerFriendReport:
     """Run the two-observer comparison for a pure input state.
 

@@ -23,7 +23,7 @@ from .config import (
     TRACE_ATOL,
 )
 from .algebra import OperatorAlgebra, joint_spectral_resolution
-from .states import DensityMatrix, StateVector
+from .states import DensityMatrix, StateVector, inverse_cdf
 
 __all__ = [
     "AlgebraicState",
@@ -289,7 +289,5 @@ def sample_individual_restriction(
     """
     chars = extremal_states(alg)
     probs = character_probabilities(xi_ms, alg)
-    cumulative = draw_cumulative(probs)
-    k = int(np.searchsorted(cumulative, rng.random(), side="right"))
-    k = min(k, len(chars) - 1)
+    k = int(inverse_cdf(draw_cumulative(probs), rng.random()))
     return chars[k], float(probs[k])

@@ -9,8 +9,6 @@ stderr by the CLI instead).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
 from dataclasses import dataclass, field
@@ -23,7 +21,7 @@ from .algebra import generate_algebra
 from .config import ALGEBRA_TOL, STATE_EQUALITY_ATOL
 from .linalg import SpaceLayout, identity, tensor
 from .measurement import (
-    EventRecord,
+    EventBatch,
     MeasurementModel,
     couple_environment,
     evolve_unitary,
@@ -78,6 +76,10 @@ _EVENT_COLUMNS = (
     "probability_used",
 )
 
+# Events per block of the event log; each block's row strings are joined
+# before the next block is formatted.
+_CSV_CHUNK = 2**16
+
 
 class ConfigError(ValueError):
     """Scenario document failed validation."""
@@ -104,7 +106,7 @@ class RunReport:
     scenario: str
     config: dict[str, Any]
     summary: dict[str, Any]
-    events: list[EventRecord] | None
+    events: EventBatch | None
     wall_time_s: float
 
 
@@ -407,9 +409,7 @@ def _run_gemenge(cfg: ScenarioConfig):
     w = _build_gemenge(cfg)
     records = run_ensemble(cfg.model, w, cfg.n_events, cfg.seed)
     histogram = pointer_histogram(cfg.model, records)
-    row_counts = np.zeros(len(cfg.gemenge_rows), dtype=int)
-    for r in records:
-        row_counts[r.gemenge_row] += 1
+    row_counts = np.bincount(records.gemenge_row, minlength=len(cfg.gemenge_rows))
     u = premeasurement_unitary(cfg.model)
     mix = np.zeros((ms_layout(cfg.model).dim,) * 2, dtype=complex)
     for state, p in w.rows:
@@ -598,21 +598,32 @@ def _format_float(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _events_csv(events: list[EventRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_EVENT_COLUMNS)
-    for r in events:
-        writer.writerow(
-            [
-                r.event_index,
-                "" if r.gemenge_row is None else r.gemenge_row,
-                r.pointer_index,
-                _format_float(r.impression),
-                _format_float(r.probability),
-            ]
+def _events_csv(events: EventBatch) -> str:
+    """The event log: a header, then one row per event in event order.
+
+    Every row after its event index is fixed by the (gemenge row, pointer)
+    pair, so each pair present is formatted once and looked up per event.
+    """
+    o_dim = len(events.pointer_values)
+    if events.gemenge_row is None:
+        codes = events.pointer_index
+    else:
+        codes = events.gemenge_row * o_dim + events.pointer_index
+    probability = np.zeros(int(codes.max()) + 1)
+    probability[codes] = events.probability  # one value per code
+    table = np.empty(probability.size, dtype=object)
+    for code in np.flatnonzero(np.bincount(codes)):
+        row, pointer = divmod(int(code), o_dim)
+        table[code] = (
+            f",{'' if events.gemenge_row is None else row},{pointer},"
+            f"{_format_float(events.pointer_values[pointer])},"
+            f"{_format_float(probability[code])}\n"
         )
-    return buf.getvalue()
+    parts = [",".join(_EVENT_COLUMNS) + "\n"]
+    for start in range(0, len(events), _CSV_CHUNK):
+        stop = min(start + _CSV_CHUNK, len(events))
+        parts.append("".join(map(str.__add__, map(str, range(start, stop)), table[codes[start:stop]])))
+    return "".join(parts)
 
 
 def emit_report(

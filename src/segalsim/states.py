@@ -28,6 +28,7 @@ __all__ = [
     "density_from_vector",
     "expectation",
     "gemenge_mix",
+    "inverse_cdf",
     "purity",
     "reduce_density",
     "sample_gemenge",
@@ -155,11 +156,19 @@ def gemenge_mix(w: Gemenge) -> DensityMatrix:
     return DensityMatrix(w.layout, mat)
 
 
+def inverse_cdf(cumulative: np.ndarray, u: float | np.ndarray) -> np.intp | np.ndarray:
+    """Index of the first cumulative entry above ``u``, else the last index.
+
+    ``u`` may be a scalar or an array of uniforms; the result has its
+    shape.  An entry equal to its predecessor (zero probability) is never
+    selected, and ``u`` at or past the last entry gives the last index.
+    """
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+
+
 def sample_gemenge(w: Gemenge, rng: np.random.Generator) -> tuple[int, StateVector]:
     """Draw one row of the ensemble table; deterministic under a fixed seed."""
-    u = rng.random()
-    index = int(np.searchsorted(w.cumulative, u, side="right"))
-    index = min(index, len(w.rows) - 1)
+    index = int(inverse_cdf(w.cumulative, rng.random()))
     return index, w.rows[index][0]
 
 

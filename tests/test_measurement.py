@@ -272,16 +272,33 @@ class TestRunEvent:
         assert r1 == r2
 
     def test_ensemble_matches_per_event_reference(self):
-        for source in (
-            psi(np.sqrt(0.3), np.sqrt(0.7)),
-            Gemenge(((psi(1.0, 0.0), 0.3), (psi(0.0, 1.0), 0.7))),
-        ):
-            batch = run_ensemble(MODEL, source, 200, 17)
+        # The vectorized batch against the generic per-event pipeline,
+        # record for record, including an environment model and an
+        # ensemble row that is never drawn.
+        env = env_model(e_overlap=0.3, e_dim=4)
+        three = make_model(s_dim=3, o_dim=5)
+        cases = (
+            (MODEL, psi(np.sqrt(0.3), np.sqrt(0.7))),
+            (MODEL, Gemenge(((psi(1.0, 0.0), 0.3), (psi(0.0, 1.0), 0.7)))),
+            (env, system_state(env, [np.sqrt(0.3), 1j * np.sqrt(0.7)])),
+            (
+                three,
+                Gemenge(
+                    (
+                        (system_state(three, [0.6, 0.8, 0.0]), 0.25),
+                        (system_state(three, [1.0, 0.0, 0.0]), 0.0),
+                        (system_state(three, [0.5j, 0.5, 0.5**0.5]), 0.75),
+                    )
+                ),
+            ),
+        )
+        for model, source in cases:
+            batch = run_ensemble(model, source, 200, 17)
             reference = [
-                run_event(MODEL, source, event_rng(17, i), event_index=i, seed=17)[0]
+                run_event(model, source, event_rng(17, i), event_index=i, seed=17)[0]
                 for i in range(200)
             ]
-            assert batch == reference
+            assert list(batch) == reference
 
     def test_environment_pipeline_keeps_purity(self):
         model = env_model(e_overlap=0.5)
@@ -296,12 +313,34 @@ class TestEventStreams:
         # per-event generators it replaces.
         from segalsim._philox import event_uniforms
 
-        for seed in (0, 1, 987654321, 2**64 - 1):
+        for seed in (0, 1, 987654321, 2**63, 2**64 - 2, 2**64 - 1):
             batch = event_uniforms(seed, 25, 3)
             for i in range(25):
                 g = event_rng(seed, i)
                 reference = [g.random() for _ in range(3)]
                 assert batch[i].tolist() == reference
+
+    def test_batch_uniforms_match_across_kernel_chunks(self, monkeypatch):
+        from segalsim import _philox
+
+        monkeypatch.setattr(_philox, "_CHUNK", 4)
+        batch = _philox.event_uniforms(2**64 - 1, 10, 2)
+        for i in range(10):
+            g = event_rng(2**64 - 1, i)
+            assert batch[i].tolist() == [g.random(), g.random()]
+
+    def test_block_kernel_matches_at_large_event_indices(self):
+        # Event indices past 2**32 fill the high key word's upper half;
+        # the kernel takes the indices directly, so none of the events
+        # before them are evaluated.
+        from segalsim._philox import _first_block
+
+        indices = [2**32 - 1, 2**32, 2**40, 2**63]
+        for seed in (0, 2**63, 2**64 - 2, 2**64 - 1):
+            batch = _first_block(seed, np.array(indices, dtype=np.uint64), 4)
+            for row, i in zip(batch, indices):
+                g = event_rng(seed, i)
+                assert row.tolist() == [g.random() for _ in range(4)]
 
     def test_event_rng_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="64-bit"):

@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from segalsim import scenarios
 from segalsim.scenarios import (
     ConfigError,
     emit_report,
@@ -225,6 +228,41 @@ class TestEmitReport:
         assert events.exists()
         assert len(events.read_text(encoding="utf-8").strip().splitlines()) == 51
         assert json.loads(text)["event_log"] == "report.events.csv"
+
+    def test_event_log_matches_row_writer(self, monkeypatch):
+        # The table-driven log against csv.writer over the per-event
+        # records, with blocks small enough that the log spans several.
+        monkeypatch.setattr(scenarios, "_CSV_CHUNK", 7)
+        texts = [
+            config_text(n_events=50, input={"amplitudes": [[0.6, 0], [0, 0.8]]}),
+            config_text(
+                scenario="gemenge",
+                n_events=50,
+                model={"s_dim": 3, "o_dim": 5},
+                input={
+                    "gemenge": [
+                        {"amplitudes": [[0.6, 0], [0.8, 0], [0, 0]], "probability": 0.4},
+                        {"amplitudes": [[0, 0.6], [0, 0], [0.8, 0]], "probability": 0.6},
+                    ]
+                },
+            ),
+        ]
+        for text in texts:
+            events = run_scenario(parse_scenario(text)).events
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(scenarios._EVENT_COLUMNS)
+            for r in events:
+                writer.writerow(
+                    [
+                        r.event_index,
+                        "" if r.gemenge_row is None else r.gemenge_row,
+                        r.pointer_index,
+                        f"{r.impression:.12g}",
+                        f"{r.probability:.12g}",
+                    ]
+                )
+            assert scenarios._events_csv(events) == buf.getvalue()
 
     def test_csv_refused_without_events(self):
         text = json.dumps(

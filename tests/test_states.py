@@ -11,6 +11,7 @@ from segalsim.states import (
     density_from_vector,
     expectation,
     gemenge_mix,
+    inverse_cdf,
     purity,
     reduce_density,
     sample_gemenge,
@@ -160,6 +161,33 @@ class TestSampleGemenge:
         for (state, _), c in zip(w.rows, counts):
             empirical += (c / n) * np.outer(state.amplitudes, state.amplitudes.conj())
         assert np.max(np.abs(empirical - gemenge_mix(w).matrix)) <= 5e-3
+
+
+class TestInverseCdf:
+    CUMULATIVES = (
+        [1.0],
+        [0.25, 0.5, 1.0],
+        [0.0, 0.0, 0.4, 0.4, 0.4, 1.0],  # leading and inner flat runs
+        [0.3, 1.0, 1.0],  # trailing zero-probability entry
+        [0.5, 0.9999999999999999, 1.0],
+        [0.2, 0.9],  # u past the last entry clamps to it
+    )
+
+    @staticmethod
+    def scan(cumulative, u):
+        """Linear scan: first entry with u < c, else the last index."""
+        for k, c in enumerate(cumulative):
+            if u < c:
+                return k
+        return len(cumulative) - 1
+
+    def test_matches_scan_at_edges(self):
+        for cumulative in self.CUMULATIVES:
+            points = [0.0, 1.0 - 2**-53, *cumulative, *(np.nextafter(c, 0.0) for c in cumulative)]
+            expected = [self.scan(cumulative, u) for u in points]
+            arr = np.array(cumulative)
+            assert inverse_cdf(arr, np.array(points)).tolist() == expected
+            assert [int(inverse_cdf(arr, u)) for u in points] == expected
 
 
 class TestExpectation:
