@@ -26,6 +26,7 @@ import numpy as np
 from .config import (
     DEGENERACY_GAP,
     InvariantViolation,
+    PROBABILITY_FLOOR,
     STATE_EQUALITY_ATOL,
     TRACE_ATOL,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "pointer_state_stability",
     "premeasure",
     "premeasurement_unitary",
+    "restricted_pointer_probabilities",
     "run_ensemble",
     "run_event",
     "statistical_doublet",
@@ -237,10 +239,9 @@ class _Setup:
     pipeline_unitary: np.ndarray
     algebra: OperatorAlgebra
     characters: tuple[Character, ...]          # pointer order (qo_values order)
-    projectors: tuple[np.ndarray, ...]         # pointer order
     extremal_to_pointer: np.ndarray
-    pointer_to_extremal: np.ndarray
-    ms_algebra: OperatorAlgebra
+    ms_algebra: OperatorAlgebra                # the S (x) O layout
+    ms_characters: tuple[Character, ...]       # pointer order
 
 
 @lru_cache(maxsize=None)
@@ -259,14 +260,12 @@ def _setup(model: MeasurementModel) -> _Setup:
         ready_tail = basis_vector(model.o_dim, 0)
 
     algebra = _pointer_algebra_on(model, layout)
-    chars_ext = extremal_states(algebra)
-    ext_to_ptr, ptr_to_ext = _pointer_permutation(model, chars_ext)
-    characters = tuple(chars_ext[ptr_to_ext[j]] for j in range(model.o_dim))
-    projectors = tuple(c.projector for c in characters)
+    characters, ext_to_ptr = _pointer_order(model, algebra)
     if model.environment is None:
-        ms_alg = algebra
+        ms_alg, ms_characters = algebra, characters
     else:
         ms_alg = _pointer_algebra_on(model, ms_layout(model))
+        ms_characters, _ = _pointer_order(model, ms_alg)
     return _Setup(
         model=model,
         layout=layout,
@@ -274,10 +273,9 @@ def _setup(model: MeasurementModel) -> _Setup:
         pipeline_unitary=pipeline,
         algebra=algebra,
         characters=characters,
-        projectors=projectors,
         extremal_to_pointer=ext_to_ptr,
-        pointer_to_extremal=ptr_to_ext,
         ms_algebra=ms_alg,
+        ms_characters=ms_characters,
     )
 
 
@@ -292,8 +290,10 @@ def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> Operato
     return generate_algebra([tensor(*ops)], layout)
 
 
-def _pointer_permutation(model, chars_ext):
-    """Match extremal-order characters to pointer (qo_values) order."""
+def _pointer_order(model, algebra):
+    """The algebra's characters in pointer (qo_values) order, and the map
+    from extremal order to pointer order."""
+    chars_ext = extremal_states(algebra)
     ext_to_ptr = np.full(len(chars_ext), -1, dtype=int)
     ptr_to_ext = np.full(model.o_dim, -1, dtype=int)
     for k, char in enumerate(chars_ext):
@@ -305,7 +305,7 @@ def _pointer_permutation(model, chars_ext):
             )
         ext_to_ptr[k] = matches[0]
         ptr_to_ext[matches[0]] = k
-    return ext_to_ptr, ptr_to_ext
+    return tuple(chars_ext[k] for k in ptr_to_ext), ext_to_ptr
 
 
 def pointer_algebra(model: MeasurementModel, environment: bool = False) -> OperatorAlgebra:
@@ -317,11 +317,20 @@ def pointer_algebra(model: MeasurementModel, environment: bool = False) -> Opera
 def pointer_characters(model: MeasurementModel, environment: bool = False) -> tuple[Character, ...]:
     """Characters of the pointer algebra in ``qo_values`` order."""
     setup = _setup(model)
-    if environment or model.environment is None:
-        return setup.characters
-    chars_ext = extremal_states(setup.ms_algebra)
-    _, ptr_to_ext = _pointer_permutation(model, chars_ext)
-    return tuple(chars_ext[ptr_to_ext[j]] for j in range(model.o_dim))
+    return setup.characters if environment else setup.ms_characters
+
+
+def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
+    """Character weights of ``rho`` restricted to the S (x) O pointer algebra.
+
+    In ``qo_values`` order; weights at or below ``PROBABILITY_FLOOR`` are
+    round-off of a structural zero and read exactly 0.
+    """
+    setup = _setup(model)
+    alg = setup.ms_algebra
+    weights = decompose_restricted(restrict_state(rho, alg), alg).probabilities
+    probs = weights[[c.projector_index for c in setup.ms_characters]]
+    return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +439,15 @@ class StatisticalDoublet:
 
 
 def _information_of(rho: DensityMatrix, characters: tuple[Character, ...]) -> np.ndarray:
-    probs = np.array(
-        [float(np.einsum("ij,ji->", rho.matrix, c.projector).real) for c in characters]
-    )
+    alg = characters[0].algebra
+    if alg.labels is not None:
+        # Diagonal projectors: tr(rho P_k) is the diagonal of rho summed over class k.
+        sums = np.bincount(alg.labels, rho.matrix.diagonal().real, alg.dimension)
+        probs = sums[[c.projector_index for c in characters]]
+    else:
+        probs = np.array(
+            [float(np.einsum("ij,ji->", rho.matrix, c.projector).real) for c in characters]
+        )
     return np.clip(probs, 0.0, None)
 
 
@@ -921,19 +936,12 @@ def wigner_friend_report(
     histogram = pointer_histogram(model, records)
 
     ms_alg = pointer_algebra(model, environment=False)
-    ensemble = decompose_restricted(restrict_state(rho_p, ms_alg), ms_alg)
-    chars = pointer_characters(model, environment=False)
-    index_of = {id(c): j for j, c in enumerate(chars)}
-    restricted = np.zeros(model.o_dim)
-    for char, p in ensemble.rows:
-        restricted[index_of[id(char)]] = p
-
     return WignerFriendReport(
         b_expectation=expectation(rho_p, b),
         dynamical_purity=purity(rho_p),
         histogram=histogram,
         frequencies=histogram / float(n_events),
-        restricted_probabilities=restricted,
+        restricted_probabilities=restricted_pointer_probabilities(model, rho_p),
         breuer_pointer=breuer_indistinguishable(rho_p, rho_m, ms_alg, tol=breuer_tol),
         breuer_with_interference=breuer_indistinguishable(
             rho_p, rho_m, _interference_algebra(model), tol=breuer_tol

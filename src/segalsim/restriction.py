@@ -61,11 +61,19 @@ class AlgebraicState:
                 f"value count {values.size} does not match algebra dimension "
                 f"{self.algebra.dimension}"
             )
-        norm = self.evaluate(np.eye(self.algebra.layout.dim))
+        alg = self.algebra
+        if alg.labels is None:
+            norm = self.evaluate(np.eye(alg.layout.dim))
+            positives = [self.evaluate(m.conj().T @ m) for m in alg.basis]
+        else:
+            # I and every B_j^dag B_j are diagonal: only their diagonals
+            # (ones, and |B_j|^2 entrywise) have components.
+            diagonals = alg.basis_diagonals
+            norm = complex(diagonals.sum(axis=1) @ values)
+            positives = (np.abs(diagonals) ** 2 @ diagonals.T) @ values
         if abs(norm - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"state is not normalized: <I> = {norm!r}")
-        for j, m in enumerate(self.algebra.basis):
-            positive = self.evaluate(m.conj().T @ m)
+        for j, positive in enumerate(positives):
             if positive.real < -1e-9 or abs(positive.imag) > 1e-9:
                 raise InvariantViolation(
                     f"positivity violated on basis element {j}: <M^dag M> = {positive!r}"
@@ -93,7 +101,11 @@ class Character(AlgebraicState):
 
     projector_index: int
     generator_values: np.ndarray
-    projector: np.ndarray
+
+    @property
+    def projector(self) -> np.ndarray:
+        """The dense joint eigenprojector this character sits on."""
+        return joint_spectral_resolution(self.algebra).projectors[self.projector_index]
 
     def pointer_value(self, generator_index: int = 0) -> float:
         return float(self.generator_values[generator_index])
@@ -136,7 +148,10 @@ def restrict_state(rho: DensityMatrix, alg: OperatorAlgebra) -> AlgebraicState:
         raise ValueError(
             f"state dim {rho.dim} does not match algebra dim {alg.layout.dim}"
         )
-    values = np.array([np.trace(rho.matrix @ m) for m in alg.basis])
+    if alg.labels is None:
+        values = np.array([np.trace(rho.matrix @ m) for m in alg.basis])
+    else:
+        values = alg.project_coefficients(rho.matrix)  # tr(rho B_j), B_j real diagonal
     return AlgebraicState(alg, values)
 
 
@@ -157,9 +172,8 @@ def extremal_states(alg: OperatorAlgebra) -> tuple[Character, ...]:
             values=res.basis_values[k],
             projector_index=k,
             generator_values=res.generator_values[k],
-            projector=res.projectors[k],
         )
-        for k in range(len(res.projectors))
+        for k in range(len(res.ranks))
     )
     alg._characters = chars
     return chars
@@ -257,8 +271,11 @@ def character_probabilities(xi_ms: StateVector, alg: OperatorAlgebra) -> np.ndar
             f"state layout {xi_ms.layout.labels} does not match algebra layout "
             f"{alg.layout.labels}"
         )
-    chars = extremal_states(alg)
     amp = xi_ms.amplitudes
+    if alg.labels is not None:
+        # Diagonal projectors: <xi|P_k|xi> is |xi|^2 summed over class k.
+        return np.bincount(alg.labels, np.abs(amp) ** 2, alg.dimension)
+    chars = extremal_states(alg)
     probs = np.array([float(np.vdot(amp, c.projector @ amp).real) for c in chars])
     return np.clip(probs, 0.0, None)
 

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import generate_algebra
+from .algebra import generate_algebra, joint_spectral_resolution
 from .config import ALGEBRA_TOL, STATE_EQUALITY_ATOL
 from .linalg import SpaceLayout, identity, tensor
 from .measurement import (
@@ -30,17 +30,16 @@ from .measurement import (
     interference_observable,
     make_model,
     ms_layout,
-    pointer_algebra,
-    pointer_characters,
     pointer_histogram,
     pointer_state_stability,
     premeasure,
     premeasurement_unitary,
+    restricted_pointer_probabilities,
     run_ensemble,
     system_state,
     wigner_friend_report,
 )
-from .restriction import decompose_restricted, extremal_states, restrict_state
+from .restriction import extremal_states
 from .states import (
     DensityMatrix,
     Gemenge,
@@ -371,17 +370,6 @@ def _born_probabilities(cfg: ScenarioConfig) -> list[float]:
     return probs
 
 
-def _restricted_probabilities(cfg: ScenarioConfig, rho: DensityMatrix) -> list[float]:
-    alg = pointer_algebra(cfg.model, environment=False)
-    ensemble = decompose_restricted(restrict_state(rho, alg), alg)
-    chars = pointer_characters(cfg.model, environment=False)
-    index_of = {id(c): j for j, c in enumerate(chars)}
-    out = [0.0] * cfg.model.o_dim
-    for char, p in ensemble.rows:
-        out[index_of[id(char)]] = float(p) if p > 1e-12 else 0.0
-    return out
-
-
 def _run_pure(cfg: ScenarioConfig):
     psi_s = system_state(cfg.model, cfg.amplitudes)
     records = run_ensemble(cfg.model, psi_s, cfg.n_events, cfg.seed)
@@ -392,7 +380,7 @@ def _run_pure(cfg: ScenarioConfig):
         "born_probabilities": _born_probabilities(cfg),
         "histogram": histogram.tolist(),
         "frequencies": (histogram / cfg.n_events).tolist(),
-        "restricted_probabilities": _restricted_probabilities(cfg, rho_p),
+        "restricted_probabilities": restricted_pointer_probabilities(cfg.model, rho_p).tolist(),
     }
     if cfg.model.s_dim == 2:
         summary["b_expectation"] = expectation(rho_p, interference_observable(cfg.model))
@@ -423,7 +411,7 @@ def _run_gemenge(cfg: ScenarioConfig):
         "born_probabilities": _born_probabilities(cfg),
         "histogram": histogram.tolist(),
         "frequencies": (histogram / cfg.n_events).tolist(),
-        "restricted_probabilities": _restricted_probabilities(cfg, rho_mix),
+        "restricted_probabilities": restricted_pointer_probabilities(cfg.model, rho_mix).tolist(),
     }
     if cfg.model.s_dim == 2:
         summary["b_expectation"] = expectation(rho_mix, interference_observable(cfg.model))
@@ -540,9 +528,7 @@ def _run_algebra_probe(cfg: ScenarioConfig):
         summary["characters"] = [
             [float(v) for v in c.generator_values] for c in chars
         ]
-        summary["projector_ranks"] = [
-            int(round(np.trace(c.projector).real)) for c in chars
-        ]
+        summary["projector_ranks"] = list(joint_spectral_resolution(alg).ranks)
     else:
         summary["characters"] = None
     return summary, None

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from segalsim.algebra import (
+    _SEPARATION,
+    _gram_schmidt_closure,
     contains,
     generate_algebra,
     is_commutative,
     joint_spectral_resolution,
 )
+from segalsim.config import ALGEBRA_TOL
 from segalsim.linalg import SpaceLayout, identity, tensor
+from segalsim.restriction import extremal_states
 
 from _oracles import closure_dimension_oracle
 
@@ -185,3 +189,146 @@ class TestJointSpectralResolution:
     def test_non_commutative_rejected(self):
         with pytest.raises(ValueError, match="commutative"):
             joint_spectral_resolution(generate_algebra([SX, SZ], TWO))
+
+    def test_generic_path_independent_of_random_draw(self):
+        alg = _gram_schmidt_closure((q_o_extended(),), MS, ALGEBRA_TOL)
+        reference = joint_spectral_resolution(alg)
+        for trial in range(10):
+            res = joint_spectral_resolution(alg, rng=np.random.default_rng(1000 + trial))
+            for p, q in zip(reference.projectors, res.projectors):
+                assert np.max(np.abs(p - q)) <= 1e-7
+
+
+# Oracle: the diagonal path against the Gram-Schmidt closure it replaces.
+
+LAYOUTS = [
+    SpaceLayout((("O", 7),)),
+    MS,
+    SpaceLayout((("S", 2), ("O", 3), ("E", 2))),
+]
+
+
+def generic_closure(gens, layout, tol=ALGEBRA_TOL):
+    return _gram_schmidt_closure(tuple(np.asarray(g, dtype=complex) for g in gens), layout, tol)
+
+
+def random_diagonals(rng, layout, n, complex_values=False):
+    """n diagonal generators whose joint values repeat across the basis."""
+    d = layout.dim
+    k = int(rng.integers(1, d + 1))
+    if rng.random() < 0.5:
+        points = rng.integers(-3, 4, size=(k, n)) / 2.0  # values shared by generators
+    else:
+        points = rng.standard_normal((k, n))
+    if complex_values:
+        points = points + 1j * rng.integers(-2, 3, size=(k, n))
+    if rng.random() < 0.5 and len(layout.factors) > 1:
+        # one factor carries the values, the others are identities
+        label, dim = layout.factors[int(rng.integers(len(layout.factors)))]
+        small = points[rng.integers(0, k, dim)]
+        gens = []
+        for g in range(n):
+            ops = [np.diag(small[:, g]) if f == label else np.eye(m) for f, m in layout.factors]
+            gens.append(tensor(*ops))
+        return gens
+    values = points[rng.integers(0, k, d)]
+    return [np.diag(values[:, g]) for g in range(n)]
+
+
+def assert_same_algebra(fast, generic):
+    assert fast.dimension == generic.dimension
+    assert fast.commutative and generic.commutative
+    for m in fast.basis:
+        assert contains(generic, m)
+    for m in generic.basis:
+        assert contains(fast, m)
+
+
+def assert_same_resolution(fast, generic):
+    res_f = joint_spectral_resolution(fast)
+    res_g = joint_spectral_resolution(generic)
+    assert res_f.ranks == res_g.ranks
+    assert np.allclose(res_f.generator_values, res_g.generator_values, atol=1e-9)
+    for p, q in zip(res_f.projectors, res_g.projectors):
+        assert np.allclose(p, q, atol=1e-7)
+    chars_f = [c.generator_values.tolist() for c in extremal_states(fast)]
+    chars_g = [c.generator_values.tolist() for c in extremal_states(generic)]
+    assert np.allclose(chars_f, chars_g, atol=1e-9)
+
+
+class TestDiagonalPathOracle:
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda lay: "x".join(map(str, lay.dims)))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_real_diagonals_match_generic(self, layout, n):
+        rng = np.random.default_rng([7, layout.dim, n])
+        for _ in range(4):
+            gens = random_diagonals(rng, layout, n)
+            fast = generate_algebra(gens, layout)
+            generic = generic_closure(gens, layout)
+            assert fast.labels is not None and generic.labels is None
+            assert_same_algebra(fast, generic)
+            assert_same_resolution(fast, generic)
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda lay: "x".join(map(str, lay.dims)))
+    def test_complex_diagonals_match_generic_and_raise_alike(self, layout):
+        rng = np.random.default_rng([8, layout.dim])
+        for n in (1, 2):
+            gens = random_diagonals(rng, layout, n, complex_values=True)
+            if n == 2:
+                gens[0] = gens[0].real  # only generator 1 has non-real values
+            fast = generate_algebra(gens, layout)
+            generic = generic_closure(gens, layout)
+            assert fast.labels is not None
+            assert_same_algebra(fast, generic)
+            if not np.any(np.diagonal(gens[-1]).imag):
+                continue  # every value drawn happened to be real
+            message = f"generator {n - 1} has non-real joint eigenvalue"
+            for alg in (fast, generic):
+                with pytest.raises(ValueError, match=message):
+                    joint_spectral_resolution(alg)
+
+    def test_empty_generator_list(self):
+        fast = generate_algebra([], MS)
+        generic = generic_closure([], MS)
+        assert fast.labels is not None
+        assert fast.dimension == generic.dimension == 1
+        assert_same_algebra(fast, generic)
+        assert_same_resolution(fast, generic)
+        assert joint_spectral_resolution(fast).generator_values.shape == (1, 0)
+
+    def test_projections_match_dense_basis(self):
+        # project_coefficients reads the diagonal only; the dense basis
+        # gives the same components of any operator.
+        rng = np.random.default_rng(9)
+        layout = LAYOUTS[2]
+        alg = generate_algebra(random_diagonals(rng, layout, 2), layout)
+        for _ in range(3):
+            a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+            dense = np.array([np.vdot(b, a) for b in alg.basis])
+            assert np.allclose(alg.project_coefficients(a), dense, atol=1e-12)
+            assert np.allclose(alg.project(a), sum(c * b for c, b in zip(dense, alg.basis)))
+
+    @pytest.mark.parametrize("factor, path", [(0.9, "generic"), (1.1, "diagonal")])
+    def test_near_collision_at_fallback_boundary(self, factor, path):
+        layout = SpaceLayout((("O", 8),))
+        delta = factor * _SEPARATION * ALGEBRA_TOL * 2.0  # the largest magnitude is 2
+        gen = np.diag([0.0, 1.0, 1.0 + delta, 1.0 + delta, -1.0, 2.0, 2.0, 0.0])
+        alg = generate_algebra([gen], layout)
+        generic = generic_closure([gen], layout)
+        assert (alg.labels is None) == (path == "generic")
+        assert alg.dimension == generic.dimension == 5
+        assert_same_algebra(alg, generic)
+        assert_same_resolution(alg, generic)
+
+    def test_merging_collision_gives_generic_answer(self):
+        # Values 1e-12 apart are one value to Gram-Schmidt at tol = 1e-9.
+        layout = SpaceLayout((("O", 4),))
+        gen = np.diag([0.0, 1.0, 1.0 + 1e-12, -1.0])
+        alg = generate_algebra([gen], layout)
+        assert alg.labels is None
+        assert alg.dimension == generic_closure([gen], layout).dimension == 3
+
+    def test_off_diagonal_entry_takes_generic_path(self):
+        gen = np.diag([0.0, 1.0, -1.0]).astype(complex)
+        gen[0, 2] = gen[2, 0] = 1e-300
+        assert generate_algebra([gen], O).labels is None

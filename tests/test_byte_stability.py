@@ -2,7 +2,11 @@
 
 The hashes were recorded from the row-at-a-time event path that the
 columnar batch replaced; any change to sampling, formatting or file
-naming shows up here as a hash mismatch.
+naming shows up here as a hash mismatch.  The algebra-probe hashes were
+recorded from the Gram-Schmidt closure before diagonal generators got
+their own path.  The wigner-friend report was re-recorded once, when its
+restricted probabilities started zeroing weights at or below
+PROBABILITY_FLOOR (the ready pointer read 7.85e-17 before).
 """
 
 import hashlib
@@ -48,6 +52,12 @@ CONFIGS = {
         "n_events": 2000,
         "seed": 14,
     },
+    "algebra-probe-qo": {"scenario": "algebra-probe", "generators": ["QO"]},
+    "algebra-probe-qo-ms": {
+        "scenario": "algebra-probe",
+        "model": {"s_dim": 3, "o_dim": 4},
+        "generators": ["QO_MS"],
+    },
 }
 
 EXPECTED = {
@@ -60,11 +70,17 @@ EXPECTED = {
     },
     "wigner-friend": {
         "report.events.csv": "67ec0f74cd8d52ec4f1b291f4af97637e4b909c04320d90c5279a8410ae8e7e1",
-        "report.json": "7a47a957f96bde4c9b62a68bf6bbf2121515837a66f16871b96458db1831e186",
+        "report.json": "acfcfd93f3b4d1cd4d8cd3d91e34a9939629110dd7c66df1ca14dccfcd67a795",
     },
     "pure-environment": {
         "report.events.csv": "dfc700a513003d4101dc4d8a428a7dbee0bc860846005dbf41745cb324b07778",
         "report.json": "10b85993126712e025564d2a9b02ca669387ee6a61758a5be94f515946c86e15",
+    },
+    "algebra-probe-qo": {
+        "report.json": "22d49c6d7045c074764bc7229e25011f4811aa9539401bbd03294e463d357ea4",
+    },
+    "algebra-probe-qo-ms": {
+        "report.json": "b0f0bd55312b177e46e4e9128c0dd76c5bda0048ac7bafaf6dd09103b3c2141c",
     },
 }
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from segalsim.config import InvariantViolation
+from segalsim.algebra import _gram_schmidt_closure, joint_spectral_resolution
+from segalsim.config import ALGEBRA_TOL, InvariantViolation
 from segalsim.linalg import SpaceLayout, identity, tensor, unitary_from_hamiltonian
 from segalsim.measurement import (
     EnvironmentSpec,
     MeasurementModel,
+    _information_of,
     branch_mixture,
     couple_environment,
     event_rng,
@@ -24,12 +26,13 @@ from segalsim.measurement import (
     pointer_state_stability,
     premeasure,
     premeasurement_unitary,
+    restricted_pointer_probabilities,
     run_ensemble,
     run_event,
     system_state,
     wigner_friend_report,
 )
-from segalsim.restriction import restrict_state
+from segalsim.restriction import character_probabilities, extremal_states, restrict_state
 from segalsim.states import (
     DensityMatrix,
     Gemenge,
@@ -507,3 +510,84 @@ class TestWignerFriend:
         band = 3 * np.sqrt(0.3 * 0.7 / report.n_events)
         assert abs(report.frequencies[1] - 0.3) <= band
         assert np.allclose(report.restricted_probabilities, [0.0, 0.3, 0.7], atol=1e-9)
+
+    def test_restricted_probabilities_zero_round_off(self):
+        report = wigner_friend_report(MODEL, psi(0.6, 0.8j), 100, seed=13)
+        assert report.restricted_probabilities[0] == 0.0
+        assert np.allclose(report.restricted_probabilities, [0.0, 0.36, 0.64], atol=1e-12)
+
+
+def random_vector(rng, layout):
+    amp = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+    return StateVector(layout, amp / np.linalg.norm(amp))
+
+
+def random_density(rng, layout):
+    a = rng.standard_normal((layout.dim,) * 2) + 1j * rng.standard_normal((layout.dim,) * 2)
+    m = a @ a.conj().T
+    return DensityMatrix(layout, m / np.trace(m))
+
+
+MASK_MODELS = [MODEL, make_model(s_dim=3, o_dim=4, environment={"e_dim": 5})]
+
+
+class TestMaskedPointerProbabilities:
+    """The pointer algebras are diagonal, so their probabilities are masked
+    sums; they must equal the dense <psi|P_k|psi> and tr(rho P_k)."""
+
+    @pytest.mark.parametrize("model", MASK_MODELS, ids=["default", "s3-env"])
+    @pytest.mark.parametrize("environment", [True, False])
+    def test_character_probabilities_match_dense(self, model, environment):
+        alg = pointer_algebra(model, environment=environment)
+        assert alg.labels is not None
+        generic = _gram_schmidt_closure(alg.generators, alg.layout, ALGEBRA_TOL)
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            xi = random_vector(rng, alg.layout)
+            amp = xi.amplitudes
+            dense = [float(np.vdot(amp, c.projector @ amp).real) for c in extremal_states(alg)]
+            probs = character_probabilities(xi, alg)
+            assert np.allclose(probs, dense, atol=1e-12)
+            assert np.allclose(probs, character_probabilities(xi, generic), atol=1e-10)
+
+    @pytest.mark.parametrize("model", MASK_MODELS, ids=["default", "s3-env"])
+    @pytest.mark.parametrize("environment", [True, False])
+    def test_information_matches_dense(self, model, environment):
+        chars = pointer_characters(model, environment=environment)
+        rng = np.random.default_rng(42)
+        for _ in range(5):
+            rho = random_density(rng, chars[0].algebra.layout)
+            dense = [float(np.trace(rho.matrix @ c.projector).real) for c in chars]
+            assert np.allclose(_information_of(rho, chars), dense, atol=1e-12)
+
+    def test_restricted_pointer_probabilities_in_pointer_order(self):
+        model = MASK_MODELS[1]
+        rho = random_density(np.random.default_rng(43), ms_layout(model))
+        chars = pointer_characters(model, environment=False)
+        dense = [float(np.trace(rho.matrix @ c.projector).real) for c in chars]
+        assert [c.pointer_value() for c in chars] == list(model.qo_values)
+        assert np.allclose(restricted_pointer_probabilities(model, rho), dense, atol=1e-12)
+
+    def test_ms_characters_built_once(self):
+        model = MASK_MODELS[1]
+        first = pointer_characters(model, environment=False)
+        again = pointer_characters(model, environment=False)
+        assert all(a is b for a, b in zip(first, again))
+        assert first[0].algebra is pointer_algebra(model, environment=False)
+
+
+def test_d720_pointer_setup():
+    # d = 8 * 9 * 10: 25 s through the Gram-Schmidt closure, well under a
+    # second through the diagonal path.  A silent fallback would show up
+    # as a tier-1 run that is that much slower.
+    model = make_model(s_dim=8, o_dim=9, environment={"e_dim": 10})
+    alg = pointer_algebra(model, environment=True)
+    assert alg.layout.dim == 720
+    assert alg.labels is not None
+    res = joint_spectral_resolution(alg)
+    assert res.ranks == (80,) * 9
+    assert res.generator_values[:, 0].tolist() == sorted(model.qo_values)
+    chars = pointer_characters(model, environment=True)
+    assert [c.pointer_value() for c in chars] == list(model.qo_values)
+    ms_res = joint_spectral_resolution(pointer_algebra(model, environment=False))
+    assert ms_res.ranks == (8,) * 9

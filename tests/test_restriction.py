@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from segalsim.algebra import generate_algebra
-from segalsim.config import InvariantViolation
+from segalsim.algebra import _gram_schmidt_closure, generate_algebra
+from segalsim.config import ALGEBRA_TOL, InvariantViolation
 from segalsim.linalg import SpaceLayout, identity, tensor
 from segalsim.restriction import (
     AlgebraicState,
@@ -314,3 +314,19 @@ class TestAlgebraicStateValidation:
         good = restrict_state(DensityMatrix(MS, identity(6) / 6), alg)
         with pytest.raises(InvariantViolation, match="not normalized"):
             AlgebraicState(alg, good.values * 2.0)
+
+    @pytest.mark.parametrize("path", ["diagonal", "generic"])
+    def test_non_positive_rejected_on_both_paths(self, path):
+        # phi(a) = sum_k w_k tr(P_k a) / rank_k with one negative weight:
+        # normalized, but negative on the projector P_1.
+        if path == "diagonal":
+            alg = pointer_algebra()
+            assert alg.labels is not None
+        else:
+            alg = _gram_schmidt_closure((q_o_extended(),), MS, ALGEBRA_TOL)
+        weights = [1.5, -0.5, 0.0]
+        chars = extremal_states(alg)
+        values = sum(w * c.values for w, c in zip(weights, chars))
+        AlgebraicState(alg, sum(c.values for c in chars) / 3)  # a positive mix passes
+        with pytest.raises(InvariantViolation, match="positivity violated"):
+            AlgebraicState(alg, values)
