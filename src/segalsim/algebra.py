@@ -24,13 +24,26 @@ one; there is no switch.
   generators, k classes and dimension d, plus one pass over the dense
   generators to see that they are diagonal.
 - Generic path, for all other input (and diagonal values close enough
-  that Gram-Schmidt at ``tol`` could merge them): seed the span with
-  {I} + generators + adjoints, orthonormalize with Gram-Schmidt under the
-  Hilbert-Schmidt inner product, then repeatedly adjoin all pairwise
-  products until the dimension stabilizes.  The dimension is bounded by
-  dim(H)^2; exceeding that bound signals numerical breakdown, not
-  mathematics.  Cost O(k^2 d^3).  It is the oracle the diagonal path is
-  tested against.
+  that Gram-Schmidt at ``tol`` could merge them).  The unital algebra
+  generated by S and S^dag is the span of all words in the letters
+  S u S^dag, so it is the smallest subspace that contains I and is
+  closed under left multiplication by each letter.  The span is seeded
+  with {I} + letters, orthonormalized with two-pass Gram-Schmidt under
+  the Hilbert-Schmidt inner product, and every basis element, in the
+  order found, is multiplied once by each letter; a product adds a
+  direction when its residual exceeds ``tol`` times its norm.  The
+  dimension is bounded by dim(H)^2; exceeding that bound signals
+  numerical breakdown, not mathematics.  The basis is one (k, d, d)
+  array.  Cost: L k products of d x d matrices for L letters, plus the
+  commutativity check over all k^2 / 2 basis pairs, O(k^2 d^3), which
+  is the largest term.  It is the oracle the diagonal path is tested
+  against.
+
+The generic joint resolution diagonalizes a random Hermitian combination
+of the basis and works on the eigenvector column blocks V of each
+projector p = V V^dag: values are trace(V^dag m V) / rank, and the scalar
+action p m p = lam p is checked as V (V^dag m V - lam I) V^dag, one
+m V and V^dag m V per basis element.
 """
 
 from __future__ import annotations
@@ -74,14 +87,15 @@ class OperatorAlgebra:
     the class of basis index i, and basis element j is P_j / sqrt(rank_j)
     for the 0/1 mask P_j of class j.  Only those diagonals are stored
     (``basis_diagonals``, one row per element); the dense ``basis`` is
-    built on first use.  Otherwise both are ``None``.
+    built on first use.  Otherwise both are ``None``, the basis is stored
+    as one read-only (k, d, d) array and ``basis`` holds views into it.
     """
 
     def __init__(
         self,
         layout: SpaceLayout,
         generators: tuple[np.ndarray, ...],
-        basis: tuple[np.ndarray, ...] | None,
+        stack: np.ndarray | None,
         commutative: bool,
         tol: float,
         labels: np.ndarray | None = None,
@@ -91,12 +105,15 @@ class OperatorAlgebra:
         self.commutative = commutative
         self.tol = tol
         self.labels = labels
-        self._basis = basis
         if labels is None:
             self.basis_diagonals = None
+            # One (k, d, d) array; the basis elements are views into it.
+            stack.setflags(write=False)
+            self._basis = tuple(stack)
             # Orthonormal rows of vectorized basis elements, for fast projections.
-            self._basis_vec = np.array([b.reshape(-1) for b in basis])
+            self._basis_vec = stack.reshape(len(stack), -1)
         else:
+            self._basis = None
             masks = labels == np.arange(labels.max() + 1)[:, None]
             self.basis_diagonals = masks / np.sqrt(masks.sum(axis=1))[:, None]
         self._resolution: SpectralResolution | None = None
@@ -112,6 +129,23 @@ class OperatorAlgebra:
     def dimension(self) -> int:
         return len(self._basis) if self.labels is None else len(self.basis_diagonals)
 
+    @cached_property
+    def positivity_table(self) -> np.ndarray:
+        """Coefficients of I and of every B_j^dag B_j, one row each.
+
+        A state with basis values v has <I> = table[0] @ v and
+        <B_j^dag B_j> = table[j + 1] @ v, so the table is built once per
+        algebra and each state's checks are one small product.
+        """
+        if self.labels is not None:
+            # I and every B_j^dag B_j are diagonal: only their diagonals
+            # (ones, and |B_j|^2 entrywise) have components.
+            diagonals = self.basis_diagonals
+            return np.vstack([diagonals.sum(axis=1), np.abs(diagonals) ** 2 @ diagonals.T])
+        rows = [self.project_coefficients(np.eye(self.layout.dim))]
+        rows += [self.project_coefficients(m.conj().T @ m) for m in self.basis]
+        return np.array(rows)
+
     def project_coefficients(self, a: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt components <B_j, a> of ``a`` against the basis."""
         a = np.asarray(a, dtype=complex)
@@ -121,7 +155,8 @@ class OperatorAlgebra:
         if self.labels is not None:
             # Real diagonal basis: only the diagonal of ``a`` has a component.
             return self.basis_diagonals @ np.diagonal(a)
-        return self._basis_vec.conj() @ a.reshape(-1)
+        # Conjugate the vector, not the k x d^2 basis.
+        return (self._basis_vec @ a.reshape(-1).conj()).conj()
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """Orthogonal projection of ``a`` onto the algebra span."""
@@ -153,7 +188,8 @@ def _orthonormal_append(rows: np.ndarray, op: np.ndarray, tol: float) -> np.ndar
     r = v.astype(complex)
     for _ in range(2):  # second pass controls Gram-Schmidt cancellation error
         if rows.shape[0]:
-            r = r - rows.T @ (rows.conj() @ r)
+            # rows^dag r, conjugating the vector instead of copying the rows
+            r = r - rows.T @ (rows @ r.conj()).conj()
     norm_r = float(np.linalg.norm(r))
     if norm_r <= tol * norm_in:
         return None
@@ -216,47 +252,75 @@ def _diagonal_partition(gens: tuple[np.ndarray, ...], d: int, tol: float) -> np.
 def _gram_schmidt_closure(
     gens: tuple[np.ndarray, ...], layout: SpaceLayout, tol: float
 ) -> OperatorAlgebra:
-    """The generic path: Gram-Schmidt closure of validated generators."""
+    """The generic path: Gram-Schmidt closure of validated generators.
+
+    The letters are the generators and every adjoint that is not exactly
+    equal to a generator.  The span of I is grown by multiplying each
+    basis element, in the order found, once by each letter on the left.
+    """
     d = layout.dim
     max_dim = d * d
+    letters = list(gens)
+    for g in gens:
+        adjoint = g.conj().T
+        if not any(np.array_equal(adjoint, h) for h in gens):
+            letters.append(adjoint)
 
-    rows = np.zeros((0, d * d), dtype=complex)
-    seed = [np.eye(d, dtype=complex), *gens, *[g.conj().T for g in gens]]
-    for op in seed:
-        r = _orthonormal_append(rows, op, tol)
-        if r is not None:
-            rows = np.vstack([rows, r])
+    rows = np.empty((min(2 * (len(letters) + 1), max_dim), d * d), dtype=complex)
+    k = 0
 
-    passes = 0
-    while True:
-        ops = [rows[i].reshape(d, d) for i in range(rows.shape[0])]
-        grew = False
-        for a in ops:
-            for b in ops:
-                r = _orthonormal_append(rows, a @ b, tol)
-                if r is not None:
-                    rows = np.vstack([rows, r])
-                    grew = True
-        if not grew:
-            break
-        passes += 1
-        if rows.shape[0] > max_dim or passes > max_dim:
+    def adjoin(op: np.ndarray) -> None:
+        nonlocal rows, k
+        r = _orthonormal_append(rows[:k], op, tol)
+        if r is None:
+            return
+        if k == max_dim:
             raise InvariantViolation(
                 f"algebra closure did not stabilize within the dim^2 = {max_dim} bound; "
                 "numerical breakdown (tol too small for this data?)"
             )
+        if k == len(rows):
+            grown = np.empty((min(2 * k, max_dim), d * d), dtype=complex)
+            grown[:k] = rows
+            rows = grown
+        rows[k] = r
+        k += 1
 
-    basis = tuple(rows[i].reshape(d, d).copy() for i in range(rows.shape[0]))
-    commutative = _max_commutator(basis) <= tol
-    return OperatorAlgebra(layout, gens, basis, commutative, tol)
+    for op in (np.eye(d, dtype=complex), *letters):
+        adjoin(op)
+    done = 0
+    while done < k:
+        b = rows[done].reshape(d, d)
+        for letter in letters:
+            adjoin(letter @ b)
+        done += 1
+
+    stack = rows[:k].reshape(k, d, d)
+    commutative = _max_commutator(stack) <= tol
+    return OperatorAlgebra(layout, gens, stack, commutative, tol)
 
 
-def _max_commutator(basis: tuple[np.ndarray, ...]) -> float:
-    # Basis elements have unit HS norm, so this is already relative scale.
+# Basis elements per batched commutator product in _max_commutator.
+_COMMUTATOR_CHUNK = 4
+
+
+def _max_commutator(stack: np.ndarray) -> float:
+    """Largest HS norm of [B_i, B_j] over all pairs i < j of the basis stack.
+
+    Basis elements have unit HS norm, so this is already relative scale.
+    Each element meets the later ones a few at a time, which keeps the
+    temporaries to a few d x d arrays.
+    """
+    k = len(stack)
     worst = 0.0
-    for i, a in enumerate(basis):
-        for b in basis[i + 1 :]:
-            worst = max(worst, float(np.linalg.norm(a @ b - b @ a)))
+    for i in range(k - 1):
+        a = stack[i]
+        for start in range(i + 1, k, _COMMUTATOR_CHUNK):
+            rest = stack[start : start + _COMMUTATOR_CHUNK]
+            c = a @ rest
+            c -= rest @ a
+            norms = np.linalg.norm(c.reshape(len(rest), -1), axis=1)
+            worst = max(worst, float(norms.max()))
     return worst
 
 
@@ -344,20 +408,15 @@ def joint_spectral_resolution(
         h /= norm
         values, vectors = np.linalg.eigh(h)
         fine = degenerate_clusters(values, gap=1e-10)
-        projs = [vectors[:, idx] @ vectors[:, idx].conj().T for idx in fine]
 
-        merged = _merge_by_basis_values(alg, projs)
-        if merged is None:
-            last_error = "projector family inconsistent with the algebra"
-            continue
-        projs, basis_vals = merged
-        if len(projs) != alg.dimension:
+        groups, basis_vals = _merge_by_basis_values(alg, vectors, fine)
+        if len(groups) != alg.dimension:
             last_error = (
-                f"found {len(projs)} joint eigenspaces for an algebra of dimension {alg.dimension}"
+                f"found {len(groups)} joint eigenspaces for an algebra of dimension {alg.dimension}"
             )
             continue
 
-        resolution = _assemble_resolution(alg, projs, basis_vals)
+        resolution = _assemble_resolution(alg, vectors, groups, basis_vals)
         if resolution is not None:
             if cacheable:
                 alg._resolution = resolution
@@ -367,28 +426,29 @@ def joint_spectral_resolution(
     raise InvariantViolation(f"joint diagonalization failed after {max_trials} trials: {last_error}")
 
 
-def _merge_by_basis_values(alg, projs):
-    """Merge projectors whose basis value vectors coincide; None on failure."""
-    vals = []
-    for p in projs:
-        rank = float(np.trace(p).real)
-        vals.append(np.array([np.trace(p @ m) / rank for m in alg.basis]))
+def _eigenvector_values(vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """diag(V^dag m V): the expectation of ``m`` in each eigenvector column."""
+    return np.einsum("ij,ij->j", vectors.conj(), m @ vectors)
+
+
+def _merge_by_basis_values(alg, vectors, clusters):
+    """Merge eigenvector clusters whose basis value vectors coincide.
+
+    Returns the merged column index groups and each group's basis values
+    trace(V^dag m V) / rank, where p = V V^dag is the group's projector.
+    """
+    columns = np.array([_eigenvector_values(vectors, m) for m in alg.basis])
+    vals = [columns[:, idx].sum(axis=1) / len(idx) for idx in clusters]
     groups: list[list[int]] = []
-    for i in range(len(projs)):
+    for i in range(len(clusters)):
         for group in groups:
             if np.max(np.abs(vals[i] - vals[group[0]])) <= VALUE_MERGE_ATOL:
                 group.append(i)
                 break
         else:
             groups.append([i])
-    out_projs = []
-    out_vals = []
-    for group in groups:
-        p = np.sum([projs[i] for i in group], axis=0)
-        rank = float(np.trace(p).real)
-        out_projs.append(p)
-        out_vals.append(np.array([np.trace(p @ m) / rank for m in alg.basis]))
-    return out_projs, out_vals
+    merged = [[c for i in group for c in clusters[i]] for group in groups]
+    return merged, [columns[:, idx].sum(axis=1) / len(idx) for idx in merged]
 
 
 def _real_generator_values(values: np.ndarray) -> np.ndarray:
@@ -403,36 +463,47 @@ def _real_generator_values(values: np.ndarray) -> np.ndarray:
     return values.real
 
 
-def _assemble_resolution(alg, projs, basis_vals):
+def _assemble_resolution(alg, vectors, groups, basis_vals):
+    """Check the merged groups and build the resolution; None on failure.
+
+    The identity and idempotence checks run on the dense projectors
+    p = V V^dag.  The scalar action p m p = lam p of each basis element is
+    checked as V (V^dag m V - lam I) V^dag on each column block V, with
+    one m V and V^dag m V per basis element.
+    """
     d = alg.layout.dim
+    blocks = [vectors[:, idx] for idx in groups]
+    projs = [v @ v.conj().T for v in blocks]
     total = np.sum(projs, axis=0)
     if np.max(np.abs(total - np.eye(d))) > RECONSTRUCTION_ATOL:
         return None
-    for k, p in enumerate(projs):
+    for p in projs:
         if np.max(np.abs(p @ p - p)) > RECONSTRUCTION_ATOL:
             return None
-        for m, lam in zip(alg.basis, basis_vals[k]):
-            if np.max(np.abs(p @ m @ p - lam * p)) > CHARACTER_ATOL:
+    v_dag = vectors.conj().T
+    for j, m in enumerate(alg.basis):
+        w = v_dag @ (m @ vectors)
+        for k, (idx, v) in enumerate(zip(groups, blocks)):
+            block = w[np.ix_(idx, idx)] - basis_vals[k][j] * np.eye(len(idx))
+            if np.max(np.abs(v @ block @ v.conj().T)) > CHARACTER_ATOL:
                 return None
 
-    gen_vals = np.zeros((len(projs), len(alg.generators)), dtype=complex)
-    for k, p in enumerate(projs):
-        rank = float(np.trace(p).real)
-        for g_idx, g in enumerate(alg.generators):
-            gen_vals[k, g_idx] = np.trace(p @ g) / rank
+    gen_vals = np.zeros((len(groups), len(alg.generators)), dtype=complex)
+    for g_idx, g in enumerate(alg.generators):
+        columns = _eigenvector_values(vectors, g)
+        for k, idx in enumerate(groups):
+            gen_vals[k, g_idx] = columns[idx].sum() / len(idx)
     gen_vals = _real_generator_values(gen_vals)
 
     order = sorted(
-        range(len(projs)),
+        range(len(groups)),
         key=lambda k: tuple(np.round(gen_vals[k], 9)),
     )
-    projectors = tuple(projs[k] for k in order)
-    ranks = tuple(int(round(np.trace(p).real)) for p in projectors)
     return SpectralResolution(
         generator_values=gen_vals[order],
         basis_values=np.array([basis_vals[k] for k in order]),
-        ranks=ranks,
-        dense_projectors=projectors,
+        ranks=tuple(len(groups[k]) for k in order),
+        dense_projectors=tuple(projs[k] for k in order),
     )
 
 

@@ -61,16 +61,8 @@ class AlgebraicState:
                 f"value count {values.size} does not match algebra dimension "
                 f"{self.algebra.dimension}"
             )
-        alg = self.algebra
-        if alg.labels is None:
-            norm = self.evaluate(np.eye(alg.layout.dim))
-            positives = [self.evaluate(m.conj().T @ m) for m in alg.basis]
-        else:
-            # I and every B_j^dag B_j are diagonal: only their diagonals
-            # (ones, and |B_j|^2 entrywise) have components.
-            diagonals = alg.basis_diagonals
-            norm = complex(diagonals.sum(axis=1) @ values)
-            positives = (np.abs(diagonals) ** 2 @ diagonals.T) @ values
+        # <I> and every <B_j^dag B_j> from the algebra's one coefficient table.
+        norm, *positives = (self.algebra.positivity_table @ values).tolist()
         if abs(norm - 1.0) > TRACE_ATOL:
             raise InvariantViolation(f"state is not normalized: <I> = {norm!r}")
         for j, positive in enumerate(positives):

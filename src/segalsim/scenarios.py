@@ -119,6 +119,18 @@ def _require_keys(mapping: dict, allowed: set[str], context: str) -> None:
         _fail(f"{context}: unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
 
 
+def _positive_number(value, context: str) -> float:
+    """``value`` as a float, if it is a finite positive JSON number."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = float("inf")
+        if np.isfinite(number) and number > 0:
+            return number
+    _fail(f"{context}: expected a finite positive number, got {value!r}")
+
+
 def _parse_amplitudes(raw, expected: int, context: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         _fail(f"{context}: amplitudes must be a non-empty list of [re, im] pairs")
@@ -197,6 +209,10 @@ def _parse_generators(raw, model: MeasurementModel):
                 )
             except (TypeError, ValueError, IndexError):
                 _fail(f"generators[{k}]: matrix must be rows of [re, im] pairs")
+            except OverflowError:  # an integer beyond the float range
+                mat = None
+            if mat is None or not np.all(np.isfinite(mat)):
+                _fail(f"generators[{k}]: matrix entries must be finite numbers")
             dim = model.o_dim if space == "O" else model.s_dim * model.o_dim
             if mat.shape != (dim, dim):
                 _fail(f"generators[{k}]: matrix shape {mat.shape} does not match space {space}")
@@ -252,9 +268,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if output_format not in ("json", "csv"):
         _fail(f"output_format: expected 'json' or 'csv', got {output_format!r}")
 
-    tolerances = dict(raw.get("tolerances", {}))
+    tolerances = raw.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        _fail(f"tolerances: expected an object of positive numbers, got {type(tolerances).__name__}")
     _require_keys(tolerances, {"algebra", "breuer"}, "tolerances")
-    tolerances = {k: float(v) for k, v in tolerances.items()}
+    tolerances = {k: _positive_number(v, f"tolerances.{k}") for k, v in tolerances.items()}
 
     t_grid = None
     if raw.get("t_grid") is not None:

@@ -92,6 +92,55 @@ def closure_dimension_oracle(generators: list[np.ndarray], tol: float = 1e-9) ->
     return span_rank(ops, tol), commutative
 
 
+def all_pairs_closure(
+    generators: list[np.ndarray], d: int, tol: float = 1e-9
+) -> tuple[list[np.ndarray], bool]:
+    """Orthonormal basis and commutativity of the generated unital *-algebra.
+
+    The all-pairs Gram-Schmidt closure: seed {I} + generators + adjoints,
+    then adjoin every product of two basis elements, pass after pass,
+    until a pass adds nothing.  Commutativity is the largest HS norm of a
+    basis commutator against ``tol``.
+    """
+    rows = np.zeros((0, d * d), dtype=complex)
+
+    def append(op):
+        nonlocal rows
+        v = op.reshape(-1)
+        norm_in = float(np.linalg.norm(v))
+        if norm_in == 0.0:
+            return False
+        r = v.astype(complex)
+        for _ in range(2):
+            if rows.shape[0]:
+                r = r - rows.T @ (rows.conj() @ r)
+        norm_r = float(np.linalg.norm(r))
+        if norm_r <= tol * norm_in:
+            return False
+        rows = np.vstack([rows, r / norm_r])
+        return True
+
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    for op in [np.eye(d, dtype=complex), *gens, *[g.conj().T for g in gens]]:
+        append(op)
+    while True:
+        ops = [rows[i].reshape(d, d) for i in range(rows.shape[0])]
+        grew = False
+        for a in ops:
+            for b in ops:
+                grew = append(a @ b) or grew
+        if not grew:
+            break
+        if rows.shape[0] > d * d:
+            raise AssertionError("all-pairs closure exceeded the d^2 bound")
+    basis = [rows[i].reshape(d, d).copy() for i in range(rows.shape[0])]
+    worst = max(
+        (float(np.linalg.norm(a @ b - b @ a)) for i, a in enumerate(basis) for b in basis[i + 1 :]),
+        default=0.0,
+    )
+    return basis, worst <= tol
+
+
 def expm_series(h: np.ndarray, t: float, terms: int = 60) -> np.ndarray:
     """exp(-i h t) by straightforward Taylor summation."""
     d = h.shape[0]

@@ -3,7 +3,9 @@ import pytest
 
 from segalsim.algebra import (
     _SEPARATION,
+    _assemble_resolution,
     _gram_schmidt_closure,
+    _max_commutator,
     contains,
     generate_algebra,
     is_commutative,
@@ -13,7 +15,7 @@ from segalsim.config import ALGEBRA_TOL
 from segalsim.linalg import SpaceLayout, identity, tensor
 from segalsim.restriction import extremal_states
 
-from _oracles import closure_dimension_oracle
+from _oracles import all_pairs_closure, closure_dimension_oracle
 
 O = SpaceLayout((("O", 3),))
 MS = SpaceLayout((("S", 2), ("O", 3)))
@@ -332,3 +334,155 @@ class TestDiagonalPathOracle:
         gen = np.diag([0.0, 1.0, -1.0]).astype(complex)
         gen[0, 2] = gen[2, 0] = 1e-300
         assert generate_algebra([gen], O).labels is None
+
+
+# Oracle: the letter closure against the all-pairs closure it replaces.
+
+
+def rotated_hermitian_pair(rng, values_a, values_b):
+    """U diag(a) U^dag and U diag(b) U^dag for one random unitary U."""
+    d = len(values_a)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return [(u * np.asarray(v, dtype=float)) @ u.conj().T for v in (values_a, values_b)], u
+
+
+def in_oracle_span(basis, m, tol=ALGEBRA_TOL):
+    rows = np.array([b.reshape(-1) for b in basis])
+    v = m.reshape(-1)
+    return np.linalg.norm(v - rows.T @ (rows.conj() @ v)) <= tol * np.linalg.norm(v)
+
+
+def assert_matches_all_pairs(gens, layout):
+    alg = generic_closure(gens, layout)
+    basis, commutative = all_pairs_closure(
+        [np.asarray(g, dtype=complex) for g in gens], layout.dim
+    )
+    assert alg.dimension == len(basis)
+    assert alg.commutative == commutative
+    for m in basis:
+        assert contains(alg, m)
+    for m in alg.basis:
+        assert in_oracle_span(basis, m)
+    if gens:
+        assert closure_dimension_oracle(list(gens)) == (alg.dimension, alg.commutative)
+    return alg
+
+
+E12 = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
+class TestLetterClosureOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_commuting_rotated_pairs(self, seed):
+        rng = np.random.default_rng([11, seed])
+        d = int(rng.integers(4, 9))
+        classes = rng.integers(0, 3, size=(d, 2))
+        gens, _ = rotated_hermitian_pair(rng, 2.0 * classes[:, 0] - 1.5, 1.5 * classes[:, 1] + 1.0)
+        alg = assert_matches_all_pairs(gens, SpaceLayout((("O", d),)))
+        assert alg.commutative
+        assert alg.dimension == len({tuple(c) for c in classes})
+
+    def test_pauli_pair(self):
+        alg = assert_matches_all_pairs([SX, SZ], TWO)
+        assert alg.dimension == 4 and not alg.commutative
+
+    def test_nilpotent_needs_adjoint_letter(self):
+        # E12 @ E12 = 0: only the adjoint letter E21 reaches M_2.
+        alg = assert_matches_all_pairs([E12], TWO)
+        assert alg.dimension == 4 and not alg.commutative
+        # E21 is exactly E12^dag, so it is one letter, not two.
+        assert assert_matches_all_pairs([E12, E12.T.copy()], TWO).dimension == 4
+
+    def test_zero_eigenvalue_products_vanish(self):
+        # P Q = Q P = 0 exactly; Q^2 = I - P.
+        p = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        q = np.zeros((3, 3), dtype=complex)
+        q[1, 2] = q[2, 1] = 1.0
+        alg = assert_matches_all_pairs([p, q], O)
+        assert alg.dimension == 3 and alg.commutative
+
+    def test_random_non_normal_3x3(self):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        alg = assert_matches_all_pairs([m], O)
+        assert alg.dimension == 9 and not alg.commutative
+
+    def test_empty_generator_list(self):
+        alg = assert_matches_all_pairs([], O)
+        assert alg.dimension == 1 and alg.commutative
+        assert np.allclose(alg.basis[0], identity(3) / np.sqrt(3))
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_max_commutator_covers_all_pairs(self, k):
+        # Only elements i and j fail to commute; every other element lives
+        # on index 2 alone.  The chunked maximum must find each such pair.
+        x = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
+        z = np.diag([1.0, -1.0, 0.0]).astype(complex)
+        expected = float(np.linalg.norm(x @ z - z @ x))
+        for i in range(k):
+            for j in range(i + 1, k):
+                stack = np.array([np.diag([0.0, 0.0, 1.0 + n]) for n in range(k)], dtype=complex)
+                stack[i], stack[j] = x, z
+                assert _max_commutator(stack) == pytest.approx(expected)
+
+    def test_basis_is_one_read_only_stack(self):
+        alg = generic_closure([SX, SZ], TWO)
+        assert all(b.base is not None and not b.flags.writeable for b in alg.basis)
+        gram = np.array([[np.vdot(a, b) for b in alg.basis] for a in alg.basis])
+        assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
+
+
+def dense_resolution_values(res, alg):
+    """basis_values, generator_values and ranks from trace(p @ m) / rank."""
+    ranks = [int(round(np.trace(p).real)) for p in res.projectors]
+    basis_vals = [[np.trace(p @ m) / r for m in alg.basis] for p, r in zip(res.projectors, ranks)]
+    gen_vals = [[np.trace(p @ g) / r for g in alg.generators] for p, r in zip(res.projectors, ranks)]
+    return np.array(basis_vals), np.array(gen_vals), tuple(ranks)
+
+
+class TestBlockResolutionOracle:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_values_match_dense_formulas(self, seed):
+        rng = np.random.default_rng([13, seed])
+        values_a = np.repeat([-2.0, 1.0, 3.0], [1, 2, 3])
+        values_b = np.array([0.5, -1.5, 0.5, 2.5, 2.5, 0.5])
+        gens, u = rotated_hermitian_pair(rng, values_a, values_b)
+        layout = SpaceLayout((("O", 6),))
+        alg = generic_closure(gens, layout)
+        res = joint_spectral_resolution(alg)
+        basis_vals, gen_vals, ranks = dense_resolution_values(res, alg)
+        assert res.ranks == ranks
+        assert np.allclose(res.basis_values, basis_vals, atol=1e-12)
+        assert np.allclose(res.generator_values, gen_vals.real, atol=1e-12)
+        # Ground truth: one projector per distinct (a, b) pair, in value order.
+        pairs = sorted(set(zip(values_a, values_b)))
+        assert np.allclose(res.generator_values, pairs, atol=1e-9)
+        for (a, b), p in zip(pairs, res.projectors):
+            cols = u[:, (values_a == a) & (values_b == b)]
+            assert np.allclose(p, cols @ cols.conj().T, atol=1e-9)
+
+    def test_inconsistent_blocks_rejected(self):
+        # Two eigenspaces with different values merged into one block fail
+        # the scalar-action check; the true blocks pass it.
+        rng = np.random.default_rng(14)
+        values = np.array([-1.0, -1.0, 2.0, 2.0, 5.0])
+        gens, u = rotated_hermitian_pair(rng, values, values)
+        alg = generic_closure(gens[:1], SpaceLayout((("O", 5),)))
+        groups = [[0, 1], [2, 3], [4]]
+        basis_vals = [
+            np.array([np.trace(u[:, g].conj().T @ m @ u[:, g]) / len(g) for m in alg.basis])
+            for g in groups
+        ]
+        assert _assemble_resolution(alg, u, groups, basis_vals) is not None
+        merged = [[0, 1, 2, 3], [4]]
+        merged_vals = [(2 * basis_vals[0] + 2 * basis_vals[1]) / 4, basis_vals[2]]
+        assert _assemble_resolution(alg, u, merged, merged_vals) is None
+
+    def test_interference_observable(self):
+        alg = generic_closure([interference_op()], MS)
+        res = joint_spectral_resolution(alg)
+        basis_vals, gen_vals, ranks = dense_resolution_values(res, alg)
+        assert res.ranks == ranks == (1, 4, 1)
+        assert np.allclose(res.basis_values, basis_vals, atol=1e-12)
+        assert np.allclose(res.generator_values, gen_vals.real, atol=1e-12)
+        assert np.allclose(res.generator_values[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)

@@ -4,7 +4,8 @@ The hashes were recorded from the row-at-a-time event path that the
 columnar batch replaced; any change to sampling, formatting or file
 naming shows up here as a hash mismatch.  The algebra-probe hashes were
 recorded from the Gram-Schmidt closure before diagonal generators got
-their own path.  The wigner-friend report was re-recorded once, when its
+their own path; the ``B`` and rotated-pair hashes, which take the generic
+path, from the all-pairs closure before it grew by generator letters.  The wigner-friend report was re-recorded once, when its
 restricted probabilities started zeroing weights at or below
 PROBABILITY_FLOOR (the ready pointer read 7.85e-17 before).
 """
@@ -12,11 +13,28 @@ PROBABILITY_FLOOR (the ready pointer read 7.85e-17 before).
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from segalsim.cli import main
 
 _AMPS = [[0.6, 0.0], [0.0, 0.8]]
+
+
+def _rotated_pair():
+    """Two commuting Hermitian 12x12 generators U diag(a) U^dag, U diag(b) U^dag.
+
+    The joint values (a, b) fall into six classes of rank 2, spaced far
+    apart, so the generic closure has dimension 6.
+    """
+    rng = np.random.default_rng(20)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+    entries = []
+    for values in (np.repeat([-2.0, 1.0, 3.0], 4), np.tile([-1.5, -1.5, 2.5, 2.5], 3)):
+        h = (u * values) @ u.conj().T
+        h = (h + h.conj().T) / 2.0  # exactly Hermitian entry by entry
+        entries.append({"space": "MS", "matrix": np.stack([h.real, h.imag], axis=-1).tolist()})
+    return entries
 
 CONFIGS = {
     "pure": {
@@ -58,6 +76,12 @@ CONFIGS = {
         "model": {"s_dim": 3, "o_dim": 4},
         "generators": ["QO_MS"],
     },
+    "algebra-probe-b": {"scenario": "algebra-probe", "generators": ["B"]},
+    "algebra-probe-rotated-pair": {
+        "scenario": "algebra-probe",
+        "model": {"s_dim": 3, "o_dim": 4},
+        "generators": _rotated_pair(),
+    },
 }
 
 EXPECTED = {
@@ -81,6 +105,12 @@ EXPECTED = {
     },
     "algebra-probe-qo-ms": {
         "report.json": "b0f0bd55312b177e46e4e9128c0dd76c5bda0048ac7bafaf6dd09103b3c2141c",
+    },
+    "algebra-probe-b": {
+        "report.json": "da81a4e2698cdea41dd626fd2b64157856f8927b9464587c2a62858315f72346",
+    },
+    "algebra-probe-rotated-pair": {
+        "report.json": "dd751aa58e7544083f2d8aaca0764d315bd87b884434573ca19edbe005153c5e",
     },
 }
 

@@ -1,6 +1,9 @@
 import json
 import subprocess
 import sys
+import warnings
+
+import pytest
 
 from segalsim.cli import main
 
@@ -109,3 +112,57 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["scenario"] == "pure"
+
+
+def _probe_config(tmp_path, entry="[2, 0]", tolerances=None):
+    """An algebra-probe document on O written as raw text, so NaN/Infinity survive.
+
+    ``entry`` is the [re, im] text of the last diagonal entry of the one
+    inline generator.
+    """
+    matrix = f"[[[1, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], {entry}]]"
+    extra = "" if tolerances is None else f', "tolerances": {tolerances}'
+    path = tmp_path / "probe.json"
+    path.write_text(
+        '{"scenario": "algebra-probe", '
+        f'"generators": [{{"space": "O", "matrix": {matrix}}}]{extra}}}',
+        encoding="utf-8",
+    )
+    return path
+
+
+def _assert_config_error(path, capsys, needle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+        assert main(["run", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert needle in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["[NaN, 0]", "[0, NaN]", "[Infinity, 0]", "[0, -Infinity]", "[1e400, 0]", "[" + "9" * 400 + ", 0]"],
+)
+def test_non_finite_generator_entry_rejected(tmp_path, capsys, entry):
+    _assert_config_error(_probe_config(tmp_path, entry), capsys, "generators[0]: matrix entries")
+
+
+@pytest.mark.parametrize(
+    "tolerances, needle",
+    [
+        ('"x"', "tolerances: expected an object"),
+        ("[1e-9]", "tolerances: expected an object"),
+        ('{"algebra": NaN}', "tolerances.algebra: expected a finite positive number"),
+        ('{"algebra": Infinity}', "tolerances.algebra"),
+        ('{"algebra": 0}', "tolerances.algebra"),
+        ('{"algebra": -1e-9}', "tolerances.algebra"),
+        ('{"algebra": "1e-9"}', "tolerances.algebra"),
+        ('{"breuer": true}', "tolerances.breuer"),
+        ('{"breuer": NaN}', "tolerances.breuer"),
+        ('{"algebra": 1e-9, "other": 1}', "tolerances: unknown keys"),
+    ],
+)
+def test_bad_tolerances_rejected(tmp_path, capsys, tolerances, needle):
+    _assert_config_error(_probe_config(tmp_path, tolerances=tolerances), capsys, needle)

@@ -31,6 +31,13 @@ def interference_op():
     return b
 
 
+def nilpotent_op():
+    """|1><5|: its algebra has basis elements with B^dag B != B B^dag."""
+    e = np.zeros((6, 6), dtype=complex)
+    e[1, 5] = 1.0
+    return e
+
+
 def pointer_algebra():
     return generate_algebra([q_o_extended()], MS)
 
@@ -330,3 +337,30 @@ class TestAlgebraicStateValidation:
         AlgebraicState(alg, sum(c.values for c in chars) / 3)  # a positive mix passes
         with pytest.raises(InvariantViolation, match="positivity violated"):
             AlgebraicState(alg, values)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pointer_algebra,
+            lambda: _gram_schmidt_closure((q_o_extended(),), MS, ALGEBRA_TOL),
+            lambda: _gram_schmidt_closure((interference_op(),), MS, ALGEBRA_TOL),
+            lambda: generate_algebra([q_o_extended(), nilpotent_op()], MS),
+        ],
+        ids=["diagonal", "generic-pointer", "generic-interference", "non-commutative"],
+    )
+    def test_positivity_table_matches_per_state_evaluation(self, make):
+        # The table row of B_j^dag B_j, applied to a state's values, is the
+        # state's expectation of B_j^dag B_j, evaluated afresh.
+        alg = make()
+        table = alg.positivity_table
+        assert table.shape == (alg.dimension + 1, alg.dimension)
+        rng = np.random.default_rng(36)
+        states = [restrict_state(random_density(rng, MS), alg) for _ in range(3)]
+        if alg.commutative:
+            states += list(extremal_states(alg))
+        for phi in states:
+            assert table[0] @ phi.values == pytest.approx(phi.evaluate(identity(6)), abs=1e-12)
+            for j, m in enumerate(alg.basis):
+                expected = phi.evaluate(m.conj().T @ m)
+                assert table[j + 1] @ phi.values == pytest.approx(expected, abs=1e-12)
+        assert alg.positivity_table is table  # built once per algebra
