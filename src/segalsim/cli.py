@@ -10,12 +10,11 @@ violation.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .config import InvariantViolation
-from .scenarios import ConfigError, emit_report, parse_scenario, run_scenario
+from .scenarios import ConfigError, emit_report, load_document, parse_scenario, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -31,24 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(text: str, args: argparse.Namespace) -> str:
-    if args.seed is None and args.events is None and args.format is None:
-        return text
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config document: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config document must be a JSON object")
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.events is not None:
-        raw["n_events"] = args.events
-    if args.format is not None:
-        raw["output_format"] = args.format
-    return json.dumps(raw)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -58,8 +39,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
 
+    overrides = {"seed": args.seed, "n_events": args.events, "output_format": args.format}
     try:
-        cfg = parse_scenario(_apply_overrides(text, args))
+        raw = load_document(text)
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
+        cfg = parse_scenario(raw)
         report = run_scenario(cfg)
         document = emit_report(report, fmt=cfg.output_format, out=args.out)
     except ConfigError as exc:

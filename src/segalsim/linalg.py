@@ -85,9 +85,6 @@ class SpaceLayout:
                 return i
         raise ValueError(f"unknown factor label {label!r}; layout has {self.labels}")
 
-    def dim_of(self, label: str) -> int:
-        return self.factors[self.axis(label)][1]
-
     def subset(self, keep: Iterable[str]) -> "SpaceLayout":
         """Sub-layout of the kept factors, preserving their order."""
         keep_set = set(keep)

@@ -90,9 +90,11 @@ __all__ = [
     "pointer_algebra",
     "pointer_characters",
     "pointer_histogram",
+    "pointer_operator",
     "pointer_state_stability",
     "premeasure",
     "premeasurement_unitary",
+    "ready_state",
     "restricted_pointer_probabilities",
     "run_ensemble",
     "run_event",
@@ -227,15 +229,38 @@ def system_state(model: MeasurementModel, amplitudes: Sequence[complex]) -> Stat
     return StateVector(system_layout(model), np.asarray(amplitudes, dtype=complex))
 
 
+def _source_kind(model: MeasurementModel, source: StateVector | Gemenge) -> str:
+    """``"gemenge"`` or ``"pure"``, once the source is checked to live on S."""
+    if isinstance(source, Gemenge):
+        kind, what = "gemenge", "ensemble rows"
+    else:
+        kind, what = "pure", "input state"
+    if source.layout != system_layout(model):
+        raise ValueError(f"{what} must live on the bare system layout")
+    return kind
+
+
+def ready_state(model: MeasurementModel, psi_s: StateVector) -> StateVector:
+    """The input with the register ready: psi_s (x) |O_0> on S (x) O."""
+    _source_kind(model, psi_s)
+    return StateVector(ms_layout(model), np.kron(psi_s.amplitudes, basis_vector(model.o_dim, 0)))
+
+
+def pointer_operator(model: MeasurementModel, layout: SpaceLayout) -> np.ndarray:
+    """The pointer observable diag(qo_values) on the O factor of ``layout``,
+    identity on every other factor."""
+    q_o = np.diag(np.asarray(model.qo_values, dtype=complex))
+    return tensor(*(q_o if label == "O" else identity(dim) for label, dim in layout.factors))
+
+
 # ---------------------------------------------------------------------------
 # cached per-model machinery
 
 
 @dataclass(eq=False)
 class _Setup:
-    model: MeasurementModel
     layout: SpaceLayout
-    ready_tail: np.ndarray
+    ready_tail: np.ndarray                     # every register after S ready
     pipeline_unitary: np.ndarray
     algebra: OperatorAlgebra
     characters: tuple[Character, ...]          # pointer order (qo_values order)
@@ -247,17 +272,9 @@ class _Setup:
 @lru_cache(maxsize=None)
 def _setup(model: MeasurementModel) -> _Setup:
     layout = full_layout(model)
-    u_ms = premeasurement_unitary(model)
+    pipeline = premeasurement_unitary(model)
     if model.environment is not None:
-        pipeline = tensor(identity(model.s_dim), _environment_unitary(model)) @ tensor(
-            u_ms, identity(model.environment.e_dim)
-        )
-        ready_tail = np.kron(
-            basis_vector(model.o_dim, 0), basis_vector(model.environment.e_dim, 0)
-        )
-    else:
-        pipeline = u_ms
-        ready_tail = basis_vector(model.o_dim, 0)
+        pipeline = _environment_unitary(model) @ tensor(pipeline, identity(model.environment.e_dim))
 
     algebra = _pointer_algebra_on(model, layout)
     characters, ext_to_ptr = _pointer_order(model, algebra)
@@ -267,9 +284,8 @@ def _setup(model: MeasurementModel) -> _Setup:
         ms_alg = _pointer_algebra_on(model, ms_layout(model))
         ms_characters, _ = _pointer_order(model, ms_alg)
     return _Setup(
-        model=model,
         layout=layout,
-        ready_tail=ready_tail,
+        ready_tail=basis_vector(layout.dim // model.s_dim, 0),
         pipeline_unitary=pipeline,
         algebra=algebra,
         characters=characters,
@@ -279,15 +295,8 @@ def _setup(model: MeasurementModel) -> _Setup:
     )
 
 
-def _pointer_operator(model: MeasurementModel) -> np.ndarray:
-    return np.diag(np.asarray(model.qo_values, dtype=complex))
-
-
 def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> OperatorAlgebra:
-    ops = []
-    for label, dim in layout.factors:
-        ops.append(_pointer_operator(model) if label == "O" else identity(dim))
-    return generate_algebra([tensor(*ops)], layout)
+    return generate_algebra([pointer_operator(model, layout)], layout)
 
 
 def _pointer_order(model, algebra):
@@ -389,10 +398,8 @@ def interference_observable(model: MeasurementModel) -> np.ndarray:
 
 def premeasure(model: MeasurementModel, psi_s: StateVector) -> StateVector:
     """Post-measurement pure state on S (x) O for an input system state."""
-    if psi_s.layout != system_layout(model):
-        raise ValueError("input state must live on the bare system layout")
-    amp = np.kron(psi_s.amplitudes, basis_vector(model.o_dim, 0))
-    return StateVector(ms_layout(model), premeasurement_unitary(model) @ amp)
+    amp = premeasurement_unitary(model) @ ready_state(model, psi_s).amplitudes
+    return StateVector(ms_layout(model), amp)
 
 
 def branch_mixture(model: MeasurementModel, amplitudes: Sequence[complex]) -> DensityMatrix:
@@ -465,10 +472,7 @@ def statistical_doublet(model: MeasurementModel, rho: DensityMatrix) -> Statisti
 
 def initial_doublet(model: MeasurementModel, psi_s: StateVector) -> StatisticalDoublet:
     """Pre-measurement doublet: register ready, record distribution (1, 0, ...)."""
-    if psi_s.layout != system_layout(model):
-        raise ValueError("input state must live on the bare system layout")
-    full = psi_s.tensor(StateVector(SpaceLayout((("O", model.o_dim),)), basis_vector(model.o_dim, 0)))
-    return statistical_doublet(model, density_from_vector(full))
+    return statistical_doublet(model, density_from_vector(ready_state(model, psi_s)))
 
 
 def evolve_unitary(theta: StatisticalDoublet, u: np.ndarray) -> StatisticalDoublet:
@@ -534,6 +538,12 @@ def event_rng(seed: int, event_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (event_index << 64)))
 
 
+def _pipeline_image(setup: _Setup, psi_s: StateVector) -> StateVector:
+    """Exact image of a system state, every register ready, under the pipeline."""
+    amp = setup.pipeline_unitary @ np.kron(psi_s.amplitudes, setup.ready_tail)
+    return StateVector(setup.layout, amp)
+
+
 def run_event(
     model: MeasurementModel,
     source: StateVector | Gemenge,
@@ -548,20 +558,9 @@ def run_event(
     and the probability it was drawn with.
     """
     setup = _setup(model)
-    if isinstance(source, Gemenge):
-        if source.layout != system_layout(model):
-            raise ValueError("ensemble rows must live on the bare system layout")
-        row, psi_s = sample_gemenge(source, rng)
-        kind = "gemenge"
-    else:
-        row = None
-        psi_s = source
-        kind = "pure"
-    if psi_s.layout != system_layout(model):
-        raise ValueError("input state must live on the bare system layout")
-
-    amp = setup.pipeline_unitary @ np.kron(psi_s.amplitudes, setup.ready_tail)
-    xi = StateVector(setup.layout, amp)
+    kind = _source_kind(model, source)
+    row, psi_s = sample_gemenge(source, rng) if kind == "gemenge" else (None, source)
+    xi = _pipeline_image(setup, psi_s)
     char, prob = sample_individual_restriction(xi, setup.algebra, rng)
     pointer_index = int(setup.extremal_to_pointer[char.projector_index])
     record = EventRecord(
@@ -635,22 +634,11 @@ def run_ensemble(
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
     setup = _setup(model)
-    if isinstance(source, Gemenge):
-        if source.layout != system_layout(model):
-            raise ValueError("ensemble rows must live on the bare system layout")
-        states = [state for state, _ in source.rows]
-        kind = "gemenge"
-    else:
-        if source.layout != system_layout(model):
-            raise ValueError("input state must live on the bare system layout")
-        states = [source]
-        kind = "pure"
-
-    probs = []
-    for state in states:
-        amp = setup.pipeline_unitary @ np.kron(state.amplitudes, setup.ready_tail)
-        probs.append(character_probabilities(StateVector(setup.layout, amp), setup.algebra))
-    probs = np.array(probs)
+    kind = _source_kind(model, source)
+    states = [state for state, _ in source.rows] if kind == "gemenge" else [source]
+    probs = np.array(
+        [character_probabilities(_pipeline_image(setup, state), setup.algebra) for state in states]
+    )
     cumulatives = [draw_cumulative(p) for p in probs]
 
     # A pure input draws the pointer only; an ensemble draws its row first.
@@ -705,7 +693,7 @@ def _environment_branch_vectors(model: MeasurementModel) -> list[np.ndarray]:
 
 
 def _environment_unitary(model: MeasurementModel) -> np.ndarray:
-    """Controlled shift on O (x) E sending |O_i>|E_0> to |O_i>|E_i>."""
+    """Controlled shift I_S (x) U_OE sending |s>|O_i>|E_0> to |s>|O_i>|E_i>."""
     env = model.environment
     e0 = basis_vector(env.e_dim, 0)
     branches = _environment_branch_vectors(model)
@@ -728,7 +716,7 @@ def _environment_unitary(model: MeasurementModel) -> np.ndarray:
     u = np.zeros((d_o * d_e, d_o * d_e), dtype=complex)
     for j, v in enumerate(blocks):
         u[j * d_e : (j + 1) * d_e, j * d_e : (j + 1) * d_e] = v
-    return u
+    return tensor(identity(model.s_dim), u)
 
 
 def couple_environment(model: MeasurementModel, rho_ms: DensityMatrix) -> DensityMatrix:
@@ -745,7 +733,7 @@ def couple_environment(model: MeasurementModel, rho_ms: DensityMatrix) -> Densit
         raise ValueError("input state must live on the S (x) O layout")
     e0 = basis_vector(model.environment.e_dim, 0)
     big = tensor(rho_ms.matrix, projector(e0))
-    w = tensor(identity(model.s_dim), _environment_unitary(model))
+    w = _environment_unitary(model)
     return DensityMatrix(full_layout(model), w @ big @ w.conj().T)
 
 
@@ -902,13 +890,13 @@ class WignerFriendReport:
     breuer_with_interference: BreuerReport
     n_events: int
     seed: int
+    events: EventBatch
 
 
 @lru_cache(maxsize=None)
 def _interference_algebra(model: MeasurementModel) -> OperatorAlgebra:
     lay = ms_layout(model)
-    ops = [tensor(identity(model.s_dim), _pointer_operator(model)), interference_observable(model)]
-    return generate_algebra(ops, lay)
+    return generate_algebra([pointer_operator(model, lay), interference_observable(model)], lay)
 
 
 def wigner_friend_report(
@@ -917,23 +905,17 @@ def wigner_friend_report(
     n_events: int,
     seed: int,
     breuer_tol: float = STATE_EQUALITY_ATOL,
-    records: EventBatch | None = None,
 ) -> WignerFriendReport:
     """Run the two-observer comparison for a pure input state.
 
-    ``records`` may carry a precomputed ensemble for the same
-    (model, psi_s, n_events, seed); otherwise the events are run here.
+    The sampled batch is returned on the report as ``events``.
     """
-    post = premeasure(model, psi_s)
-    rho_p = density_from_vector(post)
+    rho_p = density_from_vector(premeasure(model, psi_s))
     rho_m = branch_mixture(model, psi_s.amplitudes)
     b = interference_observable(model)
 
-    if records is None:
-        records = run_ensemble(model, psi_s, n_events, seed)
-    elif len(records) != n_events:
-        raise ValueError("precomputed records do not match n_events")
-    histogram = pointer_histogram(model, records)
+    events = run_ensemble(model, psi_s, n_events, seed)
+    histogram = pointer_histogram(model, events)
 
     ms_alg = pointer_algebra(model, environment=False)
     return WignerFriendReport(
@@ -948,4 +930,5 @@ def wigner_friend_report(
         ),
         n_events=n_events,
         seed=seed,
+        events=events,
     )

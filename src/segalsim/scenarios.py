@@ -10,16 +10,17 @@ stderr by the CLI instead).
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .algebra import generate_algebra, joint_spectral_resolution
-from .config import ALGEBRA_TOL, STATE_EQUALITY_ATOL
-from .linalg import SpaceLayout, identity, tensor
+from .config import ALGEBRA_TOL, STATE_EQUALITY_ATOL, InvariantViolation
+from .linalg import SpaceLayout
 from .measurement import (
     EventBatch,
     MeasurementModel,
@@ -31,9 +32,11 @@ from .measurement import (
     make_model,
     ms_layout,
     pointer_histogram,
+    pointer_operator,
     pointer_state_stability,
     premeasure,
     premeasurement_unitary,
+    ready_state,
     restricted_pointer_probabilities,
     run_ensemble,
     system_state,
@@ -44,8 +47,10 @@ from .states import (
     DensityMatrix,
     Gemenge,
     StateVector,
+    basis_state,
     density_from_vector,
     expectation,
+    gemenge_mix,
     reduce_density,
     vector_fidelity,
 )
@@ -56,6 +61,7 @@ __all__ = [
     "SCENARIOS",
     "ScenarioConfig",
     "emit_report",
+    "load_document",
     "parse_scenario",
     "run_scenario",
 ]
@@ -119,16 +125,53 @@ def _require_keys(mapping: dict, allowed: set[str], context: str) -> None:
         _fail(f"{context}: unknown keys {sorted(unknown)}; allowed keys are {sorted(allowed)}")
 
 
-def _positive_number(value, context: str) -> float:
-    """``value`` as a float, if it is a finite positive JSON number."""
+def _number(value, context: str, sign: str = "") -> float:
+    """``value`` as a float, if it is a finite JSON number and not a bool.
+
+    ``sign`` ``"positive"`` or ``"non-negative"`` also bounds it below.
+    """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an integer beyond the float range
-            number = float("inf")
-        if np.isfinite(number) and number > 0:
+            number = math.inf
+        if math.isfinite(number) and {"": True, "positive": number > 0, "non-negative": number >= 0}[sign]:
             return number
-    _fail(f"{context}: expected a finite positive number, got {value!r}")
+    _fail(f"{context}: expected a finite {sign + ' ' if sign else ''}number, got {value!r}")
+
+
+def _numbers(value, context: str) -> list[float]:
+    if not isinstance(value, list):
+        _fail(f"{context}: expected a list of numbers, got {value!r}")
+    return [_number(v, f"{context}[{k}]") for k, v in enumerate(value)]
+
+
+def _integer(value, context: str, least: int = 1, below: int | None = None) -> int:
+    """``value``, if it is a JSON integer, not a bool, in [least, below)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if least <= value and (below is None or value < below):
+            return value
+    span = f">= {least}" if below is None else f"in [{least}, {below})"
+    _fail(f"{context}: expected an integer {span}, got {value!r}")
+
+
+def _object(value, readers: dict, context: str) -> dict:
+    """The keys of a JSON object each read by its reader; null reads as absent."""
+    if not isinstance(value, dict):
+        _fail(f"{context}: expected an object, got {value!r}")
+    _require_keys(value, set(readers), context)
+    return {k: readers[k](v, f"{context}.{k}") for k, v in value.items() if v is not None}
+
+
+_ENVIRONMENT_READERS = {"e_dim": _integer, "coupling_strength": _number, "e_overlap": _number}
+_MODEL_READERS = {
+    "s_dim": _integer,
+    "o_dim": _integer,
+    "q_values": _numbers,
+    "qo_values": _numbers,
+    "interaction_duration": _number,
+    "environment": lambda value, context: _object(value, _ENVIRONMENT_READERS, context),
+}
 
 
 def _parse_amplitudes(raw, expected: int, context: str) -> np.ndarray:
@@ -136,12 +179,10 @@ def _parse_amplitudes(raw, expected: int, context: str) -> np.ndarray:
         _fail(f"{context}: amplitudes must be a non-empty list of [re, im] pairs")
     values = []
     for k, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(f"{context}: amplitude {k} must be a [re, im] pair, got {pair!r}")
-        try:
-            values.append(complex(float(pair[0]), float(pair[1])))
-        except (TypeError, ValueError):
-            _fail(f"{context}: amplitude {k} entries must be numbers, got {pair!r}")
+        entries = _numbers(pair, f"{context}.amplitudes[{k}]")
+        if len(entries) != 2:
+            _fail(f"{context}.amplitudes[{k}]: expected a [re, im] pair, got {pair!r}")
+        values.append(complex(*entries))
     amps = np.array(values, dtype=complex)
     if amps.size != expected:
         _fail(f"{context}: expected {expected} amplitudes for the system, got {amps.size}")
@@ -151,26 +192,12 @@ def _parse_amplitudes(raw, expected: int, context: str) -> np.ndarray:
     return amps / np.sqrt(norm_sq)
 
 
-def _parse_model(raw: dict, scenario: str) -> MeasurementModel:
-    _require_keys(
-        raw,
-        {"s_dim", "o_dim", "q_values", "qo_values", "interaction_duration", "environment"},
-        "model",
-    )
-    env = raw.get("environment")
-    if env is not None:
-        _require_keys(env, {"e_dim", "coupling_strength", "e_overlap"}, "model.environment")
-    if env is None and scenario == "decoherence":
-        env = {}  # decoherence needs a register environment; use defaults
+def _parse_model(raw, scenario: str) -> MeasurementModel:
+    kwargs = _object(raw, _MODEL_READERS, "model")
+    if scenario == "decoherence":
+        kwargs.setdefault("environment", {})  # needs a register environment; use defaults
     try:
-        return make_model(
-            s_dim=int(raw.get("s_dim", 2)),
-            o_dim=int(raw.get("o_dim", 3)),
-            q_values=raw.get("q_values"),
-            qo_values=raw.get("qo_values"),
-            interaction_duration=float(raw.get("interaction_duration", 1.0)),
-            environment=env,
-        )
+        return make_model(**kwargs)
     except ValueError as exc:
         _fail(f"model: {exc}")
 
@@ -178,14 +205,16 @@ def _parse_model(raw: dict, scenario: str) -> MeasurementModel:
 _GENERATOR_SPACES = {"QO": "O", "QO_MS": "MS", "B": "MS"}
 
 
+def _space_layout(model: MeasurementModel, space: str) -> SpaceLayout:
+    """The register alone (``"O"``) or the measurement layout S (x) O (``"MS"``)."""
+    return SpaceLayout((("O", model.o_dim),)) if space == "O" else ms_layout(model)
+
+
 def _named_generator(name: str, model: MeasurementModel) -> np.ndarray:
-    q_o = np.diag(np.asarray(model.qo_values, dtype=complex))
-    if name == "QO":
-        return q_o
-    if name == "QO_MS":
-        return tensor(identity(model.s_dim), q_o)
     if name == "B":
         return interference_observable(model)
+    if name in _GENERATOR_SPACES:
+        return pointer_operator(model, _space_layout(model, _GENERATOR_SPACES[name]))
     _fail(f"generators: unknown name {name!r}; known names are {sorted(_GENERATOR_SPACES)}")
 
 
@@ -203,17 +232,27 @@ def _parse_generators(raw, model: MeasurementModel):
             if space not in ("O", "MS"):
                 _fail(f"generators[{k}]: space must be 'O' or 'MS'")
             rows = item.get("matrix")
+            bad = f"generators[{k}]: matrix entries must be [re, im] pairs of finite numbers"
+            # Float pairs take the fast branch (a 1 MB document is mostly
+            # floats); any other entry goes through _number, whose
+            # ConfigError is a ValueError caught below.
             try:
                 mat = np.array(
-                    [[complex(float(c[0]), float(c[1])) for c in row] for row in rows]
+                    [
+                        [
+                            complex(re, im)
+                            if type(re) is float and type(im) is float
+                            else complex(_number(re, bad), _number(im, bad))
+                            for re, im in row
+                        ]
+                        for row in rows
+                    ]
                 )
-            except (TypeError, ValueError, IndexError):
-                _fail(f"generators[{k}]: matrix must be rows of [re, im] pairs")
-            except OverflowError:  # an integer beyond the float range
-                mat = None
-            if mat is None or not np.all(np.isfinite(mat)):
-                _fail(f"generators[{k}]: matrix entries must be finite numbers")
-            dim = model.o_dim if space == "O" else model.s_dim * model.o_dim
+            except (TypeError, ValueError):
+                _fail(bad)
+            if not np.all(np.isfinite(mat)):
+                _fail(bad)
+            dim = _space_layout(model, space).dim
             if mat.shape != (dim, dim):
                 _fail(f"generators[{k}]: matrix shape {mat.shape} does not match space {space}")
             entries.append((f"matrix[{k}]", mat, space))
@@ -225,14 +264,20 @@ def _parse_generators(raw, model: MeasurementModel):
     return tuple((name, mat) for name, mat, _ in entries), spaces.pop()
 
 
-def parse_scenario(text: str) -> ScenarioConfig:
-    """Validate a scenario document and apply defaults."""
+def load_document(text: str) -> dict:
+    """Decode a scenario document, which must be one JSON object."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         _fail(f"malformed config document: {exc}")
     if not isinstance(raw, dict):
         _fail("config document must be a JSON object")
+    return raw
+
+
+def parse_scenario(document: str | dict) -> ScenarioConfig:
+    """Validate a scenario document, as text or decoded, and apply defaults."""
+    raw = load_document(document) if isinstance(document, str) else document
     _require_keys(
         raw,
         {
@@ -258,12 +303,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if scenario == "decoherence" and model.s_dim < 2:
         _fail("scenario decoherence needs at least two measured branches")
 
-    n_events = raw.get("n_events", 1000)
-    if not isinstance(n_events, int) or n_events < 1:
-        _fail(f"n_events: expected a positive integer, got {n_events!r}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        _fail(f"seed: expected an unsigned 64-bit integer, got {seed!r}")
+    n_events = _integer(raw.get("n_events", 1000), "n_events")
+    seed = _integer(raw.get("seed", 0), "seed", 0, 2**64)
     output_format = raw.get("output_format", "json")
     if output_format not in ("json", "csv"):
         _fail(f"output_format: expected 'json' or 'csv', got {output_format!r}")
@@ -272,14 +313,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not isinstance(tolerances, dict):
         _fail(f"tolerances: expected an object of positive numbers, got {type(tolerances).__name__}")
     _require_keys(tolerances, {"algebra", "breuer"}, "tolerances")
-    tolerances = {k: _positive_number(v, f"tolerances.{k}") for k, v in tolerances.items()}
+    tolerances = {k: _number(v, f"tolerances.{k}", "positive") for k, v in tolerances.items()}
 
     t_grid = None
     if raw.get("t_grid") is not None:
-        try:
-            t_grid = np.array([float(v) for v in raw["t_grid"]])
-        except (TypeError, ValueError):
-            _fail("t_grid: expected a list of numbers")
+        t_grid = np.array(_numbers(raw["t_grid"], "t_grid"))
         if t_grid.size < 2:
             _fail("t_grid: need at least two grid points")
 
@@ -303,10 +341,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 amps = _parse_amplitudes(
                     row.get("amplitudes"), model.s_dim, f"input.gemenge[{k}]"
                 )
-                try:
-                    p = float(row.get("probability"))
-                except (TypeError, ValueError):
-                    _fail(f"input.gemenge[{k}]: probability must be a number")
+                p = _number(row.get("probability"), f"input.gemenge[{k}].probability", "non-negative")
                 rows.append((amps, p))
             total = sum(p for _, p in rows)
             if abs(total - 1.0) > _NORM_SLACK:
@@ -322,20 +357,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     echo: dict[str, Any] = {
         "scenario": scenario,
-        "model": {
-            "s_dim": model.s_dim,
-            "o_dim": model.o_dim,
-            "q_values": list(model.q_values),
-            "qo_values": list(model.qo_values),
-            "interaction_duration": model.interaction_duration,
-            "environment": None
-            if model.environment is None
-            else {
-                "e_dim": model.environment.e_dim,
-                "coupling_strength": model.environment.coupling_strength,
-                "e_overlap": model.environment.e_overlap,
-            },
-        },
+        "model": asdict(model),
         "n_events": n_events,
         "seed": seed,
         "output_format": output_format,
@@ -388,51 +410,36 @@ def _born_probabilities(cfg: ScenarioConfig) -> list[float]:
     return probs
 
 
-def _run_pure(cfg: ScenarioConfig):
-    psi_s = system_state(cfg.model, cfg.amplitudes)
-    records = run_ensemble(cfg.model, psi_s, cfg.n_events, cfg.seed)
+def _sampled_summary(cfg: ScenarioConfig, source: StateVector | Gemenge, rho: DensityMatrix):
+    """Events sampled from ``source`` and the summary shared by pure and
+    gemenge runs; ``rho`` is the post-measurement state on S (x) O."""
+    records = run_ensemble(cfg.model, source, cfg.n_events, cfg.seed)
     histogram = pointer_histogram(cfg.model, records)
-    rho_p = density_from_vector(premeasure(cfg.model, psi_s))
     summary = {
         "pointer_values": list(cfg.model.qo_values),
         "born_probabilities": _born_probabilities(cfg),
         "histogram": histogram.tolist(),
         "frequencies": (histogram / cfg.n_events).tolist(),
-        "restricted_probabilities": restricted_pointer_probabilities(cfg.model, rho_p).tolist(),
+        "restricted_probabilities": restricted_pointer_probabilities(cfg.model, rho).tolist(),
     }
     if cfg.model.s_dim == 2:
-        summary["b_expectation"] = expectation(rho_p, interference_observable(cfg.model))
+        summary["b_expectation"] = expectation(rho, interference_observable(cfg.model))
     return summary, records
 
 
-def _build_gemenge(cfg: ScenarioConfig) -> Gemenge:
-    return Gemenge(
-        tuple((system_state(cfg.model, amps), p) for amps, p in cfg.gemenge_rows)
-    )
+def _run_pure(cfg: ScenarioConfig):
+    psi_s = system_state(cfg.model, cfg.amplitudes)
+    return _sampled_summary(cfg, psi_s, density_from_vector(premeasure(cfg.model, psi_s)))
 
 
 def _run_gemenge(cfg: ScenarioConfig):
-    w = _build_gemenge(cfg)
-    records = run_ensemble(cfg.model, w, cfg.n_events, cfg.seed)
-    histogram = pointer_histogram(cfg.model, records)
-    row_counts = np.bincount(records.gemenge_row, minlength=len(cfg.gemenge_rows))
-    u = premeasurement_unitary(cfg.model)
-    mix = np.zeros((ms_layout(cfg.model).dim,) * 2, dtype=complex)
-    for state, p in w.rows:
-        post = u @ np.kron(state.amplitudes, [1.0] + [0.0] * (cfg.model.o_dim - 1))
-        mix += p * np.outer(post, post.conj())
-    rho_mix = DensityMatrix(ms_layout(cfg.model), mix)
-    summary = {
-        "pointer_values": list(cfg.model.qo_values),
-        "row_probabilities": [p for _, p in cfg.gemenge_rows],
-        "row_histogram": row_counts.tolist(),
-        "born_probabilities": _born_probabilities(cfg),
-        "histogram": histogram.tolist(),
-        "frequencies": (histogram / cfg.n_events).tolist(),
-        "restricted_probabilities": restricted_pointer_probabilities(cfg.model, rho_mix).tolist(),
-    }
-    if cfg.model.s_dim == 2:
-        summary["b_expectation"] = expectation(rho_mix, interference_observable(cfg.model))
+    w = Gemenge(tuple((system_state(cfg.model, amps), p) for amps, p in cfg.gemenge_rows))
+    post = Gemenge(tuple((premeasure(cfg.model, state), p) for state, p in w.rows))
+    summary, records = _sampled_summary(cfg, w, gemenge_mix(post))
+    summary["row_probabilities"] = [p for _, p in cfg.gemenge_rows]
+    summary["row_histogram"] = np.bincount(
+        records.gemenge_row, minlength=len(cfg.gemenge_rows)
+    ).tolist()
     return summary, records
 
 
@@ -445,15 +452,12 @@ def _breuer_summary(report) -> dict[str, Any]:
 
 
 def _run_wigner_friend(cfg: ScenarioConfig):
-    psi_s = system_state(cfg.model, cfg.amplitudes)
-    records = run_ensemble(cfg.model, psi_s, cfg.n_events, cfg.seed)
     report = wigner_friend_report(
         cfg.model,
-        psi_s,
+        system_state(cfg.model, cfg.amplitudes),
         cfg.n_events,
         cfg.seed,
         breuer_tol=cfg.tolerances.get("breuer", STATE_EQUALITY_ATOL),
-        records=records,
     )
     summary = {
         "pointer_values": list(cfg.model.qo_values),
@@ -465,7 +469,7 @@ def _run_wigner_friend(cfg: ScenarioConfig):
         "breuer_pointer": _breuer_summary(report.breuer_pointer),
         "breuer_with_interference": _breuer_summary(report.breuer_with_interference),
     }
-    return summary, records
+    return summary, report.events
 
 
 def _run_decoherence(cfg: ScenarioConfig):
@@ -487,8 +491,8 @@ def _run_decoherence(cfg: ScenarioConfig):
     t_grid = cfg.t_grid
     if t_grid is None:
         t_grid = np.linspace(0.0, 0.35, 8)
-    o_layout = SpaceLayout((("O", model.o_dim),))
-    pointer_state = StateVector(o_layout, [0.0, 1.0] + [0.0] * (model.o_dim - 2))
+    o_layout = _space_layout(model, "O")
+    pointer_state = basis_state(o_layout, (1,))
     sup = np.zeros(model.o_dim)
     sup[1] = sup[2] = 2**-0.5
     superposition = StateVector(o_layout, sup)
@@ -513,26 +517,18 @@ def _run_erasure(cfg: ScenarioConfig):
     u = premeasurement_unitary(model)
     forward = evolve_unitary(theta, u)
     back = evolve_unitary(forward, u.conj().T)
-    psi_in = StateVector(
-        ms_layout(model),
-        np.kron(psi_s.amplitudes, [1.0] + [0.0] * (model.o_dim - 1)),
-    )
     summary = {
         "pointer_values": list(model.qo_values),
         "information_initial": theta.information.tolist(),
         "information_after_measurement": forward.information.tolist(),
         "information_after_reversal": back.information.tolist(),
-        "recovered_initial_state_fidelity": vector_fidelity(back.dynamical, psi_in),
+        "recovered_initial_state_fidelity": vector_fidelity(back.dynamical, ready_state(model, psi_s)),
     }
     return summary, None
 
 
 def _run_algebra_probe(cfg: ScenarioConfig):
-    model = cfg.model
-    if cfg.generator_space == "O":
-        layout = SpaceLayout((("O", model.o_dim),))
-    else:
-        layout = ms_layout(model)
+    layout = _space_layout(cfg.model, cfg.generator_space)
     tol = cfg.tolerances.get("algebra", ALGEBRA_TOL)
     alg = generate_algebra([mat for _, mat in cfg.generators], layout, tol=tol)
     summary: dict[str, Any] = {
@@ -666,7 +662,10 @@ def emit_report(
         "n_events_logged": 0 if report.events is None else len(report.events),
         "event_log": event_log_name,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or an infinity in the report
+        raise InvariantViolation(f"report is not strict JSON: {exc}") from exc
     if out_path is not None:
         out_path.write_text(text, encoding="utf-8")
         if event_log_name is not None:

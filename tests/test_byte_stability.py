@@ -5,9 +5,12 @@ columnar batch replaced; any change to sampling, formatting or file
 naming shows up here as a hash mismatch.  The algebra-probe hashes were
 recorded from the Gram-Schmidt closure before diagonal generators got
 their own path; the ``B`` and rotated-pair hashes, which take the generic
-path, from the all-pairs closure before it grew by generator letters.  The wigner-friend report was re-recorded once, when its
-restricted probabilities started zeroing weights at or below
-PROBABILITY_FLOOR (the ready pointer read 7.85e-17 before).
+path, from the all-pairs closure before it grew by generator letters.
+The gemenge JSON, erasure, decoherence and command-line override hashes
+were recorded before scenarios and the CLI started sharing the
+measurement pipeline's steps.  The wigner-friend report was re-recorded
+once, when its restricted probabilities started zeroing weights at or
+below PROBABILITY_FLOOR (the ready pointer read 7.85e-17 before).
 """
 
 import hashlib
@@ -70,6 +73,36 @@ CONFIGS = {
         "n_events": 2000,
         "seed": 14,
     },
+    "gemenge-json": {
+        "scenario": "gemenge",
+        "input": {
+            "gemenge": [
+                {"amplitudes": [[0.6, 0], [0, 0.8]], "probability": 0.4},
+                {"amplitudes": [[0, 0], [1, 0]], "probability": 0.0},
+                {"amplitudes": [[0.70710678118, 0], [-0.70710678118, 0]], "probability": 0.6},
+            ]
+        },
+        "n_events": 2000,
+        "seed": 15,
+    },
+    "erasure": {
+        "scenario": "erasure",
+        "model": {"s_dim": 3, "o_dim": 5},
+        "input": {"amplitudes": [[0.6, 0], [0, 0.48], [0.64, 0]]},
+    },
+    "decoherence": {
+        "scenario": "decoherence",
+        "model": {"environment": {"e_dim": 5, "coupling_strength": 0.7, "e_overlap": 0.3}},
+        "input": {"amplitudes": _AMPS},
+        "t_grid": [0.0, 0.05, 0.2, 1.5],
+    },
+    "pure-overrides": {
+        "scenario": "pure",
+        "input": {"amplitudes": _AMPS},
+        "n_events": 100,
+        "seed": 1,
+        "output_format": "csv",
+    },
     "algebra-probe-qo": {"scenario": "algebra-probe", "generators": ["QO"]},
     "algebra-probe-qo-ms": {
         "scenario": "algebra-probe",
@@ -100,6 +133,20 @@ EXPECTED = {
         "report.events.csv": "dfc700a513003d4101dc4d8a428a7dbee0bc860846005dbf41745cb324b07778",
         "report.json": "10b85993126712e025564d2a9b02ca669387ee6a61758a5be94f515946c86e15",
     },
+    "gemenge-json": {
+        "report.events.csv": "d99fdf0e65a583ef25f809fa19cc706f7d06eb71feeaf893c0cd55d4364bf789",
+        "report.json": "32a397f86f36e13facbb619dc4b62092da35f001a632600a475a70a3739fa1f3",
+    },
+    "erasure": {
+        "report.json": "934696e87e40ebe5d34f1e8fb3c64e63da4441111b9ddd2ff4bd6b49a7cfe02a",
+    },
+    "decoherence": {
+        "report.json": "a016c7083416cc8b598e53c8cb56eeeb76efb2ea577ae6ff43bafb04cdc8f399",
+    },
+    "pure-overrides": {
+        "report.events.csv": "f02d5d81fecca8e50b7a33d0107546ebc23cc165c891240fa0a08364f06f8d4b",
+        "report.json": "c418014a83f0bff3938f9fc4dec4b85361fc14282b6ab18d08d0a9fa2f688b58",
+    },
     "algebra-probe-qo": {
         "report.json": "22d49c6d7045c074764bc7229e25011f4811aa9539401bbd03294e463d357ea4",
     },
@@ -114,13 +161,17 @@ EXPECTED = {
     },
 }
 
+# Command-line overrides applied on top of a config document.
+OVERRIDES = {"pure-overrides": ["--seed", "16", "--events", "2000", "--format", "json"]}
+
 
 def emitted_hashes(name, folder):
     """Run one config through the CLI into ``folder``; sha256 per written file."""
     config = folder / "scenario.json"
     config.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
     out = folder / ("events.csv" if name == "gemenge-csv" else "report.json")
-    assert main(["run", str(config), "--out", str(out), "--quiet"]) == 0
+    argv = ["run", str(config), "--out", str(out), "--quiet", *OVERRIDES.get(name, [])]
+    assert main(argv) == 0
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(folder.iterdir())

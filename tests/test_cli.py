@@ -5,7 +5,9 @@ import warnings
 
 import pytest
 
+from segalsim import cli
 from segalsim.cli import main
+from segalsim.scenarios import RunReport
 
 
 def write_config(tmp_path, **overrides):
@@ -143,7 +145,17 @@ def _assert_config_error(path, capsys, needle):
 
 @pytest.mark.parametrize(
     "entry",
-    ["[NaN, 0]", "[0, NaN]", "[Infinity, 0]", "[0, -Infinity]", "[1e400, 0]", "[" + "9" * 400 + ", 0]"],
+    [
+        "[NaN, 0]",
+        "[0, NaN]",
+        "[Infinity, 0]",
+        "[0, -Infinity]",
+        "[1e400, 0]",
+        "[" + "9" * 400 + ", 0]",
+        "[1, 0, 7]",
+        '["2", 0]',
+        "[true, 0]",
+    ],
 )
 def test_non_finite_generator_entry_rejected(tmp_path, capsys, entry):
     _assert_config_error(_probe_config(tmp_path, entry), capsys, "generators[0]: matrix entries")
@@ -166,3 +178,63 @@ def test_non_finite_generator_entry_rejected(tmp_path, capsys, entry):
 )
 def test_bad_tolerances_rejected(tmp_path, capsys, tolerances, needle):
     _assert_config_error(_probe_config(tmp_path, tolerances=tolerances), capsys, needle)
+
+
+_PURE = '"scenario": "pure", "input": {"amplitudes": [[0.6, 0], [0.8, 0]]}'
+_DECOHERENCE = '"scenario": "decoherence", "input": {"amplitudes": [[0.6, 0], [0.8, 0]]}'
+_GEMENGE = (
+    '"scenario": "gemenge", "input": {"gemenge": [{"amplitudes": [[1, 0], [0, 0]], '
+    '"probability": %s}, {"amplitudes": [[0, 0], [1, 0]], "probability": 0.5}]}'
+)
+
+
+_BAD_VALUES = {
+    "amplitude-nan": ('"scenario": "pure", "input": {"amplitudes": [[NaN, 0], [0.8, 0]]}', "input.amplitudes[0][0]"),
+    "amplitude-infinity": (
+        '"scenario": "pure", "input": {"amplitudes": [[0.6, 0], [0.8, Infinity]]}',
+        "input.amplitudes[1][1]",
+    ),
+    "amplitude-string": ('"scenario": "pure", "input": {"amplitudes": [["1", 0], [0, 0]]}', "input.amplitudes[0][0]"),
+    "amplitude-bool": ('"scenario": "pure", "input": {"amplitudes": [[true, 0], [0, 0]]}', "input.amplitudes[0][0]"),
+    "probability-nan": (_GEMENGE % "NaN", "input.gemenge[0].probability: expected a finite non-negative number"),
+    "probability-negative": (_GEMENGE % "-0.5", "input.gemenge[0].probability"),
+    "probability-string": (_GEMENGE % '"0.5"', "input.gemenge[0].probability"),
+    "probability-bool": (_GEMENGE % "true", "input.gemenge[0].probability"),
+    "t-grid-nan": (_DECOHERENCE + ', "t_grid": [0, NaN]', "t_grid[1]: expected a finite number"),
+    "t-grid-string": (_DECOHERENCE + ', "t_grid": "12"', "t_grid: expected a list of numbers"),
+    "coupling-infinity": (
+        _DECOHERENCE + ', "model": {"environment": {"coupling_strength": Infinity}}',
+        "model.environment.coupling_strength",
+    ),
+    "q-values-nan": (_PURE + ', "model": {"q_values": [NaN, -1]}', "model.q_values[0]"),
+    "q-values-number": (_PURE + ', "model": {"q_values": 1}', "model.q_values: expected a list"),
+    "qo-values-bool": (_PURE + ', "model": {"qo_values": [0, true, -1]}', "model.qo_values[1]"),
+    "duration-nan": (_PURE + ', "model": {"interaction_duration": NaN}', "model.interaction_duration"),
+    "model-list": (_PURE + ', "model": []', "model: expected an object"),
+    "environment-list": (_PURE + ', "model": {"environment": []}', "model.environment: expected an object"),
+    "n-events-bool": (_PURE + ', "n_events": true', "n_events: expected an integer"),
+    "seed-bool": (_PURE + ', "seed": true', "seed: expected an integer"),
+    "s-dim-string": (_PURE + ', "model": {"s_dim": "2"}', "model.s_dim: expected an integer"),
+    "s-dim-float": (_PURE + ', "model": {"s_dim": 2.0}', "model.s_dim: expected an integer"),
+    "o-dim-bool": (_PURE + ', "model": {"o_dim": true}', "model.o_dim: expected an integer"),
+    "e-dim-float": (_PURE + ', "model": {"environment": {"e_dim": 4.5}}', "model.environment.e_dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_VALUES))
+def test_bad_values_rejected(tmp_path, capsys, case):
+    body, needle = _BAD_VALUES[case]
+    path = tmp_path / "scenario.json"
+    path.write_text("{" + body + "}", encoding="utf-8")
+    _assert_config_error(path, capsys, needle)
+
+
+def test_non_finite_report_is_an_invariant_violation(tmp_path, capsys, monkeypatch):
+    def nan_report(cfg):
+        return RunReport(cfg.scenario, cfg.echo, {"b_expectation": float("nan")}, None, 0.0)
+
+    monkeypatch.setattr(cli, "run_scenario", nan_report)
+    assert main(["run", str(write_config(tmp_path)), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant violated: report is not strict JSON")
+    assert err.count("\n") == 1

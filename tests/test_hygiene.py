@@ -1,0 +1,70 @@
+"""Static checks over the package source: no dead imports, no dead helpers.
+
+Every name a module imports is used in that module or re-exported through
+its ``__all__``, and every module-level private function is referenced
+somewhere in the package.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "segalsim"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imported_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _referenced_names(tree):
+    """Names read or written as identifiers or attributes, definitions excluded."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used_or_exported(path):
+    tree = _tree(path)
+    unused = _imported_names(tree) - _referenced_names(tree) - _exported_names(tree)
+    assert not unused, f"{path.name} imports unused names {sorted(unused)}"
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    referenced = set().union(*map(_referenced_names, trees.values()))
+    dead = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not dead, f"module-level private functions never referenced: {dead}"

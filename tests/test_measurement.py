@@ -303,6 +303,18 @@ class TestRunEvent:
             ]
             assert list(batch) == reference
 
+    def test_off_system_source_rejected_alike(self):
+        # run_event, run_ensemble and premeasure share one layout check.
+        on_ms = premeasure(MODEL, psi(0.6, 0.8))
+        mixed = Gemenge(((on_ms, 1.0),))
+        for source, message in ((on_ms, "input state"), (mixed, "ensemble rows")):
+            with pytest.raises(ValueError, match=f"{message} must live on the bare system layout"):
+                run_event(MODEL, source, event_rng(1, 0))
+            with pytest.raises(ValueError, match=f"{message} must live on the bare system layout"):
+                run_ensemble(MODEL, source, 10, 1)
+        with pytest.raises(ValueError, match="input state must live on the bare system layout"):
+            premeasure(MODEL, on_ms)
+
     def test_environment_pipeline_keeps_purity(self):
         model = env_model(e_overlap=0.5)
         _, doublet = run_event(model, system_state(model, [np.sqrt(0.3), np.sqrt(0.7)]), event_rng(1, 0))
@@ -502,6 +514,8 @@ class TestWignerFriend:
         report = wigner_friend_report(MODEL, psi(1.0, 0.0), 2_000, seed=32)
         assert report.b_expectation == pytest.approx(0.0, abs=1e-12)
         assert report.histogram[1] == report.n_events
+        assert list(report.events) == list(run_ensemble(MODEL, psi(1.0, 0.0), 2_000, 32))
+        assert np.array_equal(pointer_histogram(MODEL, report.events), report.histogram)
         assert np.allclose(report.restricted_probabilities, [0.0, 1.0, 0.0], atol=1e-10)
 
     def test_asymmetric_amplitudes(self):

@@ -59,6 +59,10 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_scenario(config_text(surprise=1))
 
+    def test_decoded_document_parses_alike(self):
+        text = config_text(model={"s_dim": 3, "o_dim": 4}, input={"amplitudes": [[0.6, 0], [0, 0.8], [0, 0]]})
+        assert parse_scenario(json.loads(text)).echo == parse_scenario(text).echo
+
     def test_malformed_document(self):
         with pytest.raises(ConfigError, match="malformed"):
             parse_scenario("{not json")
