@@ -1,49 +1,58 @@
 """Finite-dimensional *-algebras of operators on a labeled space.
 
 An :class:`OperatorAlgebra` is the smallest unital, adjoint- and
-product-closed linear span containing its generators, represented by an
-orthonormal Hilbert-Schmidt basis.  Commutative algebras additionally
-carry a joint spectral structure: a minimal family of joint
-eigenprojectors on which every algebra element acts as a scalar, which is
-what makes such an algebra isomorphic to an algebra of classical
-observables (one function value per projector).
+product-closed linear span containing its generators.  The letters are
+the generators plus every adjoint that is not exactly equal to a
+generator.  The algebra is commutative iff every pair of letters a, b
+commutes within ``tol * |a| |b|`` (Hilbert-Schmidt norms): L^2 products
+for L letters.  Exactly diagonal generators commute by construction and
+skip the check.  The input's structure picks one of two representations;
+there is no switch.
 
-Closure algorithm.  There are two paths, and the input's structure picks
-one; there is no switch.
+Commutative algebras are stored as ``(V, labels)``.  A commutative
+*-algebra is the span of the joint spectral projectors of its
+generators, and its characters are the points of their joint spectrum.
+The columns of V are joint eigenvectors and ``labels[i]`` is the class
+of column i; basis element k is P_k / sqrt(rank_k) for the projector
+P_k onto the columns of class k, made dense only when read.
 
-- Diagonal path: every generator is exactly diagonal with finite
-  entries, and each one's distinct diagonal values (real and imaginary
-  parts taken apart) lie more than ``_SEPARATION * tol`` times its
-  largest magnitude from each other.  The algebra is then known in
-  closed form: the basis indices fall into classes of equal joint value
-  tuple, and the algebra is the span of the 0/1 class masks P_k.  The
-  basis is P_k / sqrt(rank_k), in character order, stored as its
-  diagonals; the joint spectral resolution is read off the same
-  partition with no random draw, and every invariant the generic path
-  checks is checked on the diagonals.  Cost O(n d log d + k d) for n
-  generators, k classes and dimension d, plus one pass over the dense
-  generators to see that they are diagonal.
-- Generic path, for all other input (and diagonal values close enough
-  that Gram-Schmidt at ``tol`` could merge them).  The unital algebra
-  generated by S and S^dag is the span of all words in the letters
-  S u S^dag, so it is the smallest subspace that contains I and is
-  closed under left multiplication by each letter.  The span is seeded
-  with {I} + letters, orthonormalized with two-pass Gram-Schmidt under
-  the Hilbert-Schmidt inner product, and every basis element, in the
-  order found, is multiplied once by each letter; a product adds a
-  direction when its residual exceeds ``tol`` times its norm.  The
-  dimension is bounded by dim(H)^2; exceeding that bound signals
-  numerical breakdown, not mathematics.  The basis is one (k, d, d)
-  array.  Cost: L k products of d x d matrices for L letters, plus the
-  commutativity check over all k^2 / 2 basis pairs, O(k^2 d^3), which
-  is the largest term.  It is the oracle the diagonal path is tested
-  against.
+- V.  When every generator is exactly diagonal, V is the identity,
+  stored as ``None`` and never materialized.  Otherwise V comes from one
+  ``eigh`` of a fixed-seed random real combination of the Hermitian and
+  anti-Hermitian parts of the generators, each scaled to unit norm.  The
+  joint values of generator g are diag(V^dag g V).
+- Labels.  For each generator, and for the real and imaginary parts of
+  its joint values apart, the sorted values split wherever a gap exceeds
+  ``tol`` times the generator's largest magnitude: ``tol`` is the width
+  within which joint values merge.  A class is a tuple of cluster ids;
+  classes are numbered in character order, lexicographic in the real
+  joint values rounded to 9 decimals.
+- Ambiguity.  Input the rule cannot decide raises InvariantViolation; it
+  is never merged silently.  That is a cluster wider than ``tol`` times
+  the scale (a chain of small gaps); a generator whose V^dag g V differs
+  from the diagonal of its class values by more than ``CHARACTER_ATOL``
+  times the scale (Frobenius norm), as after an unlucky draw; and a split
+  no larger than that difference, the accuracy the joint values were
+  measured to.
 
-The generic joint resolution diagonalizes a random Hermitian combination
-of the basis and works on the eigenvector column blocks V of each
-projector p = V V^dag: values are trace(V^dag m V) / rank, and the scalar
-action p m p = lam p is checked as V (V^dag m V - lam I) V^dag, one
-m V and V^dag m V per basis element.
+Cost: the letter check, one ``eigh`` and two d x d products per
+generator; O(n d log d) for n exactly diagonal generators, plus one pass
+over the dense generators to see that they are diagonal.  The joint
+spectral resolution, the projections and the positivity table are read
+off the classes.
+
+Non-commutative algebras (the wigner-friend interference algebra,
+Pauli-type probes) are closed by Gram-Schmidt.  The unital algebra
+generated by S and S^dag is the span of all words in the letters, so it
+is the smallest subspace that contains I and is closed under left
+multiplication by each letter.  The span is seeded with {I} + letters,
+orthonormalized with two-pass Gram-Schmidt under the Hilbert-Schmidt
+inner product, and every basis element, in the order found, is
+multiplied once by each letter; a product adds a direction when its
+residual exceeds ``tol`` times its norm.  The dimension is bounded by
+dim(H)^2; exceeding that bound signals numerical breakdown, not
+mathematics.  The basis is one (k, d, d) array.  Cost: L k products of
+d x d matrices.
 """
 
 from __future__ import annotations
@@ -53,14 +62,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import (
-    ALGEBRA_TOL,
-    CHARACTER_ATOL,
-    InvariantViolation,
-    RECONSTRUCTION_ATOL,
-    VALUE_MERGE_ATOL,
-)
-from .linalg import SpaceLayout, degenerate_clusters
+from .config import ALGEBRA_TOL, CHARACTER_ATOL, InvariantViolation
+from .linalg import SpaceLayout
 
 __all__ = [
     "OperatorAlgebra",
@@ -71,10 +74,23 @@ __all__ = [
     "joint_spectral_resolution",
 ]
 
-# Diagonal generators take the diagonal path only when each one's
-# distinct values are more than this many closure tolerances apart,
-# relative to its largest magnitude.
-_SEPARATION = 1e4
+# Seed of the random generator combination whose eigenvectors are the
+# joint eigenbasis: every algebra is deterministic.
+_EIGENBASIS_SEED = 0x5E6A1
+
+
+def _eigenbasis_diagonal(v: np.ndarray | None, a: np.ndarray) -> np.ndarray:
+    """diag(V^dag a V): the expectation of ``a`` in each joint eigenvector."""
+    if v is None:
+        return np.diagonal(a)
+    return np.einsum("ij,ij->j", v.conj(), a @ v)
+
+
+def _from_eigenbasis(v: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """The dense operator V diag(values) V^dag."""
+    if v is None:
+        return np.diag(values)
+    return (v * values) @ v.conj().T
 
 
 class OperatorAlgebra:
@@ -83,28 +99,33 @@ class OperatorAlgebra:
     Instances are immutable by convention; the joint spectral resolution is
     computed lazily and cached.  Construct through :func:`generate_algebra`.
 
-    An algebra of diagonal operators carries ``labels``: ``labels[i]`` is
-    the class of basis index i, and basis element j is P_j / sqrt(rank_j)
-    for the 0/1 mask P_j of class j.  Only those diagonals are stored
-    (``basis_diagonals``, one row per element); the dense ``basis`` is
-    built on first use.  Otherwise both are ``None``, the basis is stored
-    as one read-only (k, d, d) array and ``basis`` holds views into it.
+    A commutative algebra carries ``labels`` and ``eigenvectors`` (V, or
+    ``None`` for the identity): basis element j is
+    V diag(basis_diagonals[j]) V^dag, with ``basis_diagonals[j]`` the
+    0/1 mask of class j over sqrt(rank_j).  The dense ``basis`` is built
+    on first use.  A non-commutative algebra has ``labels`` ``None``; its
+    basis is stored as one read-only (k, d, d) array and ``basis`` holds
+    views into it.
     """
 
     def __init__(
         self,
         layout: SpaceLayout,
         generators: tuple[np.ndarray, ...],
-        stack: np.ndarray | None,
-        commutative: bool,
         tol: float,
+        stack: np.ndarray | None = None,
         labels: np.ndarray | None = None,
+        eigenvectors: np.ndarray | None = None,
+        class_values: np.ndarray | None = None,
     ) -> None:
         self.layout = layout
         self.generators = generators
-        self.commutative = commutative
         self.tol = tol
         self.labels = labels
+        self.commutative = labels is not None
+        self.eigenvectors = eigenvectors
+        # (class, generator) joint values of a commutative algebra.
+        self._class_values = class_values
         if labels is None:
             self.basis_diagonals = None
             # One (k, d, d) array; the basis elements are views into it.
@@ -122,12 +143,25 @@ class OperatorAlgebra:
     @property
     def basis(self) -> tuple[np.ndarray, ...]:
         if self._basis is None:
-            self._basis = tuple(np.diag(row.astype(complex)) for row in self.basis_diagonals)
+            self._basis = tuple(
+                _from_eigenbasis(self.eigenvectors, row.astype(complex))
+                for row in self.basis_diagonals
+            )
         return self._basis
 
     @property
     def dimension(self) -> int:
         return len(self._basis) if self.labels is None else len(self.basis_diagonals)
+
+    def eigenbasis_diagonal(self, a: np.ndarray) -> np.ndarray:
+        """diag(V^dag a V) on the joint eigenvectors of a commutative algebra."""
+        return _eigenbasis_diagonal(self.eigenvectors, a)
+
+    def eigenbasis_amplitudes(self, amplitudes: np.ndarray) -> np.ndarray:
+        """V^dag psi: a vector's amplitudes on the joint eigenvectors."""
+        if self.eigenvectors is None:
+            return amplitudes
+        return self.eigenvectors.conj().T @ amplitudes
 
     @cached_property
     def positivity_table(self) -> np.ndarray:
@@ -138,8 +172,8 @@ class OperatorAlgebra:
         algebra and each state's checks are one small product.
         """
         if self.labels is not None:
-            # I and every B_j^dag B_j are diagonal: only their diagonals
-            # (ones, and |B_j|^2 entrywise) have components.
+            # On the eigenvectors I and every B_j^dag B_j are diagonal:
+            # only their diagonals (ones, and |B_j|^2 entrywise) have components.
             diagonals = self.basis_diagonals
             return np.vstack([diagonals.sum(axis=1), np.abs(diagonals) ** 2 @ diagonals.T])
         rows = [self.project_coefficients(np.eye(self.layout.dim))]
@@ -153,8 +187,8 @@ class OperatorAlgebra:
         if a.shape != (d, d):
             raise ValueError(f"operator shape {a.shape} does not match algebra dim {d}")
         if self.labels is not None:
-            # Real diagonal basis: only the diagonal of ``a`` has a component.
-            return self.basis_diagonals @ np.diagonal(a)
+            # Real diagonal basis on the eigenvectors: only diag(V^dag a V) has a component.
+            return self.basis_diagonals @ self.eigenbasis_diagonal(a)
         # Conjugate the vector, not the k x d^2 basis.
         return (self._basis_vec @ a.reshape(-1).conj()).conj()
 
@@ -162,7 +196,7 @@ class OperatorAlgebra:
         """Orthogonal projection of ``a`` onto the algebra span."""
         coeffs = self.project_coefficients(a)
         if self.labels is not None:
-            return np.diag(self.basis_diagonals.T @ coeffs)
+            return _from_eigenbasis(self.eigenvectors, self.basis_diagonals.T @ coeffs)
         return (self._basis_vec.T @ coeffs).reshape(a.shape)
 
     def membership_residual(self, a: np.ndarray) -> float:
@@ -177,6 +211,132 @@ class OperatorAlgebra:
     def __repr__(self) -> str:
         kind = "commutative" if self.commutative else "non-commutative"
         return f"OperatorAlgebra(dim={self.dimension}, {kind}, on {self.layout.labels})"
+
+
+def generate_algebra(
+    generators: list[np.ndarray] | tuple[np.ndarray, ...],
+    layout: SpaceLayout,
+    tol: float = ALGEBRA_TOL,
+) -> OperatorAlgebra:
+    """Close the generators into the smallest unital *-algebra span.
+
+    Commuting letters give the joint eigenbasis and its classes, others
+    the Gram-Schmidt closure (see the module docstring).
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    d = layout.dim
+    gens = tuple(np.asarray(g, dtype=complex) for g in generators)
+    for g in gens:
+        if g.shape != (d, d):
+            raise ValueError(f"generator shape {g.shape} does not match layout dim {d}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("generator entries must be finite")
+    if all(np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in gens):
+        return _commutative_algebra(gens, layout, tol, None)
+    letters = list(gens)
+    for g in gens:
+        adjoint = g.conj().T
+        if not any(np.array_equal(adjoint, h) for h in gens):
+            letters.append(adjoint)
+    if not _letters_commute(letters, tol):
+        return _gram_schmidt_closure(gens, letters, layout, tol)
+    return _commutative_algebra(gens, layout, tol, _joint_eigenvectors(gens, d))
+
+
+def _letters_commute(letters: list[np.ndarray], tol: float) -> bool:
+    """True iff every pair a, b of letters has |[a, b]| <= tol |a| |b| (HS norms)."""
+    norms = [float(np.linalg.norm(a)) for a in letters]
+    for i, a in enumerate(letters):
+        for j in range(i + 1, len(letters)):
+            b = letters[j]
+            if not np.linalg.norm(a @ b - b @ a) <= tol * norms[i] * norms[j]:
+                return False
+    return True
+
+
+def _joint_eigenvectors(gens: tuple[np.ndarray, ...], d: int) -> np.ndarray:
+    """Eigenvectors of a fixed-seed random real combination of the
+    generators' Hermitian and anti-Hermitian parts, each at unit norm."""
+    rng = np.random.default_rng(_EIGENBASIS_SEED)
+    h = np.zeros((d, d), dtype=complex)
+    for g in gens:
+        c_re, c_im = rng.standard_normal(2) / (np.linalg.norm(g) or 1.0)
+        h += c_re * (g + g.conj().T) / 2.0 + c_im * (g - g.conj().T) / 2.0j
+    return np.linalg.eigh(h)[1]
+
+
+def _commutative_algebra(
+    gens: tuple[np.ndarray, ...], layout: SpaceLayout, tol: float, v: np.ndarray | None
+) -> OperatorAlgebra:
+    """The algebra of commuting generators on the joint eigenvectors V.
+
+    ``v`` ``None`` is the identity, for exactly diagonal generators.  Runs
+    the residual and accuracy checks of the module docstring.
+    """
+    n, d = len(gens), layout.dim
+    if v is None:
+        values = np.array([np.diagonal(g) for g in gens]).reshape(n, d)
+        off_diagonal = np.zeros(n)
+    else:
+        rotated = [v.conj().T @ g @ v for g in gens]
+        values = np.array([np.diagonal(w) for w in rotated]).reshape(n, d)
+        off_diagonal = [float(np.linalg.norm(w - np.diag(np.diagonal(w)))) for w in rotated]
+    labels, split_gaps = _joint_classes(values, tol)
+    masks = (labels == np.arange(labels.max() + 1)[:, None]).astype(float)
+    class_values = masks @ values.T / masks.sum(axis=1)[:, None]
+    for g_idx, row in enumerate(values):
+        scale = float(np.max(np.abs(row)))
+        on_diagonal = np.linalg.norm(row - class_values[labels, g_idx])
+        residual = float(np.hypot(off_diagonal[g_idx], on_diagonal))
+        if residual > CHARACTER_ATOL * scale:
+            raise InvariantViolation(
+                f"generator {g_idx} is not diagonal on the joint eigenvectors: "
+                f"|V^dag g V - diag(values)| = {residual:.3e}"
+            )
+        if split_gaps[g_idx] <= residual:
+            raise InvariantViolation(
+                f"generator {g_idx} has joint values split by {split_gaps[g_idx]:.3e}, within "
+                f"their accuracy {residual:.3e}; ambiguous classes (tol too small for this data?)"
+            )
+    return OperatorAlgebra(
+        layout, gens, tol, labels=labels, eigenvectors=v, class_values=class_values
+    )
+
+
+def _joint_classes(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Class of each column under the grouping rule, in character order.
+
+    ``values`` holds one row of joint values per generator.  Also returns
+    each generator's smallest gap at a split (inf where nothing splits).
+    A cluster wider than its merge width raises InvariantViolation.
+    """
+    n, d = values.shape
+    ids = np.empty((2 * n, d), dtype=np.intp)  # real parts first, then imaginary
+    split_gaps = np.full(n, np.inf)
+    for g_idx, row in enumerate(values):
+        width = tol * np.max(np.abs(row))
+        for part_idx, part in enumerate((row.real, row.imag)):
+            order = np.argsort(part, kind="stable")
+            ordered = part[order]
+            gaps = np.diff(ordered)
+            split = gaps > width
+            starts = np.flatnonzero(np.r_[True, split])
+            spread = float(np.max(ordered[np.r_[starts[1:], d] - 1] - ordered[starts]))
+            if spread > width:
+                raise InvariantViolation(
+                    f"generator {g_idx} has a chain of joint values {spread:.3e} wide, more than "
+                    f"tol x scale = {width:.3e}; ambiguous classes"
+                )
+            if split.any():
+                split_gaps[g_idx] = min(split_gaps[g_idx], float(np.min(gaps[split])))
+            ids[part_idx * n + g_idx, order] = np.cumsum(np.r_[0, split])
+    _, first, labels = np.unique(ids.T, axis=0, return_index=True, return_inverse=True)
+    real = values.real[:, first].T
+    order = sorted(range(len(first)), key=lambda k: tuple(np.round(real[k], 9)))
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    return position[labels.reshape(-1)], split_gaps
 
 
 def _orthonormal_append(rows: np.ndarray, op: np.ndarray, tol: float) -> np.ndarray | None:
@@ -196,76 +356,16 @@ def _orthonormal_append(rows: np.ndarray, op: np.ndarray, tol: float) -> np.ndar
     return r / norm_r
 
 
-def generate_algebra(
-    generators: list[np.ndarray] | tuple[np.ndarray, ...],
-    layout: SpaceLayout,
-    tol: float = ALGEBRA_TOL,
-) -> OperatorAlgebra:
-    """Close the generators into the smallest unital *-algebra span.
-
-    Well-separated diagonal generators take the diagonal path, everything
-    else the Gram-Schmidt closure (see the module docstring).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    d = layout.dim
-    gens = tuple(np.asarray(g, dtype=complex) for g in generators)
-    for g in gens:
-        if g.shape != (d, d):
-            raise ValueError(f"generator shape {g.shape} does not match layout dim {d}")
-    labels = _diagonal_partition(gens, d, tol)
-    if labels is None:
-        return _gram_schmidt_closure(gens, layout, tol)
-    return OperatorAlgebra(layout, gens, None, True, tol, labels=labels)
-
-
-def _diagonal_partition(gens: tuple[np.ndarray, ...], d: int, tol: float) -> np.ndarray | None:
-    """Class of each basis index under equal joint diagonal values, or None.
-
-    None unless every generator is exactly diagonal, finite and has its
-    distinct values separated as the module docstring says.  Classes are
-    numbered in character order: lexicographic in the real parts of the
-    joint values rounded to 9 decimals, the order the generic resolution
-    sorts by.
-    """
-    diagonals = np.array([np.diagonal(g) for g in gens]).reshape(len(gens), d)
-    for g, diagonal in zip(gens, diagonals):
-        if np.count_nonzero(g) != np.count_nonzero(diagonal):
-            return None
-        if not np.all(np.isfinite(diagonal)):
-            return None
-        floor = _SEPARATION * tol * np.max(np.abs(diagonal))
-        for part in (diagonal.real, diagonal.imag):
-            gaps = np.diff(np.sort(part))
-            gaps = gaps[gaps > 0]  # between distinct values only
-            if gaps.size and not np.min(gaps) > floor:
-                return None
-    keys = np.concatenate([diagonals.real, diagonals.imag]).T
-    values, labels = np.unique(keys, axis=0, return_inverse=True)
-    real = values[:, : len(gens)]
-    order = sorted(range(len(values)), key=lambda k: tuple(np.round(real[k], 9)))
-    position = np.empty(len(order), dtype=np.intp)
-    position[order] = np.arange(len(order))
-    return position[labels.reshape(-1)]
-
-
 def _gram_schmidt_closure(
-    gens: tuple[np.ndarray, ...], layout: SpaceLayout, tol: float
+    gens: tuple[np.ndarray, ...], letters: list[np.ndarray], layout: SpaceLayout, tol: float
 ) -> OperatorAlgebra:
-    """The generic path: Gram-Schmidt closure of validated generators.
+    """The non-commutative algebra generated by letters that do not commute.
 
-    The letters are the generators and every adjoint that is not exactly
-    equal to a generator.  The span of I is grown by multiplying each
-    basis element, in the order found, once by each letter on the left.
+    The span of I is grown by multiplying each basis element, in the
+    order found, once by each letter on the left.
     """
     d = layout.dim
     max_dim = d * d
-    letters = list(gens)
-    for g in gens:
-        adjoint = g.conj().T
-        if not any(np.array_equal(adjoint, h) for h in gens):
-            letters.append(adjoint)
-
     rows = np.empty((min(2 * (len(letters) + 1), max_dim), d * d), dtype=complex)
     k = 0
 
@@ -295,37 +395,11 @@ def _gram_schmidt_closure(
             adjoin(letter @ b)
         done += 1
 
-    stack = rows[:k].reshape(k, d, d)
-    commutative = _max_commutator(stack) <= tol
-    return OperatorAlgebra(layout, gens, stack, commutative, tol)
-
-
-# Basis elements per batched commutator product in _max_commutator.
-_COMMUTATOR_CHUNK = 4
-
-
-def _max_commutator(stack: np.ndarray) -> float:
-    """Largest HS norm of [B_i, B_j] over all pairs i < j of the basis stack.
-
-    Basis elements have unit HS norm, so this is already relative scale.
-    Each element meets the later ones a few at a time, which keeps the
-    temporaries to a few d x d arrays.
-    """
-    k = len(stack)
-    worst = 0.0
-    for i in range(k - 1):
-        a = stack[i]
-        for start in range(i + 1, k, _COMMUTATOR_CHUNK):
-            rest = stack[start : start + _COMMUTATOR_CHUNK]
-            c = a @ rest
-            c -= rest @ a
-            norms = np.linalg.norm(c.reshape(len(rest), -1), axis=1)
-            worst = max(worst, float(norms.max()))
-    return worst
+    return OperatorAlgebra(layout, gens, tol, stack=rows[:k].reshape(k, d, d))
 
 
 def is_commutative(alg: OperatorAlgebra) -> bool:
-    """True iff all basis pairs commute within the algebra tolerance."""
+    """True iff the algebra's letters commute within its tolerance."""
     return alg.commutative
 
 
@@ -343,116 +417,40 @@ class SpectralResolution:
     element takes there.  Projectors are ordered by their generator value
     vectors (lexicographic ascending), which is deterministic.
 
-    For a diagonal algebra ``labels[i]`` is the projector that basis index
-    i belongs to, and the dense ``projectors`` are built from it on first
-    use; otherwise they are given as ``dense_projectors``.
+    Projector k sits on the joint eigenvectors (columns of
+    ``eigenvectors``, ``None`` for the identity) whose ``labels`` entry is
+    k; the dense ``projectors`` are built on first use.
     """
 
     generator_values: np.ndarray
     basis_values: np.ndarray
     ranks: tuple[int, ...]
-    labels: np.ndarray | None = None
-    dense_projectors: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    labels: np.ndarray
+    eigenvectors: np.ndarray | None = field(default=None, repr=False)
 
     @cached_property
     def projectors(self) -> tuple[np.ndarray, ...]:
-        if self.labels is None:
-            return self.dense_projectors
-        return tuple(np.diag((self.labels == k).astype(complex)) for k in range(len(self.ranks)))
-
-    def element_values(self, op: np.ndarray) -> np.ndarray:
-        """Scalar each projector assigns to an algebra element."""
-        return np.array(
-            [np.trace(p @ op) / rank for p, rank in zip(self.projectors, self.ranks)]
+        return tuple(
+            _from_eigenbasis(self.eigenvectors, (self.labels == k).astype(complex))
+            for k in range(len(self.ranks))
         )
 
+    def element_values(self, op: np.ndarray) -> np.ndarray:
+        """Scalar each projector assigns to an algebra element: tr(P_k op) / rank_k."""
+        masks = self.labels == np.arange(len(self.ranks))[:, None]
+        return masks @ _eigenbasis_diagonal(self.eigenvectors, op) / np.array(self.ranks)
 
-def joint_spectral_resolution(
-    alg: OperatorAlgebra,
-    max_trials: int = 12,
-    rng: np.random.Generator | None = None,
-) -> SpectralResolution:
-    """Joint diagonalization of a commutative algebra.
 
-    Diagonalizes a generic Hermitian combination of the basis, merges
-    eigenspaces whose per-element value vectors agree within
-    ``VALUE_MERGE_ATOL``, and retries with fresh coefficients when an
-    accidental eigenvalue collision leaves the projector count different
-    from the algebra dimension.  The projector family does not depend on
-    the draw (up to its deterministic ordering); the default-draw result
-    is cached on the algebra.  A diagonal algebra is resolved from its
-    partition instead, with no draw, and ``rng`` is not used.
+def joint_spectral_resolution(alg: OperatorAlgebra) -> SpectralResolution:
+    """Joint spectral projectors of a commutative algebra, one per class.
+
+    Read off the algebra's eigenvectors and class labels, with no draw;
+    the result is cached on the algebra.  Non-real joint values raise
+    ValueError: the value table covers Hermitian generators.
     """
     if not alg.commutative:
         raise ValueError("joint spectral resolution requires a commutative algebra")
-    if alg.labels is not None:
-        if alg._resolution is None:
-            alg._resolution = _diagonal_resolution(alg)
-        return alg._resolution
-    cacheable = rng is None
-    if cacheable and alg._resolution is not None:
-        return alg._resolution
-
-    d = alg.layout.dim
-    if rng is None:
-        rng = np.random.default_rng(0x5E6A1)  # fixed seed: deterministic resolutions
-    last_error = ""
-    for _ in range(max_trials):
-        h = np.zeros((d, d), dtype=complex)
-        for m in alg.basis:
-            c_re, c_im = rng.standard_normal(2)
-            h += c_re * (m + m.conj().T) / 2.0 + c_im * (m - m.conj().T) / 2.0j
-        norm = float(np.linalg.norm(h))
-        if norm < 1e-12:
-            continue
-        h /= norm
-        values, vectors = np.linalg.eigh(h)
-        fine = degenerate_clusters(values, gap=1e-10)
-
-        groups, basis_vals = _merge_by_basis_values(alg, vectors, fine)
-        if len(groups) != alg.dimension:
-            last_error = (
-                f"found {len(groups)} joint eigenspaces for an algebra of dimension {alg.dimension}"
-            )
-            continue
-
-        resolution = _assemble_resolution(alg, vectors, groups, basis_vals)
-        if resolution is not None:
-            if cacheable:
-                alg._resolution = resolution
-            return resolution
-        last_error = "projector consistency check failed"
-
-    raise InvariantViolation(f"joint diagonalization failed after {max_trials} trials: {last_error}")
-
-
-def _eigenvector_values(vectors: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """diag(V^dag m V): the expectation of ``m`` in each eigenvector column."""
-    return np.einsum("ij,ij->j", vectors.conj(), m @ vectors)
-
-
-def _merge_by_basis_values(alg, vectors, clusters):
-    """Merge eigenvector clusters whose basis value vectors coincide.
-
-    Returns the merged column index groups and each group's basis values
-    trace(V^dag m V) / rank, where p = V V^dag is the group's projector.
-    """
-    columns = np.array([_eigenvector_values(vectors, m) for m in alg.basis])
-    vals = [columns[:, idx].sum(axis=1) / len(idx) for idx in clusters]
-    groups: list[list[int]] = []
-    for i in range(len(clusters)):
-        for group in groups:
-            if np.max(np.abs(vals[i] - vals[group[0]])) <= VALUE_MERGE_ATOL:
-                group.append(i)
-                break
-        else:
-            groups.append([i])
-    merged = [[c for i in group for c in clusters[i]] for group in groups]
-    return merged, [columns[:, idx].sum(axis=1) / len(idx) for idx in merged]
-
-
-def _real_generator_values(values: np.ndarray) -> np.ndarray:
-    """Real part of the (projector, generator) value table; non-real values raise."""
+    values = alg._class_values
     offending = np.argwhere(np.abs(values.imag) > CHARACTER_ATOL)
     if offending.size:
         k, g_idx = offending[0]
@@ -460,78 +458,14 @@ def _real_generator_values(values: np.ndarray) -> np.ndarray:
             f"generator {g_idx} has non-real joint eigenvalue {complex(values[k, g_idx])!r}; "
             "the spectral value table covers Hermitian generators"
         )
-    return values.real
-
-
-def _assemble_resolution(alg, vectors, groups, basis_vals):
-    """Check the merged groups and build the resolution; None on failure.
-
-    The identity and idempotence checks run on the dense projectors
-    p = V V^dag.  The scalar action p m p = lam p of each basis element is
-    checked as V (V^dag m V - lam I) V^dag on each column block V, with
-    one m V and V^dag m V per basis element.
-    """
-    d = alg.layout.dim
-    blocks = [vectors[:, idx] for idx in groups]
-    projs = [v @ v.conj().T for v in blocks]
-    total = np.sum(projs, axis=0)
-    if np.max(np.abs(total - np.eye(d))) > RECONSTRUCTION_ATOL:
-        return None
-    for p in projs:
-        if np.max(np.abs(p @ p - p)) > RECONSTRUCTION_ATOL:
-            return None
-    v_dag = vectors.conj().T
-    for j, m in enumerate(alg.basis):
-        w = v_dag @ (m @ vectors)
-        for k, (idx, v) in enumerate(zip(groups, blocks)):
-            block = w[np.ix_(idx, idx)] - basis_vals[k][j] * np.eye(len(idx))
-            if np.max(np.abs(v @ block @ v.conj().T)) > CHARACTER_ATOL:
-                return None
-
-    gen_vals = np.zeros((len(groups), len(alg.generators)), dtype=complex)
-    for g_idx, g in enumerate(alg.generators):
-        columns = _eigenvector_values(vectors, g)
-        for k, idx in enumerate(groups):
-            gen_vals[k, g_idx] = columns[idx].sum() / len(idx)
-    gen_vals = _real_generator_values(gen_vals)
-
-    order = sorted(
-        range(len(groups)),
-        key=lambda k: tuple(np.round(gen_vals[k], 9)),
-    )
-    return SpectralResolution(
-        generator_values=gen_vals[order],
-        basis_values=np.array([basis_vals[k] for k in order]),
-        ranks=tuple(len(groups[k]) for k in order),
-        dense_projectors=tuple(projs[k] for k in order),
-    )
-
-
-def _diagonal_resolution(alg: OperatorAlgebra) -> SpectralResolution:
-    """Resolution of a diagonal algebra, read off its partition.
-
-    Projector k is the mask of class k, already in character order.  The
-    checks of :func:`_assemble_resolution` run on the diagonals: every
-    operator involved is diagonal, so each product is entrywise and the
-    off-diagonal entries, all zero, are left out.
-    """
-    labels, diagonals = alg.labels, alg.basis_diagonals
-    masks = (labels == np.arange(alg.dimension)[:, None]).astype(float)
-    ranks = masks.sum(axis=1)
-    if np.max(np.abs(masks.sum(axis=0) - 1.0)) > RECONSTRUCTION_ATOL:
-        raise InvariantViolation("diagonal projectors do not resolve the identity")
-    if np.max(np.abs(masks * masks - masks)) > RECONSTRUCTION_ATOL:
-        raise InvariantViolation("diagonal projector is not idempotent")
-    basis_vals = masks @ diagonals.T / ranks[:, None]
-    # P_k B_j P_k = lam P_k: on class k, the diagonal of B_j equals lam.
-    if np.max(np.abs(diagonals - basis_vals[labels].T)) > CHARACTER_ATOL:
-        raise InvariantViolation("basis element is not a scalar on its diagonal projector")
-    gen_diagonals = np.array([np.diagonal(g) for g in alg.generators]).reshape(
-        len(alg.generators), alg.layout.dim
-    )
-    return SpectralResolution(
-        generator_values=_real_generator_values(masks @ gen_diagonals.T / ranks[:, None]),
-        basis_values=basis_vals,
-        ranks=tuple(int(r) for r in ranks),
-        labels=labels,
-    )
+    if alg._resolution is None:
+        masks = (alg.labels == np.arange(alg.dimension)[:, None]).astype(float)
+        ranks = masks.sum(axis=1)
+        alg._resolution = SpectralResolution(
+            generator_values=values.real,
+            basis_values=masks @ alg.basis_diagonals.T / ranks[:, None],
+            ranks=tuple(int(r) for r in ranks),
+            labels=alg.labels,
+            eigenvectors=alg.eigenvectors,
+        )
+    return alg._resolution

@@ -24,11 +24,11 @@ ORTHONORMALITY_ATOL = 1e-10
 # Eigenvalues closer than this are treated as one degenerate cluster.
 DEGENERACY_GAP = 1e-8
 
-# Relative rank / membership cutoff for algebra closures (Gram-Schmidt).
+# Algebra tolerance, relative.  Letters commute when |[a, b]| <= tol |a| |b|;
+# a generator's joint values within tol x its largest magnitude merge into
+# one class (a wider chain is ambiguous and raises); and it is the rank and
+# membership cutoff of the Gram-Schmidt closure of non-commutative input.
 ALGEBRA_TOL = 1e-9
-
-# Joint eigenvalue vectors agreeing within this are merged into one character.
-VALUE_MERGE_ATOL = 1e-7
 
 # Character multiplicativity and projector-consistency checks.
 CHARACTER_ATOL = 1e-8

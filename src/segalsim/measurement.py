@@ -447,15 +447,9 @@ class StatisticalDoublet:
 
 def _information_of(rho: DensityMatrix, characters: tuple[Character, ...]) -> np.ndarray:
     alg = characters[0].algebra
-    if alg.labels is not None:
-        # Diagonal projectors: tr(rho P_k) is the diagonal of rho summed over class k.
-        sums = np.bincount(alg.labels, rho.matrix.diagonal().real, alg.dimension)
-        probs = sums[[c.projector_index for c in characters]]
-    else:
-        probs = np.array(
-            [float(np.einsum("ij,ji->", rho.matrix, c.projector).real) for c in characters]
-        )
-    return np.clip(probs, 0.0, None)
+    # tr(rho P_k) is the diagonal of V^dag rho V summed over class k.
+    sums = np.bincount(alg.labels, alg.eigenbasis_diagonal(rho.matrix).real, alg.dimension)
+    return np.clip(sums[[c.projector_index for c in characters]], 0.0, None)
 
 
 def statistical_doublet(model: MeasurementModel, rho: DensityMatrix) -> StatisticalDoublet:

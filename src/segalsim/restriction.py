@@ -140,11 +140,8 @@ def restrict_state(rho: DensityMatrix, alg: OperatorAlgebra) -> AlgebraicState:
         raise ValueError(
             f"state dim {rho.dim} does not match algebra dim {alg.layout.dim}"
         )
-    if alg.labels is None:
-        values = np.array([np.trace(rho.matrix @ m) for m in alg.basis])
-    else:
-        values = alg.project_coefficients(rho.matrix)  # tr(rho B_j), B_j real diagonal
-    return AlgebraicState(alg, values)
+    # tr(rho B_j) = conj(<B_j, rho^dag>)
+    return AlgebraicState(alg, alg.project_coefficients(rho.matrix.conj().T).conj())
 
 
 def extremal_states(alg: OperatorAlgebra) -> tuple[Character, ...]:
@@ -254,22 +251,19 @@ def breuer_indistinguishable(
 def character_probabilities(xi_ms: StateVector, alg: OperatorAlgebra) -> np.ndarray:
     """Per-character outcome probabilities ``<xi| P_k |xi>``.
 
-    Ordered like :func:`extremal_states`; tiny negative round-off is
-    clipped to zero.  Sums to one for a normalized state because the joint
-    eigenprojectors resolve the identity.
+    Ordered like :func:`extremal_states`.  Sums to one for a normalized
+    state because the joint eigenprojectors resolve the identity.
     """
     if xi_ms.layout != alg.layout:
         raise ValueError(
             f"state layout {xi_ms.layout.labels} does not match algebra layout "
             f"{alg.layout.labels}"
         )
-    amp = xi_ms.amplitudes
-    if alg.labels is not None:
-        # Diagonal projectors: <xi|P_k|xi> is |xi|^2 summed over class k.
-        return np.bincount(alg.labels, np.abs(amp) ** 2, alg.dimension)
-    chars = extremal_states(alg)
-    probs = np.array([float(np.vdot(amp, c.projector @ amp).real) for c in chars])
-    return np.clip(probs, 0.0, None)
+    if not alg.commutative:
+        raise ValueError("character probabilities require a commutative algebra")
+    # <xi|P_k|xi> is |V^dag xi|^2 summed over class k.
+    amp = alg.eigenbasis_amplitudes(xi_ms.amplitudes)
+    return np.bincount(alg.labels, np.abs(amp) ** 2, alg.dimension)
 
 
 def draw_cumulative(probs: np.ndarray) -> np.ndarray:

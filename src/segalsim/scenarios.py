@@ -66,7 +66,18 @@ __all__ = [
     "run_scenario",
 ]
 
-SCENARIOS = ("pure", "gemenge", "wigner-friend", "decoherence", "erasure", "algebra-probe")
+# The document keys every scenario accepts, and those each scenario reads
+# beyond them.  Every other key is refused.
+_COMMON_KEYS = {"scenario", "model", "n_events", "seed", "output_format", "tolerances"}
+_SCENARIO_KEYS = {
+    "pure": {"input"},
+    "gemenge": {"input"},
+    "wigner-friend": {"input"},
+    "decoherence": {"input", "t_grid"},
+    "erasure": {"input"},
+    "algebra-probe": {"generators"},
+}
+SCENARIOS = tuple(_SCENARIO_KEYS)
 
 # Config amplitudes may be rounded literals (0.7071 etc.); anything within
 # this much of unit norm is renormalized exactly, anything further is a
@@ -278,24 +289,10 @@ def load_document(text: str) -> dict:
 def parse_scenario(document: str | dict) -> ScenarioConfig:
     """Validate a scenario document, as text or decoded, and apply defaults."""
     raw = load_document(document) if isinstance(document, str) else document
-    _require_keys(
-        raw,
-        {
-            "scenario",
-            "model",
-            "input",
-            "n_events",
-            "seed",
-            "output_format",
-            "tolerances",
-            "t_grid",
-            "generators",
-        },
-        "config",
-    )
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
         _fail(f"scenario: expected one of {list(SCENARIOS)}, got {scenario!r}")
+    _require_keys(raw, _COMMON_KEYS | _SCENARIO_KEYS[scenario], "config")
 
     model = _parse_model(raw.get("model", {}), scenario)
     if scenario == "wigner-friend" and model.s_dim != 2:
@@ -324,11 +321,10 @@ def parse_scenario(document: str | dict) -> ScenarioConfig:
     amplitudes = None
     gemenge_rows = None
     input_raw = raw.get("input")
-    needs_input = scenario in ("pure", "gemenge", "wigner-friend", "decoherence", "erasure")
-    if needs_input:
+    if "input" in _SCENARIO_KEYS[scenario]:
         if not isinstance(input_raw, dict):
             _fail(f"input: scenario {scenario!r} needs an input section")
-        _require_keys(input_raw, {"amplitudes", "gemenge"}, "input")
+        _require_keys(input_raw, {"gemenge" if scenario == "gemenge" else "amplitudes"}, "input")
         if scenario == "gemenge":
             rows_raw = input_raw.get("gemenge")
             if not isinstance(rows_raw, list) or not rows_raw:

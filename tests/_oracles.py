@@ -141,6 +141,57 @@ def all_pairs_closure(
     return basis, worst <= tol
 
 
+def joint_resolution_oracle(
+    basis: list[np.ndarray], generators: list[np.ndarray], seed: int = 0x5E6A1, trials: int = 12
+) -> tuple[np.ndarray, tuple[int, ...], list[np.ndarray]]:
+    """Joint eigenprojectors of a commutative algebra given by a dense basis.
+
+    The randomized basis-level resolution: diagonalize a random Hermitian
+    combination of the basis elements, group eigenvalues closer than
+    1e-10, merge groups whose basis-element values agree within 1e-7, and
+    keep the draw only if there is one group per basis element and every
+    element acts as a scalar on every group; else draw again.  Returns the
+    generator values (complex), the ranks and the dense projectors, sorted
+    by the real generator values rounded to 9 decimals.
+    """
+    d = basis[0].shape[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        h = np.zeros((d, d), dtype=complex)
+        for m in basis:
+            c_re, c_im = rng.standard_normal(2)
+            h += c_re * (m + m.conj().T) / 2.0 + c_im * (m - m.conj().T) / 2.0j
+        eigenvalues, vectors = np.linalg.eigh(h)
+        clusters = np.split(np.arange(d), np.flatnonzero(np.diff(eigenvalues) > 1e-10) + 1)
+        groups: list[tuple[np.ndarray, list[int]]] = []
+        for idx in clusters:
+            cols = vectors[:, idx]
+            value = np.array([np.trace(cols.conj().T @ m @ cols) / len(idx) for m in basis])
+            for group_value, members in groups:
+                if np.max(np.abs(value - group_value)) <= 1e-7:
+                    members.extend(idx)
+                    break
+            else:
+                groups.append((value, list(idx)))
+        if len(groups) != len(basis):
+            continue
+        projectors = [vectors[:, idx] @ vectors[:, idx].conj().T for _, idx in groups]
+        ranks = [len(idx) for _, idx in groups]
+        scalar = all(
+            np.max(np.abs(p @ m @ p - np.trace(p @ m) / r * p)) <= 1e-8
+            for p, r in zip(projectors, ranks)
+            for m in basis
+        )
+        if not scalar:
+            continue
+        values = np.array(
+            [[np.trace(p @ g) / r for g in generators] for p, r in zip(projectors, ranks)]
+        ).reshape(len(groups), len(generators))
+        order = sorted(range(len(groups)), key=lambda k: tuple(np.round(values[k].real, 9)))
+        return values[order], tuple(ranks[k] for k in order), [projectors[k] for k in order]
+    raise AssertionError(f"oracle resolution failed after {trials} draws")
+
+
 def expm_series(h: np.ndarray, t: float, terms: int = 60) -> np.ndarray:
     """exp(-i h t) by straightforward Taylor summation."""
     d = h.shape[0]

@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
+from segalsim import algebra
 from segalsim.algebra import (
-    _SEPARATION,
-    _assemble_resolution,
-    _gram_schmidt_closure,
-    _max_commutator,
+    _commutative_algebra,
+    _letters_commute,
     contains,
     generate_algebra,
     is_commutative,
     joint_spectral_resolution,
 )
-from segalsim.config import ALGEBRA_TOL
+from segalsim.config import ALGEBRA_TOL, InvariantViolation
 from segalsim.linalg import SpaceLayout, identity, tensor
 from segalsim.restriction import extremal_states
 
-from _oracles import all_pairs_closure, closure_dimension_oracle
+from _oracles import all_pairs_closure, closure_dimension_oracle, joint_resolution_oracle
 
 O = SpaceLayout((("O", 3),))
 MS = SpaceLayout((("S", 2), ("O", 3)))
@@ -69,6 +68,13 @@ class TestGenerateAlgebra:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
             generate_algebra([identity(2)], O)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, entry):
+        gen = Q_O.copy()
+        gen[1, 1] = entry
+        with pytest.raises(ValueError, match="must be finite"):
+            generate_algebra([gen], O)
 
     def test_basis_orthonormal(self):
         alg = generate_algebra([q_o_extended(), interference_op()], MS)
@@ -167,41 +173,48 @@ class TestJointSpectralResolution:
         )
         assert np.max(np.abs(recon - Q_O)) <= 1e-8
 
-    def test_independent_of_random_draw(self):
-        alg = generate_algebra([q_o_extended()], MS)
-        reference = joint_spectral_resolution(alg)
+    def test_independent_of_random_draw(self, monkeypatch):
+        # Diagonal generators take no draw: the seed cannot move anything.
+        reference = joint_spectral_resolution(generate_algebra([q_o_extended()], MS))
         for trial in range(10):
-            res = joint_spectral_resolution(alg, rng=np.random.default_rng(1000 + trial))
-            # Same deterministic ordering, so families compare directly.
+            monkeypatch.setattr(algebra, "_EIGENBASIS_SEED", 1000 + trial)
+            res = joint_spectral_resolution(generate_algebra([q_o_extended()], MS))
             for p, q in zip(reference.projectors, res.projectors):
                 assert np.max(np.abs(p - q)) <= 1e-7
 
     def test_values_are_algebra_isomorphism(self):
         # Multiplicativity: value vectors of products are entrywise products.
-        alg = generate_algebra([Q_O], O)
-        res = joint_spectral_resolution(alg)
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            a = sum(c * m for c, m in zip(rng.standard_normal(alg.dimension), alg.basis))
-            b = sum(c * m for c, m in zip(rng.standard_normal(alg.dimension), alg.basis))
-            lhs = res.element_values(a @ b)
-            rhs = res.element_values(a) * res.element_values(b)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-8
+        for gen in (Q_O, rotated(np.random.default_rng(7), Q_O)[0][0]):
+            alg = generate_algebra([gen], O)
+            res = joint_spectral_resolution(alg)
+            rng = np.random.default_rng(8)
+            for _ in range(10):
+                a = sum(c * m for c, m in zip(rng.standard_normal(alg.dimension), alg.basis))
+                b = sum(c * m for c, m in zip(rng.standard_normal(alg.dimension), alg.basis))
+                lhs = res.element_values(a @ b)
+                rhs = res.element_values(a) * res.element_values(b)
+                assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
     def test_non_commutative_rejected(self):
         with pytest.raises(ValueError, match="commutative"):
             joint_spectral_resolution(generate_algebra([SX, SZ], TWO))
 
-    def test_generic_path_independent_of_random_draw(self):
-        alg = _gram_schmidt_closure((q_o_extended(),), MS, ALGEBRA_TOL)
-        reference = joint_spectral_resolution(alg)
+    def test_generic_path_independent_of_random_draw(self, monkeypatch):
+        # A rotated generator takes the draw; every seed finds the same
+        # projectors, U P_k U^dag for the known U.
+        (gen,), u = rotated(np.random.default_rng(5), q_o_extended())
+        reference = joint_spectral_resolution(generate_algebra([q_o_extended()], MS))
         for trial in range(10):
-            res = joint_spectral_resolution(alg, rng=np.random.default_rng(1000 + trial))
+            monkeypatch.setattr(algebra, "_EIGENBASIS_SEED", 1000 + trial)
+            res = joint_spectral_resolution(generate_algebra([gen], MS))
+            assert res.ranks == reference.ranks
             for p, q in zip(reference.projectors, res.projectors):
-                assert np.max(np.abs(p - q)) <= 1e-7
+                assert np.max(np.abs(u @ p @ u.conj().T - q)) <= 1e-7
 
 
-# Oracle: the diagonal path against the Gram-Schmidt closure it replaces.
+# Oracle: the eigenbasis representation against the all-pairs closure and
+# the randomized resolution of tests/_oracles.py, on diagonal generators
+# and on the same generators rotated by a random unitary.
 
 LAYOUTS = [
     SpaceLayout((("O", 7),)),
@@ -210,8 +223,11 @@ LAYOUTS = [
 ]
 
 
-def generic_closure(gens, layout, tol=ALGEBRA_TOL):
-    return _gram_schmidt_closure(tuple(np.asarray(g, dtype=complex) for g in gens), layout, tol)
+def rotated(rng, *gens):
+    """U g U^dag for each generator, one random unitary U; and U."""
+    d = gens[0].shape[0]
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return [u @ np.asarray(g, dtype=complex) @ u.conj().T for g in gens], u
 
 
 def random_diagonals(rng, layout, n, complex_values=False):
@@ -237,25 +253,45 @@ def random_diagonals(rng, layout, n, complex_values=False):
     return [np.diag(values[:, g]) for g in range(n)]
 
 
-def assert_same_algebra(fast, generic):
-    assert fast.dimension == generic.dimension
-    assert fast.commutative and generic.commutative
-    for m in fast.basis:
-        assert contains(generic, m)
-    for m in generic.basis:
-        assert contains(fast, m)
+def oracle_basis(gens, layout):
+    """Basis and commutativity from the all-pairs closure."""
+    return all_pairs_closure([np.asarray(g, dtype=complex) for g in gens], layout.dim)
 
 
-def assert_same_resolution(fast, generic):
-    res_f = joint_spectral_resolution(fast)
-    res_g = joint_spectral_resolution(generic)
-    assert res_f.ranks == res_g.ranks
-    assert np.allclose(res_f.generator_values, res_g.generator_values, atol=1e-9)
-    for p, q in zip(res_f.projectors, res_g.projectors):
+def assert_same_algebra(alg, gens):
+    basis, commutative = oracle_basis(gens, alg.layout)
+    assert alg.dimension == len(basis)
+    assert alg.commutative and commutative
+    for m in basis:
+        assert contains(alg, m)
+    for m in alg.basis:
+        assert in_oracle_span(basis, m)
+    return basis
+
+
+def assert_same_resolution(alg, gens):
+    basis = assert_same_algebra(alg, gens)
+    values, ranks, projectors = joint_resolution_oracle(basis, list(alg.generators))
+    res = joint_spectral_resolution(alg)
+    assert res.ranks == ranks
+    assert np.allclose(res.generator_values, values.real, atol=1e-9)
+    for p, q in zip(res.projectors, projectors):
         assert np.allclose(p, q, atol=1e-7)
-    chars_f = [c.generator_values.tolist() for c in extremal_states(fast)]
-    chars_g = [c.generator_values.tolist() for c in extremal_states(generic)]
-    assert np.allclose(chars_f, chars_g, atol=1e-9)
+    chars = [c.generator_values.tolist() for c in extremal_states(alg)]
+    assert np.allclose(chars, values.real, atol=1e-9)
+
+
+def assert_rotation_agrees(alg, gens):
+    """The rotated generators give the same classes, values and U P U^dag."""
+    rotated_gens, u = rotated(np.random.default_rng(alg.layout.dim), *gens)
+    turned = generate_algebra(rotated_gens, alg.layout)
+    res, res_turned = joint_spectral_resolution(alg), joint_spectral_resolution(turned)
+    assert turned.eigenvectors is not None
+    assert res_turned.ranks == res.ranks
+    assert np.allclose(res_turned.generator_values, res.generator_values, atol=1e-9)
+    for p, q in zip(res.projectors, res_turned.projectors):
+        assert np.allclose(u @ p @ u.conj().T, q, atol=1e-7)
+    return turned
 
 
 class TestDiagonalPathOracle:
@@ -265,11 +301,10 @@ class TestDiagonalPathOracle:
         rng = np.random.default_rng([7, layout.dim, n])
         for _ in range(4):
             gens = random_diagonals(rng, layout, n)
-            fast = generate_algebra(gens, layout)
-            generic = generic_closure(gens, layout)
-            assert fast.labels is not None and generic.labels is None
-            assert_same_algebra(fast, generic)
-            assert_same_resolution(fast, generic)
+            alg = generate_algebra(gens, layout)
+            assert alg.eigenvectors is None
+            assert_same_resolution(alg, gens)
+            assert_rotation_agrees(alg, gens)
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda lay: "x".join(map(str, lay.dims)))
     def test_complex_diagonals_match_generic_and_raise_alike(self, layout):
@@ -278,62 +313,72 @@ class TestDiagonalPathOracle:
             gens = random_diagonals(rng, layout, n, complex_values=True)
             if n == 2:
                 gens[0] = gens[0].real  # only generator 1 has non-real values
-            fast = generate_algebra(gens, layout)
-            generic = generic_closure(gens, layout)
-            assert fast.labels is not None
-            assert_same_algebra(fast, generic)
+            alg = generate_algebra(gens, layout)
+            assert_same_algebra(alg, gens)
+            turned = generate_algebra(rotated(rng, *gens)[0], layout)
+            assert turned.eigenvectors is not None
+            assert turned.dimension == alg.dimension
             if not np.any(np.diagonal(gens[-1]).imag):
                 continue  # every value drawn happened to be real
             message = f"generator {n - 1} has non-real joint eigenvalue"
-            for alg in (fast, generic):
+            for a in (alg, turned):
                 with pytest.raises(ValueError, match=message):
-                    joint_spectral_resolution(alg)
+                    joint_spectral_resolution(a)
 
     def test_empty_generator_list(self):
-        fast = generate_algebra([], MS)
-        generic = generic_closure([], MS)
-        assert fast.labels is not None
-        assert fast.dimension == generic.dimension == 1
-        assert_same_algebra(fast, generic)
-        assert_same_resolution(fast, generic)
-        assert joint_spectral_resolution(fast).generator_values.shape == (1, 0)
+        alg = generate_algebra([], MS)
+        assert alg.dimension == 1
+        assert_same_algebra(alg, [])
+        res = joint_spectral_resolution(alg)
+        assert res.ranks == (6,)
+        assert np.allclose(res.projectors[0], identity(6))
+        assert res.generator_values.shape == (1, 0)
 
     def test_projections_match_dense_basis(self):
-        # project_coefficients reads the diagonal only; the dense basis
-        # gives the same components of any operator.
+        # project_coefficients reads diag(V^dag a V) only; the dense basis
+        # gives the same components of any operator, diagonal or rotated.
         rng = np.random.default_rng(9)
         layout = LAYOUTS[2]
-        alg = generate_algebra(random_diagonals(rng, layout, 2), layout)
-        for _ in range(3):
-            a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-            dense = np.array([np.vdot(b, a) for b in alg.basis])
-            assert np.allclose(alg.project_coefficients(a), dense, atol=1e-12)
-            assert np.allclose(alg.project(a), sum(c * b for c, b in zip(dense, alg.basis)))
+        gens = random_diagonals(rng, layout, 2)
+        for turned in (gens, rotated(rng, *gens)[0]):
+            alg = generate_algebra(turned, layout)
+            for _ in range(3):
+                a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+                dense = np.array([np.vdot(b, a) for b in alg.basis])
+                assert np.allclose(alg.project_coefficients(a), dense, atol=1e-12)
+                assert np.allclose(alg.project(a), sum(c * b for c, b in zip(dense, alg.basis)))
 
     @pytest.mark.parametrize("factor, path", [(0.9, "generic"), (1.1, "diagonal")])
     def test_near_collision_at_fallback_boundary(self, factor, path):
+        # Values 1.8e-5 and 2.2e-5 apart are distinct at tol = 1e-9, given
+        # as a diagonal ("diagonal") or rotated by a random unitary ("generic").
         layout = SpaceLayout((("O", 8),))
-        delta = factor * _SEPARATION * ALGEBRA_TOL * 2.0  # the largest magnitude is 2
+        delta = factor * 1e4 * ALGEBRA_TOL * 2.0  # the largest magnitude is 2
         gen = np.diag([0.0, 1.0, 1.0 + delta, 1.0 + delta, -1.0, 2.0, 2.0, 0.0])
+        if path == "generic":
+            gen = rotated(np.random.default_rng(10), gen)[0][0]
         alg = generate_algebra([gen], layout)
-        generic = generic_closure([gen], layout)
-        assert (alg.labels is None) == (path == "generic")
-        assert alg.dimension == generic.dimension == 5
-        assert_same_algebra(alg, generic)
-        assert_same_resolution(alg, generic)
+        assert alg.dimension == 5
+        assert_same_resolution(alg, [gen])
 
     def test_merging_collision_gives_generic_answer(self):
-        # Values 1e-12 apart are one value to Gram-Schmidt at tol = 1e-9.
+        # Values 1e-12 apart are one value at tol = 1e-9, in the oracle
+        # closure and in both representations.
         layout = SpaceLayout((("O", 4),))
         gen = np.diag([0.0, 1.0, 1.0 + 1e-12, -1.0])
         alg = generate_algebra([gen], layout)
-        assert alg.labels is None
-        assert alg.dimension == generic_closure([gen], layout).dimension == 3
+        assert alg.dimension == len(oracle_basis([gen], layout)[0]) == 3
+        assert closure_dimension_oracle([gen]) == (3, True)
+        assert assert_rotation_agrees(alg, [gen]).dimension == 3
 
     def test_off_diagonal_entry_takes_generic_path(self):
         gen = np.diag([0.0, 1.0, -1.0]).astype(complex)
         gen[0, 2] = gen[2, 0] = 1e-300
-        assert generate_algebra([gen], O).labels is None
+        alg = generate_algebra([gen], O)
+        assert alg.eigenvectors is not None
+        res = joint_spectral_resolution(alg)
+        assert res.ranks == (1, 1, 1)
+        assert np.allclose(res.generator_values[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)
 
 
 # Oracle: the letter closure against the all-pairs closure it replaces.
@@ -341,9 +386,7 @@ class TestDiagonalPathOracle:
 
 def rotated_hermitian_pair(rng, values_a, values_b):
     """U diag(a) U^dag and U diag(b) U^dag for one random unitary U."""
-    d = len(values_a)
-    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    return [(u * np.asarray(v, dtype=float)) @ u.conj().T for v in (values_a, values_b)], u
+    return rotated(rng, np.diag(np.asarray(values_a, float)), np.diag(np.asarray(values_b, float)))
 
 
 def in_oracle_span(basis, m, tol=ALGEBRA_TOL):
@@ -353,10 +396,8 @@ def in_oracle_span(basis, m, tol=ALGEBRA_TOL):
 
 
 def assert_matches_all_pairs(gens, layout):
-    alg = generic_closure(gens, layout)
-    basis, commutative = all_pairs_closure(
-        [np.asarray(g, dtype=complex) for g in gens], layout.dim
-    )
+    alg = generate_algebra(gens, layout)
+    basis, commutative = oracle_basis(gens, layout)
     assert alg.dimension == len(basis)
     assert alg.commutative == commutative
     for m in basis:
@@ -381,6 +422,7 @@ class TestLetterClosureOracle:
         alg = assert_matches_all_pairs(gens, SpaceLayout((("O", d),)))
         assert alg.commutative
         assert alg.dimension == len({tuple(c) for c in classes})
+        assert_same_resolution(alg, gens)
 
     def test_pauli_pair(self):
         alg = assert_matches_all_pairs([SX, SZ], TWO)
@@ -414,19 +456,19 @@ class TestLetterClosureOracle:
 
     @pytest.mark.parametrize("k", [2, 5, 9])
     def test_max_commutator_covers_all_pairs(self, k):
-        # Only elements i and j fail to commute; every other element lives
-        # on index 2 alone.  The chunked maximum must find each such pair.
+        # Only letters i and j fail to commute; every other letter lives
+        # on index 2 alone.  The letter check must find each such pair.
         x = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
         z = np.diag([1.0, -1.0, 0.0]).astype(complex)
-        expected = float(np.linalg.norm(x @ z - z @ x))
         for i in range(k):
             for j in range(i + 1, k):
-                stack = np.array([np.diag([0.0, 0.0, 1.0 + n]) for n in range(k)], dtype=complex)
-                stack[i], stack[j] = x, z
-                assert _max_commutator(stack) == pytest.approx(expected)
+                letters = [np.diag([0.0, 0.0, 1.0 + n]).astype(complex) for n in range(k)]
+                assert _letters_commute(letters, ALGEBRA_TOL)
+                letters[i], letters[j] = x, z
+                assert not _letters_commute(letters, ALGEBRA_TOL)
 
     def test_basis_is_one_read_only_stack(self):
-        alg = generic_closure([SX, SZ], TWO)
+        alg = generate_algebra([SX, SZ], TWO)
         assert all(b.base is not None and not b.flags.writeable for b in alg.basis)
         gram = np.array([[np.vdot(a, b) for b in alg.basis] for a in alg.basis])
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
@@ -448,7 +490,7 @@ class TestBlockResolutionOracle:
         values_b = np.array([0.5, -1.5, 0.5, 2.5, 2.5, 0.5])
         gens, u = rotated_hermitian_pair(rng, values_a, values_b)
         layout = SpaceLayout((("O", 6),))
-        alg = generic_closure(gens, layout)
+        alg = generate_algebra(gens, layout)
         res = joint_spectral_resolution(alg)
         basis_vals, gen_vals, ranks = dense_resolution_values(res, alg)
         assert res.ranks == ranks
@@ -460,29 +502,78 @@ class TestBlockResolutionOracle:
         for (a, b), p in zip(pairs, res.projectors):
             cols = u[:, (values_a == a) & (values_b == b)]
             assert np.allclose(p, cols @ cols.conj().T, atol=1e-9)
+        assert_same_resolution(alg, gens)
 
     def test_inconsistent_blocks_rejected(self):
-        # Two eigenspaces with different values merged into one block fail
-        # the scalar-action check; the true blocks pass it.
+        # Eigenvectors that mix two eigenspaces with different values fail
+        # the V^dag g V check; the true eigenvectors pass it.
         rng = np.random.default_rng(14)
         values = np.array([-1.0, -1.0, 2.0, 2.0, 5.0])
         gens, u = rotated_hermitian_pair(rng, values, values)
-        alg = generic_closure(gens[:1], SpaceLayout((("O", 5),)))
-        groups = [[0, 1], [2, 3], [4]]
-        basis_vals = [
-            np.array([np.trace(u[:, g].conj().T @ m @ u[:, g]) / len(g) for m in alg.basis])
-            for g in groups
-        ]
-        assert _assemble_resolution(alg, u, groups, basis_vals) is not None
-        merged = [[0, 1, 2, 3], [4]]
-        merged_vals = [(2 * basis_vals[0] + 2 * basis_vals[1]) / 4, basis_vals[2]]
-        assert _assemble_resolution(alg, u, merged, merged_vals) is None
+        layout = SpaceLayout((("O", 5),))
+        alg = _commutative_algebra(tuple(gens[:1]), layout, ALGEBRA_TOL, u)
+        assert joint_spectral_resolution(alg).ranks == (2, 2, 1)
+        mixed = u.copy()
+        mixed[:, 1] = (u[:, 1] + u[:, 2]) / np.sqrt(2)
+        mixed[:, 2] = (u[:, 1] - u[:, 2]) / np.sqrt(2)
+        with pytest.raises(InvariantViolation, match="not diagonal on the joint eigenvectors"):
+            _commutative_algebra(tuple(gens[:1]), layout, ALGEBRA_TOL, mixed)
 
     def test_interference_observable(self):
-        alg = generic_closure([interference_op()], MS)
+        alg = generate_algebra([interference_op()], MS)
         res = joint_spectral_resolution(alg)
         basis_vals, gen_vals, ranks = dense_resolution_values(res, alg)
         assert res.ranks == ranks == (1, 4, 1)
         assert np.allclose(res.basis_values, basis_vals, atol=1e-12)
         assert np.allclose(res.generator_values, gen_vals.real, atol=1e-12)
         assert np.allclose(res.generator_values[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)
+
+
+# Clustered spectra: a rotated generator whose eigenvalues sit 0.01 apart.
+
+CLUSTERED = np.array([-2.5, -1.5, -0.5, 0.5, 1.0, 1.01, 1.02, 1.5, 2.5])
+O9 = SpaceLayout((("O", 9),))
+
+
+def clustered_generator(seed):
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))
+    h = (u * CLUSTERED) @ u.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+class TestClusteredSpectra:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rotated_generator_resolves(self, seed):
+        alg = generate_algebra([clustered_generator(seed)], O9)
+        assert alg.dimension == 9 and alg.commutative
+        res = joint_spectral_resolution(alg)
+        assert res.ranks == (1,) * 9
+        assert np.allclose(res.generator_values[:, 0], CLUSTERED, atol=1e-9)
+        chars = [c.pointer_value() for c in extremal_states(alg)]
+        assert np.allclose(chars, CLUSTERED, atol=1e-9)
+
+    def test_plain_diagonal_gives_the_same_answer(self):
+        alg = generate_algebra([np.diag(CLUSTERED[::-1])], O9)
+        res = joint_spectral_resolution(alg)
+        assert alg.dimension == 9 and res.ranks == (1,) * 9
+        assert res.generator_values[:, 0].tolist() == CLUSTERED.tolist()
+
+    def test_chained_cluster_is_ambiguous(self):
+        # Gaps of 0.6e-9 merge at tol = 1e-9, but the chain spans 1.2e-9.
+        gen = np.diag([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9, -1.0])
+        for g in (gen, rotated(np.random.default_rng(15), gen)[0][0]):
+            with pytest.raises(InvariantViolation, match="chain of joint values"):
+                generate_algebra([g], SpaceLayout((("O", 4),)))
+
+    def test_split_within_accuracy_is_ambiguous(self):
+        # Eigenvectors off by 1e-10 measure the joint values to about 1e-10;
+        # a split of 1e-11, though wider than tol x scale, cannot be told.
+        gen = np.diag([0.0, 1e-11, 1.0]).astype(complex)
+        theta = 1e-10
+        v = np.eye(3, dtype=complex)
+        v[0, 0] = v[2, 2] = np.cos(theta)
+        v[0, 2], v[2, 0] = -np.sin(theta), np.sin(theta)
+        assert _commutative_algebra((gen,), O, 1e-12, None).dimension == 3
+        with pytest.raises(InvariantViolation, match="within their accuracy"):
+            _commutative_algebra((gen,), O, 1e-12, v)

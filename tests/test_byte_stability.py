@@ -8,7 +8,10 @@ their own path; the ``B`` and rotated-pair hashes, which take the generic
 path, from the all-pairs closure before it grew by generator letters.
 The gemenge JSON, erasure, decoherence and command-line override hashes
 were recorded before scenarios and the CLI started sharing the
-measurement pipeline's steps.  The wigner-friend report was re-recorded
+measurement pipeline's steps.  The non-commutative ``["QO_MS", "B"]``
+probe and the rotated pair at ``tolerances.algebra = 1e-6`` were
+recorded before commutative algebras became one joint eigenbasis plus
+class labels.  The wigner-friend report was re-recorded
 once, when its restricted probabilities started zeroing weights at or
 below PROBABILITY_FLOOR (the ready pointer read 7.85e-17 before).
 """
@@ -115,6 +118,13 @@ CONFIGS = {
         "model": {"s_dim": 3, "o_dim": 4},
         "generators": _rotated_pair(),
     },
+    "algebra-probe-qo-ms-b": {"scenario": "algebra-probe", "generators": ["QO_MS", "B"]},
+    "algebra-probe-rotated-pair-tol": {
+        "scenario": "algebra-probe",
+        "model": {"s_dim": 3, "o_dim": 4},
+        "generators": _rotated_pair(),
+        "tolerances": {"algebra": 1e-6},
+    },
 }
 
 EXPECTED = {
@@ -158,6 +168,12 @@ EXPECTED = {
     },
     "algebra-probe-rotated-pair": {
         "report.json": "dd751aa58e7544083f2d8aaca0764d315bd87b884434573ca19edbe005153c5e",
+    },
+    "algebra-probe-qo-ms-b": {
+        "report.json": "c408327d156557d22f6fb82304baafa7d0d9ee68866d79a450d241fa482b5c1b",
+    },
+    "algebra-probe-rotated-pair-tol": {
+        "report.json": "b19cb730da4852a23681ff421aa18b3a9a4ec633cacd56952b81b1a373fab7f1",
     },
 }
 

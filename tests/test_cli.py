@@ -3,11 +3,15 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from segalsim import cli
 from segalsim.cli import main
 from segalsim.scenarios import RunReport
+
+from test_algebra import CLUSTERED, clustered_generator
+from test_byte_stability import _rotated_pair
 
 
 def write_config(tmp_path, **overrides):
@@ -103,6 +107,57 @@ def test_numerical_invariant_exit_code(tmp_path, capsys):
     )
     assert main(["run", str(path), "--quiet"]) == 2
     assert "invariant" in capsys.readouterr().err
+
+
+def _probe(tmp_path, generators, **extra):
+    """Write an algebra-probe document; the run's exit code, report and stderr."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"scenario": "algebra-probe", "generators": generators, **extra}))
+    out = tmp_path / "report.json"
+    code = main(["run", str(path), "--out", str(out), "--quiet"])
+    return code, json.loads(out.read_text()) if code == 0 else None
+
+
+def _entries(*matrices, space="O"):
+    return [
+        {"space": space, "matrix": np.stack([m.real, m.imag], axis=-1).tolist()} for m in matrices
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_clustered_spectrum_probe(tmp_path, seed):
+    # The Gram-Schmidt closure this replaced gave dimension 78 on seed 2.
+    code, report = _probe(tmp_path, _entries(clustered_generator(seed)), model={"o_dim": 9})
+    assert code == 0
+    summary = report["summary"]
+    assert summary["dimension"] == 9 and summary["commutative"]
+    assert summary["projector_ranks"] == [1] * 9
+    assert np.allclose([c[0] for c in summary["characters"]], CLUSTERED, atol=1e-9)
+
+
+def test_rotated_pair_at_tight_tolerance(tmp_path):
+    code, report = _probe(
+        tmp_path, _rotated_pair(), model={"s_dim": 3, "o_dim": 4}, tolerances={"algebra": 1e-14}
+    )
+    assert code == 0
+    assert report["summary"]["dimension"] == 6
+    assert report["summary"]["projector_ranks"] == [2] * 6
+
+
+@pytest.mark.parametrize(
+    "generators, extra",
+    [
+        (_entries(np.diag([1.0, 1.0 + 0.6e-9, 1.0 + 1.2e-9])), {}),
+        (_rotated_pair(), {"model": {"s_dim": 3, "o_dim": 4}, "tolerances": {"algebra": 1e-30}}),
+    ],
+    ids=["chained-cluster", "rotated-pair-1e-30"],
+)
+def test_ambiguous_classes_exit_2(tmp_path, capsys, generators, extra):
+    code, _ = _probe(tmp_path, generators, **extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant violated: ")
+    assert err.count("\n") == 1
 
 
 def test_console_script_smoke(tmp_path):
@@ -218,6 +273,30 @@ _BAD_VALUES = {
     "s-dim-float": (_PURE + ', "model": {"s_dim": 2.0}', "model.s_dim: expected an integer"),
     "o-dim-bool": (_PURE + ', "model": {"o_dim": true}', "model.o_dim: expected an integer"),
     "e-dim-float": (_PURE + ', "model": {"environment": {"e_dim": 4.5}}', "model.environment.e_dim"),
+    "unused-keys-pure": (
+        '"scenario": "pure", "input": {"amplitudes": [[0.6, 0], [0.8, 0]], "gemenge": "ignored"}, '
+        '"generators": 5, "t_grid": [0, 1]',
+        "config: unknown keys ['generators', 't_grid']",
+    ),
+    "generators-on-pure": (_PURE + ', "generators": ["QO"]', "config: unknown keys ['generators']"),
+    "t-grid-on-erasure": (
+        '"scenario": "erasure", "input": {"amplitudes": [[0.6, 0], [0.8, 0]]}, "t_grid": [0, 1]',
+        "config: unknown keys ['t_grid']",
+    ),
+    "input-on-algebra-probe": (
+        '"scenario": "algebra-probe", "generators": ["QO"], '
+        '"input": {"amplitudes": [[1, 0], [0, 0]]}',
+        "config: unknown keys ['input']",
+    ),
+    "gemenge-input-on-pure": (
+        '"scenario": "pure", "input": {"amplitudes": [[0.6, 0], [0.8, 0]], "gemenge": "ignored"}',
+        "input: unknown keys ['gemenge']",
+    ),
+    "amplitudes-input-on-gemenge": (
+        '"scenario": "gemenge", "input": {"amplitudes": [[1, 0], [0, 0]], "gemenge": '
+        '[{"amplitudes": [[1, 0], [0, 0]], "probability": 1}]}',
+        "input: unknown keys ['amplitudes']",
+    ),
 }
 
 

@@ -1,9 +1,13 @@
 """Static checks over the package source: no dead imports, no dead helpers.
 
 Every name a module imports is used in that module or re-exported through
-its ``__all__``, and every module-level private function is referenced
-somewhere in the package.
+its ``__all__``; every module-level private function is referenced
+somewhere in the package; every constant in ``config.py`` is read by
+another module; and every module-level ``_PRIVATE_CONSTANT`` is read
+somewhere beyond its own assignment.
 """
+
+import re
 
 import ast
 from pathlib import Path
@@ -68,3 +72,48 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert not dead, f"module-level private functions never referenced: {dead}"
+
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*$")
+
+
+def _module_constants(tree):
+    """Names bound by module-level assignments that look like constants."""
+    return {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and _CONSTANT.match(target.id)
+    }
+
+
+def _read_names(tree):
+    """Names loaded as identifiers or attributes: assignments do not count."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_config_constant_is_read_elsewhere():
+    trees = {path.name: _tree(path) for path in MODULES}
+    constants = {name for name in _module_constants(trees["config.py"]) if not name.startswith("_")}
+    read = set().union(*(_read_names(tree) for name, tree in trees.items() if name != "config.py"))
+    unread = sorted(constants - read)
+    assert not unread, f"config.py constants no other module reads: {unread}"
+
+
+def test_every_private_constant_is_read():
+    trees = {path.name: _tree(path) for path in MODULES}
+    read = set().union(*map(_read_names, trees.values()))
+    dead = [
+        f"{name}:{constant}"
+        for name, tree in trees.items()
+        for constant in sorted(_module_constants(tree))
+        if constant.startswith("_") and constant not in read
+    ]
+    assert not dead, f"module-level private constants never read: {dead}"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from segalsim.algebra import _gram_schmidt_closure, joint_spectral_resolution
-from segalsim.config import ALGEBRA_TOL, InvariantViolation
+from segalsim.algebra import joint_spectral_resolution
+from segalsim.config import InvariantViolation
 from segalsim.linalg import SpaceLayout, identity, tensor, unitary_from_hamiltonian
 from segalsim.measurement import (
     EnvironmentSpec,
@@ -44,6 +44,8 @@ from segalsim.states import (
     reduce_density,
     vector_fidelity,
 )
+
+from _oracles import all_pairs_closure, joint_resolution_oracle
 
 MODEL = make_model()
 
@@ -553,8 +555,8 @@ class TestMaskedPointerProbabilities:
     @pytest.mark.parametrize("environment", [True, False])
     def test_character_probabilities_match_dense(self, model, environment):
         alg = pointer_algebra(model, environment=environment)
-        assert alg.labels is not None
-        generic = _gram_schmidt_closure(alg.generators, alg.layout, ALGEBRA_TOL)
+        basis, _ = all_pairs_closure(list(alg.generators), alg.layout.dim)
+        _, _, oracle_projectors = joint_resolution_oracle(basis, list(alg.generators))
         rng = np.random.default_rng(41)
         for _ in range(5):
             xi = random_vector(rng, alg.layout)
@@ -562,7 +564,8 @@ class TestMaskedPointerProbabilities:
             dense = [float(np.vdot(amp, c.projector @ amp).real) for c in extremal_states(alg)]
             probs = character_probabilities(xi, alg)
             assert np.allclose(probs, dense, atol=1e-12)
-            assert np.allclose(probs, character_probabilities(xi, generic), atol=1e-10)
+            oracle = [float(np.vdot(amp, p @ amp).real) for p in oracle_projectors]
+            assert np.allclose(probs, oracle, atol=1e-10)
 
     @pytest.mark.parametrize("model", MASK_MODELS, ids=["default", "s3-env"])
     @pytest.mark.parametrize("environment", [True, False])
@@ -591,13 +594,12 @@ class TestMaskedPointerProbabilities:
 
 
 def test_d720_pointer_setup():
-    # d = 8 * 9 * 10: 25 s through the Gram-Schmidt closure, well under a
-    # second through the diagonal path.  A silent fallback would show up
-    # as a tier-1 run that is that much slower.
+    # d = 8 * 9 * 10: 25 s through a Gram-Schmidt closure, well under a
+    # second on the diagonal classes.  A dense detour would show up as a
+    # tier-1 run that is that much slower.
     model = make_model(s_dim=8, o_dim=9, environment={"e_dim": 10})
     alg = pointer_algebra(model, environment=True)
     assert alg.layout.dim == 720
-    assert alg.labels is not None
     res = joint_spectral_resolution(alg)
     assert res.ranks == (80,) * 9
     assert res.generator_values[:, 0].tolist() == sorted(model.qo_values)

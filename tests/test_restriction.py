@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from segalsim.algebra import _gram_schmidt_closure, generate_algebra
-from segalsim.config import ALGEBRA_TOL, InvariantViolation
+from segalsim.algebra import generate_algebra
+from segalsim.config import InvariantViolation
 from segalsim.linalg import SpaceLayout, identity, tensor
 from segalsim.restriction import (
     AlgebraicState,
@@ -29,6 +29,13 @@ def interference_op():
     b[1, 5] = 1.0
     b[5, 1] = 1.0
     return b
+
+
+def rotated_pointer():
+    """q_o_extended() turned by a fixed random unitary: not diagonal."""
+    rng = np.random.default_rng(37)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    return u @ q_o_extended() @ u.conj().T
 
 
 def nilpotent_op():
@@ -328,9 +335,8 @@ class TestAlgebraicStateValidation:
         # normalized, but negative on the projector P_1.
         if path == "diagonal":
             alg = pointer_algebra()
-            assert alg.labels is not None
         else:
-            alg = _gram_schmidt_closure((q_o_extended(),), MS, ALGEBRA_TOL)
+            alg = generate_algebra([rotated_pointer()], MS)
         weights = [1.5, -0.5, 0.0]
         chars = extremal_states(alg)
         values = sum(w * c.values for w, c in zip(weights, chars))
@@ -342,8 +348,8 @@ class TestAlgebraicStateValidation:
         "make",
         [
             pointer_algebra,
-            lambda: _gram_schmidt_closure((q_o_extended(),), MS, ALGEBRA_TOL),
-            lambda: _gram_schmidt_closure((interference_op(),), MS, ALGEBRA_TOL),
+            lambda: generate_algebra([rotated_pointer()], MS),
+            lambda: generate_algebra([interference_op()], MS),
             lambda: generate_algebra([q_o_extended(), nilpotent_op()], MS),
         ],
         ids=["diagonal", "generic-pointer", "generic-interference", "non-commutative"],
