@@ -40,6 +40,11 @@ STATE_EQUALITY_ATOL = 1e-8
 # Probabilities below this are treated as structurally zero.
 PROBABILITY_FLOOR = 1e-12
 
+# Most events a run may ask for, checked at parse.  An event holds up to
+# 16 bytes of uniforms, 24 of EventBatch columns, 8 of log codes and about
+# 60 of csv document (a 30-byte row as bytes and as text): 1.1 GB at the cap.
+MAX_EVENTS = 10**7
+
 
 class InvariantViolation(ValueError):
     """A numerical invariant failed (non-Hermitian state, trace drift,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
@@ -19,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .algebra import generate_algebra, joint_spectral_resolution
-from .config import ALGEBRA_TOL, STATE_EQUALITY_ATOL, InvariantViolation
+from .config import ALGEBRA_TOL, MAX_EVENTS, STATE_EQUALITY_ATOL, InvariantViolation
 from .linalg import SpaceLayout
 from .measurement import (
     EventBatch,
@@ -92,9 +93,8 @@ _EVENT_COLUMNS = (
     "probability_used",
 )
 
-# Events per block of the event log; each block's row strings are joined
-# before the next block is formatted.
-_CSV_CHUNK = 2**16
+# Most rows per block of the event log, each formatted and written in turn.
+_LOG_BLOCK = 2**14
 
 
 class ConfigError(ValueError):
@@ -300,7 +300,7 @@ def parse_scenario(document: str | dict) -> ScenarioConfig:
     if scenario == "decoherence" and model.s_dim < 2:
         _fail("scenario decoherence needs at least two measured branches")
 
-    n_events = _integer(raw.get("n_events", 1000), "n_events")
+    n_events = _integer(raw.get("n_events", 1000), "n_events", below=MAX_EVENTS + 1)
     seed = _integer(raw.get("seed", 0), "seed", 0, 2**64)
     output_format = raw.get("output_format", "json")
     if output_format not in ("json", "csv"):
@@ -594,32 +594,57 @@ def _format_float(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _events_csv(events: EventBatch) -> str:
-    """The event log: a header, then one row per event in event order.
+def _event_log(events: EventBatch) -> tuple[int, Iterator[np.ndarray]]:
+    """The event log's size in bytes, and its bytes a block of rows at a time.
 
     Every row after its event index is fixed by the (gemenge row, pointer)
-    pair, so each pair present is formatted once and looked up per event.
+    code, so each code present is formatted once and looked up per event.
+    A block never crosses a power of ten: its indices share a digit count.
     """
     o_dim = len(events.pointer_values)
     if events.gemenge_row is None:
         codes = events.pointer_index
     else:
         codes = events.gemenge_row * o_dim + events.pointer_index
-    probability = np.zeros(int(codes.max()) + 1)
+    counts = np.bincount(codes)
+    probability = np.zeros(counts.size)
     probability[codes] = events.probability  # one value per code
-    table = np.empty(probability.size, dtype=object)
-    for code in np.flatnonzero(np.bincount(codes)):
+    suffixes = [b""] * counts.size
+    for code in np.flatnonzero(counts):
         row, pointer = divmod(int(code), o_dim)
-        table[code] = (
+        suffixes[code] = (
             f",{'' if events.gemenge_row is None else row},{pointer},"
             f"{_format_float(events.pointer_values[pointer])},"
             f"{_format_float(probability[code])}\n"
-        )
-    parts = [",".join(_EVENT_COLUMNS) + "\n"]
-    for start in range(0, len(events), _CSV_CHUNK):
-        stop = min(start + _CSV_CHUNK, len(events))
-        parts.append("".join(map(str.__add__, map(str, range(start, stop)), table[codes[start:stop]])))
-    return "".join(parts)
+        ).encode("ascii")
+    lengths = np.array([len(s) for s in suffixes])
+    width = int(lengths.max())
+    table = np.frombuffer(b"".join(s.ljust(width) for s in suffixes), np.uint8).reshape(-1, width)
+    header = (",".join(_EVENT_COLUMNS) + "\n").encode("ascii")
+    n = len(events)
+    # Event i has 1 + #{j >= 1 : 10**j <= i} digits.
+    size = len(header) + n + sum(n - 10**j for j in range(1, len(str(n)))) + int(counts @ lengths)
+
+    def blocks() -> Iterator[np.ndarray]:
+        yield np.frombuffer(header, np.uint8)
+        digit = np.arange(48, 58, dtype=np.uint8)  # row i of quads spells i in four digits
+        quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
+        start = 0
+        while start < n:
+            k = len(str(start))
+            stop = min(n, start + _LOG_BLOCK, 10**k)
+            block = np.empty((stop - start, k + width), np.uint8)
+            rest = np.arange(start, stop)
+            for end in range(k, 0, -4):  # four digits at a time, right to left
+                rest, quad = np.divmod(rest, 10**4)
+                block[:, max(end - 4, 0) : end] = quads[quad, max(4 - end, 0) :]
+            block[:, k:] = table[codes[start:stop]]
+            keep = np.ones(block.shape, dtype=bool)
+            keep[:, k:] = np.arange(width) < lengths[codes[start:stop], None]
+            yield block[keep]
+            start = stop
+
+    return size, blocks()
 
 
 def emit_report(
@@ -643,10 +668,15 @@ def emit_report(
             raise ValueError(
                 f"scenario {report.scenario!r} produces no event log; use the json format"
             )
-        text = _events_csv(report.events)
+        size, blocks = _event_log(report.events)
+        buffer = np.empty(size, np.uint8)
+        filled = 0
+        for block in blocks:
+            buffer[filled : filled + block.size] = block
+            filled += block.size
         if out_path is not None:
-            out_path.write_text(text, encoding="utf-8")
-        return text
+            out_path.write_bytes(buffer)
+        return str(buffer, "ascii")
 
     event_log_name = None
     if report.events is not None and out_path is not None:
@@ -665,7 +695,6 @@ def emit_report(
     if out_path is not None:
         out_path.write_text(text, encoding="utf-8")
         if event_log_name is not None:
-            (out_path.parent / event_log_name).write_text(
-                _events_csv(report.events), encoding="utf-8"
-            )
+            with open(out_path.parent / event_log_name, "wb") as fh:
+                fh.writelines(_event_log(report.events)[1])
     return text

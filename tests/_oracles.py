@@ -66,11 +66,23 @@ def in_span(vectors: list[np.ndarray], candidate: np.ndarray, tol: float = 1e-9)
 def closure_dimension_oracle(generators: list[np.ndarray], tol: float = 1e-9) -> tuple[int, bool]:
     """Dimension and commutativity of the smallest unital *-closed span
     containing the generators, found by blunt span growth with SVD ranks.
+
+    Each candidate is scaled to unit Hilbert-Schmidt norm before its span
+    test; scaling leaves the span alone, and without it repeated products
+    of a generator with a wide spectrum overflow.  A product ``a @ b`` no
+    larger than ``tol * |a| |b|`` is round-off of a zero product and is
+    taken as zero, not scaled up into a new direction.
     """
+
+    def unit(m: np.ndarray, scale: float = 0.0) -> np.ndarray:
+        norm = np.linalg.norm(m)
+        return m / norm if norm > tol * scale else np.zeros_like(m)
+
     d = generators[0].shape[0]
     ops: list[np.ndarray] = [np.eye(d, dtype=complex)]
     for g in generators:
         for candidate in (np.asarray(g, dtype=complex), np.asarray(g, dtype=complex).conj().T):
+            candidate = unit(candidate)
             if not in_span(ops, candidate, tol):
                 ops.append(candidate)
     while True:
@@ -78,7 +90,7 @@ def closure_dimension_oracle(generators: list[np.ndarray], tol: float = 1e-9) ->
         snapshot = list(ops)
         for a in snapshot:
             for b in snapshot:
-                p = a @ b
+                p = unit(a @ b, np.linalg.norm(a) * np.linalg.norm(b))
                 if not in_span(ops, p, tol):
                     ops.append(p)
                     grew = True

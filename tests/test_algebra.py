@@ -442,6 +442,10 @@ class TestLetterClosureOracle:
         q[1, 2] = q[2, 1] = 1.0
         alg = assert_matches_all_pairs([p, q], O)
         assert alg.dimension == 3 and alg.commutative
+        # Rotated orthogonal projectors: P Q is zero only up to round-off.
+        pair, _ = rotated(np.random.default_rng(16), p, np.diag([0.0, 1.0, 0.0]))
+        alg = assert_matches_all_pairs(pair, O)
+        assert alg.dimension == 3 and alg.commutative
 
     def test_random_non_normal_3x3(self):
         rng = np.random.default_rng(12)
@@ -552,6 +556,12 @@ class TestClusteredSpectra:
         assert np.allclose(res.generator_values[:, 0], CLUSTERED, atol=1e-9)
         chars = [c.pointer_value() for c in extremal_states(alg)]
         assert np.allclose(chars, CLUSTERED, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closure_matches_oracle(self, seed):
+        gen = clustered_generator(seed)
+        alg = generate_algebra([gen], O9)
+        assert closure_dimension_oracle([gen]) == (alg.dimension, alg.commutative) == (9, True)
 
     def test_plain_diagonal_gives_the_same_answer(self):
         alg = generate_algebra([np.diag(CLUSTERED[::-1])], O9)

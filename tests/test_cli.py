@@ -77,6 +77,32 @@ def test_csv_format(tmp_path, capsys):
     assert len(lines) == 201
 
 
+def test_one_event_log_on_three_routes(tmp_path, capsys):
+    # stdout of --format csv, its --out file and the json run's event log
+    path = write_config(
+        tmp_path,
+        scenario="gemenge",
+        n_events=1234,
+        seed=17,
+        model={"s_dim": 3, "o_dim": 4},
+        input={
+            "gemenge": [
+                {"amplitudes": [[0.6, 0], [0.8, 0], [0, 0]], "probability": 0.25},
+                {"amplitudes": [[0, 0.6], [0, 0], [0.8, 0]], "probability": 0.75},
+            ]
+        },
+    )
+    assert main(["run", str(path), "--format", "csv", "--quiet"]) == 0
+    stdout = capsys.readouterr().out.encode("ascii")
+    csv_out = tmp_path / "events.csv"
+    assert main(["run", str(path), "--format", "csv", "--out", str(csv_out), "--quiet"]) == 0
+    json_out = tmp_path / "report.json"
+    assert main(["run", str(path), "--format", "json", "--out", str(json_out), "--quiet"]) == 0
+    assert stdout.count(b"\n") == 1235
+    assert csv_out.read_bytes() == stdout
+    assert (tmp_path / "report.events.csv").read_bytes() == stdout
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, input={"amplitudes": [[0.9, 0], [0, 0]]})
     assert main(["run", str(path), "--quiet"]) == 1

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from segalsim import scenarios
+from segalsim.config import MAX_EVENTS
 from segalsim.scenarios import (
     ConfigError,
     emit_report,
@@ -23,6 +24,22 @@ def config_text(**overrides):
     }
     base.update(overrides)
     return json.dumps(base)
+
+
+# A gemenge log whose row suffixes differ in length (pointer values 1,
+# -2.5 and 31.25) and whose middle row is never drawn.
+UNEVEN_GEMENGE = config_text(
+    scenario="gemenge",
+    n_events=120,
+    model={"s_dim": 3, "o_dim": 4, "q_values": [1, -2.5, 31.25], "qo_values": [0, 1, -2.5, 31.25]},
+    input={
+        "gemenge": [
+            {"amplitudes": [[0.6, 0], [0.8, 0], [0, 0]], "probability": 0.3},
+            {"amplitudes": [[0, 0], [0, 0], [1, 0]], "probability": 0.0},
+            {"amplitudes": [[0, 0.6], [0, 0], [0.8, 0]], "probability": 0.7},
+        ]
+    },
+)
 
 
 class TestParseScenario:
@@ -54,6 +71,13 @@ class TestParseScenario:
         assert len(cfg.gemenge_rows) == 2
         assert cfg.gemenge_rows[0][1] == pytest.approx(0.3)
         assert cfg.gemenge_rows[1][1] == pytest.approx(0.7)
+
+    def test_event_count_capped(self):
+        assert parse_scenario(config_text(n_events=MAX_EVENTS)).n_events == MAX_EVENTS
+        with pytest.raises(ConfigError, match="n_events: expected an integer in"):
+            parse_scenario(config_text(n_events=MAX_EVENTS + 1))
+        with pytest.raises(ConfigError, match="n_events"):
+            parse_scenario(config_text(n_events=10**15))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -236,9 +260,11 @@ class TestEmitReport:
     def test_event_log_matches_row_writer(self, monkeypatch):
         # The table-driven log against csv.writer over the per-event
         # records, with blocks small enough that the log spans several.
-        monkeypatch.setattr(scenarios, "_CSV_CHUNK", 7)
+        monkeypatch.setattr(scenarios, "_LOG_BLOCK", 7)
         texts = [
             config_text(n_events=50, input={"amplitudes": [[0.6, 0], [0, 0.8]]}),
+            # every digit-count boundary, up to the second four-digit lookup
+            *(config_text(n_events=n) for n in (1, 10, 11, 100, 101, 1001, 10001)),
             config_text(
                 scenario="gemenge",
                 n_events=50,
@@ -250,6 +276,7 @@ class TestEmitReport:
                     ]
                 },
             ),
+            UNEVEN_GEMENGE,
         ]
         for text in texts:
             events = run_scenario(parse_scenario(text)).events
@@ -266,7 +293,16 @@ class TestEmitReport:
                         f"{r.probability:.12g}",
                     ]
                 )
-            assert scenarios._events_csv(events) == buf.getvalue()
+            size, blocks = scenarios._event_log(events)
+            log = b"".join(map(bytes, blocks)).decode("ascii")
+            assert log == buf.getvalue()
+            assert size == len(log)
+
+    def test_uneven_gemenge_log_shape(self):
+        report = run_scenario(parse_scenario(UNEVEN_GEMENGE))
+        assert set(report.events.gemenge_row.tolist()) == {0, 2}
+        lines = emit_report(report, fmt="csv").splitlines()
+        assert len({len(line.split(",", 1)[1]) for line in lines[1:]}) > 1
 
     def test_csv_refused_without_events(self):
         text = json.dumps(
