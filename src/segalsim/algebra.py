@@ -6,8 +6,10 @@ the generators plus every adjoint that is not exactly equal to a
 generator.  The algebra is commutative iff every pair of letters a, b
 commutes within ``tol * |a| |b|`` (Hilbert-Schmidt norms): L^2 products
 for L letters.  Exactly diagonal generators commute by construction and
-skip the check.  The input's structure picks one of two representations;
-there is no switch.
+skip the check.  Non-diagonal generators need ``tol >= d * eps``
+(machine epsilon); below that floor a commutator cannot be told from its
+round-off, and the input is refused.  The input's structure picks one of
+two representations; there is no switch.
 
 Commutative algebras are stored as ``(V, labels)``.  A commutative
 *-algebra is the span of the joint spectral projectors of its
@@ -234,6 +236,12 @@ def generate_algebra(
             raise ValueError("generator entries must be finite")
     if all(np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in gens):
         return _commutative_algebra(gens, layout, tol, None)
+    floor = d * np.finfo(float).eps
+    if tol < floor:
+        raise InvariantViolation(
+            f"tol {tol:.3e} is below the round-off floor d * eps = {floor:.3e}: "
+            "a letter commutator cannot be told from its round-off"
+        )
     letters = list(gens)
     for g in gens:
         adjoint = g.conj().T

@@ -3,7 +3,7 @@
     segalsim run <config.json> [--seed N] [--events N]
                  [--format json|csv] [--out PATH] [--quiet]
 
-Exit codes: 0 success, 1 config/validation error, 2 numerical-invariant
+Exit codes: 0 success, 1 usage/config/validation error, 2 numerical-invariant
 violation.
 """
 
@@ -17,8 +17,15 @@ from .config import InvariantViolation
 from .scenarios import ConfigError, emit_report, load_document, parse_scenario, run_scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line usage errors exit 1 with one line, like config errors."""
+
+    def error(self, message: str):
+        self.exit(1, f"usage error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="segalsim", description=__doc__.strip().splitlines()[0])
+    parser = _Parser(prog="segalsim", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute a scenario config")
     run.add_argument("config", help="path to a JSON scenario document")

@@ -10,6 +10,10 @@ pipeline for one event is
     -> environment coupling (if configured)
     -> stochastic restriction onto the observer's pointer algebra.
 
+E always starts ready, so the environment coupling acts as the isometry
+|s, O_j> -> |s, O_j>|E_j>: one table of environment records, row j the E
+state left next to pointer state |O_j>.
+
 The dynamical component of the state is never collapsed: an external
 observer sees exact unitary evolution throughout, while the sampled
 pointer character is what the register itself records.
@@ -39,7 +43,6 @@ from .linalg import (
     hermitian_eig,
     identity,
     partial_trace,
-    projector,
     require_hermitian,
     tensor,
     unitary_from_hamiltonian,
@@ -260,8 +263,7 @@ def pointer_operator(model: MeasurementModel, layout: SpaceLayout) -> np.ndarray
 @dataclass(eq=False)
 class _Setup:
     layout: SpaceLayout
-    ready_tail: np.ndarray                     # every register after S ready
-    pipeline_unitary: np.ndarray
+    records: np.ndarray                        # (o_dim, e_dim) environment records
     algebra: OperatorAlgebra
     characters: tuple[Character, ...]          # pointer order (qo_values order)
     extremal_to_pointer: np.ndarray
@@ -272,10 +274,6 @@ class _Setup:
 @lru_cache(maxsize=None)
 def _setup(model: MeasurementModel) -> _Setup:
     layout = full_layout(model)
-    pipeline = premeasurement_unitary(model)
-    if model.environment is not None:
-        pipeline = _environment_unitary(model) @ tensor(pipeline, identity(model.environment.e_dim))
-
     algebra = _pointer_algebra_on(model, layout)
     characters, ext_to_ptr = _pointer_order(model, algebra)
     if model.environment is None:
@@ -285,8 +283,7 @@ def _setup(model: MeasurementModel) -> _Setup:
         ms_characters, _ = _pointer_order(model, ms_alg)
     return _Setup(
         layout=layout,
-        ready_tail=basis_vector(layout.dim // model.s_dim, 0),
-        pipeline_unitary=pipeline,
+        records=_environment_records(model),
         algebra=algebra,
         characters=characters,
         extremal_to_pointer=ext_to_ptr,
@@ -532,10 +529,11 @@ def event_rng(seed: int, event_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed + (event_index << 64)))
 
 
-def _pipeline_image(setup: _Setup, psi_s: StateVector) -> StateVector:
-    """Exact image of a system state, every register ready, under the pipeline."""
-    amp = setup.pipeline_unitary @ np.kron(psi_s.amplitudes, setup.ready_tail)
-    return StateVector(setup.layout, amp)
+def _pipeline_image(model: MeasurementModel, setup: _Setup, psi_s: StateVector) -> StateVector:
+    """Exact image of a system state, every register ready, under the pipeline:
+    the premeasured amplitude of |s, O_j> times environment record j."""
+    amp = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim, 1)
+    return StateVector(setup.layout, (amp * setup.records).reshape(-1))
 
 
 def run_event(
@@ -554,7 +552,7 @@ def run_event(
     setup = _setup(model)
     kind = _source_kind(model, source)
     row, psi_s = sample_gemenge(source, rng) if kind == "gemenge" else (None, source)
-    xi = _pipeline_image(setup, psi_s)
+    xi = _pipeline_image(model, setup, psi_s)
     char, prob = sample_individual_restriction(xi, setup.algebra, rng)
     pointer_index = int(setup.extremal_to_pointer[char.projector_index])
     record = EventRecord(
@@ -630,9 +628,8 @@ def run_ensemble(
     setup = _setup(model)
     kind = _source_kind(model, source)
     states = [state for state, _ in source.rows] if kind == "gemenge" else [source]
-    probs = np.array(
-        [character_probabilities(_pipeline_image(setup, state), setup.algebra) for state in states]
-    )
+    images = [_pipeline_image(model, setup, state) for state in states]
+    probs = np.array([character_probabilities(xi, setup.algebra) for xi in images])
     cumulatives = [draw_cumulative(p) for p in probs]
 
     # A pure input draws the pointer only; an ensemble draws its row first.
@@ -669,66 +666,44 @@ def pointer_histogram(model: MeasurementModel, records: EventBatch) -> np.ndarra
 # environment coupling and decoherence
 
 
-def _environment_branch_vectors(model: MeasurementModel) -> list[np.ndarray]:
-    """Branch states E_1..E_s with pairwise overlap ``e_overlap``.
+def _environment_records(model: MeasurementModel) -> np.ndarray:
+    """The E state left next to each pointer state |O_j>, one row per j.
 
-    Built from a shared direction plus orthogonal branch-distinct ones:
-    sqrt(c) u + sqrt(1-c) f_i, all orthogonal to the ready state E_0.
+    Rows 1..s_dim are the branch states sqrt(c) E_1 + sqrt(1-c) E_{1+i},
+    pairwise overlap c = ``e_overlap`` and orthogonal to E_0; the ready
+    row and any spare pointer rows keep E_0.  Without an environment the
+    table is one column of ones.
     """
     env = model.environment
-    c = env.e_overlap
-    vectors = []
-    for i in range(1, model.s_dim + 1):
-        v = np.sqrt(c) * basis_vector(env.e_dim, 1) + np.sqrt(1.0 - c) * basis_vector(
-            env.e_dim, 1 + i
-        )
-        vectors.append(v)
-    return vectors
-
-
-def _environment_unitary(model: MeasurementModel) -> np.ndarray:
-    """Controlled shift I_S (x) U_OE sending |s>|O_i>|E_0> to |s>|O_i>|E_i>."""
-    env = model.environment
-    e0 = basis_vector(env.e_dim, 0)
-    branches = _environment_branch_vectors(model)
-    blocks = []
-    for j in range(model.o_dim):
-        if 1 <= j <= model.s_dim:
-            w = branches[j - 1]
-            # rotation by pi/2 in the (E_0, E_j) plane; identity elsewhere
-            v = (
-                identity(env.e_dim)
-                - projector(e0)
-                - projector(w)
-                + np.outer(w, e0.conj())
-                - np.outer(e0, w.conj())
-            )
-        else:
-            v = identity(env.e_dim)
-        blocks.append(v)
-    d_o, d_e = model.o_dim, env.e_dim
-    u = np.zeros((d_o * d_e, d_o * d_e), dtype=complex)
-    for j, v in enumerate(blocks):
-        u[j * d_e : (j + 1) * d_e, j * d_e : (j + 1) * d_e] = v
-    return tensor(identity(model.s_dim), u)
+    if env is None:
+        return np.ones((model.o_dim, 1))
+    records = np.zeros((model.o_dim, env.e_dim))
+    records[0, 0] = records[model.s_dim + 1 :, 0] = 1.0
+    branches = np.arange(1, model.s_dim + 1)
+    records[branches, 1] = np.sqrt(env.e_overlap)
+    records[branches, 1 + branches] = np.sqrt(1.0 - env.e_overlap)
+    return records
 
 
 def couple_environment(model: MeasurementModel, rho_ms: DensityMatrix) -> DensityMatrix:
-    """Entangle the register with its environment.
+    """Entangle the register with its environment: V rho V^dag.
 
-    E starts in the ready state; the controlled unitary correlates each
-    pointer state |O_i> with a branch state |E_i> whose pairwise overlaps
-    equal the configured ``e_overlap``.  Tracing E out afterwards scales
-    the cross-branch coherences by exactly that overlap.
+    E starts ready, so the coupling acts as the isometry
+    V = I_S (x) sum_j |O_j>|E_j><O_j|, which appends to each pointer state
+    its environment record.  The branch records have pairwise overlaps
+    equal to the configured ``e_overlap``, so tracing E out afterwards
+    scales the cross-branch coherences by exactly that overlap.
     """
     if model.environment is None:
         raise ValueError("model has no environment configured")
     if rho_ms.layout != ms_layout(model):
         raise ValueError("input state must live on the S (x) O layout")
-    e0 = basis_vector(model.environment.e_dim, 0)
-    big = tensor(rho_ms.matrix, projector(e0))
-    w = _environment_unitary(model)
-    return DensityMatrix(full_layout(model), w @ big @ w.conj().T)
+    records = _environment_records(model)
+    rho = rho_ms.matrix.reshape(model.s_dim, model.o_dim, 1, model.s_dim, model.o_dim, 1)
+    # entry (s j e, s' k f) is records[j, e] rho[s j, s' k] records[k, f]
+    coupled = (records[:, :, None, None, None] * rho) * records
+    layout = full_layout(model)
+    return DensityMatrix(layout, coupled.reshape(layout.dim, layout.dim))
 
 
 @dataclass(frozen=True, eq=False)

@@ -214,3 +214,29 @@ def expm_series(h: np.ndarray, t: float, terms: int = 60) -> np.ndarray:
         term = term @ x / k
         acc = acc + term
     return acc
+
+
+def environment_unitary_oracle(s_dim: int, o_dim: int, e_dim: int, overlap: float) -> np.ndarray:
+    """The environment coupling as a full unitary on S (x) O (x) E.
+
+    Identity on S; on each branch pointer state |O_j> (1 <= j <= s_dim) a
+    rotation by pi/2 in the plane of E_0 and the branch state
+    w_j = sqrt(c) E_1 + sqrt(1 - c) E_{1+j}, identity on the ready and spare
+    pointer states.  It sends |s>|O_j>|E_0> to |s>|O_j>|w_j>.
+    """
+    eye = np.eye(e_dim, dtype=complex)
+    e0 = eye[0]
+    u = np.zeros((o_dim * e_dim, o_dim * e_dim), dtype=complex)
+    for j in range(o_dim):
+        block = eye
+        if 1 <= j <= s_dim:
+            w = np.sqrt(overlap) * eye[1] + np.sqrt(1.0 - overlap) * eye[1 + j]
+            block = (
+                eye
+                - np.outer(e0, e0.conj())
+                - np.outer(w, w.conj())
+                + np.outer(w, e0.conj())
+                - np.outer(e0, w.conj())
+            )
+        u[j * e_dim : (j + 1) * e_dim, j * e_dim : (j + 1) * e_dim] = block
+    return np.kron(np.eye(s_dim, dtype=complex), u)

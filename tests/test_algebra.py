@@ -23,6 +23,7 @@ TWO = SpaceLayout((("S", 2),))
 Q_O = np.diag([0.0, 1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
+SX_O = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
 
 
 def q_o_extended():
@@ -75,6 +76,17 @@ class TestGenerateAlgebra:
         gen[1, 1] = entry
         with pytest.raises(ValueError, match="must be finite"):
             generate_algebra([gen], O)
+
+    def test_tol_below_round_off_floor_rejected(self):
+        # Non-diagonal generators need tol >= d * eps; exactly at it they close.
+        floor = 3 * np.finfo(float).eps
+        with pytest.raises(InvariantViolation, match="round-off floor"):
+            generate_algebra([SX_O], O, tol=floor / 2)
+        assert generate_algebra([SX_O], O, tol=floor).dimension == 3
+
+    def test_diagonal_generator_keeps_any_positive_tol(self):
+        alg = generate_algebra([Q_O], O, tol=1e-30)
+        assert alg.dimension == 3 and alg.commutative
 
     def test_basis_orthonormal(self):
         alg = generate_algebra([q_o_extended(), interference_op()], MS)

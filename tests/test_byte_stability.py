@@ -11,9 +11,13 @@ were recorded before scenarios and the CLI started sharing the
 measurement pipeline's steps.  The non-commutative ``["QO_MS", "B"]``
 probe and the rotated pair at ``tolerances.algebra = 1e-6`` were
 recorded before commutative algebras became one joint eigenbasis plus
-class labels.  The wigner-friend report was re-recorded
-once, when its restricted probabilities started zeroing weights at or
-below PROBABILITY_FLOOR (the ready pointer read 7.85e-17 before).
+class labels.  The environment runs with spare pointer states
+(``gemenge-environment``, ``decoherence-spare``) were recorded while the
+environment coupling was still a dense controlled-rotation unitary,
+before it became one table of environment records.  The wigner-friend
+report was re-recorded once, when its restricted probabilities started
+zeroing weights at or below PROBABILITY_FLOOR (the ready pointer read
+7.85e-17 before).
 """
 
 import hashlib
@@ -125,6 +129,33 @@ CONFIGS = {
         "generators": _rotated_pair(),
         "tolerances": {"algebra": 1e-6},
     },
+    "gemenge-environment": {
+        "scenario": "gemenge",
+        "model": {
+            "s_dim": 3,
+            "o_dim": 6,
+            "environment": {"e_dim": 6, "coupling_strength": 0.8, "e_overlap": 0.5},
+        },
+        "input": {
+            "gemenge": [
+                {"amplitudes": [[0.6, 0], [0, 0.48], [0.64, 0]], "probability": 0.3},
+                {"amplitudes": [[0, 0], [0, 0], [1, 0]], "probability": 0.2},
+                {"amplitudes": [[0.5, 0.5], [-0.5, 0], [0, 0.5]], "probability": 0.5},
+            ]
+        },
+        "n_events": 2000,
+        "seed": 17,
+    },
+    "decoherence-spare": {
+        "scenario": "decoherence",
+        "model": {
+            "s_dim": 2,
+            "o_dim": 5,
+            "environment": {"e_dim": 6, "coupling_strength": 0.4, "e_overlap": 0.6},
+        },
+        "input": {"amplitudes": [[0.8, 0], [0, 0.6]]},
+        "t_grid": [0.0, 0.1, 0.7],
+    },
 }
 
 EXPECTED = {
@@ -174,6 +205,13 @@ EXPECTED = {
     },
     "algebra-probe-rotated-pair-tol": {
         "report.json": "b19cb730da4852a23681ff421aa18b3a9a4ec633cacd56952b81b1a373fab7f1",
+    },
+    "gemenge-environment": {
+        "report.events.csv": "3c0e5b839e281116255dba81e30f392fd9fd8f3ec58ec31d8f493061206f9be1",
+        "report.json": "214b495d851f51c876647e5896f2a1b666fe4652b01d76aa550a3f07b1a58cbe",
+    },
+    "decoherence-spare": {
+        "report.json": "0d6c0728210bd0d641670fc9e157748573b10f89d1076d63344d3ffc99657574",
     },
 }
 

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from segalsim import cli
+from segalsim.algebra import _gram_schmidt_closure
 from segalsim.cli import main
+from segalsim.config import InvariantViolation
+from segalsim.linalg import SpaceLayout
 from segalsim.scenarios import RunReport
 
 from test_algebra import CLUSTERED, clustered_generator
@@ -109,13 +112,38 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "normalization" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--events", "abc"], ["--format", "xml"], ["--bogus"], None],
+    ids=["events-abc", "format-xml", "unknown-flag", "no-subcommand"],
+)
+def test_usage_error_exit_code(tmp_path, capsys, argv):
+    # Usage errors are exit 1 with one line, not argparse's exit 2 (the
+    # numerical-invariant code) and its usage block.
+    args = [] if argv is None else ["run", str(write_config(tmp_path)), *argv]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: segalsim" in capsys.readouterr().out
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 1
 
 
 def test_numerical_invariant_exit_code(tmp_path, capsys):
-    # An absurd closure tolerance makes Gram-Schmidt treat round-off as new
-    # directions until the dimension bound trips.
+    # An absurd closure tolerance on a non-diagonal generator is refused at
+    # the round-off floor d * eps before any closure runs.
     rows = [[0.11, 0.23, 0.0], [0.0, 0.31, 0.43], [0.0, 0.0, 0.53]]
     matrix = [[[v, 0.0] for v in row] for row in rows]
     path = tmp_path / "probe.json"
@@ -133,6 +161,11 @@ def test_numerical_invariant_exit_code(tmp_path, capsys):
     )
     assert main(["run", str(path), "--quiet"]) == 2
     assert "invariant" in capsys.readouterr().err
+    # Below the floor, Gram-Schmidt treats round-off as new directions
+    # until the dimension bound trips.
+    g = np.array(rows, dtype=complex)
+    with pytest.raises(InvariantViolation, match="dim\\^2 = 9 bound"):
+        _gram_schmidt_closure((g,), [g, g.conj().T], SpaceLayout((("O", 3),)), 1e-30)
 
 
 def _probe(tmp_path, generators, **extra):
@@ -168,6 +201,18 @@ def test_rotated_pair_at_tight_tolerance(tmp_path):
     assert code == 0
     assert report["summary"]["dimension"] == 6
     assert report["summary"]["projector_ranks"] == [2] * 6
+
+
+def test_rotated_pair_below_round_off_floor(tmp_path, capsys):
+    # 1e-16 is below 12 * eps: the letters' commutator is all round-off,
+    # and the closure used to report dimension 144, non-commutative.
+    code, _ = _probe(
+        tmp_path, _rotated_pair(), model={"s_dim": 3, "o_dim": 4}, tolerances={"algebra": 1e-16}
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical invariant violated: tol 1.000e-16 is below the round-off")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,10 @@ from segalsim.linalg import SpaceLayout, identity, tensor, unitary_from_hamilton
 from segalsim.measurement import (
     EnvironmentSpec,
     MeasurementModel,
+    _environment_records,
     _information_of,
+    _pipeline_image,
+    _setup,
     branch_mixture,
     couple_environment,
     event_rng,
@@ -29,6 +32,7 @@ from segalsim.measurement import (
     restricted_pointer_probabilities,
     run_ensemble,
     run_event,
+    system_layout,
     system_state,
     wigner_friend_report,
 )
@@ -45,7 +49,7 @@ from segalsim.states import (
     vector_fidelity,
 )
 
-from _oracles import all_pairs_closure, joint_resolution_oracle
+from _oracles import all_pairs_closure, environment_unitary_oracle, joint_resolution_oracle
 
 MODEL = make_model()
 
@@ -398,12 +402,13 @@ class TestEnvironmentCoupling:
         assert abs(back.matrix[i, j]) == pytest.approx(0.25, abs=1e-10)
 
     def test_branch_overlaps_as_configured(self):
-        from segalsim.measurement import _environment_branch_vectors
-
         model = env_model(e_overlap=0.5)
-        vecs = _environment_branch_vectors(model)
+        records = _environment_records(model)
+        ready, vecs = records[0], records[1 : model.s_dim + 1]
+        assert ready.tolist() == [1.0] + [0.0] * 7
         for i, v in enumerate(vecs):
             assert np.vdot(v, v).real == pytest.approx(1.0, abs=1e-12)
+            assert np.vdot(ready, v).real == pytest.approx(0.0, abs=1e-12)
             for w in vecs[i + 1 :]:
                 assert np.vdot(v, w).real == pytest.approx(0.5, abs=1e-12)
 
@@ -591,6 +596,62 @@ class TestMaskedPointerProbabilities:
         again = pointer_characters(model, environment=False)
         assert all(a is b for a, b in zip(first, again))
         assert first[0].algebra is pointer_algebra(model, environment=False)
+
+
+# (s_dim, o_dim, e_dim, e_overlap); o_dim > s_dim + 1 leaves spare pointer states.
+ORACLE_MODELS = [
+    (2, 3, 4, 0.0),
+    (2, 5, 4, 0.3),
+    (3, 4, 5, 0.9),
+    (3, 6, 6, 0.3),
+    (6, 7, 8, 0.0),
+    (6, 9, 8, 0.9),
+]
+
+
+class TestEnvironmentRecordsOracle:
+    """The coupling applied as the isometry on E ready, through the table of
+    environment records, equals the full controlled-rotation unitary bit for
+    bit: each entry is one product of the factors the dense route summed
+    with exact zeros."""
+
+    @pytest.mark.parametrize("dims", ORACLE_MODELS, ids=str)
+    def test_oracle_is_unitary(self, dims):
+        u = environment_unitary_oracle(*dims)
+        assert np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", ORACLE_MODELS, ids=str)
+    def test_couple_environment_matches_unitary(self, dims):
+        s_dim, o_dim, e_dim, overlap = dims
+        model = make_model(s_dim, o_dim, environment={"e_dim": e_dim, "e_overlap": overlap})
+        u = environment_unitary_oracle(*dims)
+        e_ready = np.zeros((e_dim, e_dim), dtype=complex)
+        e_ready[0, 0] = 1.0
+        rng = np.random.default_rng(sum(dims[:3]))
+        for _ in range(5):
+            rho = random_density(rng, ms_layout(model))
+            expected = u @ np.kron(rho.matrix, e_ready) @ u.conj().T
+            assert np.array_equal(couple_environment(model, rho).matrix, expected)
+
+    @pytest.mark.parametrize(
+        "dims", ORACLE_MODELS + [(2, 3, None, 0.0), (3, 5, None, 0.0)], ids=str
+    )
+    def test_pipeline_image_matches_unitary(self, dims):
+        s_dim, o_dim, e_dim, overlap = dims
+        environment = None if e_dim is None else {"e_dim": e_dim, "e_overlap": overlap}
+        model = make_model(s_dim, o_dim, environment=environment)
+        pipeline = premeasurement_unitary(model)
+        if e_dim is not None:
+            pipeline = environment_unitary_oracle(*dims) @ np.kron(pipeline, np.eye(e_dim))
+        ready = np.zeros(pipeline.shape[0] // s_dim, dtype=complex)
+        ready[0] = 1.0
+        rng = np.random.default_rng(sum(dims[:2]))
+        for trial in range(6):
+            psi_s = random_vector(rng, system_layout(model))
+            amp = np.where(np.arange(s_dim) == trial % s_dim, 0.0, psi_s.amplitudes)
+            psi_s = StateVector(psi_s.layout, amp / np.linalg.norm(amp))
+            image = _pipeline_image(model, _setup(model), psi_s).amplitudes
+            assert np.array_equal(image, pipeline @ np.kron(psi_s.amplitudes, ready))
 
 
 def test_d720_pointer_setup():
