@@ -11,6 +11,8 @@ at most the four 64-bit words of its first block.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 _M0 = 0xD2E7470EE14C6C93
@@ -23,8 +25,9 @@ _SH32 = np.uint64(32)
 _ROUNDS = 10
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 _SH11 = np.uint64(11)
-# Events per kernel call: the kernel's eight uint64 buffers (1 MB) stay in
-# cache, and its memory does not grow with the batch.
+# Events per kernel call and per block of uniform_blocks: the kernel's eight
+# uint64 buffers (1 MB) stay in cache, and its memory does not grow with the
+# batch.
 _CHUNK = 2**14
 
 
@@ -87,18 +90,26 @@ def _first_block(seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
     return out
 
 
+def uniform_blocks(seed: int, n_events: int, n_draws: int) -> Iterator[np.ndarray]:
+    """``event_uniforms(seed, n_events, n_draws)`` in consecutive blocks of
+    at most ``_CHUNK`` rows, each evaluated when it is asked for."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    if not 1 <= n_draws <= 4:
+        raise ValueError("n_draws must be between 1 and 4")
+    return (
+        _first_block(seed, np.arange(i, min(i + _CHUNK, n_events), dtype=np.uint64), n_draws)
+        for i in range(0, n_events, _CHUNK)
+    )
+
+
 def event_uniforms(seed: int, n_events: int, n_draws: int) -> np.ndarray:
     """First ``n_draws`` uniforms of every event stream, shape (n_events, n_draws).
 
     Row i equals ``[event_rng(seed, i).random() for _ in range(n_draws)]``
     bit for bit; ``n_draws`` is capped by the four words of one block.
     """
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    if not 1 <= n_draws <= 4:
-        raise ValueError("n_draws must be between 1 and 4")
     out = np.empty((n_events, n_draws))
-    for start in range(0, n_events, _CHUNK):
-        stop = min(start + _CHUNK, n_events)
-        out[start:stop] = _first_block(seed, np.arange(start, stop, dtype=np.uint64), n_draws)
+    for i, block in enumerate(uniform_blocks(seed, n_events, n_draws)):
+        out[i * _CHUNK : i * _CHUNK + len(block)] = block
     return out

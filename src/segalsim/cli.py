@@ -3,8 +3,8 @@
     segalsim run <config.json> [--seed N] [--events N]
                  [--format json|csv] [--out PATH] [--quiet]
 
-Exit codes: 0 success, 1 usage/config/validation error, 2 numerical-invariant
-violation.
+Exit codes: 0 success, 1 usage/config/validation/output error, 2
+numerical-invariant violation.
 """
 
 from __future__ import annotations
@@ -52,7 +52,11 @@ def main(argv: list[str] | None = None) -> int:
         raw.update((key, value) for key, value in overrides.items() if value is not None)
         cfg = parse_scenario(raw)
         report = run_scenario(cfg)
-        document = emit_report(report, fmt=cfg.output_format, out=args.out)
+        try:
+            document = emit_report(report, fmt=cfg.output_format, out=args.out)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

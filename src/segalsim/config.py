@@ -40,10 +40,17 @@ STATE_EQUALITY_ATOL = 1e-8
 # Probabilities below this are treated as structurally zero.
 PROBABILITY_FLOOR = 1e-12
 
-# Most events a run may ask for, checked at parse.  An event holds up to
-# 16 bytes of uniforms, 24 of EventBatch columns, 8 of log codes and about
-# 60 of csv document (a 30-byte row as bytes and as text): 1.1 GB at the cap.
+# Most events a run may ask for, checked at parse.  An event holds 24 bytes
+# of EventBatch columns; uniforms, counts and log rows are made a block of
+# events at a time.  A csv document returned as text (no ``out``) adds about
+# 60 (a 30-byte row as bytes and as text): 0.24 GB, or 0.85 GB, at the cap.
 MAX_EVENTS = 10**7
+
+# Largest dense d x d complex array (16 d^2 bytes, d = s_dim * o_dim * e_dim)
+# a model may need, checked when the model is made, before any allocation.
+# Per-model setup holds one such array, the pointer operator.  2**30 bytes
+# allows d up to 8192; d = 2184 (s_dim 12, o_dim 13, e_dim 14) needs 76 MB.
+MAX_DENSE_BYTES = 2**30
 
 
 class InvariantViolation(ValueError):

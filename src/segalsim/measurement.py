@@ -30,11 +30,12 @@ import numpy as np
 from .config import (
     DEGENERACY_GAP,
     InvariantViolation,
+    MAX_DENSE_BYTES,
     PROBABILITY_FLOOR,
     STATE_EQUALITY_ATOL,
     TRACE_ATOL,
 )
-from ._philox import event_uniforms
+from ._philox import uniform_blocks
 from .algebra import OperatorAlgebra, generate_algebra
 from .linalg import (
     SpaceLayout,
@@ -64,9 +65,9 @@ from .states import (
     StateVector,
     density_from_vector,
     expectation,
-    inverse_cdf,
     purity,
     sample_gemenge,
+    table_inverse_cdf,
 )
 
 __all__ = [
@@ -79,6 +80,7 @@ __all__ = [
     "StatisticalDoublet",
     "WignerFriendReport",
     "branch_mixture",
+    "column_counts",
     "couple_environment",
     "event_rng",
     "evolve_sle",
@@ -187,7 +189,17 @@ def make_model(
     values are (0, *q_values) padded with fresh integers above max |q| for
     any extra register states.  The ready value 0 is a convention, not a
     physical constraint; pass explicit ``qo_values`` to change it.
+    A model whose dense d x d operator would exceed ``MAX_DENSE_BYTES`` is
+    refused before anything of its size is built.
     """
+    if isinstance(environment, dict):
+        environment = EnvironmentSpec(**environment)
+    d = s_dim * o_dim * (1 if environment is None else environment.e_dim)
+    if min(s_dim, o_dim) >= 1 and 16 * d * d > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"dimension s_dim*o_dim*e_dim = {d} needs {16 * d * d} bytes per dense operator, "
+            f"over the {MAX_DENSE_BYTES}-byte limit"
+        )
     if q_values is None:
         q_values = tuple(
             float((i // 2 + 1) * (1 if i % 2 == 0 else -1)) for i in range(s_dim)
@@ -200,8 +212,6 @@ def make_model(
             qo.append(filler)
             filler += 1.0
         qo_values = tuple(qo)
-    if isinstance(environment, dict):
-        environment = EnvironmentSpec(**environment)
     return MeasurementModel(
         s_dim=s_dim,
         o_dim=o_dim,
@@ -489,6 +499,9 @@ def evolve_sle(theta: StatisticalDoublet, h: np.ndarray, t: float) -> Statistica
 # ---------------------------------------------------------------------------
 # event sampling
 
+# Events per block of column_counts: np.bincount copies each block.
+_COUNT_BLOCK = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class DoubletState:
@@ -619,9 +632,9 @@ def run_ensemble(
     """Batch of events with per-event derived streams.
 
     Event i reproduces run_event(..., event_rng(seed, i)) record for
-    record.  The deterministic pipeline prefix runs once per input row,
-    all event streams are evaluated in one vectorized pass, and each
-    inverse CDF is one search over the whole batch.
+    record.  The deterministic pipeline prefix runs once per input row;
+    the event streams are then evaluated, and the inverse CDFs searched,
+    one block of events at a time, straight into the batch's columns.
     """
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
@@ -630,36 +643,44 @@ def run_ensemble(
     states = [state for state, _ in source.rows] if kind == "gemenge" else [source]
     images = [_pipeline_image(model, setup, state) for state in states]
     probs = np.array([character_probabilities(xi, setup.algebra) for xi in images])
-    cumulatives = [draw_cumulative(p) for p in probs]
+    cumulatives = np.array([draw_cumulative(p) for p in probs])
 
+    pointer_index = np.empty(n_events, setup.extremal_to_pointer.dtype)
+    probability = np.empty(n_events)
+    rows = np.empty(n_events, np.intp) if kind == "gemenge" else None
+    start = 0
     # A pure input draws the pointer only; an ensemble draws its row first.
-    uniforms = event_uniforms(seed, n_events, 2 if kind == "gemenge" else 1)
-    if kind == "gemenge":
-        rows = inverse_cdf(source.cumulative, uniforms[:, 0])
-        k = np.empty(n_events, dtype=np.intp)
-        order = np.argsort(rows)
-        bounds = np.searchsorted(rows[order], np.arange(len(states) + 1))
-        for row, cumulative in enumerate(cumulatives):
-            events = order[bounds[row] : bounds[row + 1]]
-            k[events] = inverse_cdf(cumulative, uniforms[events, 1])
-        probability = probs[rows, k]
-    else:
-        rows = None
-        k = inverse_cdf(cumulatives[0], uniforms[:, 0])
-        probability = probs[0, k]
+    for uniforms in uniform_blocks(seed, n_events, 1 if rows is None else 2):
+        stop = start + len(uniforms)
+        row = 0
+        if rows is not None:
+            row = rows[start:stop] = table_inverse_cdf(source.cumulative[None], 0, uniforms[:, 0])
+        k = table_inverse_cdf(cumulatives, row, uniforms[:, -1])
+        pointer_index[start:stop] = setup.extremal_to_pointer[k]
+        probability[start:stop] = probs[row, k]
+        start = stop
     return EventBatch(
         seed=seed,
         input_kind=kind,
         pointer_values=model.qo_values,
-        pointer_index=setup.extremal_to_pointer[k],
+        pointer_index=pointer_index,
         gemenge_row=rows,
         probability=probability,
     )
 
 
+def column_counts(column: np.ndarray, length: int) -> np.ndarray:
+    """``np.bincount(column, minlength=length)`` of an EventBatch column, a
+    block at a time: bincount copies a read-only input whole."""
+    counts = np.zeros(length, np.intp)
+    for start in range(0, column.size, _COUNT_BLOCK):
+        counts += np.bincount(column[start : start + _COUNT_BLOCK], minlength=length)
+    return counts
+
+
 def pointer_histogram(model: MeasurementModel, records: EventBatch) -> np.ndarray:
     """Event counts per pointer value, in ``qo_values`` order."""
-    return np.bincount(records.pointer_index, minlength=model.o_dim)
+    return column_counts(records.pointer_index, model.o_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .linalg import SpaceLayout
 from .measurement import (
     EventBatch,
     MeasurementModel,
+    column_counts,
     couple_environment,
     evolve_unitary,
     extract_pointer_basis,
@@ -433,9 +434,7 @@ def _run_gemenge(cfg: ScenarioConfig):
     post = Gemenge(tuple((premeasure(cfg.model, state), p) for state, p in w.rows))
     summary, records = _sampled_summary(cfg, w, gemenge_mix(post))
     summary["row_probabilities"] = [p for _, p in cfg.gemenge_rows]
-    summary["row_histogram"] = np.bincount(
-        records.gemenge_row, minlength=len(cfg.gemenge_rows)
-    ).tolist()
+    summary["row_histogram"] = column_counts(records.gemenge_row, len(cfg.gemenge_rows)).tolist()
     return summary, records
 
 
@@ -602,14 +601,22 @@ def _event_log(events: EventBatch) -> tuple[int, Iterator[np.ndarray]]:
     A block never crosses a power of ten: its indices share a digit count.
     """
     o_dim = len(events.pointer_values)
-    if events.gemenge_row is None:
-        codes = events.pointer_index
-    else:
-        codes = events.gemenge_row * o_dim + events.pointer_index
-    counts = np.bincount(codes)
-    probability = np.zeros(counts.size)
-    probability[codes] = events.probability  # one value per code
-    suffixes = [b""] * counts.size
+    n = len(events)
+
+    def codes(start: int, stop: int) -> np.ndarray:
+        if events.gemenge_row is None:
+            return events.pointer_index[start:stop]
+        return events.gemenge_row[start:stop] * o_dim + events.pointer_index[start:stop]
+
+    n_codes = o_dim * (1 if events.gemenge_row is None else int(events.gemenge_row.max()) + 1)
+    counts = np.zeros(n_codes, np.intp)
+    probability = np.zeros(n_codes)
+    for start in range(0, n, _LOG_BLOCK):
+        block_codes = codes(start, start + _LOG_BLOCK)
+        counts += np.bincount(block_codes, minlength=n_codes)
+        # one value per code
+        probability[block_codes] = events.probability[start : start + _LOG_BLOCK]
+    suffixes = [b""] * n_codes
     for code in np.flatnonzero(counts):
         row, pointer = divmod(int(code), o_dim)
         suffixes[code] = (
@@ -621,7 +628,6 @@ def _event_log(events: EventBatch) -> tuple[int, Iterator[np.ndarray]]:
     width = int(lengths.max())
     table = np.frombuffer(b"".join(s.ljust(width) for s in suffixes), np.uint8).reshape(-1, width)
     header = (",".join(_EVENT_COLUMNS) + "\n").encode("ascii")
-    n = len(events)
     # Event i has 1 + #{j >= 1 : 10**j <= i} digits.
     size = len(header) + n + sum(n - 10**j for j in range(1, len(str(n)))) + int(counts @ lengths)
 
@@ -638,13 +644,20 @@ def _event_log(events: EventBatch) -> tuple[int, Iterator[np.ndarray]]:
             for end in range(k, 0, -4):  # four digits at a time, right to left
                 rest, quad = np.divmod(rest, 10**4)
                 block[:, max(end - 4, 0) : end] = quads[quad, max(4 - end, 0) :]
-            block[:, k:] = table[codes[start:stop]]
+            block_codes = codes(start, stop)
+            block[:, k:] = table[block_codes]
             keep = np.ones(block.shape, dtype=bool)
-            keep[:, k:] = np.arange(width) < lengths[codes[start:stop], None]
+            keep[:, k:] = np.arange(width) < lengths[block_codes, None]
             yield block[keep]
             start = stop
 
     return size, blocks()
+
+
+def _write_log(path: Path, events: EventBatch) -> None:
+    """Stream the event log to ``path``, one block at a time."""
+    with open(path, "wb") as fh:
+        fh.writelines(_event_log(events)[1])
 
 
 def emit_report(
@@ -652,12 +665,14 @@ def emit_report(
     fmt: str = "json",
     out: str | Path | None = None,
 ) -> str:
-    """Serialize a report; returns the document text.
+    """Serialize a report; returns the document text, or ``""`` for a csv
+    document written to ``out``.
 
     ``json``: the summary document, with the event log written next to
     ``out`` (as ``<stem>.events.csv``) when a path is given and events
-    exist.  ``csv``: the event log itself is the document.  Output bytes
-    depend only on (config, seed) and the output file names.
+    exist.  ``csv``: the event log itself is the document; with ``out`` it
+    streams to the file and is never held whole.  Output bytes depend only
+    on (config, seed) and the output file names.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
@@ -668,14 +683,15 @@ def emit_report(
             raise ValueError(
                 f"scenario {report.scenario!r} produces no event log; use the json format"
             )
+        if out_path is not None:
+            _write_log(out_path, report.events)
+            return ""
         size, blocks = _event_log(report.events)
         buffer = np.empty(size, np.uint8)
         filled = 0
         for block in blocks:
             buffer[filled : filled + block.size] = block
             filled += block.size
-        if out_path is not None:
-            out_path.write_bytes(buffer)
         return str(buffer, "ascii")
 
     event_log_name = None
@@ -695,6 +711,5 @@ def emit_report(
     if out_path is not None:
         out_path.write_text(text, encoding="utf-8")
         if event_log_name is not None:
-            with open(out_path.parent / event_log_name, "wb") as fh:
-                fh.writelines(_event_log(report.events)[1])
+            _write_log(out_path.parent / event_log_name, report.events)
     return text

@@ -32,6 +32,7 @@ __all__ = [
     "purity",
     "reduce_density",
     "sample_gemenge",
+    "table_inverse_cdf",
     "vector_fidelity",
 ]
 
@@ -164,6 +165,27 @@ def inverse_cdf(cumulative: np.ndarray, u: float | np.ndarray) -> np.intp | np.n
     selected, and ``u`` at or past the last entry gives the last index.
     """
     return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+
+
+def table_inverse_cdf(table: np.ndarray, rows: int | np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``inverse_cdf(table[r], u)`` for each uniform ``u`` and its row ``r``.
+
+    One binary search over all uniforms at once: each count takes every
+    power-of-two step whose last entry is at or below its uniform.  It ends
+    at the number of entries at or below ``u`` (``searchsorted(side=
+    "right")``), or past the row's end when the whole row is, and both cap
+    to the same index.  Rows must be nondecreasing, as cumulatives are.
+    """
+    m = table.shape[1]
+    flat = table.ravel()
+    before = np.asarray(rows) * m - 1  # entry j of row r is flat[before + j + 1]
+    count = np.zeros(np.shape(u), np.intp)
+    step = 1 << (m.bit_length() - 1)
+    while step:
+        taken = count + step
+        np.copyto(count, taken, where=flat[before + np.minimum(taken, m)] <= u)
+        step >>= 1
+    return np.minimum(count, m - 1)
 
 
 def sample_gemenge(w: Gemenge, rng: np.random.Generator) -> tuple[int, StateVector]:

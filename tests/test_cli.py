@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from segalsim import cli
+from segalsim import cli, scenarios
 from segalsim.algebra import _gram_schmidt_closure
 from segalsim.cli import main
 from segalsim.config import InvariantViolation
@@ -80,8 +80,10 @@ def test_csv_format(tmp_path, capsys):
     assert len(lines) == 201
 
 
-def test_one_event_log_on_three_routes(tmp_path, capsys):
-    # stdout of --format csv, its --out file and the json run's event log
+def test_one_event_log_on_three_routes(tmp_path, capsys, monkeypatch):
+    # stdout of --format csv, its --out file and the json run's event log,
+    # the files streamed from many small blocks
+    monkeypatch.setattr(scenarios, "_LOG_BLOCK", 7)
     path = write_config(
         tmp_path,
         scenario="gemenge",
@@ -139,6 +141,26 @@ def test_help_exit_code(capsys, argv):
 
 def test_missing_config_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json"), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exit_code(tmp_path, capsys, fmt, target):
+    out = tmp_path / "absent" / "x.csv" if target == "missing-dir" else tmp_path
+    path = write_config(tmp_path)
+    assert main(["run", str(path), "--format", fmt, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+
+
+def test_oversized_model_exit_code(tmp_path, capsys):
+    # 16 * 600000**2 bytes for one dense operator: refused at parse.
+    path = write_config(tmp_path, model={"environment": {"e_dim": 100000}})
+    assert main(["run", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: model: dimension s_dim*o_dim*e_dim = 600000 ")
+    assert err.count("\n") == 1
 
 
 def test_numerical_invariant_exit_code(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,18 @@ class TestRunEvent:
         assert r1 == r2
 
     def test_ensemble_matches_per_event_reference(self):
+        self._assert_ensemble_matches_per_event_reference()
+
+    def test_ensemble_matches_per_event_reference_across_blocks(self, monkeypatch):
+        # Blocks of four events: each block groups its own events by row,
+        # and most blocks draw only some of the rows.
+        from segalsim import _philox
+
+        monkeypatch.setattr(_philox, "_CHUNK", 4)
+        self._assert_ensemble_matches_per_event_reference()
+
+    @staticmethod
+    def _assert_ensemble_matches_per_event_reference():
         # The vectorized batch against the generic per-event pipeline,
         # record for record, including an environment model and an
         # ensemble row that is never drawn.
@@ -329,6 +343,22 @@ class TestRunEvent:
 
 
 class TestEventStreams:
+    def test_ensemble_makes_no_temporaries_of_its_length(self):
+        # Beyond the three columns, what run_ensemble and the histogram
+        # allocate does not grow with the event count.
+        w = Gemenge(((psi(1.0, 0.0), 0.3), (psi(0.6, 0.8), 0.7)))
+        run_ensemble(MODEL, w, 10, 1)  # per-model setup, outside the trace
+        extra = []
+        for n in (2**17, 2**19):
+            tracemalloc.start()
+            batch = run_ensemble(MODEL, w, n, 1)
+            pointer_histogram(MODEL, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            columns = (batch.pointer_index, batch.gemenge_row, batch.probability)
+            extra.append(peak - sum(column.nbytes for column in columns))
+        assert extra[1] - extra[0] < 2**16
+
     def test_batch_uniforms_match_per_event_generators(self):
         # The vectorized stream kernel must be bit-identical to the
         # per-event generators it replaces.
@@ -349,6 +379,16 @@ class TestEventStreams:
         for i in range(10):
             g = event_rng(2**64 - 1, i)
             assert batch[i].tolist() == [g.random(), g.random()]
+
+    def test_uniform_blocks_split_the_batch(self, monkeypatch):
+        from segalsim import _philox
+
+        monkeypatch.setattr(_philox, "_CHUNK", 4)
+        blocks = list(_philox.uniform_blocks(5, 10, 2))
+        assert [len(b) for b in blocks] == [4, 4, 2]
+        assert np.array_equal(np.concatenate(blocks), _philox.event_uniforms(5, 10, 2))
+        with pytest.raises(ValueError, match="seed"):
+            _philox.uniform_blocks(2**64, 10, 2)  # checked at the call, not the first block
 
     def test_block_kernel_matches_at_large_event_indices(self):
         # Event indices past 2**32 fill the high key word's upper half;

@@ -1,12 +1,13 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from segalsim import scenarios
-from segalsim.config import MAX_EVENTS
+from segalsim.config import MAX_DENSE_BYTES, MAX_EVENTS
 from segalsim.scenarios import (
     ConfigError,
     emit_report,
@@ -78,6 +79,20 @@ class TestParseScenario:
             parse_scenario(config_text(n_events=MAX_EVENTS + 1))
         with pytest.raises(ConfigError, match="n_events"):
             parse_scenario(config_text(n_events=10**15))
+
+    def test_dense_operator_budget(self):
+        # Only the estimate runs: each refused model fails before anything
+        # of its size is allocated.
+        model = {"s_dim": 12, "o_dim": 13, "environment": {"e_dim": 14}}  # d = 2184
+        amplitudes = [[1, 0]] + [[0, 0]] * 11
+        cfg = parse_scenario(config_text(model=model, input={"amplitudes": amplitudes}))
+        assert 16 * 2184**2 <= MAX_DENSE_BYTES < 16 * 8193**2
+        assert cfg.model.environment.e_dim == 14
+        refused = r"= 600000 needs 5760000000000 bytes .* over the 1073741824-byte limit"
+        with pytest.raises(ConfigError, match=refused):
+            parse_scenario(config_text(model={"environment": {"e_dim": 100000}}))
+        with pytest.raises(ConfigError, match="over the"):
+            parse_scenario(config_text(model={"s_dim": 10**8}))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -256,6 +271,25 @@ class TestEmitReport:
         assert events.exists()
         assert len(events.read_text(encoding="utf-8").strip().splitlines()) == 51
         assert json.loads(text)["event_log"] == "report.events.csv"
+
+    def test_csv_out_never_holds_the_log(self, tmp_path):
+        # What writing the csv document allocates does not grow with it.
+        peaks = []
+        for n in (2**16, 2**17):
+            report = run_scenario(parse_scenario(json.loads(UNEVEN_GEMENGE) | {"n_events": n}))
+            tracemalloc.start()
+            emit_report(report, "csv", out=tmp_path / "events.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**16
+
+    def test_csv_out_streams_the_returned_document(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenarios, "_LOG_BLOCK", 7)
+        for text in (config_text(n_events=120), UNEVEN_GEMENGE):
+            report = run_scenario(parse_scenario(text))
+            out = tmp_path / "events.csv"
+            assert emit_report(report, "csv", out=out) == ""
+            assert out.read_text(encoding="ascii") == emit_report(report, "csv")
 
     def test_event_log_matches_row_writer(self, monkeypatch):
         # The table-driven log against csv.writer over the per-event

@@ -15,6 +15,7 @@ from segalsim.states import (
     purity,
     reduce_density,
     sample_gemenge,
+    table_inverse_cdf,
     vector_fidelity,
 )
 
@@ -188,6 +189,25 @@ class TestInverseCdf:
             arr = np.array(cumulative)
             assert inverse_cdf(arr, np.array(points)).tolist() == expected
             assert [int(inverse_cdf(arr, u)) for u in points] == expected
+            table = table_inverse_cdf(arr[None], 0, np.array(points))
+            assert table.tolist() == expected
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9, 200])
+    def test_table_rows_match_inverse_cdf(self, width):
+        # The all-rows search against one search per event, on rows with
+        # zero-probability entries, uniforms on entries and a row whose
+        # last entry lies below some uniforms.
+        rng = np.random.default_rng(width)
+        probs = rng.random((40, width))
+        if width > 1:
+            probs[:, rng.integers(width)] = 0.0
+        table = np.cumsum(probs, axis=1) / probs.sum(axis=1, keepdims=True)
+        table[1] *= 0.75
+        rows = rng.integers(0, len(table), 5000)
+        u = rng.random(5000)
+        u[:500] = table[rows[:500], rng.integers(width, size=500)]
+        expected = [inverse_cdf(table[r], x) for r, x in zip(rows, u)]
+        assert table_inverse_cdf(table, rows, u).tolist() == expected
 
 
 class TestExpectation:
