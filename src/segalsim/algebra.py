@@ -19,10 +19,14 @@ of column i; basis element k is P_k / sqrt(rank_k) for the projector
 P_k onto the columns of class k, made dense only when read.
 
 - V.  When every generator is exactly diagonal, V is the identity,
-  stored as ``None`` and never materialized.  Otherwise V comes from one
-  ``eigh`` of a fixed-seed random real combination of the Hermitian and
-  anti-Hermitian parts of the generators, each scaled to unit norm.  The
-  joint values of generator g are diag(V^dag g V).
+  stored as ``None`` and never materialized, and the generators are
+  stored as one (n, d) array of their diagonals (:func:`diagonal_algebra`
+  takes them in that form).  Otherwise V comes from one ``eigh`` of a
+  Philox-keyed real combination of the Hermitian and anti-Hermitian
+  parts of the generators, each scaled to unit norm: generator i takes
+  the coefficients 2u - 1, in [-1, 1), from the first block of the
+  stream keyed by (``_EIGENBASIS_SEED``, i).  The joint values of
+  generator g are diag(V^dag g V).
 - Labels.  For each generator, and for the real and imaginary parts of
   its joint values apart, the sorted values split wherever a gap exceeds
   ``tol`` times the generator's largest magnitude: ``tol`` is the width
@@ -39,7 +43,8 @@ P_k onto the columns of class k, made dense only when read.
 
 Cost: the letter check, one ``eigh`` and two d x d products per
 generator; O(n d log d) for n exactly diagonal generators, plus one pass
-over the dense generators to see that they are diagonal.  The joint
+over the dense generators to see that they are diagonal when they do not
+come as diagonals.  The joint
 spectral resolution, the projections and the positivity table are read
 off the classes.
 
@@ -64,6 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._philox import event_uniforms
 from .config import ALGEBRA_TOL, CHARACTER_ATOL, InvariantViolation
 from .linalg import SpaceLayout
 
@@ -71,13 +77,14 @@ __all__ = [
     "OperatorAlgebra",
     "SpectralResolution",
     "contains",
+    "diagonal_algebra",
     "generate_algebra",
     "is_commutative",
     "joint_spectral_resolution",
 ]
 
-# Seed of the random generator combination whose eigenvectors are the
-# joint eigenbasis: every algebra is deterministic.
+# Philox key of the generator combination whose eigenvectors are the joint
+# eigenbasis: every algebra is deterministic.
 _EIGENBASIS_SEED = 0x5E6A1
 
 
@@ -99,7 +106,8 @@ class OperatorAlgebra:
     """Unital *-closed operator span with an orthonormal basis.
 
     Instances are immutable by convention; the joint spectral resolution is
-    computed lazily and cached.  Construct through :func:`generate_algebra`.
+    computed lazily and cached.  Construct through :func:`generate_algebra`
+    or :func:`diagonal_algebra`.
 
     A commutative algebra carries ``labels`` and ``eigenvectors`` (V, or
     ``None`` for the identity): basis element j is
@@ -107,21 +115,25 @@ class OperatorAlgebra:
     0/1 mask of class j over sqrt(rank_j).  The dense ``basis`` is built
     on first use.  A non-commutative algebra has ``labels`` ``None``; its
     basis is stored as one read-only (k, d, d) array and ``basis`` holds
-    views into it.
+    views into it.  Exactly diagonal generators are stored as the rows of
+    ``generator_diagonals`` (``generators`` ``None``) and the dense
+    ``generators`` are built on first use.
     """
 
     def __init__(
         self,
         layout: SpaceLayout,
-        generators: tuple[np.ndarray, ...],
+        generators: tuple[np.ndarray, ...] | None,
         tol: float,
         stack: np.ndarray | None = None,
         labels: np.ndarray | None = None,
         eigenvectors: np.ndarray | None = None,
         class_values: np.ndarray | None = None,
+        generator_diagonals: np.ndarray | None = None,
     ) -> None:
         self.layout = layout
-        self.generators = generators
+        self._generators = generators
+        self.generator_diagonals = generator_diagonals
         self.tol = tol
         self.labels = labels
         self.commutative = labels is not None
@@ -141,6 +153,12 @@ class OperatorAlgebra:
             self.basis_diagonals = masks / np.sqrt(masks.sum(axis=1))[:, None]
         self._resolution: SpectralResolution | None = None
         self._characters = None
+
+    @property
+    def generators(self) -> tuple[np.ndarray, ...]:
+        if self._generators is None:
+            self._generators = tuple(np.diag(row) for row in self.generator_diagonals)
+        return self._generators
 
     @property
     def basis(self) -> tuple[np.ndarray, ...]:
@@ -252,6 +270,24 @@ def generate_algebra(
     return _commutative_algebra(gens, layout, tol, _joint_eigenvectors(gens, d))
 
 
+def diagonal_algebra(
+    diagonals: np.ndarray, layout: SpaceLayout, tol: float = ALGEBRA_TOL
+) -> OperatorAlgebra:
+    """The algebra generated by diag(row) for each row of an (n, d) array.
+
+    The same algebra as :func:`generate_algebra` on the dense diagonal
+    operators, built without any d x d array.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    values = np.asarray(diagonals, dtype=complex)
+    if values.ndim != 2 or values.shape[1] != layout.dim:
+        raise ValueError(f"diagonals shape {values.shape} does not match layout dim {layout.dim}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("generator entries must be finite")
+    return _classified_algebra(values, np.zeros(len(values)), layout, tol, None, None)
+
+
 def _letters_commute(letters: list[np.ndarray], tol: float) -> bool:
     """True iff every pair a, b of letters has |[a, b]| <= tol |a| |b| (HS norms)."""
     norms = [float(np.linalg.norm(a)) for a in letters]
@@ -264,12 +300,16 @@ def _letters_commute(letters: list[np.ndarray], tol: float) -> bool:
 
 
 def _joint_eigenvectors(gens: tuple[np.ndarray, ...], d: int) -> np.ndarray:
-    """Eigenvectors of a fixed-seed random real combination of the
-    generators' Hermitian and anti-Hermitian parts, each at unit norm."""
-    rng = np.random.default_rng(_EIGENBASIS_SEED)
+    """Eigenvectors of a Philox-keyed real combination of the generators'
+    Hermitian and anti-Hermitian parts, each at unit norm.
+
+    Generator i takes its two coefficients 2u - 1, in [-1, 1), from the
+    first block of the stream keyed by (``_EIGENBASIS_SEED``, i).
+    """
+    coefficients = 2.0 * event_uniforms(_EIGENBASIS_SEED, len(gens), 2) - 1.0
     h = np.zeros((d, d), dtype=complex)
-    for g in gens:
-        c_re, c_im = rng.standard_normal(2) / (np.linalg.norm(g) or 1.0)
+    for g, pair in zip(gens, coefficients):
+        c_re, c_im = pair / (np.linalg.norm(g) or 1.0)
         h += c_re * (g + g.conj().T) / 2.0 + c_im * (g - g.conj().T) / 2.0j
     return np.linalg.eigh(h)[1]
 
@@ -279,17 +319,34 @@ def _commutative_algebra(
 ) -> OperatorAlgebra:
     """The algebra of commuting generators on the joint eigenvectors V.
 
-    ``v`` ``None`` is the identity, for exactly diagonal generators.  Runs
-    the residual and accuracy checks of the module docstring.
+    ``v`` ``None`` is the identity, for exactly diagonal generators, which
+    go to :func:`diagonal_algebra` as their diagonals.
     """
     n, d = len(gens), layout.dim
     if v is None:
-        values = np.array([np.diagonal(g) for g in gens]).reshape(n, d)
-        off_diagonal = np.zeros(n)
-    else:
-        rotated = [v.conj().T @ g @ v for g in gens]
-        values = np.array([np.diagonal(w) for w in rotated]).reshape(n, d)
-        off_diagonal = [float(np.linalg.norm(w - np.diag(np.diagonal(w)))) for w in rotated]
+        return diagonal_algebra(np.array([np.diagonal(g) for g in gens]).reshape(n, d), layout, tol)
+    rotated = [v.conj().T @ g @ v for g in gens]
+    values = np.array([np.diagonal(w) for w in rotated]).reshape(n, d)
+    off_diagonal = [float(np.linalg.norm(w - np.diag(np.diagonal(w)))) for w in rotated]
+    return _classified_algebra(values, off_diagonal, layout, tol, gens, v)
+
+
+def _classified_algebra(
+    values: np.ndarray,
+    off_diagonal: np.ndarray | list[float],
+    layout: SpaceLayout,
+    tol: float,
+    gens: tuple[np.ndarray, ...] | None,
+    v: np.ndarray | None,
+) -> OperatorAlgebra:
+    """The commutative algebra whose generators have the joint values
+    ``values`` (one row per generator) on the columns of V.
+
+    ``off_diagonal`` holds each |V^dag g V - diag(values)|.  ``gens`` and
+    ``v`` ``None`` are exactly diagonal generators, stored as ``values``,
+    and the identity.  Runs the residual and accuracy checks of the module
+    docstring.
+    """
     labels, split_gaps = _joint_classes(values, tol)
     masks = (labels == np.arange(labels.max() + 1)[:, None]).astype(float)
     class_values = masks @ values.T / masks.sum(axis=1)[:, None]
@@ -308,7 +365,13 @@ def _commutative_algebra(
                 f"their accuracy {residual:.3e}; ambiguous classes (tol too small for this data?)"
             )
     return OperatorAlgebra(
-        layout, gens, tol, labels=labels, eigenvectors=v, class_values=class_values
+        layout,
+        gens,
+        tol,
+        labels=labels,
+        eigenvectors=v,
+        class_values=class_values,
+        generator_diagonals=values if gens is None else None,
     )
 
 

@@ -3,8 +3,8 @@
     segalsim run <config.json> [--seed N] [--events N]
                  [--format json|csv] [--out PATH] [--quiet]
 
-Exit codes: 0 success, 1 usage/config/validation/output error, 2
-numerical-invariant violation.
+Exit codes: 0 success, 1 usage/config/validation/output error or out of
+memory, 2 numerical-invariant violation.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ def main(argv: list[str] | None = None) -> int:
         raw = load_document(text)
         raw.update((key, value) for key, value in overrides.items() if value is not None)
         cfg = parse_scenario(raw)
+        del text, raw  # the run reads only cfg: free the document before it
         report = run_scenario(cfg)
         try:
             document = emit_report(report, fmt=cfg.output_format, out=args.out)
@@ -65,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
     if args.out is None:

@@ -48,8 +48,10 @@ MAX_EVENTS = 10**7
 
 # Largest dense d x d complex array (16 d^2 bytes, d = s_dim * o_dim * e_dim)
 # a model may need, checked when the model is made, before any allocation.
-# Per-model setup holds one such array, the pointer operator.  2**30 bytes
-# allows d up to 8192; d = 2184 (s_dim 12, o_dim 13, e_dim 14) needs 76 MB.
+# Per-model setup holds none (the pointer algebras come from the pointer
+# diagonal); decoherence and erasure hold dense density matrices, and the
+# named algebra-probe generators are dense.  2**30 bytes allows d up to
+# 8192; one such array at d = 2184 (s_dim 12, o_dim 13, e_dim 14) is 76 MB.
 MAX_DENSE_BYTES = 2**30
 
 

@@ -22,7 +22,7 @@ pointer character is what the register itself records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -36,16 +36,14 @@ from .config import (
     TRACE_ATOL,
 )
 from ._philox import uniform_blocks
-from .algebra import OperatorAlgebra, generate_algebra
+from .algebra import OperatorAlgebra, diagonal_algebra, generate_algebra
 from .linalg import (
     SpaceLayout,
     basis_vector,
     degenerate_clusters,
     hermitian_eig,
-    identity,
     partial_trace,
     require_hermitian,
-    tensor,
     unitary_from_hamiltonian,
 )
 from .restriction import (
@@ -262,8 +260,13 @@ def ready_state(model: MeasurementModel, psi_s: StateVector) -> StateVector:
 def pointer_operator(model: MeasurementModel, layout: SpaceLayout) -> np.ndarray:
     """The pointer observable diag(qo_values) on the O factor of ``layout``,
     identity on every other factor."""
-    q_o = np.diag(np.asarray(model.qo_values, dtype=complex))
-    return tensor(*(q_o if label == "O" else identity(dim) for label, dim in layout.factors))
+    return np.diag(_pointer_diagonal(model, layout))
+
+
+def _pointer_diagonal(model: MeasurementModel, layout: SpaceLayout) -> np.ndarray:
+    """Diagonal of :func:`pointer_operator`: qo_values on O, ones elsewhere."""
+    q_o = np.asarray(model.qo_values, dtype=complex)
+    return reduce(np.kron, [q_o if label == "O" else np.ones(dim) for label, dim in layout.factors])
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +306,7 @@ def _setup(model: MeasurementModel) -> _Setup:
 
 
 def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> OperatorAlgebra:
-    return generate_algebra([pointer_operator(model, layout)], layout)
+    return diagonal_algebra(_pointer_diagonal(model, layout)[None], layout)
 
 
 def _pointer_order(model, algebra):

@@ -14,7 +14,7 @@ from segalsim.linalg import SpaceLayout
 from segalsim.scenarios import RunReport
 
 from test_algebra import CLUSTERED, clustered_generator
-from test_byte_stability import _rotated_pair
+from test_byte_stability import CONFIGS, _rotated_pair
 
 
 def write_config(tmp_path, **overrides):
@@ -410,3 +410,55 @@ def test_non_finite_report_is_an_invariant_violation(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("numerical invariant violated: report is not strict JSON")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 76.0 GiB for an array", "Unable to allocate 76.0 GiB for an array"),
+        ("", "allocation failed"),
+    ],
+)
+def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, message, line):
+    # Raised, never provoked: the run is replaced, nothing large is allocated.
+    def exhausted(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    assert main(["run", str(write_config(tmp_path)), "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out of memory: {line}\n"
+
+
+def test_no_cli_run_imports_numpy_random(tmp_path):
+    # One fresh interpreter runs every scenario, the rotated commuting pair
+    # taking the joint-eigenbasis path; event_rng and run_event, the
+    # per-event oracle, are the only users of numpy.random.
+    names = [
+        "pure",
+        "gemenge-environment",
+        "wigner-friend",
+        "decoherence",
+        "erasure",
+        "algebra-probe-rotated-pair",
+        "algebra-probe-qo-ms-b",
+    ]
+    assert {CONFIGS[name]["scenario"] for name in names} == set(scenarios.SCENARIOS)
+    paths = []
+    for name in names:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+        paths.append(str(path))
+    script = (
+        "import sys\n"
+        "from segalsim.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert main(['run', path, '--out', path + '.out', '--quiet']) == 0, path\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,9 +1,11 @@
+import gc
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
-from segalsim.algebra import joint_spectral_resolution
+from segalsim.algebra import generate_algebra, joint_spectral_resolution
 from segalsim.config import InvariantViolation
 from segalsim.linalg import SpaceLayout, identity, tensor, unitary_from_hamiltonian
 from segalsim.measurement import (
@@ -28,6 +30,7 @@ from segalsim.measurement import (
     pointer_algebra,
     pointer_characters,
     pointer_histogram,
+    pointer_operator,
     pointer_state_stability,
     premeasure,
     premeasurement_unitary,
@@ -51,7 +54,12 @@ from segalsim.states import (
     vector_fidelity,
 )
 
-from _oracles import all_pairs_closure, environment_unitary_oracle, joint_resolution_oracle
+from _oracles import (
+    all_pairs_closure,
+    environment_unitary_oracle,
+    joint_resolution_oracle,
+    kron_oracle,
+)
 
 MODEL = make_model()
 
@@ -708,3 +716,100 @@ def test_d720_pointer_setup():
     assert [c.pointer_value() for c in chars] == list(model.qo_values)
     ms_res = joint_spectral_resolution(pointer_algebra(model, environment=False))
     assert ms_res.ranks == (8,) * 9
+
+
+DIAGONAL_MODELS = [
+    MODEL,
+    make_model(s_dim=2, o_dim=5),
+    make_model(s_dim=3, o_dim=4, environment={"e_dim": 5}),
+    make_model(s_dim=2, o_dim=5, environment={"e_dim": 6, "e_overlap": 0.4}),
+]
+DIAGONAL_IDS = ["default", "spare", "s3-env", "spare-env"]
+
+
+def _reachable_arrays(root):
+    """Every ndarray reachable from ``root`` through instance attributes
+    and containers; classes, modules and functions are not followed."""
+    seen, stack, arrays = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+        ):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            if obj.base is not None:
+                stack.append(obj.base)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return arrays
+
+
+class TestDiagonalPointerAlgebra:
+    """The pointer algebras are built from the pointer diagonal; they must
+    equal the algebra generate_algebra closes over the dense pointer operator,
+    and the joint-eigenbasis algebra of the same operator turned by a unitary."""
+
+    @pytest.mark.parametrize("model", DIAGONAL_MODELS, ids=DIAGONAL_IDS)
+    @pytest.mark.parametrize("environment", [True, False])
+    def test_matches_generate_algebra(self, model, environment):
+        alg = pointer_algebra(model, environment=environment)
+        dense = pointer_operator(model, alg.layout)
+        ref = generate_algebra([dense], alg.layout)
+        assert np.array_equal(alg.labels, ref.labels)
+        assert np.array_equal(alg._class_values, ref._class_values)
+        for char, other in zip(extremal_states(alg), extremal_states(ref), strict=True):
+            assert char.projector_index == other.projector_index
+            assert np.array_equal(char.values, other.values)
+            assert np.array_equal(char.generator_values, other.generator_values)
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            a = rng.standard_normal(dense.shape) + 1j * rng.standard_normal(dense.shape)
+            assert np.array_equal(alg.project_coefficients(a), ref.project_coefficients(a))
+
+    @pytest.mark.parametrize("model", DIAGONAL_MODELS, ids=DIAGONAL_IDS)
+    @pytest.mark.parametrize("environment", [True, False])
+    def test_matches_joint_eigenbasis_path(self, model, environment):
+        alg = pointer_algebra(model, environment=environment)
+        dense = pointer_operator(model, alg.layout)
+        rng = np.random.default_rng(45)
+        d = alg.layout.dim
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        turned = generate_algebra([u @ dense @ u.conj().T], alg.layout)
+        assert turned.eigenvectors is not None
+        assert np.allclose(turned._class_values, alg._class_values, atol=1e-9)
+        assert np.array_equal(np.bincount(turned.labels), np.bincount(alg.labels))
+        for _ in range(3):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            assert np.allclose(
+                turned.project_coefficients(u @ a @ u.conj().T),
+                alg.project_coefficients(a),
+                atol=1e-9,
+            )
+
+    @pytest.mark.parametrize("model", DIAGONAL_MODELS, ids=DIAGONAL_IDS)
+    @pytest.mark.parametrize("environment", [True, False])
+    def test_generator_is_the_pointer_operator(self, model, environment):
+        alg = pointer_algebra(model, environment=environment)
+        (generator,) = alg.generators
+        dense = pointer_operator(model, alg.layout)
+        assert generator.dtype == dense.dtype and generator.tobytes() == dense.tobytes()
+        factors = [
+            np.diag(model.qo_values) if label == "O" else np.eye(dim)
+            for label, dim in alg.layout.factors
+        ]
+        oracle = factors[0]
+        for factor in factors[1:]:
+            oracle = kron_oracle(oracle, factor)
+        assert np.array_equal(generator, oracle)
+
+    def test_setup_holds_no_dense_array(self):
+        model = make_model(s_dim=2, o_dim=4, environment={"e_dim": 15})
+        d = full_layout(model).dim
+        assert d == 120
+        setup = _setup.__wrapped__(model)  # a fresh setup, not the cached one
+        assert max(a.size for a in _reachable_arrays(setup)) < d * d
+        setup.algebra.generators  # made dense on first read, and kept
+        assert max(a.size for a in _reachable_arrays(setup)) == d * d
