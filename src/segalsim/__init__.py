@@ -31,11 +31,8 @@ from .states import (
     basis_state,
     density_from_vector,
     expectation,
-    gemenge_mix,
     purity,
-    reduce_density,
     sample_gemenge,
-    vector_fidelity,
 )
 from .algebra import (
     OperatorAlgebra,
@@ -67,20 +64,22 @@ from .measurement import (
     StatisticalDoublet,
     WignerFriendReport,
     branch_mixture,
-    couple_environment,
+    environment_coherence,
+    environment_pointer_basis,
     event_rng,
     evolve_sle,
     evolve_unitary,
-    extract_pointer_basis,
     interaction_hamiltonian,
+    interference_expectation,
     interference_observable,
     make_model,
     pointer_algebra,
+    pointer_basis,
     pointer_characters,
     pointer_histogram,
     pointer_state_stability,
     premeasure,
-    premeasurement_unitary,
+    record_erasure,
     restricted_pointer_probabilities,
     run_ensemble,
     run_event,
@@ -124,21 +123,21 @@ __all__ = [
     "breuer_indistinguishable",
     "character_probabilities",
     "contains",
-    "couple_environment",
     "decompose_restricted",
     "density_from_vector",
     "emit_report",
+    "environment_coherence",
+    "environment_pointer_basis",
     "event_rng",
     "evolve_sle",
     "evolve_unitary",
     "expectation",
-    "extract_pointer_basis",
     "extremal_states",
-    "gemenge_mix",
     "generate_algebra",
     "hermitian_eig",
     "hs_inner",
     "interaction_hamiltonian",
+    "interference_expectation",
     "interference_observable",
     "is_commutative",
     "joint_spectral_resolution",
@@ -146,13 +145,13 @@ __all__ = [
     "parse_scenario",
     "partial_trace",
     "pointer_algebra",
+    "pointer_basis",
     "pointer_characters",
     "pointer_histogram",
     "pointer_state_stability",
     "premeasure",
-    "premeasurement_unitary",
     "purity",
-    "reduce_density",
+    "record_erasure",
     "restrict_state",
     "restricted_pointer_probabilities",
     "run_ensemble",
@@ -163,7 +162,6 @@ __all__ = [
     "system_state",
     "tensor",
     "unitary_from_hamiltonian",
-    "vector_fidelity",
     "wigner_friend_report",
 ]
 

@@ -46,12 +46,13 @@ PROBABILITY_FLOOR = 1e-12
 # 60 (a 30-byte row as bytes and as text): 0.24 GB, or 0.85 GB, at the cap.
 MAX_EVENTS = 10**7
 
-# Largest dense d x d complex array (16 d^2 bytes, d = s_dim * o_dim * e_dim)
-# a model may need, checked when the model is made, before any allocation.
-# Per-model setup holds none (the pointer algebras come from the pointer
-# diagonal); decoherence and erasure hold dense density matrices, and the
-# named algebra-probe generators are dense.  2**30 bytes allows d up to
-# 8192; one such array at d = 2184 (s_dim 12, o_dim 13, e_dim 14) is 76 MB.
+# Cap on d = s_dim * o_dim * e_dim, as the bytes of one dense d x d complex
+# array (16 d^2), checked when the model is made, before any allocation.
+# Per-model setup and the pure, gemenge, decoherence and erasure runs hold
+# no such array (their states stay amplitude vectors); wigner-friend holds
+# dense S (x) O density matrices and the named algebra-probe generators are
+# dense, and the cap bounds neither run's total.  2**30 bytes allows d up
+# to 8192; one such array at d = 2184 (s_dim 12, o_dim 13, e_dim 14) is 76 MB.
 MAX_DENSE_BYTES = 2**30
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "hermitian_eig",
     "hs_inner",
     "identity",
-    "is_hermitian",
     "partial_trace",
     "projector",
     "require_hermitian",
@@ -138,13 +137,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> np.ndarray:

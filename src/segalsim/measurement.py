@@ -6,13 +6,15 @@ per S basis state), optionally followed by an environment register E.  The
 pipeline for one event is
 
     sample the input (if it is an ensemble table)
-    -> premeasurement unitary on S (x) O
+    -> premeasurement: the ready/pointer swap on S (x) O
     -> environment coupling (if configured)
     -> stochastic restriction onto the observer's pointer algebra.
 
-E always starts ready, so the environment coupling acts as the isometry
+Premeasurement is a permutation of amplitudes, its own inverse.  E always
+starts ready, so the environment coupling acts as the isometry
 |s, O_j> -> |s, O_j>|E_j>: one table of environment records, row j the E
-state left next to pointer state |O_j>.
+state left next to pointer state |O_j>.  Every summary of a run is read
+from the premeasured amplitudes and that table, with no density matrix.
 
 The dynamical component of the state is never collapsed: an external
 observer sees exact unitary evolution throughout, while the sampled
@@ -42,11 +44,11 @@ from .linalg import (
     basis_vector,
     degenerate_clusters,
     hermitian_eig,
-    partial_trace,
     require_hermitian,
     unitary_from_hamiltonian,
 )
 from .restriction import (
+    AlgebraicState,
     BreuerReport,
     Character,
     breuer_indistinguishable,
@@ -54,7 +56,6 @@ from .restriction import (
     decompose_restricted,
     draw_cumulative,
     extremal_states,
-    restrict_state,
     sample_individual_restriction,
 )
 from .states import (
@@ -62,7 +63,6 @@ from .states import (
     Gemenge,
     StateVector,
     density_from_vector,
-    expectation,
     purity,
     sample_gemenge,
     table_inverse_cdf,
@@ -79,25 +79,27 @@ __all__ = [
     "WignerFriendReport",
     "branch_mixture",
     "column_counts",
-    "couple_environment",
+    "environment_coherence",
+    "environment_pointer_basis",
     "event_rng",
     "evolve_sle",
     "evolve_unitary",
-    "extract_pointer_basis",
     "full_layout",
     "initial_doublet",
     "interaction_hamiltonian",
+    "interference_expectation",
     "interference_observable",
     "make_model",
     "ms_layout",
     "pointer_algebra",
+    "pointer_basis",
     "pointer_characters",
     "pointer_histogram",
     "pointer_operator",
     "pointer_state_stability",
     "premeasure",
-    "premeasurement_unitary",
     "ready_state",
+    "record_erasure",
     "restricted_pointer_probabilities",
     "run_ensemble",
     "run_event",
@@ -339,15 +341,25 @@ def pointer_characters(model: MeasurementModel, environment: bool = False) -> tu
     return setup.characters if environment else setup.ms_characters
 
 
-def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
-    """Character weights of ``rho`` restricted to the S (x) O pointer algebra.
+def restricted_pointer_probabilities(model: MeasurementModel, source: StateVector | Gemenge) -> np.ndarray:
+    """Character weights of the post-measurement state of ``source``,
+    restricted to the S (x) O pointer algebra.
 
     In ``qo_values`` order; weights at or below ``PROBABILITY_FLOOR`` are
     round-off of a structural zero and read exactly 0.
     """
+    d = ms_layout(model).dim
+    return _pointer_weights(model, _post_measurement_entries(model, source, np.arange(d), np.arange(d)))
+
+
+def _pointer_weights(model: MeasurementModel, diagonal: np.ndarray) -> np.ndarray:
+    """Restricted pointer probabilities of the S (x) O state with diagonal
+    ``diagonal``, all that the diagonal pointer algebra reads of it."""
     setup = _setup(model)
     alg = setup.ms_algebra
-    weights = decompose_restricted(restrict_state(rho, alg), alg).probabilities
+    # tr(rho B_j) = conj(<B_j, rho^dag>), and <B_j, rho^dag> reads only diag(rho)^*.
+    phi = AlgebraicState(alg, (alg.basis_diagonals @ diagonal.conj()).conj())
+    weights = decompose_restricted(phi, alg).probabilities
     probs = weights[[c.projector_index for c in setup.ms_characters]]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
 
@@ -356,19 +368,16 @@ def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix
 # premeasurement dynamics
 
 
-def premeasurement_unitary(model: MeasurementModel) -> np.ndarray:
-    """Unitary sending |s_i>|O_0> to |s_i>|O_i>: conditional ready/pointer swap.
-
-    Real, symmetric and self-inverse, so applying it twice is the exact
-    erasure of the record.
-    """
+def _ready_pointer_swap(model: MeasurementModel, amplitudes: np.ndarray) -> np.ndarray:
+    """The premeasurement on S (x) O amplitudes, its own inverse: within
+    branch i, |s_i, O_0> and |s_i, O_i> trade places.  The ``+ 0.0`` gives
+    the +0 the dense unitary product gives where the gather keeps a -0."""
     o = model.o_dim
-    u = np.zeros((model.s_dim * o, model.s_dim * o), dtype=complex)
-    for alpha in range(model.s_dim):
-        block = np.eye(o)
-        block[[0, alpha + 1]] = block[[alpha + 1, 0]]
-        u[alpha * o : (alpha + 1) * o, alpha * o : (alpha + 1) * o] = block
-    return u
+    index = np.arange(model.s_dim * o).reshape(model.s_dim, o)
+    branch = np.arange(model.s_dim)
+    index[branch, 0] = branch * o + branch + 1
+    index[branch, branch + 1] = branch * o
+    return amplitudes[index.reshape(-1)] + 0.0
 
 
 def interaction_hamiltonian(model: MeasurementModel) -> np.ndarray:
@@ -389,6 +398,14 @@ def interaction_hamiltonian(model: MeasurementModel) -> np.ndarray:
     return h
 
 
+def _interference_pair(model: MeasurementModel) -> tuple[int, int]:
+    """S (x) O indices of |s_1 O_1> and |s_2 O_2>, the two states the
+    interference observable couples."""
+    if model.s_dim != 2:
+        raise ValueError("the interference observable is defined for s_dim = 2")
+    return 1, model.o_dim + 2
+
+
 def interference_observable(model: MeasurementModel) -> np.ndarray:
     """Cross-branch correlation witness |s_1 O_1><s_2 O_2| + h.c.
 
@@ -396,11 +413,8 @@ def interference_observable(model: MeasurementModel) -> np.ndarray:
     matched branch mixture, but it lies outside the pointer algebra, so
     the register itself can never read it.  Defined for two branches.
     """
-    if model.s_dim != 2:
-        raise ValueError("the interference observable is defined for s_dim = 2")
-    d = 2 * model.o_dim
-    b = np.zeros((d, d), dtype=complex)
-    i, j = 1, model.o_dim + 2
+    i, j = _interference_pair(model)
+    b = np.zeros((2 * model.o_dim, 2 * model.o_dim), dtype=complex)
     b[i, j] = 1.0
     b[j, i] = 1.0
     return b
@@ -408,8 +422,32 @@ def interference_observable(model: MeasurementModel) -> np.ndarray:
 
 def premeasure(model: MeasurementModel, psi_s: StateVector) -> StateVector:
     """Post-measurement pure state on S (x) O for an input system state."""
-    amp = premeasurement_unitary(model) @ ready_state(model, psi_s).amplitudes
-    return StateVector(ms_layout(model), amp)
+    return StateVector(ms_layout(model), _ready_pointer_swap(model, ready_state(model, psi_s).amplitudes))
+
+
+def _post_measurement_entries(model: MeasurementModel, source: StateVector | Gemenge, rows, cols):
+    """Entries ``rho[rows[n], cols[n]]`` of the post-measurement S (x) O
+    state: a_r conj(a_c) of the premeasured amplitudes, as |a><a| holds it,
+    or for an ensemble its probability-weighted sum over the rows, in order."""
+    if _source_kind(model, source) == "pure":
+        a = premeasure(model, source).amplitudes
+        return a[rows] * a[cols].conj()
+    entries = np.zeros(len(rows), dtype=complex)
+    for state, p in source.rows:
+        a = premeasure(model, state).amplitudes
+        entries += p * (a[rows] * a[cols].conj())
+    return entries
+
+
+def interference_expectation(model: MeasurementModel, source: StateVector | Gemenge) -> float:
+    """<B> of the post-measurement state for the interference observable B.
+
+    B has two unit entries, so <B> is the sum of the two state entries it
+    reads; the ``+ 0.0`` gives the +0 the full trace gives when both are -0.
+    """
+    i, j = _interference_pair(model)
+    x, y = _post_measurement_entries(model, source, [i, j], [j, i]).real
+    return float(x + y + 0.0)
 
 
 def branch_mixture(model: MeasurementModel, amplitudes: Sequence[complex]) -> DensityMatrix:
@@ -448,18 +486,27 @@ class StatisticalDoublet:
             raise InvariantViolation(
                 f"information vector is not a probability distribution: {info!r}"
             )
-        recomputed = _information_of(self.dynamical, self.characters)
+        alg = self.characters[0].algebra
+        recomputed = _information_of(alg.eigenbasis_diagonal(self.dynamical.matrix), self.characters)
         if np.max(np.abs(recomputed - info)) > 1e-9:
             raise InvariantViolation(
                 "information vector inconsistent with the dynamical component"
             )
 
 
-def _information_of(rho: DensityMatrix, characters: tuple[Character, ...]) -> np.ndarray:
+def _information_of(diagonal: np.ndarray, characters: tuple[Character, ...]) -> np.ndarray:
+    """The record distribution tr(rho P_k), in character order, from
+    ``diagonal`` = diag(V^dag rho V) on the characters' algebra: its sum
+    over class k."""
     alg = characters[0].algebra
-    # tr(rho P_k) is the diagonal of V^dag rho V summed over class k.
-    sums = np.bincount(alg.labels, alg.eigenbasis_diagonal(rho.matrix).real, alg.dimension)
+    sums = np.bincount(alg.labels, diagonal.real, alg.dimension)
     return np.clip(sums[[c.projector_index for c in characters]], 0.0, None)
+
+
+def _doublet(rho: DensityMatrix, characters: tuple[Character, ...]) -> StatisticalDoublet:
+    """The doublet of ``rho`` with its record distribution read from it."""
+    diagonal = characters[0].algebra.eigenbasis_diagonal(rho.matrix)
+    return StatisticalDoublet(rho, _information_of(diagonal, characters), characters)
 
 
 def statistical_doublet(model: MeasurementModel, rho: DensityMatrix) -> StatisticalDoublet:
@@ -471,7 +518,7 @@ def statistical_doublet(model: MeasurementModel, rho: DensityMatrix) -> Statisti
         chars = pointer_characters(model, environment=False)
     else:
         raise ValueError("state layout matches neither the measurement nor the full layout")
-    return StatisticalDoublet(rho, _information_of(rho, chars), chars)
+    return _doublet(rho, chars)
 
 
 def initial_doublet(model: MeasurementModel, psi_s: StateVector) -> StatisticalDoublet:
@@ -483,8 +530,7 @@ def evolve_unitary(theta: StatisticalDoublet, u: np.ndarray) -> StatisticalDoubl
     """Conjugate the dynamical component by a unitary; refresh the record
     distribution from the evolved state."""
     rho = theta.dynamical
-    evolved = DensityMatrix(rho.layout, u @ rho.matrix @ u.conj().T)
-    return StatisticalDoublet(evolved, _information_of(evolved, theta.characters), theta.characters)
+    return _doublet(DensityMatrix(rho.layout, u @ rho.matrix @ u.conj().T), theta.characters)
 
 
 def evolve_sle(theta: StatisticalDoublet, h: np.ndarray, t: float) -> StatisticalDoublet:
@@ -497,6 +543,22 @@ def evolve_sle(theta: StatisticalDoublet, h: np.ndarray, t: float) -> Statistica
     if h.shape[0] != theta.dynamical.dim:
         raise ValueError("hamiltonian dimension does not match the doublet")
     return evolve_unitary(theta, unitary_from_hamiltonian(h, t))
+
+
+def record_erasure(model: MeasurementModel, psi_s: StateVector) -> tuple[np.ndarray, ...]:
+    """Premeasure ``psi_s``, then erase the record with the same swap.
+
+    Returns the record distributions of the ready, the measured and the
+    recovered state (the doublets evolved by the premeasurement and its
+    inverse carry the same), and the recovered state's fidelity with the
+    ready one.
+    """
+    ready = ready_state(model, psi_s).amplitudes
+    measured = _ready_pointer_swap(model, ready)
+    recovered = _ready_pointer_swap(model, measured)
+    overlap = np.vdot(ready, recovered)
+    infos = [_information_of(a * a.conj(), pointer_characters(model)) for a in (ready, measured, recovered)]
+    return (*infos, float((overlap * overlap.conj()).real))
 
 
 # ---------------------------------------------------------------------------
@@ -709,25 +771,32 @@ def _environment_records(model: MeasurementModel) -> np.ndarray:
     return records
 
 
-def couple_environment(model: MeasurementModel, rho_ms: DensityMatrix) -> DensityMatrix:
-    """Entangle the register with its environment: V rho V^dag.
+def _traced_block(records: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """<s| Tr_E(V rho V^dag) |s'> for the S (x) O block rho[s j, s' k] =
+    left[j] conj(right[k]) of a pure state, V the environment coupling.
 
-    E starts ready, so the coupling acts as the isometry
-    V = I_S (x) sum_j |O_j>|E_j><O_j|, which appends to each pointer state
-    its environment record.  The branch records have pairwise overlaps
-    equal to the configured ``e_overlap``, so tracing E out afterwards
-    scales the cross-branch coherences by exactly that overlap.
+    Entry (j, k) sums (records[j, e] rho[s j, s' k]) records[k, e] over e,
+    the factors in the order the coupled density matrix holds them.
     """
-    if model.environment is None:
-        raise ValueError("model has no environment configured")
-    if rho_ms.layout != ms_layout(model):
-        raise ValueError("input state must live on the S (x) O layout")
-    records = _environment_records(model)
-    rho = rho_ms.matrix.reshape(model.s_dim, model.o_dim, 1, model.s_dim, model.o_dim, 1)
-    # entry (s j e, s' k f) is records[j, e] rho[s j, s' k] records[k, f]
-    coupled = (records[:, :, None, None, None] * rho) * records
-    layout = full_layout(model)
-    return DensityMatrix(layout, coupled.reshape(layout.dim, layout.dim))
+    rho = np.outer(left, right.conj())
+    return ((records[:, None, :] * rho[:, :, None]) * records[None]).sum(axis=-1)
+
+
+def environment_coherence(model: MeasurementModel, psi_s: StateVector) -> float:
+    """|<s_0 O_1| rho_SO |s_1 O_2>| once E is traced out of the coupled state.
+
+    The branch records overlap by ``e_overlap``, so the environment scales
+    the cross-branch coherence by exactly that overlap.
+    """
+    a = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
+    return abs(complex(_traced_block(_setup(model).records, a[0], a[1])[1, 2]))
+
+
+def environment_pointer_basis(model: MeasurementModel, psi_s: StateVector) -> PointerBasisReport:
+    """:func:`pointer_basis` of the coupled post-measurement state of ``psi_s``."""
+    records = _setup(model).records
+    table = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
+    return pointer_basis(np.array([_traced_block(records, a, a) for a in table]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -740,55 +809,41 @@ class PointerBasisReport:
     residual: float
 
 
-def extract_pointer_basis(
-    rho_mse: DensityMatrix,
+def pointer_basis(
+    conditioned: np.ndarray,
     weight_floor: float = 1e-10,
     gap: float = DEGENERACY_GAP,
     residual_tol: float = 1e-6,
 ) -> PointerBasisReport:
     """Recover the register basis selected by a tri-partite entangled state.
 
-    Primary route: the eigenbasis of the O marginal.  Degenerate
+    ``conditioned[i]`` is the S-conditioned register state <s_i| rho |s_i>
+    with every other factor traced out, unnormalized; their sum is the O
+    marginal.  Primary route: the eigenbasis of the O marginal.  Degenerate
     eigenvalue clusters are resolved through the S-conditioned O states
     (each measured branch pins down its own pointer vector, whatever the
     environment overlaps are); if the conditioned states cannot split a
     cluster either, the report says DEGENERATE-UNRESOLVED rather than
-    picking a basis arbitrarily.  States whose S-diagonal blocks fail to
-    factor into a single register direction are rejected as not being of
-    the measured tri-partite form.
+    picking a basis arbitrarily.  States whose S-conditioned states fail to
+    be a single register direction are rejected as not being of the
+    measured tri-partite form.
     """
-    lay = rho_mse.layout
-    for label in ("S", "O", "E"):
-        if label not in lay.labels:
-            raise ValueError(f"layout must carry an {label!r} factor, has {lay.labels}")
-    s_ax = lay.axis("S")
-    dims = lay.dims
-    n = len(dims)
-    sub_layout = lay.subset(set(lay.labels) - {"S"})
-
-    # S-conditioned blocks <s_i| rho |s_i> on the remaining factors.
-    t = rho_mse.matrix.reshape(dims + dims)
-    conditional: list[tuple[float, np.ndarray]] = []  # (weight, normalized O state)
+    conditional: list[np.ndarray] = []  # normalized O states
     residual = 0.0
-    for i in range(dims[s_ax]):
-        block = np.take(np.take(t, i, axis=s_ax + n), i, axis=s_ax)
-        d_sub = sub_layout.dim
-        block = block.reshape(d_sub, d_sub)
-        weight = float(np.trace(block).real)
+    for sigma in conditioned:
+        weight = float(np.trace(sigma).real)
         if weight <= weight_floor:
             continue
-        sigma = partial_trace(block, sub_layout, {"O"})
         eigvals = np.linalg.eigvalsh(sigma)
         residual = max(residual, 1.0 - float(eigvals[-1]) / weight)
-        conditional.append((weight, sigma / weight))
+        conditional.append(sigma / weight)
     if residual > residual_tol:
         raise ValueError(
             f"state is not approximately tri-decomposable: branch residual {residual:.3e} "
             f"exceeds {residual_tol:.1e}"
         )
 
-    rho_o = partial_trace(rho_mse.matrix, lay, {"O"})
-    values, vectors = hermitian_eig(rho_o)
+    values, vectors = hermitian_eig(conditioned.sum(axis=0))
     significant = [k for k in range(values.size) if values[k] > weight_floor]
     clusters = [
         [significant[j] for j in group]
@@ -805,7 +860,7 @@ def extract_pointer_basis(
             continue
         p_cluster = vectors[:, cluster] @ vectors[:, cluster].conj().T
         candidates: list[np.ndarray] = []
-        for _, sigma in conditional:
+        for sigma in conditional:
             _, sig_vecs = hermitian_eig(sigma)
             u = sig_vecs[:, -1]
             projected = p_cluster @ u
@@ -905,18 +960,17 @@ def wigner_friend_report(
     """
     rho_p = density_from_vector(premeasure(model, psi_s))
     rho_m = branch_mixture(model, psi_s.amplitudes)
-    b = interference_observable(model)
 
     events = run_ensemble(model, psi_s, n_events, seed)
     histogram = pointer_histogram(model, events)
 
     ms_alg = pointer_algebra(model, environment=False)
     return WignerFriendReport(
-        b_expectation=expectation(rho_p, b),
+        b_expectation=interference_expectation(model, psi_s),
         dynamical_purity=purity(rho_p),
         histogram=histogram,
         frequencies=histogram / float(n_events),
-        restricted_probabilities=restricted_pointer_probabilities(model, rho_p),
+        restricted_probabilities=restricted_pointer_probabilities(model, psi_s),
         breuer_pointer=breuer_indistinguishable(rho_p, rho_m, ms_alg, tol=breuer_tol),
         breuer_with_interference=breuer_indistinguishable(
             rho_p, rho_m, _interference_algebra(model), tol=breuer_tol

@@ -26,36 +26,23 @@ from .measurement import (
     EventBatch,
     MeasurementModel,
     column_counts,
-    couple_environment,
-    evolve_unitary,
-    extract_pointer_basis,
-    initial_doublet,
+    environment_coherence,
+    environment_pointer_basis,
+    interference_expectation,
     interference_observable,
     make_model,
     ms_layout,
     pointer_histogram,
     pointer_operator,
     pointer_state_stability,
-    premeasure,
-    premeasurement_unitary,
-    ready_state,
+    record_erasure,
     restricted_pointer_probabilities,
     run_ensemble,
     system_state,
     wigner_friend_report,
 )
 from .restriction import extremal_states
-from .states import (
-    DensityMatrix,
-    Gemenge,
-    StateVector,
-    basis_state,
-    density_from_vector,
-    expectation,
-    gemenge_mix,
-    reduce_density,
-    vector_fidelity,
-)
+from .states import Gemenge, StateVector, basis_state
 
 __all__ = [
     "ConfigError",
@@ -407,9 +394,9 @@ def _born_probabilities(cfg: ScenarioConfig) -> list[float]:
     return probs
 
 
-def _sampled_summary(cfg: ScenarioConfig, source: StateVector | Gemenge, rho: DensityMatrix):
+def _sampled_summary(cfg: ScenarioConfig, source: StateVector | Gemenge):
     """Events sampled from ``source`` and the summary shared by pure and
-    gemenge runs; ``rho`` is the post-measurement state on S (x) O."""
+    gemenge runs."""
     records = run_ensemble(cfg.model, source, cfg.n_events, cfg.seed)
     histogram = pointer_histogram(cfg.model, records)
     summary = {
@@ -417,22 +404,20 @@ def _sampled_summary(cfg: ScenarioConfig, source: StateVector | Gemenge, rho: De
         "born_probabilities": _born_probabilities(cfg),
         "histogram": histogram.tolist(),
         "frequencies": (histogram / cfg.n_events).tolist(),
-        "restricted_probabilities": restricted_pointer_probabilities(cfg.model, rho).tolist(),
+        "restricted_probabilities": restricted_pointer_probabilities(cfg.model, source).tolist(),
     }
     if cfg.model.s_dim == 2:
-        summary["b_expectation"] = expectation(rho, interference_observable(cfg.model))
+        summary["b_expectation"] = interference_expectation(cfg.model, source)
     return summary, records
 
 
 def _run_pure(cfg: ScenarioConfig):
-    psi_s = system_state(cfg.model, cfg.amplitudes)
-    return _sampled_summary(cfg, psi_s, density_from_vector(premeasure(cfg.model, psi_s)))
+    return _sampled_summary(cfg, system_state(cfg.model, cfg.amplitudes))
 
 
 def _run_gemenge(cfg: ScenarioConfig):
     w = Gemenge(tuple((system_state(cfg.model, amps), p) for amps, p in cfg.gemenge_rows))
-    post = Gemenge(tuple((premeasure(cfg.model, state), p) for state, p in w.rows))
-    summary, records = _sampled_summary(cfg, w, gemenge_mix(post))
+    summary, records = _sampled_summary(cfg, w)
     summary["row_probabilities"] = [p for _, p in cfg.gemenge_rows]
     summary["row_histogram"] = column_counts(records.gemenge_row, len(cfg.gemenge_rows)).tolist()
     return summary, records
@@ -470,15 +455,8 @@ def _run_wigner_friend(cfg: ScenarioConfig):
 def _run_decoherence(cfg: ScenarioConfig):
     model = cfg.model
     psi_s = system_state(model, cfg.amplitudes)
-    rho_ms = density_from_vector(premeasure(model, psi_s))
-    rho_full = couple_environment(model, rho_ms)
-    back = reduce_density(rho_full, {"S", "O"})
-    lay = ms_layout(model)
-    i, j = lay.basis_index((0, 1)), lay.basis_index((1, 2))
-    offdiag = abs(complex(back.matrix[i, j]))
     predicted = model.environment.e_overlap * abs(cfg.amplitudes[0] * cfg.amplitudes[1])
-
-    basis_report = extract_pointer_basis(rho_full)
+    basis_report = environment_pointer_basis(model, psi_s)
     overlaps = [
         [abs(complex(v[k])) for k in range(model.o_dim)] for v in basis_report.vectors
     ]
@@ -492,7 +470,7 @@ def _run_decoherence(cfg: ScenarioConfig):
     sup[1] = sup[2] = 2**-0.5
     superposition = StateVector(o_layout, sup)
     summary = {
-        "offdiagonal_magnitude": offdiag,
+        "offdiagonal_magnitude": environment_coherence(model, psi_s),
         "predicted_offdiagonal": predicted,
         "pointer_basis_flag": basis_report.flag,
         "pointer_basis_residual": basis_report.residual,
@@ -506,18 +484,15 @@ def _run_decoherence(cfg: ScenarioConfig):
 
 
 def _run_erasure(cfg: ScenarioConfig):
-    model = cfg.model
-    psi_s = system_state(model, cfg.amplitudes)
-    theta = initial_doublet(model, psi_s)
-    u = premeasurement_unitary(model)
-    forward = evolve_unitary(theta, u)
-    back = evolve_unitary(forward, u.conj().T)
+    initial, measured, recovered, fidelity = record_erasure(
+        cfg.model, system_state(cfg.model, cfg.amplitudes)
+    )
     summary = {
-        "pointer_values": list(model.qo_values),
-        "information_initial": theta.information.tolist(),
-        "information_after_measurement": forward.information.tolist(),
-        "information_after_reversal": back.information.tolist(),
-        "recovered_initial_state_fidelity": vector_fidelity(back.dynamical, ready_state(model, psi_s)),
+        "pointer_values": list(cfg.model.qo_values),
+        "information_initial": initial.tolist(),
+        "information_after_measurement": measured.tolist(),
+        "information_after_reversal": recovered.tolist(),
+        "recovered_initial_state_fidelity": fidelity,
     }
     return summary, None
 

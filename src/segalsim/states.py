@@ -13,12 +13,12 @@ a modeling bug upstream, not something to patch up quietly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import HERMITIAN_ATOL, InvariantViolation, PSD_ATOL, TRACE_ATOL
-from .linalg import SpaceLayout, partial_trace, require_hermitian
+from .linalg import SpaceLayout, require_hermitian
 
 __all__ = [
     "DensityMatrix",
@@ -27,13 +27,10 @@ __all__ = [
     "basis_state",
     "density_from_vector",
     "expectation",
-    "gemenge_mix",
     "inverse_cdf",
     "purity",
-    "reduce_density",
     "sample_gemenge",
     "table_inverse_cdf",
-    "vector_fidelity",
 ]
 
 
@@ -149,14 +146,6 @@ def density_from_vector(v: StateVector) -> DensityMatrix:
     return DensityMatrix(v.layout, np.outer(v.amplitudes, v.amplitudes.conj()))
 
 
-def gemenge_mix(w: Gemenge) -> DensityMatrix:
-    """Density matrix averaged over the ensemble table."""
-    mat = np.zeros((w.layout.dim, w.layout.dim), dtype=complex)
-    for state, p in w.rows:
-        mat += p * np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(w.layout, mat)
-
-
 def inverse_cdf(cumulative: np.ndarray, u: float | np.ndarray) -> np.intp | np.ndarray:
     """Index of the first cumulative entry above ``u``, else the last index.
 
@@ -205,18 +194,5 @@ def expectation(rho: DensityMatrix, a: np.ndarray) -> float:
     return float(value.real)
 
 
-def reduce_density(rho: DensityMatrix, keep: Iterable[str]) -> DensityMatrix:
-    """Partial trace onto the kept factors."""
-    reduced = partial_trace(rho.matrix, rho.layout, keep)
-    return DensityMatrix(rho.layout.subset(keep), reduced)
-
-
 def purity(rho: DensityMatrix) -> float:
     return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
-
-
-def vector_fidelity(rho: DensityMatrix, v: StateVector) -> float:
-    """Overlap <v| rho |v> with a pure reference state."""
-    if rho.layout != v.layout:
-        raise ValueError("state and density matrix live on different layouts")
-    return float(np.vdot(v.amplitudes, rho.matrix @ v.amplitudes).real)

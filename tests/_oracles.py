@@ -1,12 +1,32 @@
 """Independent brute-force oracles used to pin expected values.
 
-Everything here is deliberately naive (explicit index loops, SVD ranks)
-and shares no code with the package under test.
+Everything above the dense-route section is deliberately naive (explicit
+index loops, SVD ranks) and shares no code with the package under test.
+The dense-route section keeps the density-matrix forms of steps the
+package now takes on amplitude vectors: the premeasurement unitary, the
+coupled V rho V^dag, partial traces to density matrices, the ensemble
+average and the dense-rho entry points of the pointer-basis extraction
+and of the restricted pointer probabilities.  The package's fast paths
+are tested against them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from segalsim.config import PROBABILITY_FLOOR
+from segalsim.linalg import partial_trace
+from segalsim.measurement import (
+    MeasurementModel,
+    _environment_records,
+    full_layout,
+    ms_layout,
+    pointer_algebra,
+    pointer_basis,
+    pointer_characters,
+)
+from segalsim.restriction import decompose_restricted, restrict_state
+from segalsim.states import DensityMatrix, Gemenge, StateVector
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,3 +260,93 @@ def environment_unitary_oracle(s_dim: int, o_dim: int, e_dim: int, overlap: floa
             )
         u[j * e_dim : (j + 1) * e_dim, j * e_dim : (j + 1) * e_dim] = block
     return np.kron(np.eye(s_dim, dtype=complex), u)
+
+
+# ---------------------------------------------------------------------------
+# dense route
+
+
+def premeasurement_unitary(model: MeasurementModel) -> np.ndarray:
+    """Unitary sending |s_i>|O_0> to |s_i>|O_i>: conditional ready/pointer swap.
+
+    Real, symmetric and self-inverse, so applying it twice is the exact
+    erasure of the record.
+    """
+    o = model.o_dim
+    u = np.zeros((model.s_dim * o, model.s_dim * o), dtype=complex)
+    for alpha in range(model.s_dim):
+        block = np.eye(o)
+        block[[0, alpha + 1]] = block[[alpha + 1, 0]]
+        u[alpha * o : (alpha + 1) * o, alpha * o : (alpha + 1) * o] = block
+    return u
+
+
+def gemenge_mix(w: Gemenge) -> DensityMatrix:
+    """Density matrix averaged over the ensemble table."""
+    mat = np.zeros((w.layout.dim, w.layout.dim), dtype=complex)
+    for state, p in w.rows:
+        mat += p * np.outer(state.amplitudes, state.amplitudes.conj())
+    return DensityMatrix(w.layout, mat)
+
+
+def reduce_density(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Partial trace onto the kept factors."""
+    reduced = partial_trace(rho.matrix, rho.layout, keep)
+    return DensityMatrix(rho.layout.subset(keep), reduced)
+
+
+def vector_fidelity(rho: DensityMatrix, v: StateVector) -> float:
+    """Overlap <v| rho |v> with a pure reference state."""
+    if rho.layout != v.layout:
+        raise ValueError("state and density matrix live on different layouts")
+    return float(np.vdot(v.amplitudes, rho.matrix @ v.amplitudes).real)
+
+
+def couple_environment(model: MeasurementModel, rho_ms: DensityMatrix) -> DensityMatrix:
+    """Entangle the register with its environment: V rho V^dag.
+
+    E starts ready, so the coupling acts as the isometry
+    V = I_S (x) sum_j |O_j>|E_j><O_j|, which appends to each pointer state
+    its environment record.
+    """
+    if model.environment is None:
+        raise ValueError("model has no environment configured")
+    if rho_ms.layout != ms_layout(model):
+        raise ValueError("input state must live on the S (x) O layout")
+    records = _environment_records(model)
+    rho = rho_ms.matrix.reshape(model.s_dim, model.o_dim, 1, model.s_dim, model.o_dim, 1)
+    # entry (s j e, s' k f) is records[j, e] rho[s j, s' k] records[k, f]
+    coupled = (records[:, :, None, None, None] * rho) * records
+    layout = full_layout(model)
+    return DensityMatrix(layout, coupled.reshape(layout.dim, layout.dim))
+
+
+def extract_pointer_basis(rho_mse: DensityMatrix, **options):
+    """``pointer_basis`` of a dense S (x) O (x) E density matrix: the
+    S-conditioned blocks <s_i| rho |s_i>, each traced down to O."""
+    lay = rho_mse.layout
+    for label in ("S", "O", "E"):
+        if label not in lay.labels:
+            raise ValueError(f"layout must carry an {label!r} factor, has {lay.labels}")
+    s_ax = lay.axis("S")
+    dims = lay.dims
+    sub_layout = lay.subset(set(lay.labels) - {"S"})
+    t = rho_mse.matrix.reshape(dims + dims)
+    conditioned = [
+        partial_trace(
+            np.take(np.take(t, i, axis=s_ax + len(dims)), i, axis=s_ax).reshape(sub_layout.dim, -1),
+            sub_layout,
+            {"O"},
+        )
+        for i in range(dims[s_ax])
+    ]
+    return pointer_basis(np.array(conditioned), **options)
+
+
+def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:
+    """Character weights of a dense S (x) O density matrix restricted to the
+    pointer algebra, through ``restrict_state``, in ``qo_values`` order."""
+    alg = pointer_algebra(model)
+    weights = decompose_restricted(restrict_state(rho, alg), alg).probabilities
+    probs = weights[[c.projector_index for c in pointer_characters(model)]]
+    return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)

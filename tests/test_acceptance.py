@@ -16,9 +16,7 @@ from segalsim.linalg import SpaceLayout, identity, tensor
 from segalsim.measurement import (
     EnvironmentSpec,
     branch_mixture,
-    couple_environment,
     evolve_unitary,
-    extract_pointer_basis,
     initial_doublet,
     interference_observable,
     make_model,
@@ -27,7 +25,6 @@ from segalsim.measurement import (
     pointer_histogram,
     pointer_state_stability,
     premeasure,
-    premeasurement_unitary,
     run_ensemble,
     system_state,
 )
@@ -38,11 +35,16 @@ from segalsim.states import (
     StateVector,
     density_from_vector,
     expectation,
+)
+
+from _oracles import (
+    closure_dimension_oracle,
+    couple_environment,
+    extract_pointer_basis,
+    premeasurement_unitary,
     reduce_density,
     vector_fidelity,
 )
-
-from _oracles import closure_dimension_oracle
 
 MODEL = make_model()
 Q_O_EXT = tensor(identity(2), np.diag([0.0, 1.0, -1.0]).astype(complex))

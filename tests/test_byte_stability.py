@@ -17,7 +17,11 @@ environment coupling was still a dense controlled-rotation unitary,
 before it became one table of environment records.  The wigner-friend
 report was re-recorded once, when its restricted probabilities started
 zeroing weights at or below PROBABILITY_FLOOR (the ready pointer read
-7.85e-17 before).
+7.85e-17 before).  ``decoherence-degenerate`` (equal branch weights, so
+the pointer basis is found through the S-conditioned register states),
+``erasure-spare`` and ``pure-signed-zero`` (``-0.0`` input amplitudes)
+were recorded while the scenarios still built dense density matrices and
+the (s*o)^2 premeasurement unitary, before pure states stayed vectors.
 """
 
 import hashlib
@@ -156,6 +160,26 @@ CONFIGS = {
         "input": {"amplitudes": [[0.8, 0], [0, 0.6]]},
         "t_grid": [0.0, 0.1, 0.7],
     },
+    "decoherence-degenerate": {
+        "scenario": "decoherence",
+        "model": {
+            "s_dim": 3,
+            "o_dim": 4,
+            "environment": {"e_dim": 6, "coupling_strength": 0.9, "e_overlap": 0.2},
+        },
+        "input": {"amplitudes": [[0.57735026919, 0], [0, 0.57735026919], [-0.57735026919, 0]]},
+    },
+    "erasure-spare": {
+        "scenario": "erasure",
+        "model": {"s_dim": 2, "o_dim": 5},
+        "input": {"amplitudes": [[0.6, -0.0], [-0.0, -0.8]]},
+    },
+    "pure-signed-zero": {
+        "scenario": "pure",
+        "input": {"amplitudes": [[-0.0, -0.0], [1, 0]]},
+        "n_events": 2000,
+        "seed": 18,
+    },
 }
 
 EXPECTED = {
@@ -212,6 +236,16 @@ EXPECTED = {
     },
     "decoherence-spare": {
         "report.json": "0d6c0728210bd0d641670fc9e157748573b10f89d1076d63344d3ffc99657574",
+    },
+    "decoherence-degenerate": {
+        "report.json": "11cf260129b9abd7118eef388059d693d6304a267fed37b9fa12e38cac8c165f",
+    },
+    "erasure-spare": {
+        "report.json": "3d7e32e40688a02fdecf326f7c3c40a754b9f85941cbd54482f0cd96cc58c98e",
+    },
+    "pure-signed-zero": {
+        "report.events.csv": "f53f7dd035e33230f871e9ed3665974d0dd722b9d20a3e61bc298a23657c0bd0",
+        "report.json": "29d3c23a63daf69ff213b2081bf8786002d8b556e64ec2c02c5538af685d8bb7",
     },
 }
 

@@ -3,8 +3,9 @@
 Every name a module imports is used in that module or re-exported through
 its ``__all__``; every module-level private function is referenced
 somewhere in the package; every constant in ``config.py`` is read by
-another module; and every module-level ``_PRIVATE_CONSTANT`` is read
-somewhere beyond its own assignment.
+another module; every module-level ``_PRIVATE_CONSTANT`` is read
+somewhere beyond its own assignment; and every name in a module's
+``__all__`` is read by the package, its tests or its benchmark.
 """
 
 import re
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "segalsim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "segalsim"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -117,3 +119,19 @@ def test_every_private_constant_is_read():
         if constant.startswith("_") and constant not in read
     ]
     assert not dead, f"module-level private constants never read: {dead}"
+
+
+def test_every_exported_name_is_read():
+    # The package's re-export of a name in __init__.py is not a read of it.
+    package = [path for path in MODULES if path.name != "__init__.py"]
+    readers = package + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set()
+    for tree in map(_tree, readers):
+        read |= _read_names(tree)
+        read |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    unread = [
+        f"{path.name}:{name}"
+        for path in package
+        for name in sorted(_exported_names(_tree(path)) - read)
+    ]
+    assert not unread, f"exported names nothing reads: {unread}"

@@ -14,16 +14,20 @@ from segalsim.measurement import (
     _environment_records,
     _information_of,
     _pipeline_image,
+    _pointer_weights,
+    _ready_pointer_swap,
     _setup,
+    _traced_block,
     branch_mixture,
-    couple_environment,
     event_rng,
     evolve_sle,
     evolve_unitary,
-    extract_pointer_basis,
+    environment_coherence,
+    environment_pointer_basis,
     full_layout,
     initial_doublet,
     interaction_hamiltonian,
+    interference_expectation,
     interference_observable,
     make_model,
     ms_layout,
@@ -33,7 +37,8 @@ from segalsim.measurement import (
     pointer_operator,
     pointer_state_stability,
     premeasure,
-    premeasurement_unitary,
+    ready_state,
+    record_erasure,
     restricted_pointer_probabilities,
     run_ensemble,
     run_event,
@@ -41,6 +46,7 @@ from segalsim.measurement import (
     system_state,
     wigner_friend_report,
 )
+from segalsim.linalg import partial_trace
 from segalsim.restriction import character_probabilities, extremal_states, restrict_state
 from segalsim.states import (
     DensityMatrix,
@@ -50,15 +56,20 @@ from segalsim.states import (
     density_from_vector,
     expectation,
     purity,
-    reduce_density,
-    vector_fidelity,
 )
 
+import _oracles
 from _oracles import (
     all_pairs_closure,
+    couple_environment,
     environment_unitary_oracle,
+    extract_pointer_basis,
+    gemenge_mix,
     joint_resolution_oracle,
     kron_oracle,
+    premeasurement_unitary,
+    reduce_density,
+    vector_fidelity,
 )
 
 MODEL = make_model()
@@ -628,7 +639,8 @@ class TestMaskedPointerProbabilities:
         for _ in range(5):
             rho = random_density(rng, chars[0].algebra.layout)
             dense = [float(np.trace(rho.matrix @ c.projector).real) for c in chars]
-            assert np.allclose(_information_of(rho, chars), dense, atol=1e-12)
+            diagonal = chars[0].algebra.eigenbasis_diagonal(rho.matrix)
+            assert np.allclose(_information_of(diagonal, chars), dense, atol=1e-12)
 
     def test_restricted_pointer_probabilities_in_pointer_order(self):
         model = MASK_MODELS[1]
@@ -636,7 +648,7 @@ class TestMaskedPointerProbabilities:
         chars = pointer_characters(model, environment=False)
         dense = [float(np.trace(rho.matrix @ c.projector).real) for c in chars]
         assert [c.pointer_value() for c in chars] == list(model.qo_values)
-        assert np.allclose(restricted_pointer_probabilities(model, rho), dense, atol=1e-12)
+        assert np.allclose(_pointer_weights(model, np.diagonal(rho.matrix)), dense, atol=1e-12)
 
     def test_ms_characters_built_once(self):
         model = MASK_MODELS[1]
@@ -700,6 +712,127 @@ class TestEnvironmentRecordsOracle:
             psi_s = StateVector(psi_s.layout, amp / np.linalg.norm(amp))
             image = _pipeline_image(model, _setup(model), psi_s).amplitudes
             assert np.array_equal(image, pipeline @ np.kron(psi_s.amplitudes, ready))
+
+
+# The four zeros a sign can give a complex amplitude.
+SIGNED_ZEROS = [complex(-0.0, -0.0), complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]
+
+
+def signed_zero_amplitudes(rng, n, trial):
+    """Random normalized amplitudes, a third of them all in the negative
+    quadrant, with about a third of the entries one of the signed zeros."""
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if trial % 3 == 1:
+        a = -np.abs(a.real) - 1j * np.abs(a.imag)
+    a[rng.random(n) < 0.3] = SIGNED_ZEROS[trial % 4]
+    if not np.any(a):
+        a[0] = 1.0
+    return a / np.linalg.norm(a)
+
+
+def same_bits(x, y):
+    """Equal as stored: signed zeros count."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestVectorRoutesMatchDenseRoute:
+    """The scenario path reads the post-measurement state from amplitudes;
+    each read must equal, bit for bit, what the dense route through density
+    matrices, the premeasurement unitary and the coupled V rho V^dag gives."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 5), (3, 4), (5, 7), (8, 9), (12, 14)], ids=str)
+    def test_swap_matches_unitary(self, dims):
+        model = make_model(*dims)
+        u = premeasurement_unitary(model)
+        rng = np.random.default_rng(sum(dims))
+        for trial in range(12):
+            v = signed_zero_amplitudes(rng, ms_layout(model).dim, trial)
+            assert same_bits(_ready_pointer_swap(model, v), u @ v)
+            psi_s = system_state(model, signed_zero_amplitudes(rng, model.s_dim, trial))
+            ready = ready_state(model, psi_s).amplitudes
+            assert same_bits(premeasure(model, psi_s).amplitudes, u @ ready)
+            assert same_bits(_ready_pointer_swap(model, premeasure(model, psi_s).amplitudes), u @ (u @ ready))
+
+    @pytest.mark.parametrize("spare", [0, 2])
+    @pytest.mark.parametrize("s_dim", [2, 3, 5, 8, 12])
+    def test_restricted_probabilities_and_interference(self, s_dim, spare):
+        model = make_model(s_dim, s_dim + 1 + spare)
+        rng = np.random.default_rng(100 * s_dim + spare)
+        for trial in range(12):
+            psi_s = system_state(model, signed_zero_amplitudes(rng, s_dim, trial))
+            weights = rng.random(1 + trial % 4)
+            weights[rng.random(weights.size) < 0.2] = 0.0
+            weights[0] += weights.sum() == 0.0
+            rows = tuple(
+                (system_state(model, signed_zero_amplitudes(rng, s_dim, trial + k)), float(p))
+                for k, p in enumerate(weights / weights.sum())
+            )
+            ensemble = Gemenge(rows)
+            dense = {
+                psi_s: density_from_vector(premeasure(model, psi_s)),
+                ensemble: gemenge_mix(Gemenge(tuple((premeasure(model, st), p) for st, p in rows))),
+            }
+            for source, rho in dense.items():
+                assert same_bits(
+                    restricted_pointer_probabilities(model, source),
+                    _oracles.restricted_pointer_probabilities(model, rho),
+                )
+                if s_dim == 2:
+                    b = expectation(rho, interference_observable(model))
+                    assert same_bits(interference_expectation(model, source), b)
+
+    @pytest.mark.parametrize(
+        "dims", ORACLE_MODELS + [(2, 3, 20, 0.5), (2, 3, 130, 0.3), (4, 5, 6, 0.5)], ids=str
+    )
+    def test_decoherence_reads(self, dims):
+        s_dim, o_dim, e_dim, overlap = dims
+        model = make_model(s_dim, o_dim, environment={"e_dim": e_dim, "e_overlap": overlap})
+        records = _environment_records(model)
+        rng = np.random.default_rng(sum(dims[:3]))
+        for trial in range(6):
+            amp = signed_zero_amplitudes(rng, s_dim, trial)
+            if trial == 5:
+                amp = np.full(s_dim, s_dim**-0.5, dtype=complex)  # degenerate pointer weights
+            psi_s = system_state(model, amp)
+            full = couple_environment(model, density_from_vector(premeasure(model, psi_s)))
+            back = reduce_density(full, {"S", "O"})
+            assert same_bits(environment_coherence(model, psi_s), abs(complex(back.matrix[1, o_dim + 2])))
+            table = premeasure(model, psi_s).amplitudes.reshape(s_dim, o_dim)
+            blocks = np.array([_traced_block(records, a, a) for a in table])
+            t = full.matrix.reshape(full.layout.dims * 2)
+            o_e = full.layout.subset({"O", "E"})
+            for i, block in enumerate(blocks):
+                dense_block = t[i, :, :, i].reshape(o_e.dim, o_e.dim)
+                assert same_bits(block, partial_trace(dense_block, o_e, {"O"}))
+                assert same_bits(np.trace(block).real, np.trace(dense_block).real)
+            assert same_bits(blocks.sum(axis=0), partial_trace(full.matrix, full.layout, {"O"}))
+            report, dense_report = environment_pointer_basis(model, psi_s), extract_pointer_basis(full)
+            assert report.flag == dense_report.flag
+            assert same_bits(report.residual, dense_report.residual)
+            assert same_bits(report.weights, dense_report.weights)
+            assert same_bits(np.array(report.vectors), np.array(dense_report.vectors))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 5), (3, 4), (5, 8), (12, 14)], ids=str)
+    def test_erasure_reads(self, dims):
+        model = make_model(*dims)
+        u = premeasurement_unitary(model)
+        rng = np.random.default_rng(sum(dims) + 7)
+        for trial in range(12):
+            psi_s = system_state(model, signed_zero_amplitudes(rng, model.s_dim, trial))
+            theta = initial_doublet(model, psi_s)
+            forward = evolve_unitary(theta, u)
+            back = evolve_unitary(forward, u.conj().T)
+            initial, measured, recovered, fidelity = record_erasure(model, psi_s)
+            assert same_bits(initial, theta.information)
+            assert same_bits(measured, forward.information)
+            assert same_bits(recovered, back.information)
+            # <v|rho|v> sums in BLAS order over a d x d matrix, |<v|psi>|^2
+            # over the recovered vector: they may part in the last two bits,
+            # never at the twelve digits a report keeps.
+            dense = vector_fidelity(back.dynamical, ready_state(model, psi_s))
+            assert abs(fidelity - dense) <= 2 * np.finfo(float).eps
+            assert f"{fidelity:.12g}" == f"{dense:.12g}"
 
 
 def test_d720_pointer_setup():

@@ -12,7 +12,9 @@ from segalsim.restriction import (
     restrict_state,
     sample_individual_restriction,
 )
-from segalsim.states import DensityMatrix, Gemenge, StateVector, basis_state, density_from_vector, gemenge_mix
+from segalsim.states import DensityMatrix, Gemenge, StateVector, basis_state, density_from_vector
+
+from _oracles import gemenge_mix
 
 O = SpaceLayout((("O", 3),))
 MS = SpaceLayout((("S", 2), ("O", 3)))

@@ -207,6 +207,67 @@ class TestRunScenario:
             assert r.pointer_index == r.gemenge_row + 1
 
 
+def _equal_amplitudes(s_dim):
+    return [[s_dim**-0.5, 0.0]] * s_dim
+
+
+class TestPureStatesStayVectors:
+    """The scenarios whose post-measurement state is pure, or an ensemble of
+    pure rows, read it from amplitudes: no density matrix is made, and what
+    a run allocates does not grow with the square of its dimension."""
+
+    CONFIGS = {
+        "pure": {"scenario": "pure", "model": {"s_dim": 3, "o_dim": 5}, "input": {"amplitudes": _equal_amplitudes(3)}},
+        "gemenge": json.loads(UNEVEN_GEMENGE),
+        "decoherence": {
+            "scenario": "decoherence",
+            "model": {"s_dim": 3, "o_dim": 4, "environment": {"e_dim": 6}},
+            "input": {"amplitudes": _equal_amplitudes(3)},
+        },
+        "erasure": {"scenario": "erasure", "model": {"s_dim": 3, "o_dim": 5}, "input": {"amplitudes": _equal_amplitudes(3)}},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_no_density_matrix_built(self, name, monkeypatch):
+        from segalsim.states import DensityMatrix
+
+        built = []
+        check = DensityMatrix.__post_init__
+
+        def counted(self):
+            built.append(self.dim)
+            check(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        cfg = parse_scenario(self.CONFIGS[name])
+        run_scenario(cfg)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"scenario": "pure", "model": {"s_dim": 40, "o_dim": 41}, "input": {"amplitudes": _equal_amplitudes(40)}},
+            {
+                "scenario": "decoherence",
+                "model": {"s_dim": 12, "o_dim": 13, "environment": {"e_dim": 14}},
+                "input": {"amplitudes": _equal_amplitudes(12)},
+            },
+        ],
+        ids=["pure-d1640", "decoherence-d2184"],
+    )
+    def test_run_peak_memory(self, config):
+        # A dense d x d state is 43 MB at d = 1640 and 76 MB at d = 2184.
+        from segalsim.measurement import pointer_algebra
+
+        cfg = parse_scenario(config)
+        pointer_algebra(cfg.model, environment=True)  # per-model setup, outside the trace
+        tracemalloc.start()
+        run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
 class TestEmitReport:
     def test_byte_stable(self):
         report = run_scenario(parse_scenario(config_text()))

@@ -10,14 +10,13 @@ from segalsim.states import (
     basis_state,
     density_from_vector,
     expectation,
-    gemenge_mix,
     inverse_cdf,
     purity,
-    reduce_density,
     sample_gemenge,
     table_inverse_cdf,
-    vector_fidelity,
 )
+
+from _oracles import gemenge_mix, reduce_density, vector_fidelity
 
 S = SpaceLayout((("S", 2),))
 O = SpaceLayout((("O", 3),))
