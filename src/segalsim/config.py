@@ -40,10 +40,11 @@ STATE_EQUALITY_ATOL = 1e-8
 # Probabilities below this are treated as structurally zero.
 PROBABILITY_FLOOR = 1e-12
 
-# Most events a run may ask for, checked at parse.  An event holds 24 bytes
-# of EventBatch columns; uniforms, counts and log rows are made a block of
-# events at a time.  A csv document returned as text (no ``out``) adds about
-# 60 (a 30-byte row as bytes and as text): 0.24 GB, or 0.85 GB, at the cap.
+# Most events a run may ask for, checked at parse.  An event holds one byte
+# per EventBatch column up to 256 pointers and rows; uniforms, counts and log
+# rows are made a block of events at a time.  A csv document returned as text
+# (no ``out``) holds each row twice, as bytes and as text, about 60 bytes at a
+# 30-byte row: 0.02 GB, or about 0.6 GB, at the cap.
 MAX_EVENTS = 10**7
 
 # Cap on d = s_dim * o_dim * e_dim, as the bytes of one dense d x d complex

@@ -315,7 +315,7 @@ def _pointer_order(model, algebra):
     """The algebra's characters in pointer (qo_values) order, and the map
     from extremal order to pointer order."""
     chars_ext = extremal_states(algebra)
-    ext_to_ptr = np.full(len(chars_ext), -1, dtype=int)
+    ext_to_ptr = np.empty(len(chars_ext), np.min_scalar_type(model.o_dim - 1))
     ptr_to_ext = np.full(model.o_dim, -1, dtype=int)
     for k, char in enumerate(chars_ext):
         value = char.pointer_value()
@@ -649,11 +649,16 @@ def run_event(
 class EventBatch:
     """Columnar log of one ensemble run, event i at position i of each column.
 
-    ``pointer_index`` and ``probability`` hold the sampled pointer and the
-    probability it carried; ``gemenge_row`` holds the sampled ensemble row,
-    or is ``None`` for a pure input.  The seed, the input kind and the
-    pointer values are stored once.  Indexing and iteration give the
-    per-event :class:`EventRecord` that :func:`run_event` returns.
+    An event is stored as its outcome code: ``pointer_index`` holds the
+    sampled pointer and ``gemenge_row`` the sampled ensemble row, or is
+    ``None`` for a pure input, each in the smallest unsigned dtype that
+    holds its range (uint8 up to 256 pointers or rows).  The probability
+    an event carried belongs to its row's restricted state, so it is
+    stored once per outcome: ``outcome_probability[r, j]`` is the Born
+    weight of pointer j for row r (one row for a pure input), and
+    ``probability`` gathers it per event on demand.  The seed, the input
+    kind and the pointer values are stored once.  Indexing and iteration
+    give the per-event :class:`EventRecord` that :func:`run_event` returns.
     """
 
     seed: int
@@ -661,27 +666,34 @@ class EventBatch:
     pointer_values: tuple[float, ...]
     pointer_index: np.ndarray
     gemenge_row: np.ndarray | None
-    probability: np.ndarray
+    outcome_probability: np.ndarray
 
     def __post_init__(self) -> None:
-        for column in (self.pointer_index, self.gemenge_row, self.probability):
+        for column in (self.pointer_index, self.gemenge_row, self.outcome_probability):
             if column is not None:
                 column.setflags(write=False)
 
     def __len__(self) -> int:
         return self.pointer_index.size
 
+    @property
+    def probability(self) -> np.ndarray:
+        """The probability each event was drawn with, a new array."""
+        row = 0 if self.gemenge_row is None else self.gemenge_row
+        return self.outcome_probability[row, self.pointer_index]
+
     def __getitem__(self, i: int) -> EventRecord:
         i = range(len(self))[i]
         pointer_index = int(self.pointer_index[i])
+        row = None if self.gemenge_row is None else int(self.gemenge_row[i])
         return EventRecord(
             event_index=i,
             seed=self.seed,
             input_kind=self.input_kind,
-            gemenge_row=None if self.gemenge_row is None else int(self.gemenge_row[i]),
+            gemenge_row=row,
             pointer_index=pointer_index,
             impression=self.pointer_values[pointer_index],
-            probability=float(self.probability[i]),
+            probability=float(self.outcome_probability[row or 0, pointer_index]),
         )
 
     def __iter__(self):
@@ -699,7 +711,8 @@ def run_ensemble(
     Event i reproduces run_event(..., event_rng(seed, i)) record for
     record.  The deterministic pipeline prefix runs once per input row;
     the event streams are then evaluated, and the inverse CDFs searched,
-    one block of events at a time, straight into the batch's columns.
+    one block of events at a time, straight into the batch's columns:
+    one byte per event and column up to 256 pointers and rows.
     """
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
@@ -710,9 +723,10 @@ def run_ensemble(
     probs = np.array([character_probabilities(xi, setup.algebra) for xi in images])
     cumulatives = np.array([draw_cumulative(p) for p in probs])
 
+    outcome_probability = np.zeros((len(states), model.o_dim))
+    outcome_probability[:, setup.extremal_to_pointer] = probs
     pointer_index = np.empty(n_events, setup.extremal_to_pointer.dtype)
-    probability = np.empty(n_events)
-    rows = np.empty(n_events, np.intp) if kind == "gemenge" else None
+    rows = np.empty(n_events, np.min_scalar_type(len(states) - 1)) if kind == "gemenge" else None
     start = 0
     # A pure input draws the pointer only; an ensemble draws its row first.
     for uniforms in uniform_blocks(seed, n_events, 1 if rows is None else 2):
@@ -722,7 +736,6 @@ def run_ensemble(
             row = rows[start:stop] = table_inverse_cdf(source.cumulative[None], 0, uniforms[:, 0])
         k = table_inverse_cdf(cumulatives, row, uniforms[:, -1])
         pointer_index[start:stop] = setup.extremal_to_pointer[k]
-        probability[start:stop] = probs[row, k]
         start = stop
     return EventBatch(
         seed=seed,
@@ -730,13 +743,14 @@ def run_ensemble(
         pointer_values=model.qo_values,
         pointer_index=pointer_index,
         gemenge_row=rows,
-        probability=probability,
+        outcome_probability=outcome_probability,
     )
 
 
 def column_counts(column: np.ndarray, length: int) -> np.ndarray:
     """``np.bincount(column, minlength=length)`` of an EventBatch column, a
-    block at a time: bincount copies a read-only input whole."""
+    block at a time: bincount casts its whole input to intp, eight bytes
+    per event of a one-byte column."""
     counts = np.zeros(length, np.intp)
     for start in range(0, column.size, _COUNT_BLOCK):
         counts += np.bincount(column[start : start + _COUNT_BLOCK], minlength=length)

@@ -572,25 +572,24 @@ def _event_log(events: EventBatch) -> tuple[int, Iterator[np.ndarray]]:
     """The event log's size in bytes, and its bytes a block of rows at a time.
 
     Every row after its event index is fixed by the (gemenge row, pointer)
-    code, so each code present is formatted once and looked up per event.
-    A block never crosses a power of ten: its indices share a digit count.
+    code, so each code present is formatted once, its probability read
+    from ``outcome_probability``, and looked up per event.  A block never
+    crosses a power of ten: its indices share a digit count.
     """
     o_dim = len(events.pointer_values)
     n = len(events)
+    probability = events.outcome_probability.ravel()  # indexed by code
 
     def codes(start: int, stop: int) -> np.ndarray:
         if events.gemenge_row is None:
             return events.pointer_index[start:stop]
-        return events.gemenge_row[start:stop] * o_dim + events.pointer_index[start:stop]
+        row = events.gemenge_row[start:stop].astype(np.intp)  # a uint8 row times o_dim wraps
+        return row * o_dim + events.pointer_index[start:stop]
 
-    n_codes = o_dim * (1 if events.gemenge_row is None else int(events.gemenge_row.max()) + 1)
+    n_codes = probability.size
     counts = np.zeros(n_codes, np.intp)
-    probability = np.zeros(n_codes)
     for start in range(0, n, _LOG_BLOCK):
-        block_codes = codes(start, start + _LOG_BLOCK)
-        counts += np.bincount(block_codes, minlength=n_codes)
-        # one value per code
-        probability[block_codes] = events.probability[start : start + _LOG_BLOCK]
+        counts += np.bincount(codes(start, start + _LOG_BLOCK), minlength=n_codes)
     suffixes = [b""] * n_codes
     for code in np.flatnonzero(counts):
         row, pointer = divmod(int(code), o_dim)

@@ -75,6 +75,20 @@ from _oracles import (
 MODEL = make_model()
 
 
+def wide_gemenge():
+    """A 40-row ensemble at s_dim 3, o_dim 9: its (row, pointer) codes run
+    past 256 while each of the two columns fits one byte."""
+    model = make_model(s_dim=3, o_dim=9)
+    rng = np.random.default_rng(40)
+    amps = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    weights = rng.random(40)
+    weights[7] = 0.0  # a row that is never drawn
+    rows = tuple(
+        (system_state(model, a / np.linalg.norm(a)), w / weights.sum()) for a, w in zip(amps, weights)
+    )
+    return model, Gemenge(rows)
+
+
 def env_model(e_overlap=0.0, coupling=1.0, e_dim=8):
     return make_model(
         environment=EnvironmentSpec(e_dim=e_dim, coupling_strength=coupling, e_overlap=e_overlap)
@@ -334,13 +348,41 @@ class TestRunEvent:
                 ),
             ),
         )
+        wide_model, wide_source = wide_gemenge()
+        many_pointers = make_model(s_dim=2, o_dim=257)
+        cases += (
+            # rows x o_dim codes past 256, each column still one byte
+            (wide_model, wide_source),
+            # a pointer column past 256 values
+            (many_pointers, system_state(many_pointers, [0.6, 0.8j])),
+        )
         for model, source in cases:
-            batch = run_ensemble(model, source, 200, 17)
+            n = 200 if model.o_dim <= 256 else 12  # run_event checks a d x d doublet per event
+            batch = run_ensemble(model, source, n, 17)
             reference = [
                 run_event(model, source, event_rng(17, i), event_index=i, seed=17)[0]
-                for i in range(200)
+                for i in range(n)
             ]
             assert list(batch) == reference
+            assert batch.pointer_index.dtype == (np.uint16 if model.o_dim > 256 else np.uint8)
+            assert batch.gemenge_row is None or batch.gemenge_row.dtype == np.uint8
+
+    def test_wide_gemenge_log_matches_per_event_records(self):
+        # The log reads its probabilities from the batch's table, as the
+        # batch's own records do, so the rows are formatted from run_event.
+        from segalsim import scenarios
+
+        model, source = wide_gemenge()
+        lines = [",".join(scenarios._EVENT_COLUMNS)]
+        for i in range(200):
+            r = run_event(model, source, event_rng(17, i), event_index=i, seed=17)[0]
+            lines.append(f"{i},{r.gemenge_row},{r.pointer_index},{r.impression:.12g},{r.probability:.12g}")
+        batch = run_ensemble(model, source, 200, 17)
+        assert int(batch.gemenge_row.max()) * model.o_dim > 255  # codes drawn past one byte
+        size, blocks = scenarios._event_log(batch)
+        log = b"".join(map(bytes, blocks))
+        assert log == ("\n".join(lines) + "\n").encode("ascii")
+        assert size == len(log)
 
     def test_off_system_source_rejected_alike(self):
         # run_event, run_ensemble and premeasure share one layout check.
@@ -363,8 +405,9 @@ class TestRunEvent:
 
 class TestEventStreams:
     def test_ensemble_makes_no_temporaries_of_its_length(self):
-        # Beyond the three columns, what run_ensemble and the histogram
-        # allocate does not grow with the event count.
+        # Beyond what the batch holds, what run_ensemble and the histogram
+        # allocate does not grow with the event count; the batch holds one
+        # byte per event and column.
         w = Gemenge(((psi(1.0, 0.0), 0.3), (psi(0.6, 0.8), 0.7)))
         run_ensemble(MODEL, w, 10, 1)  # per-model setup, outside the trace
         extra = []
@@ -374,8 +417,9 @@ class TestEventStreams:
             pointer_histogram(MODEL, batch)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            columns = (batch.pointer_index, batch.gemenge_row, batch.probability)
-            extra.append(peak - sum(column.nbytes for column in columns))
+            assert batch.pointer_index.nbytes + batch.gemenge_row.nbytes == 2 * n
+            held = (batch.pointer_index, batch.gemenge_row, batch.outcome_probability)
+            extra.append(peak - sum(array.nbytes for array in held))
         assert extra[1] - extra[0] < 2**16
 
     def test_batch_uniforms_match_per_event_generators(self):
