@@ -1,10 +1,11 @@
 """Batch evaluation of per-event random streams.
 
-Event i draws from ``Generator(Philox(key=seed + (i << 64)))``; because
-Philox is counter-based, the first block of every event stream is a pure
-function of (seed, i) and all events can be evaluated at once.  This
-module computes those blocks vectorized over events, bit-identical to
-numpy (same 4x64-10 network, and the same convention that the counter is
+Event i draws from the stream numpy's ``Generator(Philox(key=seed +
+(i << 64)))`` would give; because Philox is counter-based, the first
+block of every event stream is a pure function of (seed, i) and all
+events can be evaluated at once.  This module computes those blocks
+vectorized over events in uint64 arithmetic, bit-identical to numpy
+(same 4x64-10 network, and the same convention that the counter is
 incremented before the first block is produced).  Each event may consume
 at most the four 64-bit words of its first block.
 """
@@ -62,9 +63,9 @@ def _mulhilo(a: int, b: np.ndarray, lo: np.ndarray, t: np.ndarray, u: np.ndarray
 def _first_block(seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
     """Uniforms from the first block of the streams keyed by (seed, index).
 
-    Row j equals the first ``n_draws`` values of ``event_rng(seed,
-    indices[j]).random()``; the Philox rounds run in place on four state
-    words, the event key and three scratch buffers.
+    Row j equals the first ``n_draws`` ``random()`` values of the stream
+    keyed by (seed, indices[j]); the Philox rounds run in place on four
+    state words, the event key and three scratch buffers.
     """
     n = indices.size
     k1 = np.array(indices, dtype=np.uint64)
@@ -106,8 +107,9 @@ def uniform_blocks(seed: int, n_events: int, n_draws: int) -> Iterator[np.ndarra
 def event_uniforms(seed: int, n_events: int, n_draws: int) -> np.ndarray:
     """First ``n_draws`` uniforms of every event stream, shape (n_events, n_draws).
 
-    Row i equals ``[event_rng(seed, i).random() for _ in range(n_draws)]``
-    bit for bit; ``n_draws`` is capped by the four words of one block.
+    Row i equals the first ``n_draws`` ``random()`` values of numpy's
+    ``Generator(Philox(key=seed + (i << 64)))`` bit for bit; ``n_draws``
+    is capped by the four words of one block.
     """
     out = np.empty((n_events, n_draws))
     for i, block in enumerate(uniform_blocks(seed, n_events, n_draws)):

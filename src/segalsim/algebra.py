@@ -79,7 +79,6 @@ __all__ = [
     "contains",
     "diagonal_algebra",
     "generate_algebra",
-    "is_commutative",
     "joint_spectral_resolution",
 ]
 
@@ -467,11 +466,6 @@ def _gram_schmidt_closure(
         done += 1
 
     return OperatorAlgebra(layout, gens, tol, stack=rows[:k].reshape(k, d, d))
-
-
-def is_commutative(alg: OperatorAlgebra) -> bool:
-    """True iff the algebra's letters commute within its tolerance."""
-    return alg.commutative
 
 
 def contains(alg: OperatorAlgebra, a: np.ndarray) -> bool:

@@ -50,9 +50,11 @@ MAX_EVENTS = 10**7
 # Cap on d = s_dim * o_dim * e_dim, as the bytes of one dense d x d complex
 # array (16 d^2), checked when the model is made, before any allocation.
 # Per-model setup and the pure, gemenge, decoherence and erasure runs hold
-# no such array (their states stay amplitude vectors); wigner-friend holds
-# dense S (x) O density matrices and the named algebra-probe generators are
-# dense, and the cap bounds neither run's total.  2**30 bytes allows d up
+# no such array (their states stay amplitude vectors).  wigner-friend holds
+# the dense S (x) O density matrices and the interference algebra's
+# (o_dim + 4, d, d) basis, but not the pointer algebra's basis: its Breuer
+# verdicts read restricted values only.  The named algebra-probe generators
+# are dense, and the cap bounds neither run's total.  2**30 bytes allows d up
 # to 8192; one such array at d = 2184 (s_dim 12, o_dim 13, e_dim 14) is 76 MB.
 MAX_DENSE_BYTES = 2**30
 

@@ -56,7 +56,6 @@ from .restriction import (
     decompose_restricted,
     draw_cumulative,
     extremal_states,
-    sample_individual_restriction,
 )
 from .states import (
     DensityMatrix,
@@ -64,7 +63,6 @@ from .states import (
     StateVector,
     density_from_vector,
     purity,
-    sample_gemenge,
     table_inverse_cdf,
 )
 
@@ -81,7 +79,6 @@ __all__ = [
     "column_counts",
     "environment_coherence",
     "environment_pointer_basis",
-    "event_rng",
     "evolve_sle",
     "evolve_unitary",
     "full_layout",
@@ -102,7 +99,6 @@ __all__ = [
     "record_erasure",
     "restricted_pointer_probabilities",
     "run_ensemble",
-    "run_event",
     "statistical_doublet",
     "system_layout",
     "system_state",
@@ -591,58 +587,11 @@ class EventRecord:
     probability: float
 
 
-def event_rng(seed: int, event_index: int) -> np.random.Generator:
-    """Independent per-event stream: Philox keyed by (seed, event_index).
-
-    The two 64-bit words form the 128-bit Philox key, so distinct events
-    get cryptographically separated streams and any event can be replayed
-    in isolation.
-    """
-    seed = int(seed)
-    event_index = int(event_index)
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
-    if event_index < 0:
-        raise ValueError("event index must be non-negative")
-    return np.random.Generator(np.random.Philox(key=seed + (event_index << 64)))
-
-
 def _pipeline_image(model: MeasurementModel, setup: _Setup, psi_s: StateVector) -> StateVector:
     """Exact image of a system state, every register ready, under the pipeline:
     the premeasured amplitude of |s, O_j> times environment record j."""
     amp = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim, 1)
     return StateVector(setup.layout, (amp * setup.records).reshape(-1))
-
-
-def run_event(
-    model: MeasurementModel,
-    source: StateVector | Gemenge,
-    rng: np.random.Generator,
-    event_index: int = 0,
-    seed: int | None = None,
-) -> tuple[EventRecord, DoubletState]:
-    """One full measurement event.
-
-    The dynamical component returned is the exact unitary image of the
-    input (no collapse); the record carries the sampled pointer character
-    and the probability it was drawn with.
-    """
-    setup = _setup(model)
-    kind = _source_kind(model, source)
-    row, psi_s = sample_gemenge(source, rng) if kind == "gemenge" else (None, source)
-    xi = _pipeline_image(model, setup, psi_s)
-    char, prob = sample_individual_restriction(xi, setup.algebra, rng)
-    pointer_index = int(setup.extremal_to_pointer[char.projector_index])
-    record = EventRecord(
-        event_index=event_index,
-        seed=seed,
-        input_kind=kind,
-        gemenge_row=row,
-        pointer_index=pointer_index,
-        impression=model.qo_values[pointer_index],
-        probability=prob,
-    )
-    return record, DoubletState(density_from_vector(xi), char, event_index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,7 +607,9 @@ class EventBatch:
     weight of pointer j for row r (one row for a pure input), and
     ``probability`` gathers it per event on demand.  The seed, the input
     kind and the pointer values are stored once.  Indexing and iteration
-    give the per-event :class:`EventRecord` that :func:`run_event` returns.
+    give the per-event :class:`EventRecord`, equal record for record to
+    the per-event reference ``run_event`` with ``event_rng`` in
+    ``tests/_oracles.py``.
     """
 
     seed: int
@@ -708,11 +659,14 @@ def run_ensemble(
 ) -> EventBatch:
     """Batch of events with per-event derived streams.
 
-    Event i reproduces run_event(..., event_rng(seed, i)) record for
-    record.  The deterministic pipeline prefix runs once per input row;
-    the event streams are then evaluated, and the inverse CDFs searched,
-    one block of events at a time, straight into the batch's columns:
-    one byte per event and column up to 256 pointers and rows.
+    This is the stochastic individual restriction: event i draws its
+    ensemble row (for a gemenge) and then its pointer character from the
+    Philox stream keyed by (seed, i), each by ``table_inverse_cdf``, and
+    equals ``run_event(..., event_rng(seed, i))`` of ``tests/_oracles.py``
+    record for record.  The deterministic pipeline prefix runs once per
+    input row; the event streams are then evaluated, and the inverse CDFs
+    searched, one block of events at a time, straight into the batch's
+    columns: one byte per event and column up to 256 pointers and rows.
     """
     if n_events < 1:
         raise ValueError("n_events must be at least 1")

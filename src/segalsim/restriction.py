@@ -7,7 +7,8 @@ global states with equal restrictions.  On a commutative algebra the
 restricted-state set is a simplex whose extreme points (characters) assign
 a sharp eigenvalue to every element; an individual event restricts to one
 of those characters at random, which is the stochastic map that turns a
-deterministic global evolution into sampled pointer outcomes.
+deterministic global evolution into sampled pointer outcomes (drawn by
+:func:`segalsim.measurement.run_ensemble`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .config import (
     TRACE_ATOL,
 )
 from .algebra import OperatorAlgebra, joint_spectral_resolution
-from .states import DensityMatrix, StateVector, inverse_cdf
+from .states import DensityMatrix, StateVector
 
 __all__ = [
     "AlgebraicState",
@@ -36,7 +37,6 @@ __all__ = [
     "draw_cumulative",
     "extremal_states",
     "restrict_state",
-    "sample_individual_restriction",
 ]
 
 
@@ -201,9 +201,6 @@ class BreuerReport:
     tol: float
     max_deviation: float
     worst_label: str
-    worst_element: np.ndarray
-    basis_deviations: np.ndarray
-    generator_deviations: np.ndarray
 
     def __bool__(self) -> bool:
         return self.indistinguishable
@@ -220,31 +217,22 @@ def breuer_indistinguishable(
     The verdict compares the restricted states entrywise on the
     orthonormal basis; the deviation report additionally covers the
     generators in their own normalization, and names the worst offender.
+    Only the restricted values are read, never a dense basis element.
     """
     if rho1.layout != rho2.layout:
         raise ValueError("states must share one layout")
     phi1 = restrict_state(rho1, alg)
     phi2 = restrict_state(rho2, alg)
     basis_dev = np.abs(phi1.values - phi2.values)
-    gen_dev = np.array(
-        [abs(phi1.evaluate(g) - phi2.evaluate(g)) for g in alg.generators]
-    )
+    deviations = [*basis_dev, *(abs(phi1.evaluate(g) - phi2.evaluate(g)) for g in alg.generators)]
     labels = [f"basis[{j}]" for j in range(basis_dev.size)]
-    elements = list(alg.basis)
-    deviations = list(basis_dev)
-    for g_idx, g in enumerate(alg.generators):
-        labels.append(f"generator[{g_idx}]")
-        elements.append(g)
-        deviations.append(float(gen_dev[g_idx]))
+    labels += [f"generator[{g_idx}]" for g_idx in range(len(alg.generators))]
     worst = int(np.argmax(deviations))
     return BreuerReport(
         indistinguishable=bool(np.max(basis_dev) <= tol),
         tol=tol,
         max_deviation=float(deviations[worst]),
         worst_label=labels[worst],
-        worst_element=elements[worst],
-        basis_deviations=basis_dev,
-        generator_deviations=gen_dev,
     )
 
 
@@ -276,21 +264,3 @@ def draw_cumulative(probs: np.ndarray) -> np.ndarray:
     cumulative = np.cumsum(probs / total)
     cumulative[-1] = 1.0
     return cumulative
-
-
-def sample_individual_restriction(
-    xi_ms: StateVector,
-    alg: OperatorAlgebra,
-    rng: np.random.Generator,
-) -> tuple[Character, float]:
-    """Restrict one individual pure state onto a commutative subalgebra.
-
-    The global state fixes only the statistics; the individual outcome is
-    drawn: character ``k`` appears with probability ``<xi| P_k |xi>``.
-    Returns the sampled character and the probability it carried.
-    Deterministic for a fixed generator state.
-    """
-    chars = extremal_states(alg)
-    probs = character_probabilities(xi_ms, alg)
-    k = int(inverse_cdf(draw_cumulative(probs), rng.random()))
-    return chars[k], float(probs[k])

@@ -27,9 +27,7 @@ __all__ = [
     "basis_state",
     "density_from_vector",
     "expectation",
-    "inverse_cdf",
     "purity",
-    "sample_gemenge",
     "table_inverse_cdf",
 ]
 
@@ -146,24 +144,19 @@ def density_from_vector(v: StateVector) -> DensityMatrix:
     return DensityMatrix(v.layout, np.outer(v.amplitudes, v.amplitudes.conj()))
 
 
-def inverse_cdf(cumulative: np.ndarray, u: float | np.ndarray) -> np.intp | np.ndarray:
-    """Index of the first cumulative entry above ``u``, else the last index.
-
-    ``u`` may be a scalar or an array of uniforms; the result has its
-    shape.  An entry equal to its predecessor (zero probability) is never
-    selected, and ``u`` at or past the last entry gives the last index.
-    """
-    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
-
-
 def table_inverse_cdf(table: np.ndarray, rows: int | np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``inverse_cdf(table[r], u)`` for each uniform ``u`` and its row ``r``.
+    """For each uniform ``u`` and its row ``r``, the index of the first
+    entry of ``table[r]`` above ``u``, else the row's last index: the
+    inverse CDF of that row.  An entry equal to its predecessor (zero
+    probability) is never selected.  The result has the shape of ``u``.
 
     One binary search over all uniforms at once: each count takes every
     power-of-two step whose last entry is at or below its uniform.  It ends
     at the number of entries at or below ``u`` (``searchsorted(side=
     "right")``), or past the row's end when the whole row is, and both cap
     to the same index.  Rows must be nondecreasing, as cumulatives are.
+    The tests hold it against ``searchsorted`` (``inverse_cdf`` in
+    ``tests/_oracles.py``).
     """
     m = table.shape[1]
     flat = table.ravel()
@@ -175,12 +168,6 @@ def table_inverse_cdf(table: np.ndarray, rows: int | np.ndarray, u: np.ndarray) 
         np.copyto(count, taken, where=flat[before + np.minimum(taken, m)] <= u)
         step >>= 1
     return np.minimum(count, m - 1)
-
-
-def sample_gemenge(w: Gemenge, rng: np.random.Generator) -> tuple[int, StateVector]:
-    """Draw one row of the ensemble table; deterministic under a fixed seed."""
-    index = int(inverse_cdf(w.cumulative, rng.random()))
-    return index, w.rows[index][0]
 
 
 def expectation(rho: DensityMatrix, a: np.ndarray) -> float:

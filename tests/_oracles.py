@@ -7,26 +7,43 @@ package now takes on amplitude vectors: the premeasurement unitary, the
 coupled V rho V^dag, partial traces to density matrices, the ensemble
 average and the dense-rho entry points of the pointer-basis extraction
 and of the restricted pointer probabilities.  The package's fast paths
-are tested against them bit for bit.
+are tested against them bit for bit.  The per-event numpy.random section
+keeps the event sampler that ``run_ensemble`` replaces with its Philox
+block pass: one ``numpy.random.Generator`` per event and a
+``searchsorted`` inverse CDF per draw, on the package's pipeline prefix.
+``run_ensemble`` is tested against it record for record.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from segalsim.algebra import OperatorAlgebra
 from segalsim.config import PROBABILITY_FLOOR
 from segalsim.linalg import partial_trace
 from segalsim.measurement import (
+    DoubletState,
+    EventRecord,
     MeasurementModel,
     _environment_records,
+    _pipeline_image,
+    _setup,
+    _source_kind,
     full_layout,
     ms_layout,
     pointer_algebra,
     pointer_basis,
     pointer_characters,
 )
-from segalsim.restriction import decompose_restricted, restrict_state
-from segalsim.states import DensityMatrix, Gemenge, StateVector
+from segalsim.restriction import (
+    Character,
+    character_probabilities,
+    decompose_restricted,
+    draw_cumulative,
+    extremal_states,
+    restrict_state,
+)
+from segalsim.states import DensityMatrix, Gemenge, StateVector, density_from_vector
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -350,3 +367,93 @@ def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix
     weights = decompose_restricted(restrict_state(rho, alg), alg).probabilities
     probs = weights[[c.projector_index for c in pointer_characters(model)]]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-event numpy.random route
+#
+# Like the dense route, this calls the package's pipeline prefix (the
+# cached setup, the source check and the pipeline image) and its
+# character probabilities and cumulatives; only the per-event stream and
+# the searchsorted inverse CDF are its own.
+
+
+def event_rng(seed: int, event_index: int) -> np.random.Generator:
+    """Independent per-event stream: Philox keyed by (seed, event_index).
+
+    The two 64-bit words form the 128-bit Philox key, so distinct events
+    get cryptographically separated streams and any event can be replayed
+    in isolation.
+    """
+    seed = int(seed)
+    event_index = int(event_index)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+    if event_index < 0:
+        raise ValueError("event index must be non-negative")
+    return np.random.Generator(np.random.Philox(key=seed + (event_index << 64)))
+
+
+def inverse_cdf(cumulative: np.ndarray, u: float | np.ndarray) -> np.intp | np.ndarray:
+    """Index of the first cumulative entry above ``u``, else the last index.
+
+    ``u`` may be a scalar or an array of uniforms; the result has its
+    shape.  An entry equal to its predecessor (zero probability) is never
+    selected, and ``u`` at or past the last entry gives the last index.
+    """
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+
+
+def sample_gemenge(w: Gemenge, rng: np.random.Generator) -> tuple[int, StateVector]:
+    """Draw one row of the ensemble table; deterministic under a fixed seed."""
+    index = int(inverse_cdf(w.cumulative, rng.random()))
+    return index, w.rows[index][0]
+
+
+def sample_individual_restriction(
+    xi_ms: StateVector,
+    alg: OperatorAlgebra,
+    rng: np.random.Generator,
+) -> tuple[Character, float]:
+    """Restrict one individual pure state onto a commutative subalgebra.
+
+    The global state fixes only the statistics; the individual outcome is
+    drawn: character ``k`` appears with probability ``<xi| P_k |xi>``.
+    Returns the sampled character and the probability it carried.
+    Deterministic for a fixed generator state.
+    """
+    chars = extremal_states(alg)
+    probs = character_probabilities(xi_ms, alg)
+    k = int(inverse_cdf(draw_cumulative(probs), rng.random()))
+    return chars[k], float(probs[k])
+
+
+def run_event(
+    model: MeasurementModel,
+    source: StateVector | Gemenge,
+    rng: np.random.Generator,
+    event_index: int = 0,
+    seed: int | None = None,
+) -> tuple[EventRecord, DoubletState]:
+    """One full measurement event.
+
+    The dynamical component returned is the exact unitary image of the
+    input (no collapse); the record carries the sampled pointer character
+    and the probability it was drawn with.
+    """
+    setup = _setup(model)
+    kind = _source_kind(model, source)
+    row, psi_s = sample_gemenge(source, rng) if kind == "gemenge" else (None, source)
+    xi = _pipeline_image(model, setup, psi_s)
+    char, prob = sample_individual_restriction(xi, setup.algebra, rng)
+    pointer_index = int(setup.extremal_to_pointer[char.projector_index])
+    record = EventRecord(
+        event_index=event_index,
+        seed=seed,
+        input_kind=kind,
+        gemenge_row=row,
+        pointer_index=pointer_index,
+        impression=model.qo_values[pointer_index],
+        probability=prob,
+    )
+    return record, DoubletState(density_from_vector(xi), char, event_index)

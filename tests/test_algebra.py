@@ -7,7 +7,6 @@ from segalsim.algebra import (
     _letters_commute,
     contains,
     generate_algebra,
-    is_commutative,
     joint_spectral_resolution,
 )
 from segalsim.config import ALGEBRA_TOL, InvariantViolation
@@ -123,16 +122,16 @@ class TestGenerateAlgebra:
 
 class TestCommutativity:
     def test_single_hermitian_generator(self):
-        assert is_commutative(generate_algebra([Q_O], O))
+        assert generate_algebra([Q_O], O).commutative
 
     def test_full_matrix_algebra(self):
-        assert not is_commutative(generate_algebra([SX, SZ], TWO))
+        assert not generate_algebra([SX, SZ], TWO).commutative
 
     def test_pointer_with_interference_term(self):
         # [Q_O extended, B] != 0, so the joint algebra is non-commutative.
         comm = q_o_extended() @ interference_op() - interference_op() @ q_o_extended()
         assert np.max(np.abs(comm)) > 0.5
-        assert not is_commutative(generate_algebra([q_o_extended(), interference_op()], MS))
+        assert not generate_algebra([q_o_extended(), interference_op()], MS).commutative
 
 
 class TestContains:

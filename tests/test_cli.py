@@ -433,8 +433,9 @@ def test_memory_error_is_one_line(tmp_path, capsys, monkeypatch, message, line):
 
 def test_no_cli_run_imports_numpy_random(tmp_path):
     # One fresh interpreter runs every scenario, the rotated commuting pair
-    # taking the joint-eigenbasis path; event_rng and run_event, the
-    # per-event oracle, are the only users of numpy.random.
+    # taking the joint-eigenbasis path.  The package reads no numpy.random
+    # (test_hygiene); event_rng and run_event, the per-event oracle in
+    # _oracles, are its only users.
     names = [
         "pure",
         "gemenge-environment",

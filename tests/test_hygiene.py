@@ -4,8 +4,10 @@ Every name a module imports is used in that module or re-exported through
 its ``__all__``; every module-level private function is referenced
 somewhere in the package; every constant in ``config.py`` is read by
 another module; every module-level ``_PRIVATE_CONSTANT`` is read
-somewhere beyond its own assignment; and every name in a module's
-``__all__`` is read by the package, its tests or its benchmark.
+somewhere beyond its own assignment; every name in a module's
+``__all__`` is read by the package, its tests or its benchmark, and every
+name in the package root's ``__all__`` is taken from the root by one of
+them; and no module reads ``numpy.random``.
 """
 
 import re
@@ -135,3 +137,60 @@ def test_every_exported_name_is_read():
         for name in sorted(_exported_names(_tree(path)) - read)
     ]
     assert not unread, f"exported names nothing reads: {unread}"
+
+
+def _numpy_random_reads(tree):
+    """Lines that import numpy.random or read ``np.random``/``numpy.random``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            hit = module[:2] == ["numpy", "random"] or (
+                module == ["numpy"] and any(a.name == "random" for a in node.names)
+            )
+        else:
+            hit = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "random"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")
+            )
+        if hit:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_random(path):
+    # Every stream the package draws is Philox-keyed in _philox; the
+    # per-event numpy.random reference lives with the test oracles.
+    lines = _numpy_random_reads(_tree(path))
+    assert not lines, f"{path.name} reads numpy.random at lines {lines}"
+
+
+def _readme_python_trees():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+
+
+def test_every_root_name_is_imported_from_the_root():
+    # A root re-export earns its place when a caller takes it from the
+    # root: ``from segalsim import name`` or ``sg.name``/``segalsim.name``
+    # in the README's python blocks, the benchmark or the tests.
+    paths = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    readers = _readme_python_trees() + [_tree(path) for path in paths]
+    read = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "segalsim" and not node.level:
+                read |= {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("sg", "segalsim"):
+                    read.add(node.attr)
+    # The two error types stay at the root unread: they are the exit-code
+    # contract (1 and 2) a caller of run_scenario catches.
+    contract = {"ConfigError", "InvariantViolation"}
+    unread = sorted(_exported_names(_tree(SRC / "__init__.py")) - read - contract)
+    assert not unread, f"segalsim.__all__ names no caller takes from the root: {unread}"

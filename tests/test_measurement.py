@@ -19,7 +19,6 @@ from segalsim.measurement import (
     _setup,
     _traced_block,
     branch_mixture,
-    event_rng,
     evolve_sle,
     evolve_unitary,
     environment_coherence,
@@ -41,13 +40,17 @@ from segalsim.measurement import (
     record_erasure,
     restricted_pointer_probabilities,
     run_ensemble,
-    run_event,
     system_layout,
     system_state,
     wigner_friend_report,
 )
 from segalsim.linalg import partial_trace
-from segalsim.restriction import character_probabilities, extremal_states, restrict_state
+from segalsim.restriction import (
+    breuer_indistinguishable,
+    character_probabilities,
+    extremal_states,
+    restrict_state,
+)
 from segalsim.states import (
     DensityMatrix,
     Gemenge,
@@ -63,12 +66,14 @@ from _oracles import (
     all_pairs_closure,
     couple_environment,
     environment_unitary_oracle,
+    event_rng,
     extract_pointer_basis,
     gemenge_mix,
     joint_resolution_oracle,
     kron_oracle,
     premeasurement_unitary,
     reduce_density,
+    run_event,
     vector_fidelity,
 )
 
@@ -639,6 +644,22 @@ class TestWignerFriend:
         report = wigner_friend_report(MODEL, psi(0.6, 0.8j), 100, seed=13)
         assert report.restricted_probabilities[0] == 0.0
         assert np.allclose(report.restricted_probabilities, [0.0, 0.36, 0.64], atol=1e-12)
+
+    def test_verdicts_build_no_dense_pointer_basis(self):
+        # The Breuer verdict reads the restricted values only, so the
+        # pointer algebra's o dense d x d basis elements are never made.
+        # A model no other test uses, so its cached algebra is fresh.
+        model = make_model(s_dim=2, o_dim=6, qo_values=[0.0, 1.0, -1.0, 2.5, 3.5, 4.5])
+        source = system_state(model, [0.6, 0.8j])
+        alg = pointer_algebra(model)
+        assert alg._basis is None
+        report = wigner_friend_report(model, source, 50, seed=3)
+        assert report.breuer_pointer.indistinguishable
+        assert not report.breuer_with_interference.indistinguishable
+        rho_p = density_from_vector(premeasure(model, source))
+        verdict = breuer_indistinguishable(rho_p, branch_mixture(model, source.amplitudes), alg)
+        assert verdict.indistinguishable and verdict.worst_label.startswith("basis[")
+        assert pointer_algebra(model) is alg and alg._basis is None
 
 
 def random_vector(rng, layout):

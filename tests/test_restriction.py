@@ -10,11 +10,10 @@ from segalsim.restriction import (
     decompose_restricted,
     extremal_states,
     restrict_state,
-    sample_individual_restriction,
 )
 from segalsim.states import DensityMatrix, Gemenge, StateVector, basis_state, density_from_vector
 
-from _oracles import gemenge_mix
+from _oracles import gemenge_mix, sample_individual_restriction
 
 O = SpaceLayout((("O", 3),))
 MS = SpaceLayout((("S", 2), ("O", 3)))

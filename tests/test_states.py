@@ -10,13 +10,11 @@ from segalsim.states import (
     basis_state,
     density_from_vector,
     expectation,
-    inverse_cdf,
     purity,
-    sample_gemenge,
     table_inverse_cdf,
 )
 
-from _oracles import gemenge_mix, reduce_density, vector_fidelity
+from _oracles import gemenge_mix, inverse_cdf, reduce_density, sample_gemenge, vector_fidelity
 
 S = SpaceLayout((("S", 2),))
 O = SpaceLayout((("O", 3),))
