@@ -53,8 +53,18 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_scenario(raw)
         del text, raw  # the run reads only cfg: free the document before it
         report = run_scenario(cfg)
+        out = args.out
+        if out is None and cfg.output_format == "csv":
+            out = sys.stdout.buffer  # the log streams, a block at a time
         try:
-            document = emit_report(report, fmt=cfg.output_format, out=args.out)
+            document = emit_report(report, fmt=cfg.output_format, out=out)
+            if args.out is None:
+                sys.stdout.write(document)  # "" once the csv log has streamed
+                sys.stdout.flush()
+        except BrokenPipeError:
+            # downstream consumer (head, etc.) closed the pipe; not an error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 0
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return 1
@@ -71,14 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
-    if args.out is None:
-        try:
-            sys.stdout.write(document)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # downstream consumer (head, etc.) closed the pipe; not an error
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 0
     if not args.quiet:
         print(
             f"{cfg.scenario}: done in {report.wall_time_s:.3f}s"

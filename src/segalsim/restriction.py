@@ -224,9 +224,14 @@ def breuer_indistinguishable(
     phi1 = restrict_state(rho1, alg)
     phi2 = restrict_state(rho2, alg)
     basis_dev = np.abs(phi1.values - phi2.values)
-    deviations = [*basis_dev, *(abs(phi1.evaluate(g) - phi2.evaluate(g)) for g in alg.generators)]
+    if alg.generator_diagonals is None:
+        generator_dev = [abs(phi1.evaluate(g) - phi2.evaluate(g)) for g in alg.generators]
+    else:  # project_coefficients(diag(row)) is basis_diagonals @ row; build no diag
+        coefficients = [alg.basis_diagonals @ row for row in alg.generator_diagonals]
+        generator_dev = [abs(c @ phi1.values - c @ phi2.values) for c in coefficients]
+    deviations = [*basis_dev, *generator_dev]
     labels = [f"basis[{j}]" for j in range(basis_dev.size)]
-    labels += [f"generator[{g_idx}]" for g_idx in range(len(alg.generators))]
+    labels += [f"generator[{g_idx}]" for g_idx in range(len(generator_dev))]
     worst = int(np.argmax(deviations))
     return BreuerReport(
         indistinguishable=bool(np.max(basis_dev) <= tol),

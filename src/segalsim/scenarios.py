@@ -15,7 +15,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -82,7 +82,7 @@ _EVENT_COLUMNS = (
 )
 
 # Most rows per block of the event log, each formatted and written in turn.
-_LOG_BLOCK = 2**14
+_LOG_BLOCK = 2**12
 
 
 class ConfigError(ValueError):
@@ -568,8 +568,8 @@ def _format_float(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _event_log(events: EventBatch) -> tuple[int, Iterator[np.ndarray]]:
-    """The event log's size in bytes, and its bytes a block of rows at a time.
+def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
+    """The event log's bytes, ``_LOG_BLOCK`` rows at a time.
 
     Every row after its event index is fixed by the (gemenge row, pointer)
     code, so each code present is formatted once, its probability read
@@ -586,12 +586,11 @@ def _event_log(events: EventBatch) -> tuple[int, Iterator[np.ndarray]]:
         row = events.gemenge_row[start:stop].astype(np.intp)  # a uint8 row times o_dim wraps
         return row * o_dim + events.pointer_index[start:stop]
 
-    n_codes = probability.size
-    counts = np.zeros(n_codes, np.intp)
+    present = np.zeros(probability.size, bool)
     for start in range(0, n, _LOG_BLOCK):
-        counts += np.bincount(codes(start, start + _LOG_BLOCK), minlength=n_codes)
-    suffixes = [b""] * n_codes
-    for code in np.flatnonzero(counts):
+        present[codes(start, start + _LOG_BLOCK)] = True
+    suffixes = [b""] * probability.size
+    for code in np.flatnonzero(present):
         row, pointer = divmod(int(code), o_dim)
         suffixes[code] = (
             f",{'' if events.gemenge_row is None else row},{pointer},"
@@ -601,73 +600,65 @@ def _event_log(events: EventBatch) -> tuple[int, Iterator[np.ndarray]]:
     lengths = np.array([len(s) for s in suffixes])
     width = int(lengths.max())
     table = np.frombuffer(b"".join(s.ljust(width) for s in suffixes), np.uint8).reshape(-1, width)
-    header = (",".join(_EVENT_COLUMNS) + "\n").encode("ascii")
-    # Event i has 1 + #{j >= 1 : 10**j <= i} digits.
-    size = len(header) + n + sum(n - 10**j for j in range(1, len(str(n)))) + int(counts @ lengths)
 
-    def blocks() -> Iterator[np.ndarray]:
-        yield np.frombuffer(header, np.uint8)
-        digit = np.arange(48, 58, dtype=np.uint8)  # row i of quads spells i in four digits
-        quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
-        start = 0
-        while start < n:
-            k = len(str(start))
-            stop = min(n, start + _LOG_BLOCK, 10**k)
-            block = np.empty((stop - start, k + width), np.uint8)
-            rest = np.arange(start, stop)
-            for end in range(k, 0, -4):  # four digits at a time, right to left
-                rest, quad = np.divmod(rest, 10**4)
-                block[:, max(end - 4, 0) : end] = quads[quad, max(4 - end, 0) :]
-            block_codes = codes(start, stop)
-            block[:, k:] = table[block_codes]
-            keep = np.ones(block.shape, dtype=bool)
-            keep[:, k:] = np.arange(width) < lengths[block_codes, None]
-            yield block[keep]
-            start = stop
-
-    return size, blocks()
+    yield np.frombuffer((",".join(_EVENT_COLUMNS) + "\n").encode("ascii"), np.uint8)
+    digit = np.arange(48, 58, dtype=np.uint8)  # row i of quads spells i in four digits
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
+    start = 0
+    while start < n:
+        k = len(str(start))
+        stop = min(n, start + _LOG_BLOCK, 10**k)
+        block = np.empty((stop - start, k + width), np.uint8)
+        rest = np.arange(start, stop)
+        for end in range(k, 0, -4):  # four digits at a time, right to left
+            rest, quad = np.divmod(rest, 10**4)
+            block[:, max(end - 4, 0) : end] = quads[quad, max(4 - end, 0) :]
+        block_codes = codes(start, stop)
+        block[:, k:] = table[block_codes]
+        keep = np.ones(block.shape, dtype=bool)
+        keep[:, k:] = np.arange(width) < lengths[block_codes, None]
+        yield block[keep]
+        start = stop
 
 
-def _write_log(path: Path, events: EventBatch) -> None:
-    """Stream the event log to ``path``, one block at a time."""
-    with open(path, "wb") as fh:
-        fh.writelines(_event_log(events)[1])
+def _write_log(out: str | Path | BinaryIO, events: EventBatch) -> None:
+    """Stream the event log to ``out``, a path or a binary file, one block at a time."""
+    if hasattr(out, "write"):
+        out.writelines(_event_log(events))
+        return
+    with open(out, "wb") as fh:
+        fh.writelines(_event_log(events))
 
 
 def emit_report(
     report: RunReport,
     fmt: str = "json",
-    out: str | Path | None = None,
+    out: str | Path | BinaryIO | None = None,
 ) -> str:
     """Serialize a report; returns the document text, or ``""`` for a csv
     document written to ``out``.
 
     ``json``: the summary document, with the event log written next to
     ``out`` (as ``<stem>.events.csv``) when a path is given and events
-    exist.  ``csv``: the event log itself is the document; with ``out`` it
-    streams to the file and is never held whole.  Output bytes depend only
-    on (config, seed) and the output file names.
+    exist.  ``csv``: the event log itself is the document; ``out`` may be
+    a path or a binary file (such as ``sys.stdout.buffer``), and the log
+    streams to it ``_LOG_BLOCK`` rows at a time, never held whole.  Output
+    bytes depend only on (config, seed) and the output file names.
     """
     if fmt not in ("json", "csv"):
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-    out_path = None if out is None else Path(out)
 
     if fmt == "csv":
         if report.events is None:
             raise ValueError(
                 f"scenario {report.scenario!r} produces no event log; use the json format"
             )
-        if out_path is not None:
-            _write_log(out_path, report.events)
-            return ""
-        size, blocks = _event_log(report.events)
-        buffer = np.empty(size, np.uint8)
-        filled = 0
-        for block in blocks:
-            buffer[filled : filled + block.size] = block
-            filled += block.size
-        return str(buffer, "ascii")
+        if out is None:
+            return b"".join(_event_log(report.events)).decode("ascii")
+        _write_log(out, report.events)
+        return ""
 
+    out_path = None if out is None else Path(out)
     event_log_name = None
     if report.events is not None and out_path is not None:
         event_log_name = out_path.stem + ".events.csv"

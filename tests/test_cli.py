@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -78,6 +80,47 @@ def test_csv_format(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("event_index,")
     assert len(lines) == 201
+
+
+def test_csv_to_stdout_never_holds_the_log(tmp_path, monkeypatch):
+    # Beyond the run's batch (one byte per event), what a csv run to
+    # stdout allocates does not grow with the event count.
+    batch_bytes = []
+
+    def run(cfg):
+        report = scenarios.run_scenario(cfg)
+        batch_bytes.append(report.events.pointer_index.nbytes)
+        return report
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    extra = []
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        for n in (2**16, 2**17):
+            path = write_config(tmp_path, n_events=n)
+            tracemalloc.start()
+            assert main(["run", str(path), "--format", "csv", "--quiet"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            extra.append(peak - batch_bytes[-1])
+    assert extra[1] - extra[0] < 2**16
+
+
+def test_csv_to_a_closed_pipe(tmp_path):
+    # The reader stops after the header while the log still streams:
+    # exit 0 and no traceback, as for any consumer like head.
+    path = write_config(tmp_path, n_events=10**5)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "segalsim.cli", "run", str(path), "--format", "csv", "--quiet"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"event_index,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert stderr == b""
 
 
 def test_one_event_log_on_three_routes(tmp_path, capsys, monkeypatch):

@@ -384,10 +384,8 @@ class TestRunEvent:
             lines.append(f"{i},{r.gemenge_row},{r.pointer_index},{r.impression:.12g},{r.probability:.12g}")
         batch = run_ensemble(model, source, 200, 17)
         assert int(batch.gemenge_row.max()) * model.o_dim > 255  # codes drawn past one byte
-        size, blocks = scenarios._event_log(batch)
-        log = b"".join(map(bytes, blocks))
+        log = b"".join(map(bytes, scenarios._event_log(batch)))
         assert log == ("\n".join(lines) + "\n").encode("ascii")
-        assert size == len(log)
 
     def test_off_system_source_rejected_alike(self):
         # run_event, run_ensemble and premeasure share one layout check.
@@ -660,6 +658,14 @@ class TestWignerFriend:
         verdict = breuer_indistinguishable(rho_p, branch_mixture(model, source.amplitudes), alg)
         assert verdict.indistinguishable and verdict.worst_label.startswith("basis[")
         assert pointer_algebra(model) is alg and alg._basis is None
+
+    def test_verdicts_build_no_dense_pointer_generators(self):
+        # The generator deviations read the diagonal generators as rows;
+        # no dense d x d np.diag is built and cached on the algebra.
+        model = make_model(s_dim=2, o_dim=5, qo_values=[0.5, 1.0, -1.0, 7.0, -3.0])
+        report = wigner_friend_report(model, system_state(model, [0.8, 0.6]), 50, seed=5)
+        assert report.breuer_pointer.indistinguishable
+        assert pointer_algebra(model)._generators is None
 
 
 def random_vector(rng, layout):

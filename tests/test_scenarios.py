@@ -344,6 +344,16 @@ class TestEmitReport:
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2**16
 
+    def test_csv_out_working_set_is_a_few_small_blocks(self, tmp_path):
+        # Sixteen blocks of the log: what writing it allocates stays
+        # under what one block of 2**14 rows and its temporaries take.
+        report = run_scenario(parse_scenario(json.loads(UNEVEN_GEMENGE) | {"n_events": 2**16}))
+        tracemalloc.start()
+        emit_report(report, "csv", out=tmp_path / "events.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20
+
     def test_csv_out_streams_the_returned_document(self, tmp_path, monkeypatch):
         monkeypatch.setattr(scenarios, "_LOG_BLOCK", 7)
         for text in (config_text(n_events=120), UNEVEN_GEMENGE):
@@ -388,10 +398,8 @@ class TestEmitReport:
                         f"{r.probability:.12g}",
                     ]
                 )
-            size, blocks = scenarios._event_log(events)
-            log = b"".join(map(bytes, blocks)).decode("ascii")
+            log = b"".join(map(bytes, scenarios._event_log(events))).decode("ascii")
             assert log == buf.getvalue()
-            assert size == len(log)
 
     def test_uneven_gemenge_log_shape(self):
         report = run_scenario(parse_scenario(UNEVEN_GEMENGE))
