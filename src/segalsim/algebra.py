@@ -460,12 +460,14 @@ def _gram_schmidt_closure(
         adjoin(op)
     done = 0
     while done < k:
-        b = rows[done].reshape(d, d)
         for letter in letters:
-            adjoin(letter @ b)
+            adjoin(letter @ rows[done].reshape(d, d))
         done += 1
 
-    return OperatorAlgebra(layout, gens, tol, stack=rows[:k].reshape(k, d, d))
+    # Return the growth buffer's spare rows in place (a realloc, not a
+    # copy, which would raise the peak): the basis holds exactly k rows.
+    rows.resize((k, d * d))
+    return OperatorAlgebra(layout, gens, tol, stack=rows.reshape(k, d, d))
 
 
 def contains(alg: OperatorAlgebra, a: np.ndarray) -> bool:

@@ -102,6 +102,7 @@ __all__ = [
     "statistical_doublet",
     "system_layout",
     "system_state",
+    "wigner_friend_bytes",
     "wigner_friend_report",
 ]
 
@@ -907,6 +908,19 @@ class WignerFriendReport:
     n_events: int
     seed: int
     events: EventBatch
+
+
+def wigner_friend_bytes(model: MeasurementModel) -> int:
+    """Upper estimate of the bytes ``wigner_friend_report`` holds in dense
+    arrays at once, from the model alone.
+
+    That is the two d x d density matrices on S (x) O and the interference
+    algebra's (o_dim + 4)-element basis, 16 d^2 bytes per element, in a
+    row buffer that doubles as it grows: while it grows the old buffer and
+    the new one, up to twice the basis, are both held.
+    """
+    d = ms_layout(model).dim
+    return 16 * d * d * (2 + 3 * (model.o_dim + 4))
 
 
 @lru_cache(maxsize=None)

@@ -14,13 +14,14 @@ import math
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, BinaryIO
 
 import numpy as np
 
 from .algebra import generate_algebra, joint_spectral_resolution
-from .config import ALGEBRA_TOL, MAX_EVENTS, STATE_EQUALITY_ATOL, InvariantViolation
+from .config import ALGEBRA_TOL, MAX_EVENTS, MAX_WORKING_SET_BYTES, STATE_EQUALITY_ATOL, InvariantViolation
 from .linalg import SpaceLayout
 from .measurement import (
     EventBatch,
@@ -39,6 +40,7 @@ from .measurement import (
     restricted_pointer_probabilities,
     run_ensemble,
     system_state,
+    wigner_friend_bytes,
     wigner_friend_report,
 )
 from .restriction import extremal_states
@@ -217,7 +219,82 @@ def _named_generator(name: str, model: MeasurementModel) -> np.ndarray:
     _fail(f"generators: unknown name {name!r}; known names are {sorted(_GENERATOR_SPACES)}")
 
 
+def _float_pairs(rows) -> np.ndarray | None:
+    """``rows`` as a complex array if it is a non-empty rectangle of
+    ``[float, float]`` pairs, all finite, else ``None``.
+
+    The array views the pairs' float64 values as complex128, with no
+    arithmetic, so every bit (signed zeros too) is the document's.  The
+    checks run over whole rows at once, not entry by entry.
+    """
+    if type(rows) is not list or not rows or set(map(type, rows)) != {list}:
+        return None
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    flat = list(chain.from_iterable(pairs))
+    if set(map(type, flat)) != {float}:
+        return None
+    values = np.array(flat)
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(len(rows), width)
+
+
+class _DecodedEntry(dict):
+    """A generator entry whose matrix the decoder already made an array.
+
+    It shows as the document wrote it, so a message that quotes it reads
+    as it would have before decoding.
+    """
+
+    def __repr__(self) -> str:
+        mat = self["matrix"]
+        return repr({**self, "matrix": mat.view(float).reshape(*mat.shape, 2).tolist()})
+
+
+def _decode_entry(obj: dict) -> dict:
+    """``json`` object hook: an entry shaped like an inline generator gets
+    its float-pair matrix as an array as soon as the entry closes, so the
+    decoder never holds two matrices' list trees at once."""
+    if "matrix" in obj and obj.keys() <= {"matrix", "space"}:
+        mat = _float_pairs(obj["matrix"])
+        if mat is not None:
+            return _DecodedEntry(obj, matrix=mat)
+    return obj
+
+
+def _generator_matrix(item: dict, bad: str) -> np.ndarray:
+    """An inline generator entry's matrix as a complex array.
+
+    The decoder's array is taken as it is.  A matrix still in lists (a
+    decoded dict passed to ``parse_scenario``, or an entry the decoder
+    left alone) goes through the decoder's ``_float_pairs`` first, then
+    the entry-by-entry path that reads ints and reports any entry that is
+    not a finite number.
+    """
+    if isinstance(item, _DecodedEntry):
+        return item["matrix"]
+    rows = item.get("matrix")
+    mat = _float_pairs(rows)
+    if mat is not None:
+        return mat
+    # _number's ConfigError is a ValueError, caught below.
+    try:
+        mat = np.array([[complex(_number(re, bad), _number(im, bad)) for re, im in row] for row in rows])
+    except (TypeError, ValueError):
+        _fail(bad)
+    if not np.all(np.isfinite(mat)):
+        _fail(bad)
+    return mat
+
+
 def _parse_generators(raw, model: MeasurementModel):
+    """The generators list: names, and inline ``{"space", "matrix"}`` entries
+    whose matrix each goes through ``_generator_matrix``."""
     if not isinstance(raw, list) or not raw:
         _fail("generators: expected a non-empty list")
     entries: list[tuple[str, np.ndarray, str]] = []
@@ -230,27 +307,9 @@ def _parse_generators(raw, model: MeasurementModel):
             space = item.get("space", "O")
             if space not in ("O", "MS"):
                 _fail(f"generators[{k}]: space must be 'O' or 'MS'")
-            rows = item.get("matrix")
-            bad = f"generators[{k}]: matrix entries must be [re, im] pairs of finite numbers"
-            # Float pairs take the fast branch (a 1 MB document is mostly
-            # floats); any other entry goes through _number, whose
-            # ConfigError is a ValueError caught below.
-            try:
-                mat = np.array(
-                    [
-                        [
-                            complex(re, im)
-                            if type(re) is float and type(im) is float
-                            else complex(_number(re, bad), _number(im, bad))
-                            for re, im in row
-                        ]
-                        for row in rows
-                    ]
-                )
-            except (TypeError, ValueError):
-                _fail(bad)
-            if not np.all(np.isfinite(mat)):
-                _fail(bad)
+            mat = _generator_matrix(
+                item, f"generators[{k}]: matrix entries must be [re, im] pairs of finite numbers"
+            )
             dim = _space_layout(model, space).dim
             if mat.shape != (dim, dim):
                 _fail(f"generators[{k}]: matrix shape {mat.shape} does not match space {space}")
@@ -264,9 +323,15 @@ def _parse_generators(raw, model: MeasurementModel):
 
 
 def load_document(text: str) -> dict:
-    """Decode a scenario document, which must be one JSON object."""
+    """Decode a scenario document, which must be one JSON object.
+
+    Each inline generator matrix of ``[float, float]`` pairs becomes its
+    complex array while the document is decoded (``_decode_entry``), so
+    at most one matrix's list tree is alive at a time.  Any other matrix
+    stays lists and ``parse_scenario`` reads and reports it as before.
+    """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_hook=_decode_entry)
     except json.JSONDecodeError as exc:
         _fail(f"malformed config document: {exc}")
     if not isinstance(raw, dict):
@@ -283,8 +348,15 @@ def parse_scenario(document: str | dict) -> ScenarioConfig:
     _require_keys(raw, _COMMON_KEYS | _SCENARIO_KEYS[scenario], "config")
 
     model = _parse_model(raw.get("model", {}), scenario)
-    if scenario == "wigner-friend" and model.s_dim != 2:
-        _fail("scenario wigner-friend needs s_dim = 2 (interference observable)")
+    if scenario == "wigner-friend":
+        if model.s_dim != 2:
+            _fail("scenario wigner-friend needs s_dim = 2 (interference observable)")
+        need = wigner_friend_bytes(model)
+        if need > MAX_WORKING_SET_BYTES:
+            _fail(
+                f"scenario wigner-friend at o_dim = {model.o_dim} would hold about {need} bytes "
+                f"of dense arrays, over the {MAX_WORKING_SET_BYTES}-byte limit"
+            )
     if scenario == "decoherence" and model.s_dim < 2:
         _fail("scenario decoherence needs at least two measured branches")
 

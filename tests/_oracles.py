@@ -11,10 +11,14 @@ are tested against them bit for bit.  The per-event numpy.random section
 keeps the event sampler that ``run_ensemble`` replaces with its Philox
 block pass: one ``numpy.random.Generator`` per event and a
 ``searchsorted`` inverse CDF per draw, on the package's pipeline prefix.
-``run_ensemble`` is tested against it record for record.
+``run_ensemble`` is tested against it record for record.  Its event keeps
+the pipeline image as amplitudes, O(d); the dense doublet is built only
+when a test asks for it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -428,18 +432,33 @@ def sample_individual_restriction(
     return chars[k], float(probs[k])
 
 
+@dataclass(frozen=True)
+class EventAmplitudes:
+    """One event's doublet as O(d) data: the un-collapsed pipeline image
+    as its amplitude vector, and the pointer character the event drew."""
+
+    state: StateVector
+    information: Character
+    event_index: int
+
+    def doublet(self) -> DoubletState:
+        """The dense doublet: builds the d x d density matrix (and runs its
+        eigvalsh check), O(d^3) an event."""
+        return DoubletState(density_from_vector(self.state), self.information, self.event_index)
+
+
 def run_event(
     model: MeasurementModel,
     source: StateVector | Gemenge,
     rng: np.random.Generator,
     event_index: int = 0,
     seed: int | None = None,
-) -> tuple[EventRecord, DoubletState]:
-    """One full measurement event.
+) -> tuple[EventRecord, EventAmplitudes]:
+    """One full measurement event, in O(d).
 
     The dynamical component returned is the exact unitary image of the
-    input (no collapse); the record carries the sampled pointer character
-    and the probability it was drawn with.
+    input (no collapse), as amplitudes; the record carries the sampled
+    pointer character and the probability it was drawn with.
     """
     setup = _setup(model)
     kind = _source_kind(model, source)
@@ -456,4 +475,4 @@ def run_event(
         impression=model.qo_values[pointer_index],
         probability=prob,
     )
-    return record, DoubletState(density_from_vector(xi), char, event_index)
+    return record, EventAmplitudes(xi, char, event_index)

@@ -55,6 +55,22 @@ class TestGenerateAlgebra:
         assert alg.dimension == 4
         assert not alg.commutative
 
+    @pytest.mark.parametrize("case", ["pauli-plus-one", "interference"])
+    def test_closure_basis_holds_exactly_its_rows(self, case):
+        # The closure's row buffer grows by doubling (6 rows, then 12) and
+        # is shrunk in place at the end: the basis owns 16 k d^2 bytes.
+        if case == "pauli-plus-one":  # M_2 (+) C, k = 5
+            x, z = np.zeros((3, 3), complex), np.zeros((3, 3), complex)
+            x[:2, :2], x[2, 2], z[:2, :2] = SX, 1.0, SZ
+            gens, layout = [x, z], O
+        else:
+            gens, layout = [q_o_extended(), interference_op()], MS
+        alg = generate_algebra(gens, layout)
+        assert not alg.commutative and alg.dimension not in (6, 12)
+        owner = alg.basis[0].base
+        assert all(b.base is owner for b in alg.basis)
+        assert owner.nbytes == 16 * alg.dimension * layout.dim**2
+
     def test_matches_oracle_on_random_generators(self):
         rng = np.random.default_rng(3)
         for _ in range(5):

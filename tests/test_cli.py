@@ -352,6 +352,47 @@ def test_non_finite_generator_entry_rejected(tmp_path, capsys, entry):
     _assert_config_error(_probe_config(tmp_path, entry), capsys, "generators[0]: matrix entries")
 
 
+_FLOAT_ROW = "[[1.5, 0.0], [0.25, -0.5], [0.0, 0.0]]"
+_BAD_ENTRY = "config error: generators[0]: matrix entries must be [re, im] pairs of finite numbers\n"
+_GENERATOR = (
+    '"scenario": "algebra-probe", "generators": [{"space": "O", "matrix": '
+    f"[{_FLOAT_ROW}, {_FLOAT_ROW}, [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]]}}]"
+)
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (_GENERATOR.replace("[2.0, 0.0]", "[true, 0.0]"), _BAD_ENTRY),
+        (_GENERATOR.replace("[2.0, 0.0]", '["2", 0.0]'), _BAD_ENTRY),
+        (_GENERATOR.replace("[2.0, 0.0]", "[NaN, 0.0]"), _BAD_ENTRY),
+        (_GENERATOR.replace("[2.0, 0.0]", "[0.0, -Infinity]"), _BAD_ENTRY),
+        (_GENERATOR.replace("[0.0, 0.0], [2.0, 0.0]", "[2.0, 0.0]"), _BAD_ENTRY),
+        (_GENERATOR.replace("[2.0, 0.0]", "[2.0]"), _BAD_ENTRY),
+        (_GENERATOR.replace("[2.0, 0.0]", "[2.0, 0.0, 7.0]"), _BAD_ENTRY),
+        (
+            _GENERATOR + ', "model": {"matrix": [[[1.0, 0.0]]], "space": "O"}',
+            "config error: model: unknown keys ['matrix', 'space']; allowed keys are "
+            "['environment', 'interaction_duration', 'o_dim', 'q_values', 'qo_values', 's_dim']\n",
+        ),
+        (
+            _GENERATOR + ', "seed": {"matrix": [[[1.0, -0.0]]]}',
+            "config error: seed: expected an integer in [0, 18446744073709551616), "
+            "got {'matrix': [[[1.0, -0.0]]]}\n",
+        ),
+    ],
+    ids=["bool", "string", "nan", "infinity", "ragged", "pair-of-one", "pair-of-three", "model", "seed"],
+)
+def test_inline_matrix_errors_read_as_written(tmp_path, capsys, document, message):
+    # Float pairs are made arrays while the document is decoded; an entry
+    # that is not one, or an object shaped like an entry in another place,
+    # is reported exactly as the document wrote it.
+    path = tmp_path / "probe.json"
+    path.write_text("{" + document + "}", encoding="utf-8")
+    assert main(["run", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize(
     "tolerances, needle",
     [

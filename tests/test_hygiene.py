@@ -194,3 +194,47 @@ def test_every_root_name_is_imported_from_the_root():
     contract = {"ConfigError", "InvariantViolation"}
     unread = sorted(_exported_names(_tree(SRC / "__init__.py")) - read - contract)
     assert not unread, f"segalsim.__all__ names no caller takes from the root: {unread}"
+
+
+_DECODERS = {"load", "loads", "JSONDecoder"}
+
+
+def _json_decoder_reads(tree):
+    """(enclosing function, line) of each ``json.load``/``loads``/``JSONDecoder``
+    read, or import of one of them from ``json``."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                hit = child.module == "json" and any(a.name in _DECODERS for a in child.names)
+            else:
+                hit = (
+                    isinstance(child, ast.Attribute)
+                    and child.attr in _DECODERS
+                    and isinstance(child.value, ast.Name)
+                    and child.value.id == "json"
+                )
+            if hit:
+                sites.append((function, child.lineno))
+            visit(child, function)
+
+    visit(tree, None)
+    return sites
+
+
+def test_one_document_decoder():
+    # load_document's object hook turns inline generator matrices into
+    # arrays as they close; a second decoder would hold every matrix's
+    # list tree at once and bypass it.
+    sites = [
+        (path.name, function, line)
+        for path in MODULES
+        for function, line in _json_decoder_reads(_tree(path))
+    ]
+    assert [(name, function) for name, function, _ in sites] == [
+        ("scenarios.py", "load_document")
+    ], f"JSON decoded outside scenarios.load_document: {sites}"

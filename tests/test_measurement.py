@@ -289,22 +289,25 @@ class TestDoublets:
 class TestRunEvent:
     def test_eigenstate_input(self):
         rng = event_rng(7, 0)
-        record, doublet = run_event(MODEL, psi(0.0, 1.0), rng)
+        record, event = run_event(MODEL, psi(0.0, 1.0), rng)
         assert record.pointer_index == 2
         assert record.impression == MODEL.qo_values[2] == -1.0
         assert record.probability == pytest.approx(1.0, abs=1e-10)
-        assert purity(doublet.dynamical) == pytest.approx(1.0, abs=1e-9)
+        assert purity(event.doublet().dynamical) == pytest.approx(1.0, abs=1e-9)
 
     def test_impression_matches_character(self):
-        record, doublet = run_event(MODEL, psi(np.sqrt(0.3), np.sqrt(0.7)), event_rng(11, 0))
-        assert abs(doublet.information.pointer_value() - record.impression) <= 1e-7
+        record, event = run_event(MODEL, psi(np.sqrt(0.3), np.sqrt(0.7)), event_rng(11, 0))
+        assert abs(event.information.pointer_value() - record.impression) <= 1e-7
 
     def test_dynamical_component_not_collapsed(self):
         # The external account stays pure whatever the register sampled.
         post = premeasure(MODEL, psi(np.sqrt(0.3), np.sqrt(0.7)))
         for i in range(10):
-            _, doublet = run_event(MODEL, psi(np.sqrt(0.3), np.sqrt(0.7)), event_rng(3, i))
-            assert np.max(np.abs(doublet.dynamical.matrix - density_from_vector(post).matrix)) <= 1e-12
+            _, event = run_event(MODEL, psi(np.sqrt(0.3), np.sqrt(0.7)), event_rng(3, i))
+            assert np.array_equal(event.state.amplitudes, post.amplitudes)
+            if i < 3:  # the dense doublet of the same image
+                dense = event.doublet().dynamical.matrix
+                assert np.max(np.abs(dense - density_from_vector(post).matrix)) <= 1e-12
 
     def test_gemenge_row_recorded(self):
         w = Gemenge(((psi(1.0, 0.0), 0.3), (psi(0.0, 1.0), 0.7)))
@@ -362,13 +365,12 @@ class TestRunEvent:
             (many_pointers, system_state(many_pointers, [0.6, 0.8j])),
         )
         for model, source in cases:
-            n = 200 if model.o_dim <= 256 else 12  # run_event checks a d x d doublet per event
+            n = 200 if model.o_dim <= 256 else 1000
             batch = run_ensemble(model, source, n, 17)
-            reference = [
-                run_event(model, source, event_rng(17, i), event_index=i, seed=17)[0]
-                for i in range(n)
-            ]
-            assert list(batch) == reference
+            events = [run_event(model, source, event_rng(17, i), event_index=i, seed=17) for i in range(n)]
+            assert list(batch) == [record for record, _ in events]
+            for _, event in events[:3]:  # the dense doublet is a valid pure state
+                assert purity(event.doublet().dynamical) == pytest.approx(1.0, abs=1e-9)
             assert batch.pointer_index.dtype == (np.uint16 if model.o_dim > 256 else np.uint8)
             assert batch.gemenge_row is None or batch.gemenge_row.dtype == np.uint8
 
@@ -401,9 +403,10 @@ class TestRunEvent:
 
     def test_environment_pipeline_keeps_purity(self):
         model = env_model(e_overlap=0.5)
-        _, doublet = run_event(model, system_state(model, [np.sqrt(0.3), np.sqrt(0.7)]), event_rng(1, 0))
-        assert doublet.dynamical.layout == full_layout(model)
-        assert purity(doublet.dynamical) == pytest.approx(1.0, abs=1e-9)
+        _, event = run_event(model, system_state(model, [np.sqrt(0.3), np.sqrt(0.7)]), event_rng(1, 0))
+        dynamical = event.doublet().dynamical
+        assert dynamical.layout == full_layout(model)
+        assert purity(dynamical) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEventStreams:

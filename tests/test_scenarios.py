@@ -94,6 +94,29 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match="over the"):
             parse_scenario(config_text(model={"s_dim": 10**8}))
 
+    def test_wigner_friend_working_set_budget(self):
+        # Only the estimate runs: o_dim = 4096 passes the d cap (d = 8192,
+        # one dense operator is 2**30 bytes), then its two density matrices
+        # and interference basis would need about 13 TB, refused at parse.
+        from segalsim.measurement import make_model, wigner_friend_bytes
+
+        def wigner_friend(o_dim):
+            return config_text(
+                scenario="wigner-friend",
+                model={"s_dim": 2, "o_dim": o_dim},
+                input={"amplitudes": [[0.6, 0], [0.8, 0]]},
+            )
+
+        assert wigner_friend_bytes(make_model(s_dim=2, o_dim=4096)) == 16 * 8192**2 * (2 + 3 * 4100)
+        assert wigner_friend_bytes(make_model(s_dim=2, o_dim=120)) == 344_678_400
+        for o_dim in (120, 280):
+            assert parse_scenario(wigner_friend(o_dim)).model.o_dim == o_dim
+        refused = r"o_dim = 281 would hold about 4330852928 bytes .* over the 4294967296-byte limit"
+        with pytest.raises(ConfigError, match=refused):
+            parse_scenario(wigner_friend(281))
+        with pytest.raises(ConfigError, match="wigner-friend at o_dim = 4096 would hold"):
+            parse_scenario(wigner_friend(4096))
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_scenario(config_text(surprise=1))
@@ -101,6 +124,43 @@ class TestParseScenario:
     def test_decoded_document_parses_alike(self):
         text = config_text(model={"s_dim": 3, "o_dim": 4}, input={"amplitudes": [[0.6, 0], [0, 0.8], [0, 0]]})
         assert parse_scenario(json.loads(text)).echo == parse_scenario(text).echo
+
+    def test_inline_generators_alike_from_text_and_dict(self):
+        # The text goes through the decoder's matrix hook, the decoded dict
+        # through _parse_generators; the arrays agree bit for bit, signed
+        # zeros included.  The int entries keep the list path.
+        floats = [[[0.5, -0.0], [-0.0, 0.25]], [[-0.0, -0.25], [-1.5, 0.0]]]
+        mixed = [[[1, 0], [0.0, -0.0]], [[0.0, 0.0], [2, -0.0]]]
+        text = json.dumps(
+            {
+                "scenario": "algebra-probe",
+                "model": {"s_dim": 1, "o_dim": 2},
+                "generators": [{"space": "O", "matrix": floats}, {"matrix": mixed}],
+            }
+        )
+        from_text = parse_scenario(text).generators
+        from_dict = parse_scenario(json.loads(text)).generators
+        assert [name for name, _ in from_text] == [name for name, _ in from_dict]
+        for (_, a), (_, b) in zip(from_text, from_dict):
+            assert a.dtype == b.dtype == complex and a.shape == b.shape == (2, 2)
+            assert a.tobytes() == b.tobytes()
+        assert np.signbit(from_text[0][1].imag[0, 0]) and np.signbit(from_text[0][1].real[1, 0])
+
+    def test_inline_generators_decoded_one_at_a_time(self):
+        # Four 40 x 40 inline generators: holding every matrix's list tree
+        # at once peaked at about 1.1 MB, one tree at a time at about 0.4 MB.
+        rng = np.random.default_rng(5)
+        entries = [
+            {"space": "O", "matrix": rng.standard_normal((40, 40, 2)).tolist()} for _ in range(4)
+        ]
+        text = json.dumps({"scenario": "algebra-probe", "model": {"o_dim": 40}, "generators": entries})
+        parse_scenario(text)  # first-call caches outside the trace
+        tracemalloc.start()
+        cfg = parse_scenario(text)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(cfg.generators) == 4
+        assert peak < 600_000
 
     def test_malformed_document(self):
         with pytest.raises(ConfigError, match="malformed"):
