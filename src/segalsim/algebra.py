@@ -16,7 +16,9 @@ Commutative algebras are stored as ``(V, labels)``.  A commutative
 generators, and its characters are the points of their joint spectrum.
 The columns of V are joint eigenvectors and ``labels[i]`` is the class
 of column i; basis element k is P_k / sqrt(rank_k) for the projector
-P_k onto the columns of class k, made dense only when read.
+P_k onto the columns of class k, made dense only when read.  Beside the
+labels the algebra keeps only the ranks and 1/sqrt(rank), O(d) in all;
+every read of the classes is one class sum, a bincount over ``labels``.
 
 - V.  When every generator is exactly diagonal, V is the identity,
   stored as ``None`` and never materialized, and the generators are
@@ -44,9 +46,7 @@ P_k onto the columns of class k, made dense only when read.
 Cost: the letter check, one ``eigh`` and two d x d products per
 generator; O(n d log d) for n exactly diagonal generators, plus one pass
 over the dense generators to see that they are diagonal when they do not
-come as diagonals.  The joint
-spectral resolution, the projections and the positivity table are read
-off the classes.
+come as diagonals.
 
 Non-commutative algebras (the wigner-friend interference algebra,
 Pauli-type probes) are closed by Gram-Schmidt.  The unital algebra
@@ -70,13 +70,12 @@ from functools import cached_property
 import numpy as np
 
 from ._philox import event_uniforms
-from .config import ALGEBRA_TOL, CHARACTER_ATOL, InvariantViolation
+from .config import ALGEBRA_TOL, CHARACTER_ATOL, MAX_WORKING_SET_BYTES, InvariantViolation
 from .linalg import SpaceLayout
 
 __all__ = [
     "OperatorAlgebra",
     "SpectralResolution",
-    "contains",
     "diagonal_algebra",
     "generate_algebra",
     "joint_spectral_resolution",
@@ -85,13 +84,6 @@ __all__ = [
 # Philox key of the generator combination whose eigenvectors are the joint
 # eigenbasis: every algebra is deterministic.
 _EIGENBASIS_SEED = 0x5E6A1
-
-
-def _eigenbasis_diagonal(v: np.ndarray | None, a: np.ndarray) -> np.ndarray:
-    """diag(V^dag a V): the expectation of ``a`` in each joint eigenvector."""
-    if v is None:
-        return np.diagonal(a)
-    return np.einsum("ij,ij->j", v.conj(), a @ v)
 
 
 def _from_eigenbasis(v: np.ndarray | None, values: np.ndarray) -> np.ndarray:
@@ -108,11 +100,11 @@ class OperatorAlgebra:
     computed lazily and cached.  Construct through :func:`generate_algebra`
     or :func:`diagonal_algebra`.
 
-    A commutative algebra carries ``labels`` and ``eigenvectors`` (V, or
-    ``None`` for the identity): basis element j is
-    V diag(basis_diagonals[j]) V^dag, with ``basis_diagonals[j]`` the
-    0/1 mask of class j over sqrt(rank_j).  The dense ``basis`` is built
-    on first use.  A non-commutative algebra has ``labels`` ``None``; its
+    A commutative algebra carries ``labels``, ``ranks`` and
+    ``eigenvectors`` (V, or ``None`` for the identity): basis element j
+    is V P_j V^dag / sqrt(ranks[j]), P_j the 0/1 diagonal of class j,
+    read through :meth:`class_sums` only; the dense ``basis`` is built on
+    first use.  A non-commutative algebra has ``labels`` ``None``; its
     basis is stored as one read-only (k, d, d) array and ``basis`` holds
     views into it.  Exactly diagonal generators are stored as the rows of
     ``generator_diagonals`` (``generators`` ``None``) and the dense
@@ -127,7 +119,7 @@ class OperatorAlgebra:
         stack: np.ndarray | None = None,
         labels: np.ndarray | None = None,
         eigenvectors: np.ndarray | None = None,
-        class_values: np.ndarray | None = None,
+        joint_values: np.ndarray | None = None,
         generator_diagonals: np.ndarray | None = None,
     ) -> None:
         self.layout = layout
@@ -137,10 +129,7 @@ class OperatorAlgebra:
         self.labels = labels
         self.commutative = labels is not None
         self.eigenvectors = eigenvectors
-        # (class, generator) joint values of a commutative algebra.
-        self._class_values = class_values
         if labels is None:
-            self.basis_diagonals = None
             # One (k, d, d) array; the basis elements are views into it.
             stack.setflags(write=False)
             self._basis = tuple(stack)
@@ -148,8 +137,11 @@ class OperatorAlgebra:
             self._basis_vec = stack.reshape(len(stack), -1)
         else:
             self._basis = None
-            masks = labels == np.arange(labels.max() + 1)[:, None]
-            self.basis_diagonals = masks / np.sqrt(masks.sum(axis=1))[:, None]
+            self.ranks = np.bincount(labels)
+            self._inv_sqrt_ranks = 1.0 / np.sqrt(self.ranks)
+            # (class, generator): each generator's mean joint value over the class.
+            sums = np.array([self.class_sums(row) for row in joint_values])
+            self._class_values = sums.T / self.ranks[:, None]
         self._resolution: SpectralResolution | None = None
         self._characters = None
 
@@ -163,18 +155,28 @@ class OperatorAlgebra:
     def basis(self) -> tuple[np.ndarray, ...]:
         if self._basis is None:
             self._basis = tuple(
-                _from_eigenbasis(self.eigenvectors, row.astype(complex))
-                for row in self.basis_diagonals
+                _from_eigenbasis(self.eigenvectors, (self.labels == j) * complex(scale))
+                for j, scale in enumerate(self._inv_sqrt_ranks)
             )
         return self._basis
 
     @property
     def dimension(self) -> int:
-        return len(self._basis) if self.labels is None else len(self.basis_diagonals)
+        return len(self._basis) if self.labels is None else len(self.ranks)
+
+    def class_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sum of ``x``, one entry per joint eigenvector, over each class."""
+        if not np.iscomplexobj(x):
+            return np.bincount(self.labels, x, len(self.ranks))
+        sums = self.class_sums(x.real).astype(complex)
+        sums.imag = self.class_sums(x.imag)
+        return sums
 
     def eigenbasis_diagonal(self, a: np.ndarray) -> np.ndarray:
-        """diag(V^dag a V) on the joint eigenvectors of a commutative algebra."""
-        return _eigenbasis_diagonal(self.eigenvectors, a)
+        """diag(V^dag a V): the expectation of ``a`` in each joint eigenvector."""
+        if self.eigenvectors is None:
+            return np.diagonal(a)
+        return np.einsum("ij,ij->j", self.eigenvectors.conj(), a @ self.eigenvectors)
 
     def eigenbasis_amplitudes(self, amplitudes: np.ndarray) -> np.ndarray:
         """V^dag psi: a vector's amplitudes on the joint eigenvectors."""
@@ -191,41 +193,24 @@ class OperatorAlgebra:
         algebra and each state's checks are one small product.
         """
         if self.labels is not None:
-            # On the eigenvectors I and every B_j^dag B_j are diagonal:
-            # only their diagonals (ones, and |B_j|^2 entrywise) have components.
-            diagonals = self.basis_diagonals
-            return np.vstack([diagonals.sum(axis=1), np.abs(diagonals) ** 2 @ diagonals.T])
+            # <B_j, I> = sqrt(rank_j), and B_j^dag B_j = B_j / sqrt(rank_j).
+            return np.vstack([np.sqrt(self.ranks), np.diag(self._inv_sqrt_ranks)])
         rows = [self.project_coefficients(np.eye(self.layout.dim))]
         rows += [self.project_coefficients(m.conj().T @ m) for m in self.basis]
         return np.array(rows)
 
     def project_coefficients(self, a: np.ndarray) -> np.ndarray:
-        """Hilbert-Schmidt components <B_j, a> of ``a`` against the basis."""
+        """Hilbert-Schmidt components <B_j, a> of ``a`` against the basis; a
+        commutative algebra also takes diag(V^dag a V), all it reads of ``a``."""
         a = np.asarray(a, dtype=complex)
         d = self.layout.dim
+        if self.labels is not None and a.shape in ((d,), (d, d)):
+            diagonal = a if a.ndim == 1 else self.eigenbasis_diagonal(a)
+            return self.class_sums(diagonal) * self._inv_sqrt_ranks
         if a.shape != (d, d):
             raise ValueError(f"operator shape {a.shape} does not match algebra dim {d}")
-        if self.labels is not None:
-            # Real diagonal basis on the eigenvectors: only diag(V^dag a V) has a component.
-            return self.basis_diagonals @ self.eigenbasis_diagonal(a)
         # Conjugate the vector, not the k x d^2 basis.
         return (self._basis_vec @ a.reshape(-1).conj()).conj()
-
-    def project(self, a: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``a`` onto the algebra span."""
-        coeffs = self.project_coefficients(a)
-        if self.labels is not None:
-            return _from_eigenbasis(self.eigenvectors, self.basis_diagonals.T @ coeffs)
-        return (self._basis_vec.T @ coeffs).reshape(a.shape)
-
-    def membership_residual(self, a: np.ndarray) -> float:
-        """Relative distance of ``a`` from the span (0 for members)."""
-        a = np.asarray(a, dtype=complex)
-        norm = float(np.linalg.norm(a))
-        if norm == 0.0:
-            return 0.0
-        residual = float(np.linalg.norm(a - self.project(a)))
-        return residual / norm
 
     def __repr__(self) -> str:
         kind = "commutative" if self.commutative else "non-commutative"
@@ -347,8 +332,16 @@ def _classified_algebra(
     docstring.
     """
     labels, split_gaps = _joint_classes(values, tol)
-    masks = (labels == np.arange(labels.max() + 1)[:, None]).astype(float)
-    class_values = masks @ values.T / masks.sum(axis=1)[:, None]
+    alg = OperatorAlgebra(
+        layout,
+        gens,
+        tol,
+        labels=labels,
+        eigenvectors=v,
+        joint_values=values,
+        generator_diagonals=values if gens is None else None,
+    )
+    class_values = alg._class_values
     for g_idx, row in enumerate(values):
         scale = float(np.max(np.abs(row)))
         on_diagonal = np.linalg.norm(row - class_values[labels, g_idx])
@@ -363,15 +356,7 @@ def _classified_algebra(
                 f"generator {g_idx} has joint values split by {split_gaps[g_idx]:.3e}, within "
                 f"their accuracy {residual:.3e}; ambiguous classes (tol too small for this data?)"
             )
-    return OperatorAlgebra(
-        layout,
-        gens,
-        tol,
-        labels=labels,
-        eigenvectors=v,
-        class_values=class_values,
-        generator_diagonals=values if gens is None else None,
-    )
+    return alg
 
 
 def _joint_classes(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -433,10 +418,27 @@ def _gram_schmidt_closure(
 
     The span of I is grown by multiplying each basis element, in the
     order found, once by each letter on the left.
+
+    Rows held plus rows requested, 16 d^2 bytes each, over
+    MAX_WORKING_SET_BYTES raise ValueError before the row buffer is made or
+    grown.  A wigner-friend model within ``measurement.wigner_friend_bytes``
+    passes: its interference algebra has two Hermitian letters (a first
+    request of 6 rows) and dimension o_dim + 4, so it grows from at most
+    o_dim + 3 rows to twice that, under the estimate's 2 + 3 (o_dim + 4).
     """
     d = layout.dim
     max_dim = d * d
-    rows = np.empty((min(2 * (len(letters) + 1), max_dim), d * d), dtype=complex)
+
+    def buffer(held: int, requested: int) -> np.ndarray:
+        need = 16 * d * d * (held + requested)
+        if need > MAX_WORKING_SET_BYTES:
+            raise ValueError(
+                f"algebra closure on d = {d} would hold {need} bytes of basis rows, "
+                f"over the {MAX_WORKING_SET_BYTES}-byte limit"
+            )
+        return np.empty((requested, d * d), dtype=complex)
+
+    rows = buffer(0, min(2 * (len(letters) + 1), max_dim))
     k = 0
 
     def adjoin(op: np.ndarray) -> None:
@@ -450,7 +452,7 @@ def _gram_schmidt_closure(
                 "numerical breakdown (tol too small for this data?)"
             )
         if k == len(rows):
-            grown = np.empty((min(2 * k, max_dim), d * d), dtype=complex)
+            grown = buffer(k, min(2 * k, max_dim))
             grown[:k] = rows
             rows = grown
         rows[k] = r
@@ -468,11 +470,6 @@ def _gram_schmidt_closure(
     # copy, which would raise the peak): the basis holds exactly k rows.
     rows.resize((k, d * d))
     return OperatorAlgebra(layout, gens, tol, stack=rows.reshape(k, d, d))
-
-
-def contains(alg: OperatorAlgebra, a: np.ndarray) -> bool:
-    """Membership test: relative span residual at most the algebra tolerance."""
-    return alg.membership_residual(a) <= alg.tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -502,11 +499,6 @@ class SpectralResolution:
             for k in range(len(self.ranks))
         )
 
-    def element_values(self, op: np.ndarray) -> np.ndarray:
-        """Scalar each projector assigns to an algebra element: tr(P_k op) / rank_k."""
-        masks = self.labels == np.arange(len(self.ranks))[:, None]
-        return masks @ _eigenbasis_diagonal(self.eigenvectors, op) / np.array(self.ranks)
-
 
 def joint_spectral_resolution(alg: OperatorAlgebra) -> SpectralResolution:
     """Joint spectral projectors of a commutative algebra, one per class.
@@ -526,12 +518,11 @@ def joint_spectral_resolution(alg: OperatorAlgebra) -> SpectralResolution:
             "the spectral value table covers Hermitian generators"
         )
     if alg._resolution is None:
-        masks = (alg.labels == np.arange(alg.dimension)[:, None]).astype(float)
-        ranks = masks.sum(axis=1)
+        # Character k takes tr(P_k B_j) / rank_k = delta_jk / sqrt(rank_k).
         alg._resolution = SpectralResolution(
             generator_values=values.real,
-            basis_values=masks @ alg.basis_diagonals.T / ranks[:, None],
-            ranks=tuple(int(r) for r in ranks),
+            basis_values=np.diag(alg._inv_sqrt_ranks),
+            ranks=tuple(alg.ranks.tolist()),
             labels=alg.labels,
             eigenvectors=alg.eigenvectors,
         )

@@ -355,7 +355,7 @@ def _pointer_weights(model: MeasurementModel, diagonal: np.ndarray) -> np.ndarra
     setup = _setup(model)
     alg = setup.ms_algebra
     # tr(rho B_j) = conj(<B_j, rho^dag>), and <B_j, rho^dag> reads only diag(rho)^*.
-    phi = AlgebraicState(alg, (alg.basis_diagonals @ diagonal.conj()).conj())
+    phi = AlgebraicState(alg, alg.project_coefficients(diagonal.conj()).conj())
     weights = decompose_restricted(phi, alg).probabilities
     probs = weights[[c.projector_index for c in setup.ms_characters]]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
@@ -495,8 +495,7 @@ def _information_of(diagonal: np.ndarray, characters: tuple[Character, ...]) -> 
     """The record distribution tr(rho P_k), in character order, from
     ``diagonal`` = diag(V^dag rho V) on the characters' algebra: its sum
     over class k."""
-    alg = characters[0].algebra
-    sums = np.bincount(alg.labels, diagonal.real, alg.dimension)
+    sums = characters[0].algebra.class_sums(diagonal.real)
     return np.clip(sums[[c.projector_index for c in characters]], 0.0, None)
 
 

@@ -224,11 +224,10 @@ def breuer_indistinguishable(
     phi1 = restrict_state(rho1, alg)
     phi2 = restrict_state(rho2, alg)
     basis_dev = np.abs(phi1.values - phi2.values)
-    if alg.generator_diagonals is None:
-        generator_dev = [abs(phi1.evaluate(g) - phi2.evaluate(g)) for g in alg.generators]
-    else:  # project_coefficients(diag(row)) is basis_diagonals @ row; build no diag
-        coefficients = [alg.basis_diagonals @ row for row in alg.generator_diagonals]
-        generator_dev = [abs(c @ phi1.values - c @ phi2.values) for c in coefficients]
+    # Exactly diagonal generators are read as their diagonals; build no diag.
+    generators = alg.generators if alg.generator_diagonals is None else alg.generator_diagonals
+    coefficients = [alg.project_coefficients(g) for g in generators]
+    generator_dev = [abs(c @ phi1.values - c @ phi2.values) for c in coefficients]
     deviations = [*basis_dev, *generator_dev]
     labels = [f"basis[{j}]" for j in range(basis_dev.size)]
     labels += [f"generator[{g_idx}]" for g_idx in range(len(generator_dev))]
@@ -256,7 +255,7 @@ def character_probabilities(xi_ms: StateVector, alg: OperatorAlgebra) -> np.ndar
         raise ValueError("character probabilities require a commutative algebra")
     # <xi|P_k|xi> is |V^dag xi|^2 summed over class k.
     amp = alg.eigenbasis_amplitudes(xi_ms.amplitudes)
-    return np.bincount(alg.labels, np.abs(amp) ** 2, alg.dimension)
+    return alg.class_sums(np.abs(amp) ** 2)
 
 
 def draw_cumulative(probs: np.ndarray) -> np.ndarray:

@@ -7,11 +7,14 @@ package now takes on amplitude vectors: the premeasurement unitary, the
 coupled V rho V^dag, partial traces to density matrices, the ensemble
 average and the dense-rho entry points of the pointer-basis extraction
 and of the restricted pointer probabilities.  The package's fast paths
-are tested against them bit for bit.  The per-event numpy.random section
-keeps the event sampler that ``run_ensemble`` replaces with its Philox
-block pass: one ``numpy.random.Generator`` per event and a
-``searchsorted`` inverse CDF per draw, on the package's pipeline prefix.
-``run_ensemble`` is tested against it record for record.  Its event keeps
+are tested against them bit for bit.  The algebra readers (projection,
+membership, projector values) work on a package algebra's dense
+``basis`` and ``projectors`` only, never on its class labels.  The
+per-event numpy.random section keeps the event sampler that
+``run_ensemble`` replaces with its Philox block pass: one
+``numpy.random.Generator`` per event and a ``searchsorted`` inverse CDF
+per draw, on the package's pipeline prefix.  ``run_ensemble`` is tested
+against it record for record.  Its event keeps
 the pipeline image as amplitudes, O(d); the dense doublet is built only
 when a test asks for it.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from segalsim.algebra import OperatorAlgebra
+from segalsim.algebra import OperatorAlgebra, SpectralResolution
 from segalsim.config import PROBABILITY_FLOOR
 from segalsim.linalg import partial_trace
 from segalsim.measurement import (
@@ -371,6 +374,35 @@ def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix
     weights = decompose_restricted(restrict_state(rho, alg), alg).probabilities
     probs = weights[[c.projector_index for c in pointer_characters(model)]]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# dense readers of a package algebra: its dense basis and projectors only
+
+
+def project(alg: OperatorAlgebra, a: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of ``a`` onto the span of ``alg.basis``."""
+    a = np.asarray(a, dtype=complex)
+    return sum((np.vdot(b, a) * b for b in alg.basis), np.zeros_like(a))
+
+
+def membership_residual(alg: OperatorAlgebra, a: np.ndarray) -> float:
+    """Relative distance of ``a`` from the algebra span (0 for members)."""
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        return 0.0
+    return float(np.linalg.norm(a - project(alg, a))) / norm
+
+
+def contains(alg: OperatorAlgebra, a: np.ndarray) -> bool:
+    """Membership: relative span residual at most the algebra tolerance."""
+    return membership_residual(alg, a) <= alg.tol
+
+
+def element_values(res: SpectralResolution, op: np.ndarray) -> np.ndarray:
+    """Scalar each dense projector assigns to an algebra element: tr(P_k op) / rank_k."""
+    return np.array([np.trace(p @ op) / r for p, r in zip(res.projectors, res.ranks)])
 
 
 # ---------------------------------------------------------------------------

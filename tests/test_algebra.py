@@ -5,7 +5,6 @@ from segalsim import algebra
 from segalsim.algebra import (
     _commutative_algebra,
     _letters_commute,
-    contains,
     generate_algebra,
     joint_spectral_resolution,
 )
@@ -13,7 +12,14 @@ from segalsim.config import ALGEBRA_TOL, InvariantViolation
 from segalsim.linalg import SpaceLayout, identity, tensor
 from segalsim.restriction import extremal_states
 
-from _oracles import all_pairs_closure, closure_dimension_oracle, joint_resolution_oracle
+from _oracles import (
+    all_pairs_closure,
+    closure_dimension_oracle,
+    contains,
+    element_values,
+    joint_resolution_oracle,
+    membership_residual,
+)
 
 O = SpaceLayout((("O", 3),))
 MS = SpaceLayout((("S", 2), ("O", 3)))
@@ -111,23 +117,23 @@ class TestGenerateAlgebra:
     def test_closed_under_adjoint_and_product(self):
         alg = generate_algebra([q_o_extended(), interference_op()], MS)
         for m in alg.basis:
-            assert alg.membership_residual(m.conj().T) <= alg.tol
+            assert membership_residual(alg, m.conj().T) <= alg.tol
         for a in alg.basis:
             for b in alg.basis:
-                assert alg.membership_residual(a @ b) <= alg.tol
+                assert membership_residual(alg, a @ b) <= alg.tol
 
     def test_identity_in_span(self):
         alg = generate_algebra([SX], TWO)
-        assert alg.membership_residual(identity(2)) <= alg.tol
+        assert membership_residual(alg, identity(2)) <= alg.tol
 
     def test_closure_idempotent(self):
         alg = generate_algebra([Q_O], O)
         again = generate_algebra(list(alg.basis), O)
         assert again.dimension == alg.dimension
         for m in alg.basis:
-            assert again.membership_residual(m) <= again.tol
+            assert membership_residual(again, m) <= again.tol
         for m in again.basis:
-            assert alg.membership_residual(m) <= alg.tol
+            assert membership_residual(alg, m) <= alg.tol
 
     def test_dimension_bound(self):
         rng = np.random.default_rng(4)
@@ -218,9 +224,19 @@ class TestJointSpectralResolution:
             for _ in range(10):
                 a = sum(c * m for c, m in zip(rng.standard_normal(alg.dimension), alg.basis))
                 b = sum(c * m for c, m in zip(rng.standard_normal(alg.dimension), alg.basis))
-                lhs = res.element_values(a @ b)
-                rhs = res.element_values(a) * res.element_values(b)
+                lhs = element_values(res, a @ b)
+                rhs = element_values(res, a) * element_values(res, b)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-8
+
+    @pytest.mark.parametrize("rank", [2, 5, 7, 20])
+    def test_character_and_positivity_tables_are_exact(self, rank):
+        # Character k takes 1/sqrt(rank_k) on B_k, and <B_k, I> = sqrt(rank_k),
+        # read off the ranks: no sum whose order the BLAS picks.
+        layout = SpaceLayout((("O", 3 * rank),))
+        alg = generate_algebra([np.diag(np.repeat([0.0, 1.0, 2.0], rank))], layout)
+        table = np.diag(np.full(3, 1 / np.sqrt(rank)))
+        assert np.array_equal(joint_spectral_resolution(alg).basis_values, table)
+        assert np.array_equal(alg.positivity_table, np.vstack([np.full(3, np.sqrt(rank)), table]))
 
     def test_non_commutative_rejected(self):
         with pytest.raises(ValueError, match="commutative"):
@@ -373,7 +389,6 @@ class TestDiagonalPathOracle:
                 a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
                 dense = np.array([np.vdot(b, a) for b in alg.basis])
                 assert np.allclose(alg.project_coefficients(a), dense, atol=1e-12)
-                assert np.allclose(alg.project(a), sum(c * b for c, b in zip(dense, alg.basis)))
 
     @pytest.mark.parametrize("factor, path", [(0.9, "generic"), (1.1, "diagonal")])
     def test_near_collision_at_fallback_boundary(self, factor, path):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from segalsim import cli, scenarios
+from segalsim import algebra, cli, scenarios
 from segalsim.algebra import _gram_schmidt_closure
 from segalsim.cli import main
 from segalsim.config import InvariantViolation
@@ -294,6 +294,37 @@ def test_ambiguous_classes_exit_2(tmp_path, capsys, generators, extra):
     err = capsys.readouterr().err
     assert err.startswith("numerical invariant violated: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap_rows, refused_rows", [(5, 6), (17, 18), (18, None)])
+def test_closure_working_set_cap(tmp_path, capsys, monkeypatch, cap_rows, refused_rows):
+    # ["QO_MS", "B"] at s_dim 2, o_dim 3 closes an o_dim + 4 = 7-element
+    # basis on d = 6, 576 bytes a row: a first buffer of 6 rows, grown at 6
+    # rows held by 12 more.  A cap below either request refuses the closure
+    # with exit 1 and one line, before that buffer is allocated.
+    row = 16 * 6 * 6
+    monkeypatch.setattr(algebra, "MAX_WORKING_SET_BYTES", cap_rows * row)
+    buffers = []
+    empty = np.empty
+
+    def spy(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and shape[1:] == (36,):
+            buffers.append(shape[0])
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.np, "empty", spy)
+    code, report = _probe(tmp_path, ["QO_MS", "B"], model={"s_dim": 2, "o_dim": 3})
+    err = capsys.readouterr().err
+    if refused_rows is None:
+        assert code == 0 and report["summary"]["dimension"] == 7
+        assert buffers == [6, 12]
+        return
+    assert code == 1
+    assert err == (
+        f"error: algebra closure on d = 6 would hold {refused_rows * row} bytes of basis rows, "
+        f"over the {cap_rows * row}-byte limit\n"
+    )
+    assert buffers == ([] if refused_rows == 6 else [6])
 
 
 def test_console_script_smoke(tmp_path):

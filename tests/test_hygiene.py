@@ -238,3 +238,34 @@ def test_one_document_decoder():
     assert [(name, function) for name, function, _ in sites] == [
         ("scenarios.py", "load_document")
     ], f"JSON decoded outside scenarios.load_document: {sites}"
+
+
+def _class_label_counts(tree):
+    """Lines of ``np.bincount`` calls whose first argument reads ``labels``."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "bincount"
+            and node.args
+            and any(
+                (isinstance(n, ast.Name) and n.id == "labels")
+                or (isinstance(n, ast.Attribute) and n.attr == "labels")
+                for n in ast.walk(node.args[0])
+            )
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_classes_are_read_in_algebra_only():
+    # A commutative algebra's classes are read through its class sums;
+    # a bincount over its labels elsewhere would tie that module to how
+    # the classes are stored.
+    sites = [
+        (path.name, line) for path in MODULES for line in _class_label_counts(_tree(path))
+    ]
+    assert sites and {name for name, _ in sites} == {"algebra.py"}, (
+        f"np.bincount over class labels outside algebra.py: {sites}"
+    )

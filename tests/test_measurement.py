@@ -1012,11 +1012,53 @@ class TestDiagonalPointerAlgebra:
             oracle = kron_oracle(oracle, factor)
         assert np.array_equal(generator, oracle)
 
+    @pytest.mark.parametrize("model", DIAGONAL_MODELS, ids=DIAGONAL_IDS)
+    @pytest.mark.parametrize("environment", [True, False])
+    def test_matches_dense_closure_oracle(self, model, environment):
+        # The class-label algebra against the all-pairs Gram-Schmidt closure
+        # of the dense pointer operator and its randomized resolution, which
+        # share no code with it.  The oracle's basis is another orthonormal
+        # basis of the same span: compare on B_j = P_j / sqrt(rank_j) built
+        # from the oracle projectors.
+        alg = pointer_algebra(model, environment=environment)
+        dense = pointer_operator(model, alg.layout)
+        basis, commutative = all_pairs_closure([dense], alg.layout.dim)
+        values, ranks, projectors = joint_resolution_oracle(basis, [dense])
+        res = joint_spectral_resolution(alg)
+        assert commutative and alg.commutative
+        assert alg.dimension == len(basis) == len(projectors)
+        assert res.ranks == ranks
+        assert np.allclose(res.generator_values, values, atol=1e-12)
+        oracle_basis = [p / np.sqrt(r) for p, r in zip(projectors, ranks)]
+        table = [[np.trace(p @ b).real / r for b in oracle_basis] for p, r in zip(projectors, ranks)]
+        assert np.allclose(res.basis_values, table, atol=1e-12)
+        rng = np.random.default_rng(46)
+        d = alg.layout.dim
+        for _ in range(3):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            coefficients = [np.vdot(b, a) for b in oracle_basis]
+            assert np.allclose(alg.project_coefficients(a), coefficients, atol=1e-12)
+
     def test_setup_holds_no_dense_array(self):
         model = make_model(s_dim=2, o_dim=4, environment={"e_dim": 15})
         d = full_layout(model).dim
         assert d == 120
         setup = _setup.__wrapped__(model)  # a fresh setup, not the cached one
-        assert max(a.size for a in _reachable_arrays(setup)) < d * d
+        # The class labels and the pointer diagonal; no (classes, d) table.
+        assert max(a.size for a in _reachable_arrays(setup)) <= d
         setup.algebra.generators  # made dense on first read, and kept
         assert max(a.size for a in _reachable_arrays(setup)) == d * d
+
+    def test_setup_and_first_read_stay_small(self):
+        # pure at s_dim 90, o_dim 91: d = 8190 in 91 classes.  A (classes, d)
+        # float table alone would be 5.7 MiB; the setup and the first
+        # restricted probabilities stay O(d).
+        model = make_model(s_dim=90, o_dim=91)
+        psi_s = system_state(model, np.full(90, 1 / np.sqrt(90)))
+        _setup.cache_clear()
+        tracemalloc.start()
+        probs = restricted_pointer_probabilities(model, psi_s)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.isclose(probs.sum(), 1.0)
+        assert peak < 2 * 2**20
