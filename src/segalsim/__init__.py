@@ -2,21 +2,30 @@
 
 Layers, bottom up:
 
-- :mod:`segalsim.linalg`: dense complex kernel (tensor factors, partial
-  trace, Hermitian eigendecomposition, propagators).
+- :mod:`segalsim.linalg`: dense complex kernel (tensor factors,
+  Hermitian eigendecomposition, propagators).
 - :mod:`segalsim.states`: pure states, density matrices, ensemble tables.
 - :mod:`segalsim.algebra`: *-algebra closures, commutativity, joint
-  spectral resolutions.
+  spectral resolutions; :mod:`segalsim.closure` closes non-commutative
+  ones by Gram-Schmidt.
 - :mod:`segalsim.restriction`: states as functionals on subalgebras,
   characters, observer indistinguishability.
-- :mod:`segalsim.measurement`: the measurement pipeline (premeasurement,
-  doublet evolution, decoherence, pointer-basis extraction, event runs).
+- :mod:`segalsim.measurement`: the measurement pipeline (model,
+  premeasurement, pointer algebra, restricted probabilities, event runs).
+  :mod:`segalsim.doublet` (doublet evolution, erasure),
+  :mod:`segalsim.decoherence` (decoherence, pointer-basis extraction) and
+  :mod:`segalsim.wigner` (the two-observer report) build on it.
 - :mod:`segalsim.scenarios` / :mod:`segalsim.cli`: declarative scenario
-  configs, deterministic reports and event logs.
+  configs and their runs (:mod:`segalsim.generators`: the algebra-probe
+  generator list); :mod:`segalsim.serialize`: deterministic reports and
+  event logs.
 
 The package root re-exports the names of the library quick start, the
 scenario entry points and the two error types; everything else is
-imported from its own module.
+imported from its own module.  Importing the root loads what the
+``pure`` and ``gemenge`` scenarios run and nothing more: the closure,
+doublet, decoherence, wigner and generators modules are imported by the
+code that calls them.
 """
 
 from .config import InvariantViolation
@@ -39,7 +48,8 @@ from .measurement import (
     run_ensemble,
     system_state,
 )
-from .scenarios import ConfigError, emit_report, parse_scenario, run_scenario
+from .scenarios import ConfigError, parse_scenario, run_scenario
+from .serialize import emit_report
 
 __all__ = [
     "ConfigError",

@@ -14,7 +14,8 @@ import os
 import sys
 
 from .config import InvariantViolation
-from .scenarios import ConfigError, emit_report, load_document, parse_scenario, run_scenario
+from .scenarios import ConfigError, load_document, parse_scenario, run_scenario
+from .serialize import emit_report
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,0 +1,101 @@
+"""The Gram-Schmidt closure of a non-commutative algebra.
+
+:func:`segalsim.algebra.generate_algebra` imports this module only when
+its letters do not commute (the wigner-friend interference algebra,
+Pauli-type probes).  The unital algebra generated by S and S^dag is the
+span of all words in the letters, so it is the smallest subspace that
+contains I and is closed under left multiplication by each letter.  The span is seeded with {I} + letters,
+orthonormalized with two-pass Gram-Schmidt under the Hilbert-Schmidt
+inner product, and every basis element, in the order found, is
+multiplied once by each letter; a product adds a direction when its
+residual exceeds ``tol`` times its norm.  The dimension is bounded by
+dim(H)^2; exceeding that bound signals numerical breakdown, not
+mathematics.  The basis is one (k, d, d) array.  Cost: L k products of
+d x d matrices.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .config import MAX_WORKING_SET_BYTES, InvariantViolation
+from .algebra import OperatorAlgebra
+from .linalg import SpaceLayout
+
+
+def _orthonormal_append(rows: np.ndarray, op: np.ndarray, tol: float) -> np.ndarray | None:
+    """Residual of ``op`` against the orthonormal rows, or None if in span."""
+    v = op.reshape(-1)
+    norm_in = float(np.linalg.norm(v))
+    if norm_in == 0.0:
+        return None
+    r = v.astype(complex)
+    for _ in range(2):  # second pass controls Gram-Schmidt cancellation error
+        if rows.shape[0]:
+            # rows^dag r, conjugating the vector instead of copying the rows
+            r = r - rows.T @ (rows @ r.conj()).conj()
+    norm_r = float(np.linalg.norm(r))
+    if norm_r <= tol * norm_in:
+        return None
+    return r / norm_r
+
+
+def _gram_schmidt_closure(
+    gens: tuple[np.ndarray, ...], letters: list[np.ndarray], layout: SpaceLayout, tol: float
+) -> OperatorAlgebra:
+    """The non-commutative algebra generated by letters that do not commute.
+
+    The span of I is grown by multiplying each basis element, in the
+    order found, once by each letter on the left.
+
+    Rows held plus rows requested, 16 d^2 bytes each, over
+    MAX_WORKING_SET_BYTES raise ValueError before the row buffer is made or
+    grown.  A wigner-friend model within ``wigner.wigner_friend_bytes``
+    passes: its interference algebra has two Hermitian letters (a first
+    request of 6 rows) and dimension o_dim + 4, so it grows from at most
+    o_dim + 3 rows to twice that, under the estimate's 2 + 3 (o_dim + 4).
+    """
+    d = layout.dim
+    max_dim = d * d
+
+    def buffer(held: int, requested: int) -> np.ndarray:
+        need = 16 * d * d * (held + requested)
+        if need > MAX_WORKING_SET_BYTES:
+            raise ValueError(
+                f"algebra closure on d = {d} would hold {need} bytes of basis rows, "
+                f"over the {MAX_WORKING_SET_BYTES}-byte limit"
+            )
+        return np.empty((requested, d * d), dtype=complex)
+
+    rows = buffer(0, min(2 * (len(letters) + 1), max_dim))
+    k = 0
+
+    def adjoin(op: np.ndarray) -> None:
+        nonlocal rows, k
+        r = _orthonormal_append(rows[:k], op, tol)
+        if r is None:
+            return
+        if k == max_dim:
+            raise InvariantViolation(
+                f"algebra closure did not stabilize within the dim^2 = {max_dim} bound; "
+                "numerical breakdown (tol too small for this data?)"
+            )
+        if k == len(rows):
+            grown = buffer(k, min(2 * k, max_dim))
+            grown[:k] = rows
+            rows = grown
+        rows[k] = r
+        k += 1
+
+    for op in (np.eye(d, dtype=complex), *letters):
+        adjoin(op)
+    done = 0
+    while done < k:
+        for letter in letters:
+            adjoin(letter @ rows[done].reshape(d, d))
+        done += 1
+
+    # Return the growth buffer's spare rows in place (a realloc, not a
+    # copy, which would raise the peak): the basis holds exactly k rows.
+    rows.resize((k, d * d))
+    return OperatorAlgebra(layout, gens, tol, stack=rows.reshape(k, d, d))

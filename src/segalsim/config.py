@@ -53,18 +53,24 @@ MAX_EVENTS = 10**7
 # no such array (their states stay amplitude vectors).  wigner-friend holds
 # the dense S (x) O density matrices and the interference algebra's
 # (o_dim + 4, d, d) basis, but not the pointer algebra's basis: its Breuer
-# verdicts read restricted values only.  The named algebra-probe generators
-# are dense too.  The cap bounds neither run's total; MAX_WORKING_SET_BYTES
-# bounds wigner-friend's and every closure buffer.  2**30 bytes allows d up
+# verdicts read restricted values only.  The algebra-probe generators are
+# dense too.  The cap bounds neither run's total; MAX_WORKING_SET_BYTES
+# bounds wigner-friend's, the algebra-probe generators' and every closure
+# buffer.  2**30 bytes allows d up
 # to 8192; one such array at d = 2184 (s_dim 12, o_dim 13, e_dim 14) is 76 MB.
 MAX_DENSE_BYTES = 2**30
 
 # Cap on the bytes a wigner-friend run is estimated to hold in dense
-# arrays at once (``measurement.wigner_friend_bytes``), checked at parse,
+# arrays at once (``wigner.wigner_friend_bytes``), checked at parse,
 # before any allocation: each dense array fits MAX_DENSE_BYTES, but the run
 # holds two density matrices and an (o_dim + 4)-element basis.  2**32 bytes
-# allows o_dim up to 280 at s_dim 2.  The Gram-Schmidt closure checks its
-# rows held plus requested, 16 d^2 bytes each, before making its buffer.
+# allows o_dim up to 280 at s_dim 2.  An algebra-probe's generator list is
+# checked at parse too, before a named generator is built
+# (``generators.generator_bytes``: 16 d^2 bytes per generator, plus three
+# d x d letter-check products unless every generator is exactly diagonal);
+# ["QO_MS", "B"] at s_dim 2 passes up to o_dim 3663.  The Gram-Schmidt
+# closure checks its rows held plus requested, 16 d^2 bytes each, before
+# making its buffer.
 # A commutative algebra holds O(d): class labels, sizes and 1/sqrt(size).
 MAX_WORKING_SET_BYTES = 2**32
 

@@ -1,0 +1,162 @@
+"""The paper's doublet dynamics.
+
+A doublet pairs the dynamical state, which only ever evolves unitarily,
+with the information state of the observer register.  For an ensemble
+(:class:`StatisticalDoublet`) that is the record distribution tr(rho P_j)
+over the pointer characters, recomputed from the state after every step;
+for one event (:class:`DoubletState`) it is the one character the
+register holds.  The premeasurement coupling as a Hamiltonian, its
+Schroedinger-Liouville evolution and the erasure of a record by the
+inverse swap live here.  No scenario but ``erasure`` runs any of it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .config import InvariantViolation, TRACE_ATOL
+from .linalg import require_hermitian, unitary_from_hamiltonian
+from .measurement import (
+    MeasurementModel,
+    _ready_pointer_swap,
+    _setup,
+    ms_layout,
+    pointer_characters,
+    ready_state,
+)
+from .restriction import Character
+from .states import DensityMatrix, StateVector, density_from_vector
+
+__all__ = [
+    "DoubletState",
+    "StatisticalDoublet",
+    "evolve_sle",
+    "evolve_unitary",
+    "initial_doublet",
+    "interaction_hamiltonian",
+    "record_erasure",
+    "statistical_doublet",
+]
+
+
+def interaction_hamiltonian(model: MeasurementModel) -> np.ndarray:
+    """Coupling whose propagator over the interaction window points the register.
+
+    H = (pi / 2 dt) sum_i |s_i><s_i| (x) (|O_i><O_0| + |O_0><O_i|); evolving
+    for dt rotates |O_0> fully into |O_i> on each branch, with a fixed
+    per-branch phase of -i that cancels in every pointer probability.
+    """
+    o = model.o_dim
+    dt = model.interaction_duration
+    h = np.zeros((model.s_dim * o, model.s_dim * o), dtype=complex)
+    scale = np.pi / (2.0 * dt)
+    for alpha in range(model.s_dim):
+        base = alpha * o
+        h[base, base + alpha + 1] = scale
+        h[base + alpha + 1, base] = scale
+    return h
+
+
+@dataclass(frozen=True, eq=False)
+class StatisticalDoublet:
+    """Ensemble-level doublet: dynamical density matrix plus the probability
+    vector of pointer records, kept consistent with trace(P_j rho)."""
+
+    dynamical: DensityMatrix
+    information: np.ndarray
+    characters: tuple[Character, ...]
+
+    def __post_init__(self) -> None:
+        info = np.array(self.information, dtype=float)
+        info.setflags(write=False)
+        object.__setattr__(self, "information", info)
+        if info.size != len(self.characters):
+            raise ValueError("information vector length must match character count")
+        if np.min(info) < -TRACE_ATOL or abs(info.sum() - 1.0) > TRACE_ATOL:
+            raise InvariantViolation(
+                f"information vector is not a probability distribution: {info!r}"
+            )
+        alg = self.characters[0].algebra
+        recomputed = _information_of(alg.eigenbasis_diagonal(self.dynamical.matrix), self.characters)
+        if np.max(np.abs(recomputed - info)) > 1e-9:
+            raise InvariantViolation(
+                "information vector inconsistent with the dynamical component"
+            )
+
+
+def _information_of(diagonal: np.ndarray, characters: tuple[Character, ...]) -> np.ndarray:
+    """The record distribution tr(rho P_k), in character order, from
+    ``diagonal`` = diag(V^dag rho V) on the characters' algebra: its sum
+    over class k."""
+    sums = characters[0].algebra.class_sums(diagonal.real)
+    return np.clip(sums[[c.projector_index for c in characters]], 0.0, None)
+
+
+def _doublet(rho: DensityMatrix, characters: tuple[Character, ...]) -> StatisticalDoublet:
+    """The doublet of ``rho`` with its record distribution read from it."""
+    diagonal = characters[0].algebra.eigenbasis_diagonal(rho.matrix)
+    return StatisticalDoublet(rho, _information_of(diagonal, characters), characters)
+
+
+def statistical_doublet(model: MeasurementModel, rho: DensityMatrix) -> StatisticalDoublet:
+    """Doublet with the record distribution computed from the state."""
+    setup = _setup(model)
+    if rho.layout == setup.layout:
+        chars = setup.characters
+    elif rho.layout == ms_layout(model):
+        chars = pointer_characters(model, environment=False)
+    else:
+        raise ValueError("state layout matches neither the measurement nor the full layout")
+    return _doublet(rho, chars)
+
+
+def initial_doublet(model: MeasurementModel, psi_s: StateVector) -> StatisticalDoublet:
+    """Pre-measurement doublet: register ready, record distribution (1, 0, ...)."""
+    return statistical_doublet(model, density_from_vector(ready_state(model, psi_s)))
+
+
+def evolve_unitary(theta: StatisticalDoublet, u: np.ndarray) -> StatisticalDoublet:
+    """Conjugate the dynamical component by a unitary; refresh the record
+    distribution from the evolved state."""
+    rho = theta.dynamical
+    return _doublet(DensityMatrix(rho.layout, u @ rho.matrix @ u.conj().T), theta.characters)
+
+
+def evolve_sle(theta: StatisticalDoublet, h: np.ndarray, t: float) -> StatisticalDoublet:
+    """Unitary Schroedinger-Liouville step exp(-i h t) of the doublet.
+
+    Hamiltonians commuting with every pointer projector leave the record
+    distribution unchanged: no measurement means no information change.
+    """
+    h = require_hermitian(h, what="hamiltonian")
+    if h.shape[0] != theta.dynamical.dim:
+        raise ValueError("hamiltonian dimension does not match the doublet")
+    return evolve_unitary(theta, unitary_from_hamiltonian(h, t))
+
+
+def record_erasure(model: MeasurementModel, psi_s: StateVector) -> tuple[np.ndarray, ...]:
+    """Premeasure ``psi_s``, then erase the record with the same swap.
+
+    Returns the record distributions of the ready, the measured and the
+    recovered state (the doublets evolved by the premeasurement and its
+    inverse carry the same), and the recovered state's fidelity with the
+    ready one.
+    """
+    ready = ready_state(model, psi_s).amplitudes
+    measured = _ready_pointer_swap(model, ready)
+    recovered = _ready_pointer_swap(model, measured)
+    overlap = np.vdot(ready, recovered)
+    infos = [_information_of(a * a.conj(), pointer_characters(model)) for a in (ready, measured, recovered)]
+    return (*infos, float((overlap * overlap.conj()).real))
+
+
+@dataclass(frozen=True, eq=False)
+class DoubletState:
+    """Individual-event doublet: un-collapsed dynamical state plus the one
+    pointer character this event's register actually holds."""
+
+    dynamical: DensityMatrix
+    information: Character
+    event_index: int

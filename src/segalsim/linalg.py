@@ -2,7 +2,7 @@
 
 Operators are plain ``numpy.ndarray`` values with complex dtype; a
 :class:`SpaceLayout` names the tensor factors of a composite space so
-partial traces and factor embeddings can address them by label.  All
+basis indices and factor embeddings can address them by label.  All
 functions are pure; nothing here mutates its inputs.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,9 +27,7 @@ __all__ = [
     "basis_vector",
     "degenerate_clusters",
     "hermitian_eig",
-    "hs_inner",
     "identity",
-    "partial_trace",
     "projector",
     "require_hermitian",
     "tensor",
@@ -77,21 +75,6 @@ class SpaceLayout:
             out *= d
         return out
 
-    def axis(self, label: str) -> int:
-        """Position of the factor named ``label``."""
-        for i, (name, _) in enumerate(self.factors):
-            if name == label:
-                return i
-        raise ValueError(f"unknown factor label {label!r}; layout has {self.labels}")
-
-    def subset(self, keep: Iterable[str]) -> "SpaceLayout":
-        """Sub-layout of the kept factors, preserving their order."""
-        keep_set = set(keep)
-        unknown = keep_set - set(self.labels)
-        if unknown:
-            raise ValueError(f"unknown factor labels {sorted(unknown)}; layout has {self.labels}")
-        return SpaceLayout(tuple(f for f in self.factors if f[0] in keep_set))
-
     def basis_index(self, indices: Sequence[int]) -> int:
         """Composite index of the product basis state with per-factor indices."""
         if len(indices) != len(self.factors):
@@ -128,15 +111,6 @@ def tensor(*operators: np.ndarray) -> np.ndarray:
         raise ValueError("tensor needs at least one operator")
     mats = [np.asarray(m, dtype=complex) for m in operators]
     return reduce(np.kron, mats)
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product trace(a^dag b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> np.ndarray:
@@ -201,33 +175,3 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     if err > RECONSTRUCTION_ATOL:
         raise InvariantViolation(f"propagator lost unitarity: |U U^dag - I| = {err:.3e}")
     return u
-
-
-def partial_trace(m: np.ndarray, layout: SpaceLayout, keep: Iterable[str]) -> np.ndarray:
-    """Trace out all factors of ``layout`` except ``keep``.
-
-    The result acts on the kept factors in their original layout order;
-    trace and positivity are preserved.
-    """
-    m = np.asarray(m, dtype=complex)
-    dims = layout.dims
-    d = layout.dim
-    if m.shape != (d, d):
-        raise ValueError(f"operator shape {m.shape} does not match layout dim {d}")
-    keep_set = set(keep)
-    if not keep_set:
-        raise ValueError("keep must name at least one factor")
-    unknown = keep_set - set(layout.labels)
-    if unknown:
-        raise ValueError(f"unknown factor labels {sorted(unknown)}; layout has {layout.labels}")
-    removed = [i for i, label in enumerate(layout.labels) if label not in keep_set]
-    t = m.reshape(dims + dims)
-    remaining = len(dims)
-    for ax in sorted(removed, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    kept_dim = 1
-    for i, dim in enumerate(dims):
-        if i not in removed:
-            kept_dim *= dim
-    return np.ascontiguousarray(t.reshape(kept_dim, kept_dim))

@@ -19,6 +19,14 @@ from the premeasured amplitudes and that table, with no density matrix.
 The dynamical component of the state is never collapsed: an external
 observer sees exact unitary evolution throughout, while the sampled
 pointer character is what the register itself records.
+
+This module holds what every event scenario runs: the model, its
+layouts, the per-model pointer algebra, premeasurement, the restricted
+probabilities, the environment records and the event runner.  The
+doublet dynamics (:mod:`segalsim.doublet`), the decoherence summaries
+(:mod:`segalsim.decoherence`) and the two-observer report
+(:mod:`segalsim.wigner`) build on it and are imported only by the
+scenarios that run them.
 """
 
 from __future__ import annotations
@@ -29,81 +37,42 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import (
-    DEGENERACY_GAP,
-    InvariantViolation,
-    MAX_DENSE_BYTES,
-    PROBABILITY_FLOOR,
-    STATE_EQUALITY_ATOL,
-    TRACE_ATOL,
-)
+from .config import InvariantViolation, MAX_DENSE_BYTES, PROBABILITY_FLOOR
 from ._philox import uniform_blocks
-from .algebra import OperatorAlgebra, diagonal_algebra, generate_algebra
-from .linalg import (
-    SpaceLayout,
-    basis_vector,
-    degenerate_clusters,
-    hermitian_eig,
-    require_hermitian,
-    unitary_from_hamiltonian,
-)
+from .algebra import OperatorAlgebra, diagonal_algebra
+from .linalg import SpaceLayout, basis_vector
 from .restriction import (
     AlgebraicState,
-    BreuerReport,
     Character,
-    breuer_indistinguishable,
     character_probabilities,
     decompose_restricted,
     draw_cumulative,
     extremal_states,
 )
-from .states import (
-    DensityMatrix,
-    Gemenge,
-    StateVector,
-    density_from_vector,
-    purity,
-    table_inverse_cdf,
-)
+from .states import DensityMatrix, Gemenge, StateVector, table_inverse_cdf
 
 __all__ = [
-    "DoubletState",
     "EnvironmentSpec",
     "EventBatch",
     "EventRecord",
     "MeasurementModel",
-    "PointerBasisReport",
-    "StatisticalDoublet",
-    "WignerFriendReport",
     "branch_mixture",
     "column_counts",
-    "environment_coherence",
-    "environment_pointer_basis",
-    "evolve_sle",
-    "evolve_unitary",
     "full_layout",
-    "initial_doublet",
-    "interaction_hamiltonian",
     "interference_expectation",
     "interference_observable",
     "make_model",
     "ms_layout",
     "pointer_algebra",
-    "pointer_basis",
     "pointer_characters",
     "pointer_histogram",
     "pointer_operator",
-    "pointer_state_stability",
     "premeasure",
     "ready_state",
-    "record_erasure",
     "restricted_pointer_probabilities",
     "run_ensemble",
-    "statistical_doublet",
     "system_layout",
     "system_state",
-    "wigner_friend_bytes",
-    "wigner_friend_report",
 ]
 
 
@@ -377,23 +346,6 @@ def _ready_pointer_swap(model: MeasurementModel, amplitudes: np.ndarray) -> np.n
     return amplitudes[index.reshape(-1)] + 0.0
 
 
-def interaction_hamiltonian(model: MeasurementModel) -> np.ndarray:
-    """Coupling whose propagator over the interaction window points the register.
-
-    H = (pi / 2 dt) sum_i |s_i><s_i| (x) (|O_i><O_0| + |O_0><O_i|); evolving
-    for dt rotates |O_0> fully into |O_i> on each branch, with a fixed
-    per-branch phase of -i that cancels in every pointer probability.
-    """
-    o = model.o_dim
-    dt = model.interaction_duration
-    h = np.zeros((model.s_dim * o, model.s_dim * o), dtype=complex)
-    scale = np.pi / (2.0 * dt)
-    for alpha in range(model.s_dim):
-        base = alpha * o
-        h[base, base + alpha + 1] = scale
-        h[base + alpha + 1, base] = scale
-    return h
-
 
 def _interference_pair(model: MeasurementModel) -> tuple[int, int]:
     """S (x) O indices of |s_1 O_1> and |s_2 O_2>, the two states the
@@ -460,118 +412,12 @@ def branch_mixture(model: MeasurementModel, amplitudes: Sequence[complex]) -> De
     return DensityMatrix(lay, mat)
 
 
-# ---------------------------------------------------------------------------
-# doublet states
-
-
-@dataclass(frozen=True, eq=False)
-class StatisticalDoublet:
-    """Ensemble-level doublet: dynamical density matrix plus the probability
-    vector of pointer records, kept consistent with trace(P_j rho)."""
-
-    dynamical: DensityMatrix
-    information: np.ndarray
-    characters: tuple[Character, ...]
-
-    def __post_init__(self) -> None:
-        info = np.array(self.information, dtype=float)
-        info.setflags(write=False)
-        object.__setattr__(self, "information", info)
-        if info.size != len(self.characters):
-            raise ValueError("information vector length must match character count")
-        if np.min(info) < -TRACE_ATOL or abs(info.sum() - 1.0) > TRACE_ATOL:
-            raise InvariantViolation(
-                f"information vector is not a probability distribution: {info!r}"
-            )
-        alg = self.characters[0].algebra
-        recomputed = _information_of(alg.eigenbasis_diagonal(self.dynamical.matrix), self.characters)
-        if np.max(np.abs(recomputed - info)) > 1e-9:
-            raise InvariantViolation(
-                "information vector inconsistent with the dynamical component"
-            )
-
-
-def _information_of(diagonal: np.ndarray, characters: tuple[Character, ...]) -> np.ndarray:
-    """The record distribution tr(rho P_k), in character order, from
-    ``diagonal`` = diag(V^dag rho V) on the characters' algebra: its sum
-    over class k."""
-    sums = characters[0].algebra.class_sums(diagonal.real)
-    return np.clip(sums[[c.projector_index for c in characters]], 0.0, None)
-
-
-def _doublet(rho: DensityMatrix, characters: tuple[Character, ...]) -> StatisticalDoublet:
-    """The doublet of ``rho`` with its record distribution read from it."""
-    diagonal = characters[0].algebra.eigenbasis_diagonal(rho.matrix)
-    return StatisticalDoublet(rho, _information_of(diagonal, characters), characters)
-
-
-def statistical_doublet(model: MeasurementModel, rho: DensityMatrix) -> StatisticalDoublet:
-    """Doublet with the record distribution computed from the state."""
-    setup = _setup(model)
-    if rho.layout == setup.layout:
-        chars = setup.characters
-    elif rho.layout == ms_layout(model):
-        chars = pointer_characters(model, environment=False)
-    else:
-        raise ValueError("state layout matches neither the measurement nor the full layout")
-    return _doublet(rho, chars)
-
-
-def initial_doublet(model: MeasurementModel, psi_s: StateVector) -> StatisticalDoublet:
-    """Pre-measurement doublet: register ready, record distribution (1, 0, ...)."""
-    return statistical_doublet(model, density_from_vector(ready_state(model, psi_s)))
-
-
-def evolve_unitary(theta: StatisticalDoublet, u: np.ndarray) -> StatisticalDoublet:
-    """Conjugate the dynamical component by a unitary; refresh the record
-    distribution from the evolved state."""
-    rho = theta.dynamical
-    return _doublet(DensityMatrix(rho.layout, u @ rho.matrix @ u.conj().T), theta.characters)
-
-
-def evolve_sle(theta: StatisticalDoublet, h: np.ndarray, t: float) -> StatisticalDoublet:
-    """Unitary Schroedinger-Liouville step exp(-i h t) of the doublet.
-
-    Hamiltonians commuting with every pointer projector leave the record
-    distribution unchanged: no measurement means no information change.
-    """
-    h = require_hermitian(h, what="hamiltonian")
-    if h.shape[0] != theta.dynamical.dim:
-        raise ValueError("hamiltonian dimension does not match the doublet")
-    return evolve_unitary(theta, unitary_from_hamiltonian(h, t))
-
-
-def record_erasure(model: MeasurementModel, psi_s: StateVector) -> tuple[np.ndarray, ...]:
-    """Premeasure ``psi_s``, then erase the record with the same swap.
-
-    Returns the record distributions of the ready, the measured and the
-    recovered state (the doublets evolved by the premeasurement and its
-    inverse carry the same), and the recovered state's fidelity with the
-    ready one.
-    """
-    ready = ready_state(model, psi_s).amplitudes
-    measured = _ready_pointer_swap(model, ready)
-    recovered = _ready_pointer_swap(model, measured)
-    overlap = np.vdot(ready, recovered)
-    infos = [_information_of(a * a.conj(), pointer_characters(model)) for a in (ready, measured, recovered)]
-    return (*infos, float((overlap * overlap.conj()).real))
-
 
 # ---------------------------------------------------------------------------
 # event sampling
 
 # Events per block of column_counts: np.bincount copies each block.
 _COUNT_BLOCK = 2**16
-
-
-@dataclass(frozen=True, eq=False)
-class DoubletState:
-    """Individual-event doublet: un-collapsed dynamical state plus the one
-    pointer character this event's register actually holds."""
-
-    dynamical: DensityMatrix
-    information: Character
-    event_index: int
 
 
 @dataclass(frozen=True)
@@ -717,7 +563,7 @@ def pointer_histogram(model: MeasurementModel, records: EventBatch) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# environment coupling and decoherence
+# environment coupling
 
 
 def _environment_records(model: MeasurementModel) -> np.ndarray:
@@ -737,226 +583,3 @@ def _environment_records(model: MeasurementModel) -> np.ndarray:
     records[branches, 1] = np.sqrt(env.e_overlap)
     records[branches, 1 + branches] = np.sqrt(1.0 - env.e_overlap)
     return records
-
-
-def _traced_block(records: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """<s| Tr_E(V rho V^dag) |s'> for the S (x) O block rho[s j, s' k] =
-    left[j] conj(right[k]) of a pure state, V the environment coupling.
-
-    Entry (j, k) sums (records[j, e] rho[s j, s' k]) records[k, e] over e,
-    the factors in the order the coupled density matrix holds them.
-    """
-    rho = np.outer(left, right.conj())
-    return ((records[:, None, :] * rho[:, :, None]) * records[None]).sum(axis=-1)
-
-
-def environment_coherence(model: MeasurementModel, psi_s: StateVector) -> float:
-    """|<s_0 O_1| rho_SO |s_1 O_2>| once E is traced out of the coupled state.
-
-    The branch records overlap by ``e_overlap``, so the environment scales
-    the cross-branch coherence by exactly that overlap.
-    """
-    a = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
-    return abs(complex(_traced_block(_setup(model).records, a[0], a[1])[1, 2]))
-
-
-def environment_pointer_basis(model: MeasurementModel, psi_s: StateVector) -> PointerBasisReport:
-    """:func:`pointer_basis` of the coupled post-measurement state of ``psi_s``."""
-    records = _setup(model).records
-    table = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
-    return pointer_basis(np.array([_traced_block(records, a, a) for a in table]))
-
-
-@dataclass(frozen=True, eq=False)
-class PointerBasisReport:
-    """Recovered register basis and how unambiguous the recovery was."""
-
-    vectors: tuple[np.ndarray, ...]
-    weights: np.ndarray
-    flag: str  # "UNIQUE" or "DEGENERATE-UNRESOLVED"
-    residual: float
-
-
-def pointer_basis(
-    conditioned: np.ndarray,
-    weight_floor: float = 1e-10,
-    gap: float = DEGENERACY_GAP,
-    residual_tol: float = 1e-6,
-) -> PointerBasisReport:
-    """Recover the register basis selected by a tri-partite entangled state.
-
-    ``conditioned[i]`` is the S-conditioned register state <s_i| rho |s_i>
-    with every other factor traced out, unnormalized; their sum is the O
-    marginal.  Primary route: the eigenbasis of the O marginal.  Degenerate
-    eigenvalue clusters are resolved through the S-conditioned O states
-    (each measured branch pins down its own pointer vector, whatever the
-    environment overlaps are); if the conditioned states cannot split a
-    cluster either, the report says DEGENERATE-UNRESOLVED rather than
-    picking a basis arbitrarily.  States whose S-conditioned states fail to
-    be a single register direction are rejected as not being of the
-    measured tri-partite form.
-    """
-    conditional: list[np.ndarray] = []  # normalized O states
-    residual = 0.0
-    for sigma in conditioned:
-        weight = float(np.trace(sigma).real)
-        if weight <= weight_floor:
-            continue
-        eigvals = np.linalg.eigvalsh(sigma)
-        residual = max(residual, 1.0 - float(eigvals[-1]) / weight)
-        conditional.append(sigma / weight)
-    if residual > residual_tol:
-        raise ValueError(
-            f"state is not approximately tri-decomposable: branch residual {residual:.3e} "
-            f"exceeds {residual_tol:.1e}"
-        )
-
-    values, vectors = hermitian_eig(conditioned.sum(axis=0))
-    significant = [k for k in range(values.size) if values[k] > weight_floor]
-    clusters = [
-        [significant[j] for j in group]
-        for group in degenerate_clusters(values[significant], gap=gap)
-    ]
-
-    out_vectors: list[np.ndarray] = []
-    out_weights: list[float] = []
-    unresolved = False
-    for cluster in clusters:
-        if len(cluster) == 1:
-            out_vectors.append(vectors[:, cluster[0]])
-            out_weights.append(float(values[cluster[0]]))
-            continue
-        p_cluster = vectors[:, cluster] @ vectors[:, cluster].conj().T
-        candidates: list[np.ndarray] = []
-        for sigma in conditional:
-            _, sig_vecs = hermitian_eig(sigma)
-            u = sig_vecs[:, -1]
-            projected = p_cluster @ u
-            norm = float(np.linalg.norm(projected))
-            if norm**2 < 0.5:
-                continue
-            candidate = projected / norm
-            for prior in candidates:  # drop duplicates of an already-found branch
-                candidate = candidate - prior * np.vdot(prior, candidate)
-            norm = float(np.linalg.norm(candidate))
-            if norm > 1e-6:
-                candidates.append(candidate / norm)
-        if len(candidates) == len(cluster):
-            out_vectors.extend(candidates)
-            out_weights.extend(float(values[k]) for k in cluster)
-        else:
-            unresolved = True
-            out_vectors.extend(vectors[:, k] for k in cluster)
-            out_weights.extend(float(values[k]) for k in cluster)
-
-    return PointerBasisReport(
-        vectors=tuple(out_vectors),
-        weights=np.array(out_weights),
-        flag="DEGENERATE-UNRESOLVED" if unresolved else "UNIQUE",
-        residual=residual,
-    )
-
-
-def pointer_state_stability(
-    model: MeasurementModel,
-    o_state: StateVector,
-    t_grid: Sequence[float],
-) -> np.ndarray:
-    """Register purity under environment dephasing, per grid time.
-
-    The coupling g Q_O (x) V_E with V_E = diag(0, 1, ..., e_dim - 1)
-    leaves every pointer eigenstate exactly pure, while superpositions of
-    distinct pointer values dephase; the environment starts in the uniform
-    superposition of V_E eigenstates so the decay is actually visible.
-    """
-    if model.environment is None:
-        raise ValueError("model has no environment configured")
-    if o_state.layout != SpaceLayout((("O", model.o_dim),)):
-        raise ValueError("state must live on the bare register layout")
-    env = model.environment
-    g = env.coupling_strength
-    qo = np.asarray(model.qo_values)
-    v_e = np.arange(env.e_dim)
-    phases = g * qo[:, None] * v_e[None, :]
-    e_in = np.full(env.e_dim, 1.0 / np.sqrt(env.e_dim), dtype=complex)
-    amp0 = o_state.amplitudes[:, None] * e_in[None, :]
-    purities = []
-    for t in t_grid:
-        amp_t = np.exp(-1j * phases * float(t)) * amp0
-        rho_o = amp_t @ amp_t.conj().T
-        purities.append(float(np.einsum("ij,ji->", rho_o, rho_o).real))
-    return np.array(purities)
-
-
-# ---------------------------------------------------------------------------
-# two-observer comparison
-
-
-@dataclass(frozen=True, eq=False)
-class WignerFriendReport:
-    """External (never-collapsing) vs internal (record-sampling) accounts
-    of the same measurement run."""
-
-    b_expectation: float
-    dynamical_purity: float
-    histogram: np.ndarray
-    frequencies: np.ndarray
-    restricted_probabilities: np.ndarray
-    breuer_pointer: BreuerReport
-    breuer_with_interference: BreuerReport
-    n_events: int
-    seed: int
-    events: EventBatch
-
-
-def wigner_friend_bytes(model: MeasurementModel) -> int:
-    """Upper estimate of the bytes ``wigner_friend_report`` holds in dense
-    arrays at once, from the model alone.
-
-    That is the two d x d density matrices on S (x) O and the interference
-    algebra's (o_dim + 4)-element basis, 16 d^2 bytes per element, in a
-    row buffer that doubles as it grows: while it grows the old buffer and
-    the new one, up to twice the basis, are both held.
-    """
-    d = ms_layout(model).dim
-    return 16 * d * d * (2 + 3 * (model.o_dim + 4))
-
-
-@lru_cache(maxsize=None)
-def _interference_algebra(model: MeasurementModel) -> OperatorAlgebra:
-    lay = ms_layout(model)
-    return generate_algebra([pointer_operator(model, lay), interference_observable(model)], lay)
-
-
-def wigner_friend_report(
-    model: MeasurementModel,
-    psi_s: StateVector,
-    n_events: int,
-    seed: int,
-    breuer_tol: float = STATE_EQUALITY_ATOL,
-) -> WignerFriendReport:
-    """Run the two-observer comparison for a pure input state.
-
-    The sampled batch is returned on the report as ``events``.
-    """
-    rho_p = density_from_vector(premeasure(model, psi_s))
-    rho_m = branch_mixture(model, psi_s.amplitudes)
-
-    events = run_ensemble(model, psi_s, n_events, seed)
-    histogram = pointer_histogram(model, events)
-
-    ms_alg = pointer_algebra(model, environment=False)
-    return WignerFriendReport(
-        b_expectation=interference_expectation(model, psi_s),
-        dynamical_purity=purity(rho_p),
-        histogram=histogram,
-        frequencies=histogram / float(n_events),
-        restricted_probabilities=restricted_pointer_probabilities(model, psi_s),
-        breuer_pointer=breuer_indistinguishable(rho_p, rho_m, ms_alg, tol=breuer_tol),
-        breuer_with_interference=breuer_indistinguishable(
-            rho_p, rho_m, _interference_algebra(model), tol=breuer_tol
-        ),
-        n_events=n_events,
-        seed=seed,
-        events=events,
-    )

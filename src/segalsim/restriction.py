@@ -102,10 +102,6 @@ class Character(AlgebraicState):
     def pointer_value(self, generator_index: int = 0) -> float:
         return float(self.generator_values[generator_index])
 
-    def variance(self, op: np.ndarray) -> float:
-        """<op^2> - <op>^2; vanishes for every algebra element."""
-        return self.expectation(op @ op) - self.expectation(op) ** 2
-
 
 @dataclass(frozen=True, eq=False)
 class EnsembleOverCharacters:

@@ -1,10 +1,11 @@
-"""Declarative scenario configs, deterministic reports and event logs.
+"""Declarative scenario configs and their runs.
 
 Configs are JSON documents (the one human-editable nested key-value format
-the standard library already speaks).  Reports serialize byte-stably:
-keys sorted, floats canonicalized to 12 significant digits, and nothing
-run-dependent (wall time stays out of the document; it is surfaced on
-stderr by the CLI instead).
+the standard library already speaks).  :func:`parse_scenario` validates a
+document and applies its defaults; :func:`run_scenario` runs it into a
+:class:`RunReport`, which :mod:`segalsim.serialize` writes byte-stably.
+The event scenarios need only :mod:`segalsim.measurement`; the runner of
+every other scenario imports the module it runs when it is called.
 """
 
 from __future__ import annotations
@@ -12,36 +13,25 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
-from itertools import chain
-from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any
 
 import numpy as np
 
 from .algebra import generate_algebra, joint_spectral_resolution
-from .config import ALGEBRA_TOL, MAX_EVENTS, MAX_WORKING_SET_BYTES, STATE_EQUALITY_ATOL, InvariantViolation
+from .config import ALGEBRA_TOL, MAX_EVENTS, MAX_WORKING_SET_BYTES, STATE_EQUALITY_ATOL
 from .linalg import SpaceLayout
 from .measurement import (
     EventBatch,
     MeasurementModel,
     column_counts,
-    environment_coherence,
-    environment_pointer_basis,
     interference_expectation,
-    interference_observable,
     make_model,
     ms_layout,
     pointer_histogram,
-    pointer_operator,
-    pointer_state_stability,
-    record_erasure,
     restricted_pointer_probabilities,
     run_ensemble,
     system_state,
-    wigner_friend_bytes,
-    wigner_friend_report,
 )
 from .restriction import extremal_states
 from .states import Gemenge, StateVector, basis_state
@@ -51,7 +41,6 @@ __all__ = [
     "RunReport",
     "SCENARIOS",
     "ScenarioConfig",
-    "emit_report",
     "load_document",
     "parse_scenario",
     "run_scenario",
@@ -74,17 +63,6 @@ SCENARIOS = tuple(_SCENARIO_KEYS)
 # this much of unit norm is renormalized exactly, anything further is a
 # config mistake.
 _NORM_SLACK = 1e-3
-
-_EVENT_COLUMNS = (
-    "event_index",
-    "gemenge_row",
-    "pointer_index",
-    "impression_value",
-    "probability_used",
-)
-
-# Most rows per block of the event log, each formatted and written in turn.
-_LOG_BLOCK = 2**12
 
 
 class ConfigError(ValueError):
@@ -203,57 +181,9 @@ def _parse_model(raw, scenario: str) -> MeasurementModel:
         _fail(f"model: {exc}")
 
 
-_GENERATOR_SPACES = {"QO": "O", "QO_MS": "MS", "B": "MS"}
-
-
 def _space_layout(model: MeasurementModel, space: str) -> SpaceLayout:
     """The register alone (``"O"``) or the measurement layout S (x) O (``"MS"``)."""
     return SpaceLayout((("O", model.o_dim),)) if space == "O" else ms_layout(model)
-
-
-def _named_generator(name: str, model: MeasurementModel) -> np.ndarray:
-    if name == "B":
-        return interference_observable(model)
-    if name in _GENERATOR_SPACES:
-        return pointer_operator(model, _space_layout(model, _GENERATOR_SPACES[name]))
-    _fail(f"generators: unknown name {name!r}; known names are {sorted(_GENERATOR_SPACES)}")
-
-
-def _float_pairs(rows) -> np.ndarray | None:
-    """``rows`` as a complex array if it is a non-empty rectangle of
-    ``[float, float]`` pairs, all finite, else ``None``.
-
-    The array views the pairs' float64 values as complex128, with no
-    arithmetic, so every bit (signed zeros too) is the document's.  The
-    checks run over whole rows at once, not entry by entry.
-    """
-    if type(rows) is not list or not rows or set(map(type, rows)) != {list}:
-        return None
-    width = len(rows[0])
-    if not width or set(map(len, rows)) != {width}:
-        return None
-    pairs = list(chain.from_iterable(rows))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float}:
-        return None
-    values = np.array(flat)
-    if not np.isfinite(values).all():
-        return None
-    return values.view(complex).reshape(len(rows), width)
-
-
-class _DecodedEntry(dict):
-    """A generator entry whose matrix the decoder already made an array.
-
-    It shows as the document wrote it, so a message that quotes it reads
-    as it would have before decoding.
-    """
-
-    def __repr__(self) -> str:
-        mat = self["matrix"]
-        return repr({**self, "matrix": mat.view(float).reshape(*mat.shape, 2).tolist()})
 
 
 def _decode_entry(obj: dict) -> dict:
@@ -261,65 +191,12 @@ def _decode_entry(obj: dict) -> dict:
     its float-pair matrix as an array as soon as the entry closes, so the
     decoder never holds two matrices' list trees at once."""
     if "matrix" in obj and obj.keys() <= {"matrix", "space"}:
+        from .generators import _DecodedEntry, _float_pairs
+
         mat = _float_pairs(obj["matrix"])
         if mat is not None:
             return _DecodedEntry(obj, matrix=mat)
     return obj
-
-
-def _generator_matrix(item: dict, bad: str) -> np.ndarray:
-    """An inline generator entry's matrix as a complex array.
-
-    The decoder's array is taken as it is.  A matrix still in lists (a
-    decoded dict passed to ``parse_scenario``, or an entry the decoder
-    left alone) goes through the decoder's ``_float_pairs`` first, then
-    the entry-by-entry path that reads ints and reports any entry that is
-    not a finite number.
-    """
-    if isinstance(item, _DecodedEntry):
-        return item["matrix"]
-    rows = item.get("matrix")
-    mat = _float_pairs(rows)
-    if mat is not None:
-        return mat
-    # _number's ConfigError is a ValueError, caught below.
-    try:
-        mat = np.array([[complex(_number(re, bad), _number(im, bad)) for re, im in row] for row in rows])
-    except (TypeError, ValueError):
-        _fail(bad)
-    if not np.all(np.isfinite(mat)):
-        _fail(bad)
-    return mat
-
-
-def _parse_generators(raw, model: MeasurementModel):
-    """The generators list: names, and inline ``{"space", "matrix"}`` entries
-    whose matrix each goes through ``_generator_matrix``."""
-    if not isinstance(raw, list) or not raw:
-        _fail("generators: expected a non-empty list")
-    entries: list[tuple[str, np.ndarray, str]] = []
-    for k, item in enumerate(raw):
-        if isinstance(item, str):
-            entries.append((item, _named_generator(item, model), _GENERATOR_SPACES[item]))
-            continue
-        if isinstance(item, dict):
-            _require_keys(item, {"matrix", "space"}, f"generators[{k}]")
-            space = item.get("space", "O")
-            if space not in ("O", "MS"):
-                _fail(f"generators[{k}]: space must be 'O' or 'MS'")
-            mat = _generator_matrix(
-                item, f"generators[{k}]: matrix entries must be [re, im] pairs of finite numbers"
-            )
-            dim = _space_layout(model, space).dim
-            if mat.shape != (dim, dim):
-                _fail(f"generators[{k}]: matrix shape {mat.shape} does not match space {space}")
-            entries.append((f"matrix[{k}]", mat, space))
-            continue
-        _fail(f"generators[{k}]: expected a name or a matrix entry")
-    spaces = {space for _, _, space in entries}
-    if len(spaces) != 1:
-        _fail(f"generators: entries live on different spaces {sorted(spaces)}")
-    return tuple((name, mat) for name, mat, _ in entries), spaces.pop()
 
 
 def load_document(text: str) -> dict:
@@ -351,6 +228,8 @@ def parse_scenario(document: str | dict) -> ScenarioConfig:
     if scenario == "wigner-friend":
         if model.s_dim != 2:
             _fail("scenario wigner-friend needs s_dim = 2 (interference observable)")
+        from .wigner import wigner_friend_bytes
+
         need = wigner_friend_bytes(model)
         if need > MAX_WORKING_SET_BYTES:
             _fail(
@@ -409,6 +288,8 @@ def parse_scenario(document: str | dict) -> ScenarioConfig:
     generators = None
     generator_space = None
     if scenario == "algebra-probe":
+        from .generators import _parse_generators
+
         generators, generator_space = _parse_generators(raw.get("generators"), model)
 
     echo: dict[str, Any] = {
@@ -504,6 +385,8 @@ def _breuer_summary(report) -> dict[str, Any]:
 
 
 def _run_wigner_friend(cfg: ScenarioConfig):
+    from .wigner import wigner_friend_report
+
     report = wigner_friend_report(
         cfg.model,
         system_state(cfg.model, cfg.amplitudes),
@@ -525,6 +408,8 @@ def _run_wigner_friend(cfg: ScenarioConfig):
 
 
 def _run_decoherence(cfg: ScenarioConfig):
+    from .decoherence import environment_coherence, environment_pointer_basis, pointer_state_stability
+
     model = cfg.model
     psi_s = system_state(model, cfg.amplitudes)
     predicted = model.environment.e_overlap * abs(cfg.amplitudes[0] * cfg.amplitudes[1])
@@ -556,6 +441,8 @@ def _run_decoherence(cfg: ScenarioConfig):
 
 
 def _run_erasure(cfg: ScenarioConfig):
+    from .doublet import record_erasure
+
     initial, measured, recovered, fidelity = record_erasure(
         cfg.model, system_state(cfg.model, cfg.amplitudes)
     )
@@ -612,141 +499,3 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         events=events,
         wall_time_s=wall,
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _canonical(value):
-    """Round floats to 12 significant digits so serialization is byte-stable
-    and emit/parse round-trips are exact."""
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(f"{float(value):.12g}")
-    if isinstance(value, np.ndarray):
-        return _canonical(value.tolist())
-    return value
-
-
-def _format_float(value: float) -> str:
-    return f"{float(value):.12g}"
-
-
-def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
-    """The event log's bytes, ``_LOG_BLOCK`` rows at a time.
-
-    Every row after its event index is fixed by the (gemenge row, pointer)
-    code, so each code present is formatted once, its probability read
-    from ``outcome_probability``, and looked up per event.  A block never
-    crosses a power of ten: its indices share a digit count.
-    """
-    o_dim = len(events.pointer_values)
-    n = len(events)
-    probability = events.outcome_probability.ravel()  # indexed by code
-
-    def codes(start: int, stop: int) -> np.ndarray:
-        if events.gemenge_row is None:
-            return events.pointer_index[start:stop]
-        row = events.gemenge_row[start:stop].astype(np.intp)  # a uint8 row times o_dim wraps
-        return row * o_dim + events.pointer_index[start:stop]
-
-    present = np.zeros(probability.size, bool)
-    for start in range(0, n, _LOG_BLOCK):
-        present[codes(start, start + _LOG_BLOCK)] = True
-    suffixes = [b""] * probability.size
-    for code in np.flatnonzero(present):
-        row, pointer = divmod(int(code), o_dim)
-        suffixes[code] = (
-            f",{'' if events.gemenge_row is None else row},{pointer},"
-            f"{_format_float(events.pointer_values[pointer])},"
-            f"{_format_float(probability[code])}\n"
-        ).encode("ascii")
-    lengths = np.array([len(s) for s in suffixes])
-    width = int(lengths.max())
-    table = np.frombuffer(b"".join(s.ljust(width) for s in suffixes), np.uint8).reshape(-1, width)
-
-    yield np.frombuffer((",".join(_EVENT_COLUMNS) + "\n").encode("ascii"), np.uint8)
-    digit = np.arange(48, 58, dtype=np.uint8)  # row i of quads spells i in four digits
-    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
-    start = 0
-    while start < n:
-        k = len(str(start))
-        stop = min(n, start + _LOG_BLOCK, 10**k)
-        block = np.empty((stop - start, k + width), np.uint8)
-        rest = np.arange(start, stop)
-        for end in range(k, 0, -4):  # four digits at a time, right to left
-            rest, quad = np.divmod(rest, 10**4)
-            block[:, max(end - 4, 0) : end] = quads[quad, max(4 - end, 0) :]
-        block_codes = codes(start, stop)
-        block[:, k:] = table[block_codes]
-        keep = np.ones(block.shape, dtype=bool)
-        keep[:, k:] = np.arange(width) < lengths[block_codes, None]
-        yield block[keep]
-        start = stop
-
-
-def _write_log(out: str | Path | BinaryIO, events: EventBatch) -> None:
-    """Stream the event log to ``out``, a path or a binary file, one block at a time."""
-    if hasattr(out, "write"):
-        out.writelines(_event_log(events))
-        return
-    with open(out, "wb") as fh:
-        fh.writelines(_event_log(events))
-
-
-def emit_report(
-    report: RunReport,
-    fmt: str = "json",
-    out: str | Path | BinaryIO | None = None,
-) -> str:
-    """Serialize a report; returns the document text, or ``""`` for a csv
-    document written to ``out``.
-
-    ``json``: the summary document, with the event log written next to
-    ``out`` (as ``<stem>.events.csv``) when a path is given and events
-    exist.  ``csv``: the event log itself is the document; ``out`` may be
-    a path or a binary file (such as ``sys.stdout.buffer``), and the log
-    streams to it ``_LOG_BLOCK`` rows at a time, never held whole.  Output
-    bytes depend only on (config, seed) and the output file names.
-    """
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
-
-    if fmt == "csv":
-        if report.events is None:
-            raise ValueError(
-                f"scenario {report.scenario!r} produces no event log; use the json format"
-            )
-        if out is None:
-            return b"".join(_event_log(report.events)).decode("ascii")
-        _write_log(out, report.events)
-        return ""
-
-    out_path = None if out is None else Path(out)
-    event_log_name = None
-    if report.events is not None and out_path is not None:
-        event_log_name = out_path.stem + ".events.csv"
-    doc = {
-        "scenario": report.scenario,
-        "config": _canonical(report.config),
-        "summary": _canonical(report.summary),
-        "n_events_logged": 0 if report.events is None else len(report.events),
-        "event_log": event_log_name,
-    }
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # a NaN or an infinity in the report
-        raise InvariantViolation(f"report is not strict JSON: {exc}") from exc
-    if out_path is not None:
-        out_path.write_text(text, encoding="utf-8")
-        if event_log_name is not None:
-            _write_log(out_path.parent / event_log_name, report.events)
-    return text

@@ -1,0 +1,167 @@
+"""Report documents and event logs, byte-stable for a fixed (config, seed).
+
+A report document is JSON with sorted keys and every float at 12
+significant digits; nothing run-dependent goes in it (wall time is
+surfaced on stderr by the CLI instead).  The event log is CSV, formatted
+as bytes ``_LOG_BLOCK`` rows at a time and streamed on every route.
+"""
+
+from __future__ import annotations
+
+import json
+from collections.abc import Iterator
+from pathlib import Path
+from typing import BinaryIO
+
+import numpy as np
+
+from .config import InvariantViolation
+from .measurement import EventBatch
+from .scenarios import RunReport
+
+__all__ = ["emit_report"]
+
+_EVENT_COLUMNS = (
+    "event_index",
+    "gemenge_row",
+    "pointer_index",
+    "impression_value",
+    "probability_used",
+)
+
+# Most rows per block of the event log, each formatted and written in turn.
+_LOG_BLOCK = 2**12
+
+
+def _canonical(value):
+    """Round floats to 12 significant digits so serialization is byte-stable
+    and emit/parse round-trips are exact."""
+    if isinstance(value, dict):
+        return {str(k): _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(f"{float(value):.12g}")
+    if isinstance(value, np.ndarray):
+        return _canonical(value.tolist())
+    return value
+
+
+def _format_float(value: float) -> str:
+    return f"{float(value):.12g}"
+
+
+def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
+    """The event log's bytes, ``_LOG_BLOCK`` rows at a time.
+
+    Every row after its event index is fixed by the (gemenge row, pointer)
+    code, so each code present is formatted once, its probability read
+    from ``outcome_probability``, and looked up per event.  A block never
+    crosses a power of ten: its indices share a digit count.
+    """
+    o_dim = len(events.pointer_values)
+    n = len(events)
+    probability = events.outcome_probability.ravel()  # indexed by code
+
+    def codes(start: int, stop: int) -> np.ndarray:
+        if events.gemenge_row is None:
+            return events.pointer_index[start:stop]
+        row = events.gemenge_row[start:stop].astype(np.intp)  # a uint8 row times o_dim wraps
+        return row * o_dim + events.pointer_index[start:stop]
+
+    present = np.zeros(probability.size, bool)
+    for start in range(0, n, _LOG_BLOCK):
+        present[codes(start, start + _LOG_BLOCK)] = True
+    suffixes = [b""] * probability.size
+    for code in np.flatnonzero(present):
+        row, pointer = divmod(int(code), o_dim)
+        suffixes[code] = (
+            f",{'' if events.gemenge_row is None else row},{pointer},"
+            f"{_format_float(events.pointer_values[pointer])},"
+            f"{_format_float(probability[code])}\n"
+        ).encode("ascii")
+    lengths = np.array([len(s) for s in suffixes])
+    width = int(lengths.max())
+    table = np.frombuffer(b"".join(s.ljust(width) for s in suffixes), np.uint8).reshape(-1, width)
+
+    yield np.frombuffer((",".join(_EVENT_COLUMNS) + "\n").encode("ascii"), np.uint8)
+    digit = np.arange(48, 58, dtype=np.uint8)  # row i of quads spells i in four digits
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
+    start = 0
+    while start < n:
+        k = len(str(start))
+        stop = min(n, start + _LOG_BLOCK, 10**k)
+        block = np.empty((stop - start, k + width), np.uint8)
+        rest = np.arange(start, stop)
+        for end in range(k, 0, -4):  # four digits at a time, right to left
+            rest, quad = np.divmod(rest, 10**4)
+            block[:, max(end - 4, 0) : end] = quads[quad, max(4 - end, 0) :]
+        block_codes = codes(start, stop)
+        block[:, k:] = table[block_codes]
+        keep = np.ones(block.shape, dtype=bool)
+        keep[:, k:] = np.arange(width) < lengths[block_codes, None]
+        yield block[keep]
+        start = stop
+
+
+def _write_log(out: str | Path | BinaryIO, events: EventBatch) -> None:
+    """Stream the event log to ``out``, a path or a binary file, one block at a time."""
+    if hasattr(out, "write"):
+        out.writelines(_event_log(events))
+        return
+    with open(out, "wb") as fh:
+        fh.writelines(_event_log(events))
+
+
+def emit_report(
+    report: RunReport,
+    fmt: str = "json",
+    out: str | Path | BinaryIO | None = None,
+) -> str:
+    """Serialize a report; returns the document text, or ``""`` for a csv
+    document written to ``out``.
+
+    ``json``: the summary document, with the event log written next to
+    ``out`` (as ``<stem>.events.csv``) when a path is given and events
+    exist.  ``csv``: the event log itself is the document; ``out`` may be
+    a path or a binary file (such as ``sys.stdout.buffer``), and the log
+    streams to it ``_LOG_BLOCK`` rows at a time, never held whole.  Output
+    bytes depend only on (config, seed) and the output file names.
+    """
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+
+    if fmt == "csv":
+        if report.events is None:
+            raise ValueError(
+                f"scenario {report.scenario!r} produces no event log; use the json format"
+            )
+        if out is None:
+            return b"".join(_event_log(report.events)).decode("ascii")
+        _write_log(out, report.events)
+        return ""
+
+    out_path = None if out is None else Path(out)
+    event_log_name = None
+    if report.events is not None and out_path is not None:
+        event_log_name = out_path.stem + ".events.csv"
+    doc = {
+        "scenario": report.scenario,
+        "config": _canonical(report.config),
+        "summary": _canonical(report.summary),
+        "n_events_logged": 0 if report.events is None else len(report.events),
+        "event_log": event_log_name,
+    }
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # a NaN or an infinity in the report
+        raise InvariantViolation(f"report is not strict JSON: {exc}") from exc
+    if out_path is not None:
+        out_path.write_text(text, encoding="utf-8")
+        if event_log_name is not None:
+            _write_log(out_path.parent / event_log_name, report.events)
+    return text

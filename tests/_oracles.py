@@ -22,14 +22,16 @@ when a test asks for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from segalsim.algebra import OperatorAlgebra, SpectralResolution
 from segalsim.config import PROBABILITY_FLOOR
-from segalsim.linalg import partial_trace
+from segalsim.linalg import SpaceLayout
+from segalsim.decoherence import pointer_basis
+from segalsim.doublet import DoubletState
 from segalsim.measurement import (
-    DoubletState,
     EventRecord,
     MeasurementModel,
     _environment_records,
@@ -39,7 +41,6 @@ from segalsim.measurement import (
     full_layout,
     ms_layout,
     pointer_algebra,
-    pointer_basis,
     pointer_characters,
 )
 from segalsim.restriction import (
@@ -287,6 +288,73 @@ def environment_unitary_oracle(s_dim: int, o_dim: int, e_dim: int, overlap: floa
 
 
 # ---------------------------------------------------------------------------
+# library readers only the tests call: factor positions and sub-layouts,
+# the vectorized partial trace (checked against partial_trace_oracle),
+# the Hilbert-Schmidt inner product and a character's variance
+
+
+def layout_axis(layout: SpaceLayout, label: str) -> int:
+    """Position of the factor named ``label``."""
+    for i, (name, _) in enumerate(layout.factors):
+        if name == label:
+            return i
+    raise ValueError(f"unknown factor label {label!r}; layout has {layout.labels}")
+
+
+def layout_subset(layout: SpaceLayout, keep: Iterable[str]) -> SpaceLayout:
+    """Sub-layout of the kept factors, preserving their order."""
+    keep_set = set(keep)
+    unknown = keep_set - set(layout.labels)
+    if unknown:
+        raise ValueError(f"unknown factor labels {sorted(unknown)}; layout has {layout.labels}")
+    return SpaceLayout(tuple(f for f in layout.factors if f[0] in keep_set))
+
+
+def partial_trace(m: np.ndarray, layout: SpaceLayout, keep: Iterable[str]) -> np.ndarray:
+    """Trace out all factors of ``layout`` except ``keep``.
+
+    The result acts on the kept factors in their original layout order;
+    trace and positivity are preserved.
+    """
+    m = np.asarray(m, dtype=complex)
+    dims = layout.dims
+    d = layout.dim
+    if m.shape != (d, d):
+        raise ValueError(f"operator shape {m.shape} does not match layout dim {d}")
+    keep_set = set(keep)
+    if not keep_set:
+        raise ValueError("keep must name at least one factor")
+    unknown = keep_set - set(layout.labels)
+    if unknown:
+        raise ValueError(f"unknown factor labels {sorted(unknown)}; layout has {layout.labels}")
+    removed = [i for i, label in enumerate(layout.labels) if label not in keep_set]
+    t = m.reshape(dims + dims)
+    remaining = len(dims)
+    for ax in sorted(removed, reverse=True):
+        t = np.trace(t, axis1=ax, axis2=ax + remaining)
+        remaining -= 1
+    kept_dim = 1
+    for i, dim in enumerate(dims):
+        if i not in removed:
+            kept_dim *= dim
+    return np.ascontiguousarray(t.reshape(kept_dim, kept_dim))
+
+
+def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Hilbert-Schmidt inner product trace(a^dag b)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return complex(np.vdot(a, b))
+
+
+def character_variance(char: Character, op: np.ndarray) -> float:
+    """<op^2> - <op>^2 in a character; vanishes for every algebra element."""
+    return char.expectation(op @ op) - char.expectation(op) ** 2
+
+
+# ---------------------------------------------------------------------------
 # dense route
 
 
@@ -316,7 +384,7 @@ def gemenge_mix(w: Gemenge) -> DensityMatrix:
 def reduce_density(rho: DensityMatrix, keep) -> DensityMatrix:
     """Partial trace onto the kept factors."""
     reduced = partial_trace(rho.matrix, rho.layout, keep)
-    return DensityMatrix(rho.layout.subset(keep), reduced)
+    return DensityMatrix(layout_subset(rho.layout, keep), reduced)
 
 
 def vector_fidelity(rho: DensityMatrix, v: StateVector) -> float:
@@ -352,9 +420,9 @@ def extract_pointer_basis(rho_mse: DensityMatrix, **options):
     for label in ("S", "O", "E"):
         if label not in lay.labels:
             raise ValueError(f"layout must carry an {label!r} factor, has {lay.labels}")
-    s_ax = lay.axis("S")
+    s_ax = layout_axis(lay, "S")
     dims = lay.dims
-    sub_layout = lay.subset(set(lay.labels) - {"S"})
+    sub_layout = layout_subset(lay, set(lay.labels) - {"S"})
     t = rho_mse.matrix.reshape(dims + dims)
     conditioned = [
         partial_trace(

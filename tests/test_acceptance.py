@@ -13,17 +13,16 @@ from scipy.stats import chi2_contingency
 
 from segalsim.algebra import generate_algebra
 from segalsim.linalg import SpaceLayout, identity, tensor
+from segalsim.decoherence import pointer_state_stability
+from segalsim.doublet import evolve_unitary, initial_doublet
 from segalsim.measurement import (
     EnvironmentSpec,
     branch_mixture,
-    evolve_unitary,
-    initial_doublet,
     interference_observable,
     make_model,
     ms_layout,
     pointer_algebra,
     pointer_histogram,
-    pointer_state_stability,
     premeasure,
     run_ensemble,
     system_state,
@@ -38,6 +37,7 @@ from segalsim.states import (
 )
 
 from _oracles import (
+    character_variance,
     closure_dimension_oracle,
     couple_environment,
     extract_pointer_basis,
@@ -142,7 +142,7 @@ def test_06_character_correctness():
         values = sorted(c.pointer_value() for c in chars)
         assert np.allclose(values, sorted((0.0, *MODEL.q_values)), atol=1e-9)
         for c in chars:
-            assert c.variance(Q_O_EXT) <= 1e-8
+            assert character_variance(c, Q_O_EXT) <= 1e-8
 
 
 def test_07_restriction_consistency():

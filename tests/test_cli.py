@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from segalsim import algebra, cli, scenarios
-from segalsim.algebra import _gram_schmidt_closure
+from segalsim import cli, closure, scenarios, serialize
+from segalsim.closure import _gram_schmidt_closure
 from segalsim.cli import main
 from segalsim.config import InvariantViolation
 from segalsim.linalg import SpaceLayout
@@ -126,7 +126,7 @@ def test_csv_to_a_closed_pipe(tmp_path):
 def test_one_event_log_on_three_routes(tmp_path, capsys, monkeypatch):
     # stdout of --format csv, its --out file and the json run's event log,
     # the files streamed from many small blocks
-    monkeypatch.setattr(scenarios, "_LOG_BLOCK", 7)
+    monkeypatch.setattr(serialize, "_LOG_BLOCK", 7)
     path = write_config(
         tmp_path,
         scenario="gemenge",
@@ -303,7 +303,7 @@ def test_closure_working_set_cap(tmp_path, capsys, monkeypatch, cap_rows, refuse
     # rows held by 12 more.  A cap below either request refuses the closure
     # with exit 1 and one line, before that buffer is allocated.
     row = 16 * 6 * 6
-    monkeypatch.setattr(algebra, "MAX_WORKING_SET_BYTES", cap_rows * row)
+    monkeypatch.setattr(closure, "MAX_WORKING_SET_BYTES", cap_rows * row)
     buffers = []
     empty = np.empty
 
@@ -312,7 +312,7 @@ def test_closure_working_set_cap(tmp_path, capsys, monkeypatch, cap_rows, refuse
             buffers.append(shape[0])
         return empty(shape, *args, **kwargs)
 
-    monkeypatch.setattr(algebra.np, "empty", spy)
+    monkeypatch.setattr(closure.np, "empty", spy)
     code, report = _probe(tmp_path, ["QO_MS", "B"], model={"s_dim": 2, "o_dim": 3})
     err = capsys.readouterr().err
     if refused_rows is None:
@@ -325,6 +325,55 @@ def test_closure_working_set_cap(tmp_path, capsys, monkeypatch, cap_rows, refuse
         f"over the {cap_rows * row}-byte limit\n"
     )
     assert buffers == ([] if refused_rows == 6 else [6])
+
+
+@pytest.mark.parametrize(
+    "generators, o_dim, cap, need",
+    [
+        (["QO_MS", "B"], 3, 2879, 16 * 6**2 * 5),
+        (["QO_MS", "B"], 3, 2880, None),
+        (["QO_MS", "QO_MS"], 3, 1151, 16 * 6**2 * 2),
+        (["QO_MS", "QO_MS"], 3, 1152, None),
+        (["QO_MS", "B"], 4096, None, 16 * 8192**2 * 5),
+    ],
+    ids=["letter-check-over", "letter-check-at", "diagonal-over", "diagonal-at", "o4096"],
+)
+def test_generator_working_set_estimate(tmp_path, capsys, monkeypatch, generators, o_dim, cap, need):
+    # Named generators are dense: 16 d^2 bytes each, plus the three d x d
+    # products of the letter check unless every generator is diagonal.  A
+    # list over the cap exits 1 with one line at parse, before any named
+    # generator is built; at o_dim = 4096 (d = 8192) that is the real cap.
+    from segalsim import generators as generators_module
+
+    limit = 2**32
+    if cap is not None:
+        monkeypatch.setattr(generators_module, "MAX_WORKING_SET_BYTES", cap)
+        limit = cap
+    built = []
+    named = generators_module._named_generator
+    monkeypatch.setattr(
+        generators_module,
+        "_named_generator",
+        lambda name, model: built.append(name) or named(name, model),
+    )
+    tracemalloc.start()
+    try:
+        code, report = _probe(tmp_path, generators, model={"s_dim": 2, "o_dim": o_dim})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    if need is None:
+        assert code == 0 and report["summary"]["generators"] == generators
+        assert built == generators
+        return
+    assert code == 1
+    assert err == (
+        f"config error: generators: 2 dense generators on d = {2 * o_dim} would hold about {need} "
+        f"bytes, over the {limit}-byte limit\n"
+    )
+    assert built == []
+    assert peak < 2**22
 
 
 def test_console_script_smoke(tmp_path):
@@ -578,3 +627,86 @@ def test_no_cli_run_imports_numpy_random(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# Modules only some scenarios run; an event run compiles none of them.
+_DEFERRED = ("closure", "decoherence", "doublet", "generators", "wigner")
+
+
+def _loaded_after_each(tmp_path, names):
+    """The deferred modules loaded after each CLI run of the pinned configs
+    ``names``, in order, in one fresh interpreter."""
+    paths = []
+    for name in names:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+        paths.append(str(path))
+    script = (
+        "import json, sys\n"
+        "from segalsim.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    assert main(['run', path, '--out', path + '.out', '--quiet']) == 0, path\n"
+        f"    print(json.dumps([m for m in {_DEFERRED!r} if 'segalsim.' + m in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *paths], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_event_runs_load_no_scenario_specific_module(tmp_path):
+    # pure and gemenge (with and without an environment) need the pipeline,
+    # the pointer algebra and the sampler only.  Every other scenario's
+    # runner imports its module when called.
+    names = [
+        "pure",
+        "pure-environment",
+        "gemenge-csv",
+        "gemenge-environment",
+        "wigner-friend",
+        "decoherence",
+        "erasure",
+    ]
+    assert _loaded_after_each(tmp_path, names) == [
+        [],
+        [],
+        [],
+        [],
+        ["closure", "wigner"],
+        ["closure", "decoherence", "wigner"],
+        ["closure", "decoherence", "doublet", "wigner"],
+    ]
+
+
+def test_algebra_probe_loads_the_closure_for_non_commuting_letters_only(tmp_path):
+    names = ["algebra-probe-qo", "algebra-probe-rotated-pair", "algebra-probe-qo-ms-b"]
+    assert _loaded_after_each(tmp_path, names) == [
+        ["generators"],
+        ["generators"],
+        ["closure", "generators"],
+    ]
+
+
+def test_import_footprint(tmp_path):
+    # With no bytecode cached, importing the package after numpy grew
+    # VmHWM by about 3.2 MB while every module was compiled on each import;
+    # with the scenario-specific modules deferred it grows by about 2.1 MB.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/self/status")
+    script = (
+        "def hwm():\n"
+        "    for line in open('/proc/self/status'):\n"
+        "        if line.startswith('VmHWM:'):\n"
+        "            return int(line.split()[1])\n"
+        "import numpy\n"
+        "before = hwm()\n"
+        "import segalsim\n"
+        "print(hwm() - before)\n"
+    )
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 2600  # kB

@@ -12,20 +12,12 @@ from segalsim.measurement import (
     EnvironmentSpec,
     MeasurementModel,
     _environment_records,
-    _information_of,
     _pipeline_image,
     _pointer_weights,
     _ready_pointer_swap,
     _setup,
-    _traced_block,
     branch_mixture,
-    evolve_sle,
-    evolve_unitary,
-    environment_coherence,
-    environment_pointer_basis,
     full_layout,
-    initial_doublet,
-    interaction_hamiltonian,
     interference_expectation,
     interference_observable,
     make_model,
@@ -34,17 +26,28 @@ from segalsim.measurement import (
     pointer_characters,
     pointer_histogram,
     pointer_operator,
-    pointer_state_stability,
     premeasure,
     ready_state,
-    record_erasure,
     restricted_pointer_probabilities,
     run_ensemble,
     system_layout,
     system_state,
-    wigner_friend_report,
 )
-from segalsim.linalg import partial_trace
+from segalsim.decoherence import (
+    _traced_block,
+    environment_coherence,
+    environment_pointer_basis,
+    pointer_state_stability,
+)
+from segalsim.doublet import (
+    _information_of,
+    evolve_sle,
+    evolve_unitary,
+    initial_doublet,
+    interaction_hamiltonian,
+    record_erasure,
+)
+from segalsim.wigner import wigner_friend_report
 from segalsim.restriction import (
     breuer_indistinguishable,
     character_probabilities,
@@ -71,6 +74,8 @@ from _oracles import (
     gemenge_mix,
     joint_resolution_oracle,
     kron_oracle,
+    layout_subset,
+    partial_trace,
     premeasurement_unitary,
     reduce_density,
     run_event,
@@ -280,7 +285,7 @@ class TestDoublets:
 
     def test_inconsistent_information_rejected(self):
         theta = initial_doublet(MODEL, psi(np.sqrt(0.3), np.sqrt(0.7)))
-        from segalsim.measurement import StatisticalDoublet
+        from segalsim.doublet import StatisticalDoublet
 
         with pytest.raises(InvariantViolation, match="inconsistent"):
             StatisticalDoublet(theta.dynamical, np.array([0.0, 0.5, 0.5]), theta.characters)
@@ -377,16 +382,16 @@ class TestRunEvent:
     def test_wide_gemenge_log_matches_per_event_records(self):
         # The log reads its probabilities from the batch's table, as the
         # batch's own records do, so the rows are formatted from run_event.
-        from segalsim import scenarios
+        from segalsim import serialize
 
         model, source = wide_gemenge()
-        lines = [",".join(scenarios._EVENT_COLUMNS)]
+        lines = [",".join(serialize._EVENT_COLUMNS)]
         for i in range(200):
             r = run_event(model, source, event_rng(17, i), event_index=i, seed=17)[0]
             lines.append(f"{i},{r.gemenge_row},{r.pointer_index},{r.impression:.12g},{r.probability:.12g}")
         batch = run_ensemble(model, source, 200, 17)
         assert int(batch.gemenge_row.max()) * model.o_dim > 255  # codes drawn past one byte
-        log = b"".join(map(bytes, scenarios._event_log(batch)))
+        log = b"".join(map(bytes, serialize._event_log(batch)))
         assert log == ("\n".join(lines) + "\n").encode("ascii")
 
     def test_off_system_source_rejected_alike(self):
@@ -875,7 +880,7 @@ class TestVectorRoutesMatchDenseRoute:
             table = premeasure(model, psi_s).amplitudes.reshape(s_dim, o_dim)
             blocks = np.array([_traced_block(records, a, a) for a in table])
             t = full.matrix.reshape(full.layout.dims * 2)
-            o_e = full.layout.subset({"O", "E"})
+            o_e = layout_subset(full.layout, {"O", "E"})
             for i, block in enumerate(blocks):
                 dense_block = t[i, :, :, i].reshape(o_e.dim, o_e.dim)
                 assert same_bits(block, partial_trace(dense_block, o_e, {"O"}))

@@ -6,14 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segalsim import scenarios
+from segalsim import scenarios, serialize
 from segalsim.config import MAX_DENSE_BYTES, MAX_EVENTS
 from segalsim.scenarios import (
     ConfigError,
-    emit_report,
     parse_scenario,
     run_scenario,
 )
+from segalsim.serialize import emit_report
 
 
 def config_text(**overrides):
@@ -98,7 +98,8 @@ class TestParseScenario:
         # Only the estimate runs: o_dim = 4096 passes the d cap (d = 8192,
         # one dense operator is 2**30 bytes), then its two density matrices
         # and interference basis would need about 13 TB, refused at parse.
-        from segalsim.measurement import make_model, wigner_friend_bytes
+        from segalsim.measurement import make_model
+        from segalsim.wigner import wigner_friend_bytes
 
         def wigner_friend(o_dim):
             return config_text(
@@ -415,7 +416,7 @@ class TestEmitReport:
         assert peak < 2**20
 
     def test_csv_out_streams_the_returned_document(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(scenarios, "_LOG_BLOCK", 7)
+        monkeypatch.setattr(serialize, "_LOG_BLOCK", 7)
         for text in (config_text(n_events=120), UNEVEN_GEMENGE):
             report = run_scenario(parse_scenario(text))
             out = tmp_path / "events.csv"
@@ -425,7 +426,7 @@ class TestEmitReport:
     def test_event_log_matches_row_writer(self, monkeypatch):
         # The table-driven log against csv.writer over the per-event
         # records, with blocks small enough that the log spans several.
-        monkeypatch.setattr(scenarios, "_LOG_BLOCK", 7)
+        monkeypatch.setattr(serialize, "_LOG_BLOCK", 7)
         texts = [
             config_text(n_events=50, input={"amplitudes": [[0.6, 0], [0, 0.8]]}),
             # every digit-count boundary, up to the second four-digit lookup
@@ -447,7 +448,7 @@ class TestEmitReport:
             events = run_scenario(parse_scenario(text)).events
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(scenarios._EVENT_COLUMNS)
+            writer.writerow(serialize._EVENT_COLUMNS)
             for r in events:
                 writer.writerow(
                     [
@@ -458,7 +459,7 @@ class TestEmitReport:
                         f"{r.probability:.12g}",
                     ]
                 )
-            log = b"".join(map(bytes, scenarios._event_log(events))).decode("ascii")
+            log = b"".join(map(bytes, serialize._event_log(events))).decode("ascii")
             assert log == buf.getvalue()
 
     def test_uneven_gemenge_log_shape(self):
