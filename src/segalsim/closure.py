@@ -48,30 +48,34 @@ def _gram_schmidt_closure(
     The span of I is grown by multiplying each basis element, in the
     order found, once by each letter on the left.
 
-    Rows held plus rows requested, 16 d^2 bytes each, over
-    MAX_WORKING_SET_BYTES raise ValueError before the row buffer is made or
-    grown.  A wigner-friend model within ``wigner.wigner_friend_bytes``
-    passes: its interference algebra has two Hermitian letters (a first
-    request of 6 rows) and dimension o_dim + 4, so it grows from at most
-    o_dim + 3 rows to twice that, under the estimate's 2 + 3 (o_dim + 4).
+    The row buffer doubles in place, by realloc.  Rows held plus rows
+    requested, 16 d^2 bytes each (a realloc that cannot grow in place
+    holds both), over MAX_WORKING_SET_BYTES raise ValueError before the
+    row buffer is made or grown.  A wigner-friend model within
+    ``wigner.wigner_friend_bytes`` passes: its interference algebra has
+    two Hermitian letters (a first request of 6 rows) and dimension
+    o_dim + 4, so it grows from at most o_dim + 3 rows to twice that,
+    under the estimate's 2 + 3 (o_dim + 4).
     """
     d = layout.dim
     max_dim = d * d
 
-    def buffer(held: int, requested: int) -> np.ndarray:
+    def buffer(held: int, requested: int) -> tuple[int, int]:
+        """The shape of a buffer of ``requested`` rows with ``held`` rows
+        filled, once their bytes are within the limit."""
         need = 16 * d * d * (held + requested)
         if need > MAX_WORKING_SET_BYTES:
             raise ValueError(
                 f"algebra closure on d = {d} would hold {need} bytes of basis rows, "
                 f"over the {MAX_WORKING_SET_BYTES}-byte limit"
             )
-        return np.empty((requested, d * d), dtype=complex)
+        return requested, d * d
 
-    rows = buffer(0, min(2 * (len(letters) + 1), max_dim))
+    rows = np.empty(buffer(0, min(2 * (len(letters) + 1), max_dim)), dtype=complex)
     k = 0
 
     def adjoin(op: np.ndarray) -> None:
-        nonlocal rows, k
+        nonlocal k
         r = _orthonormal_append(rows[:k], op, tol)
         if r is None:
             return
@@ -81,9 +85,9 @@ def _gram_schmidt_closure(
                 "numerical breakdown (tol too small for this data?)"
             )
         if k == len(rows):
-            grown = buffer(k, min(2 * k, max_dim))
-            grown[:k] = rows
-            rows = grown
+            # Grown in place (a realloc, which zero-fills the new rows), so
+            # the old rows are never copied into a second buffer.
+            rows.resize(buffer(k, min(2 * k, max_dim)))
         rows[k] = r
         k += 1
 

@@ -6,7 +6,7 @@ reads that coherence and the S-conditioned register states, each an
 o_dim x o_dim block summed over E from the record table, recovers the
 register basis a tri-partite entangled state selects, and follows the
 register's purity under the dephasing coupling g Q_O (x) V_E.  Only the
-``decoherence`` scenario runs it.
+``decoherence`` scenario, whose runner is here, runs it.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import numpy as np
 
 from .config import DEGENERACY_GAP
 from .linalg import SpaceLayout, degenerate_clusters, hermitian_eig
-from .measurement import MeasurementModel, _setup, premeasure
-from .states import StateVector
+from .measurement import MeasurementModel, _setup, premeasure, system_state
+from .scenarios import ScenarioConfig, _space_layout
+from .states import StateVector, basis_state
 
 __all__ = [
     "PointerBasisReport",
@@ -177,3 +178,34 @@ def pointer_state_stability(
         rho_o = amp_t @ amp_t.conj().T
         purities.append(float(np.einsum("ij,ji->", rho_o, rho_o).real))
     return np.array(purities)
+
+
+def _run_decoherence(cfg: ScenarioConfig):
+    model = cfg.model
+    psi_s = system_state(model, cfg.amplitudes)
+    predicted = model.environment.e_overlap * abs(cfg.amplitudes[0] * cfg.amplitudes[1])
+    basis_report = environment_pointer_basis(model, psi_s)
+    overlaps = [
+        [abs(complex(v[k])) for k in range(model.o_dim)] for v in basis_report.vectors
+    ]
+
+    t_grid = cfg.t_grid
+    if t_grid is None:
+        t_grid = np.linspace(0.0, 0.35, 8)
+    o_layout = _space_layout(model, "O")
+    pointer_state = basis_state(o_layout, (1,))
+    sup = np.zeros(model.o_dim)
+    sup[1] = sup[2] = 2**-0.5
+    superposition = StateVector(o_layout, sup)
+    summary = {
+        "offdiagonal_magnitude": environment_coherence(model, psi_s),
+        "predicted_offdiagonal": predicted,
+        "pointer_basis_flag": basis_report.flag,
+        "pointer_basis_residual": basis_report.residual,
+        "pointer_basis_weights": basis_report.weights.tolist(),
+        "pointer_basis_overlaps": overlaps,
+        "t_grid": list(map(float, t_grid)),
+        "purity_pointer_state": pointer_state_stability(model, pointer_state, t_grid).tolist(),
+        "purity_superposition": pointer_state_stability(model, superposition, t_grid).tolist(),
+    }
+    return summary, None

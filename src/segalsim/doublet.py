@@ -7,7 +7,8 @@ over the pointer characters, recomputed from the state after every step;
 for one event (:class:`DoubletState`) it is the one character the
 register holds.  The premeasurement coupling as a Hamiltonian, its
 Schroedinger-Liouville evolution and the erasure of a record by the
-inverse swap live here.  No scenario but ``erasure`` runs any of it.
+inverse swap live here.  No scenario but ``erasure``, whose runner is here,
+runs any of it.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .measurement import (
     ms_layout,
     pointer_characters,
     ready_state,
+    system_state,
 )
 from .restriction import Character
+from .scenarios import ScenarioConfig
 from .states import DensityMatrix, StateVector, density_from_vector
 
 __all__ = [
@@ -160,3 +163,17 @@ class DoubletState:
     dynamical: DensityMatrix
     information: Character
     event_index: int
+
+
+def _run_erasure(cfg: ScenarioConfig):
+    initial, measured, recovered, fidelity = record_erasure(
+        cfg.model, system_state(cfg.model, cfg.amplitudes)
+    )
+    summary = {
+        "pointer_values": list(cfg.model.qo_values),
+        "information_initial": initial.tolist(),
+        "information_after_measurement": measured.tolist(),
+        "information_after_reversal": recovered.tolist(),
+        "recovered_initial_state_fidelity": fidelity,
+    }
+    return summary, None

@@ -1,28 +1,38 @@
 """The generators of an ``algebra-probe`` scenario.
 
 A generator is a name (``QO``, ``QO_MS``, ``B``) or an inline
-``{"space", "matrix"}`` entry.  Inline matrices of ``[float, float]``
-pairs become complex arrays while the document is decoded
-(``scenarios._decode_entry`` imports :func:`_float_pairs` and
-:class:`_DecodedEntry` from here); any other matrix is read entry by
-entry at parse.  Every generator is dense, so the list is checked
-against ``MAX_WORKING_SET_BYTES`` before a named one is built.  Only
-documents that hold generators import this module.
+``{"space", "matrix"}`` entry.  A document that holds generators is read
+by :func:`read_document`, which decodes each inline matrix a row at a
+time: a row of ``[float, float]`` pairs becomes a (w, 2) float64 array as
+soon as it closes, and ``scenarios._decode_entry`` stacks an entry's rows
+into its complex array (:func:`_float_pairs`, :class:`_DecodedEntry`).
+Any other matrix is read entry by entry at parse.  Every generator is
+dense, so the list is checked against ``MAX_WORKING_SET_BYTES`` before a
+named one is built.  Only documents that hold generators import this
+module; the ``algebra-probe`` runner is here too.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from itertools import chain
+from typing import Any
 
 import numpy as np
 
-from .config import MAX_WORKING_SET_BYTES
+from .algebra import generate_algebra, joint_spectral_resolution
+from .config import ALGEBRA_TOL, MAX_WORKING_SET_BYTES
 from .measurement import MeasurementModel, interference_observable, pointer_operator
-from .scenarios import _fail, _number, _require_keys, _space_layout
+from .restriction import extremal_states
+from .scenarios import ScenarioConfig, _fail, _number, _require_keys, _space_layout
 
-__all__ = ["generator_bytes"]
+__all__ = ["generator_bytes", "read_document"]
 
 _GENERATOR_SPACES = {"QO": "O", "QO_MS": "MS", "B": "MS"}
+
+# The whitespace JSON allows between tokens, as the json module reads it.
+_WHITESPACE = re.compile(r"[ \t\n\r]*").match
 
 
 def _named_generator(name: str, model: MeasurementModel) -> np.ndarray:
@@ -32,40 +42,163 @@ def _named_generator(name: str, model: MeasurementModel) -> np.ndarray:
 
 
 def generator_bytes(d: int, count: int, diagonal: bool) -> int:
-    """Estimated bytes of ``count`` dense generators on d dimensions and
-    of the letter check ``generate_algebra`` runs on them.
+    """Estimated bytes of ``count`` dense generators on d dimensions and of
+    what ``generate_algebra`` holds beside them, 16 d^2 bytes a d x d array.
 
-    That is 16 d^2 bytes per generator and, unless every generator is
-    exactly diagonal, three more d x d arrays: the products a @ b, b @ a
-    and their difference.  The Gram-Schmidt closure checks its own
-    buffer; the joint eigenbasis of commuting letters is not counted.
+    Exactly diagonal generators are read as diagonals: ``count`` arrays.
+    Any other list holds each generator and its adjoint letter, and at
+    most ``count + 4`` arrays more: the letter check's a @ b, b @ a and
+    their difference; or, when the letters commute, the joint eigenbasis
+    (the Hermitian combination, its eigh copy, workspace and
+    eigenvectors, then the eigenvectors, each rotated generator and two
+    temporaries).  The Gram-Schmidt closure checks its own buffer.
     """
-    return 16 * d * d * (count + (0 if diagonal else 3))
+    return 16 * d * d * (count if diagonal else 3 * count + 4)
+
+
+def _pair_row(row) -> np.ndarray | None:
+    """A decoded matrix row as a (w, 2) float64 array if it is a non-empty
+    list of ``[float, float]`` pairs, else ``None``.
+
+    The checks run over the whole row at once, not entry by entry, and
+    the array holds the row's float values as they are.
+    """
+    if type(row) is not list or not row or set(map(type, row)) != {list} or set(map(len, row)) != {2}:
+        return None
+    flat = list(chain.from_iterable(row))
+    if set(map(type, flat)) != {float}:
+        return None
+    return np.array(flat).reshape(-1, 2)
+
+
+class _Rows(list):
+    """An inline matrix read a row at a time by :func:`read_document`: each
+    row of float pairs is its :func:`_pair_row` array, any other row is
+    as decoded."""
 
 
 def _float_pairs(rows) -> np.ndarray | None:
     """``rows`` as a complex array if it is a non-empty rectangle of
     ``[float, float]`` pairs, all finite, else ``None``.
 
-    The array views the pairs' float64 values as complex128, with no
-    arithmetic, so every bit (signed zeros too) is the document's.  The
-    checks run over whole rows at once, not entry by entry.
+    ``rows`` is a decoded list of rows, or :class:`_Rows`.  The stacked
+    float64 pairs are viewed as complex128, with no arithmetic, so every
+    bit (signed zeros too) is the document's.
     """
-    if type(rows) is not list or not rows or set(map(type, rows)) != {list}:
+    if type(rows) is list:
+        rows = [_pair_row(row) for row in rows]
+    elif type(rows) is not _Rows:
         return None
-    width = len(rows[0])
-    if not width or set(map(len, rows)) != {width}:
+    if not rows or not all(type(row) is np.ndarray for row in rows) or len({row.shape for row in rows}) != 1:
         return None
-    pairs = list(chain.from_iterable(rows))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {float}:
-        return None
-    values = np.array(flat)
+    values = np.stack(rows)
     if not np.isfinite(values).all():
         return None
-    return values.view(complex).reshape(len(rows), width)
+    return values.view(complex).reshape(values.shape[:2])
+
+
+class _Unread(Exception):
+    """Text that :func:`read_document` leaves to the decoder."""
+
+
+def _array(text: str, i: int, item, values: list) -> tuple[list, int]:
+    """The JSON array that opens at ``text[i]``, each element read by
+    ``item(text, i) -> (value, end)`` and appended to ``values``; and the
+    index after the array."""
+    i = _WHITESPACE(text, i + 1).end()
+    if text.startswith("]", i):
+        return values, i + 1
+    while True:
+        value, i = item(text, i)
+        values.append(value)
+        i = _WHITESPACE(text, i).end()
+        if text.startswith(",", i):
+            i = _WHITESPACE(text, i + 1).end()
+        elif text.startswith("]", i):
+            return values, i + 1
+        else:
+            raise _Unread
+
+
+def _object(text: str, i: int, scan, readers: dict) -> tuple[dict, int]:
+    """The JSON object that opens at ``text[i]``, the value of each key in
+    ``readers`` read by its reader and every other value by ``scan``; and
+    the index after the object.  A repeated key keeps its first place
+    and its last value, as the decoder does."""
+    obj = {}
+    i = _WHITESPACE(text, i + 1).end()
+    if text.startswith("}", i):
+        return obj, i + 1
+    while True:
+        if not text.startswith('"', i):
+            raise _Unread
+        key, i = scan(text, i)
+        i = _WHITESPACE(text, i).end()
+        if not text.startswith(":", i):
+            raise _Unread
+        value, i = readers.get(key, scan)(text, _WHITESPACE(text, i + 1).end())
+        obj[key] = value
+        i = _WHITESPACE(text, i).end()
+        if text.startswith(",", i):
+            i = _WHITESPACE(text, i + 1).end()
+        elif text.startswith("}", i):
+            return obj, i + 1
+        else:
+            raise _Unread
+
+
+def read_document(text: str, decoder) -> object:
+    """``decoder.decode(text)``, holding at most one inline matrix row's
+    lists at a time.
+
+    The reader walks the top-level object, its ``generators`` list, each
+    entry object in that list and the rows of each entry's ``matrix``.
+    Every other value, and each row, is read by ``decoder.raw_decode``; a
+    row of float pairs becomes its array as soon as it closes.  Each
+    object the walk reads goes through ``decoder.object_hook``, and an
+    entry the hook does not decode gets its rows back as lists.  Text the
+    walk does not read (a syntax error, a top level that is not an
+    object, trailing data) goes to ``decoder.decode``, so the value and
+    every error are the decoder's.
+    """
+    scan, hook = decoder.raw_decode, decoder.object_hook
+
+    def row(text: str, i: int) -> tuple[object, int]:
+        value, i = scan(text, i)
+        pairs = _pair_row(value)
+        return (value if pairs is None else pairs), i
+
+    def matrix(text: str, i: int) -> tuple[object, int]:
+        if not text.startswith("[", i):
+            return scan(text, i)
+        return _array(text, i, row, _Rows())
+
+    def entry(text: str, i: int) -> tuple[object, int]:
+        if not text.startswith("{", i):
+            return scan(text, i)
+        obj, i = _object(text, i, scan, {"matrix": matrix})
+        obj = hook(obj)
+        rows = obj.get("matrix")
+        if type(rows) is _Rows:  # the hook left it alone: the rows as written
+            obj["matrix"] = [row.tolist() if type(row) is np.ndarray else row for row in rows]
+        return obj, i
+
+    def generators(text: str, i: int) -> tuple[object, int]:
+        if not text.startswith("[", i):
+            return scan(text, i)
+        return _array(text, i, entry, [])
+
+    try:
+        i = _WHITESPACE(text, 0).end()
+        if not text.startswith("{", i):
+            raise _Unread
+        obj, i = _object(text, i, scan, {"generators": generators})
+        if _WHITESPACE(text, i).end() != len(text):
+            raise _Unread
+        return hook(obj)
+    except (_Unread, json.JSONDecodeError):
+        pass
+    return decoder.decode(text)
 
 
 class _DecodedEntry(dict):
@@ -150,3 +283,24 @@ def _parse_generators(raw, model: MeasurementModel):
         )
     built = tuple((name, _named_generator(name, model) if mat is None else mat) for name, mat, _ in entries)
     return built, space
+
+
+def _run_algebra_probe(cfg: ScenarioConfig):
+    layout = _space_layout(cfg.model, cfg.generator_space)
+    tol = cfg.tolerances.get("algebra", ALGEBRA_TOL)
+    alg = generate_algebra([mat for _, mat in cfg.generators], layout, tol=tol)
+    summary: dict[str, Any] = {
+        "generators": [name for name, _ in cfg.generators],
+        "space": cfg.generator_space,
+        "dimension": alg.dimension,
+        "commutative": alg.commutative,
+    }
+    if alg.commutative:
+        chars = extremal_states(alg)
+        summary["characters"] = [
+            [float(v) for v in c.generator_values] for c in chars
+        ]
+        summary["projector_ranks"] = list(joint_spectral_resolution(alg).ranks)
+    else:
+        summary["characters"] = None
+    return summary, None

@@ -4,8 +4,9 @@ Configs are JSON documents (the one human-editable nested key-value format
 the standard library already speaks).  :func:`parse_scenario` validates a
 document and applies its defaults; :func:`run_scenario` runs it into a
 :class:`RunReport`, which :mod:`segalsim.serialize` writes byte-stably.
-The event scenarios need only :mod:`segalsim.measurement`; the runner of
-every other scenario imports the module it runs when it is called.
+The event scenarios need only :mod:`segalsim.measurement`; every other
+scenario's runner lives in the module it runs (``wigner``, ``decoherence``,
+``doublet``, ``generators``), imported when the scenario runs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import generate_algebra, joint_spectral_resolution
-from .config import ALGEBRA_TOL, MAX_EVENTS, MAX_WORKING_SET_BYTES, STATE_EQUALITY_ATOL
+from .config import MAX_EVENTS, MAX_WORKING_SET_BYTES
 from .linalg import SpaceLayout
 from .measurement import (
     EventBatch,
@@ -33,8 +33,7 @@ from .measurement import (
     run_ensemble,
     system_state,
 )
-from .restriction import extremal_states
-from .states import Gemenge, StateVector, basis_state
+from .states import Gemenge, StateVector
 
 __all__ = [
     "ConfigError",
@@ -200,15 +199,22 @@ def _decode_entry(obj: dict) -> dict:
 
 
 def load_document(text: str) -> dict:
-    """Decode a scenario document, which must be one JSON object.
-
-    Each inline generator matrix of ``[float, float]`` pairs becomes its
-    complex array while the document is decoded (``_decode_entry``), so
-    at most one matrix's list tree is alive at a time.  Any other matrix
-    stays lists and ``parse_scenario`` reads and reports it as before.
+    """Decode a scenario document, which must be one JSON object, as
+    ``json.loads(text, object_hook=_decode_entry)`` does.  A document that
+    holds generators is read an inline matrix row at a time
+    (``generators.read_document``); any other matrix stays lists and
+    ``parse_scenario`` reads and reports it as before.
     """
+    decoder = json.JSONDecoder(object_hook=_decode_entry)
     try:
-        raw = json.loads(text, object_hook=_decode_entry)
+        if text.startswith("\ufeff"):  # json.loads checks this, the decoder does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        if '"generators"' in text:  # a key written with escapes is decoded whole
+            from .generators import read_document
+
+            raw = read_document(text, decoder)
+        else:
+            raw = decoder.decode(text)
     except json.JSONDecodeError as exc:
         _fail(f"malformed config document: {exc}")
     if not isinstance(raw, dict):
@@ -376,105 +382,28 @@ def _run_gemenge(cfg: ScenarioConfig):
     return summary, records
 
 
-def _breuer_summary(report) -> dict[str, Any]:
-    return {
-        "indistinguishable": report.indistinguishable,
-        "max_deviation": report.max_deviation,
-        "worst_element": report.worst_label,
-    }
-
-
 def _run_wigner_friend(cfg: ScenarioConfig):
-    from .wigner import wigner_friend_report
+    from .wigner import _run_wigner_friend
 
-    report = wigner_friend_report(
-        cfg.model,
-        system_state(cfg.model, cfg.amplitudes),
-        cfg.n_events,
-        cfg.seed,
-        breuer_tol=cfg.tolerances.get("breuer", STATE_EQUALITY_ATOL),
-    )
-    summary = {
-        "pointer_values": list(cfg.model.qo_values),
-        "b_expectation": report.b_expectation,
-        "dynamical_purity": report.dynamical_purity,
-        "histogram": report.histogram.tolist(),
-        "frequencies": report.frequencies.tolist(),
-        "restricted_probabilities": report.restricted_probabilities.tolist(),
-        "breuer_pointer": _breuer_summary(report.breuer_pointer),
-        "breuer_with_interference": _breuer_summary(report.breuer_with_interference),
-    }
-    return summary, report.events
+    return _run_wigner_friend(cfg)
 
 
 def _run_decoherence(cfg: ScenarioConfig):
-    from .decoherence import environment_coherence, environment_pointer_basis, pointer_state_stability
+    from .decoherence import _run_decoherence
 
-    model = cfg.model
-    psi_s = system_state(model, cfg.amplitudes)
-    predicted = model.environment.e_overlap * abs(cfg.amplitudes[0] * cfg.amplitudes[1])
-    basis_report = environment_pointer_basis(model, psi_s)
-    overlaps = [
-        [abs(complex(v[k])) for k in range(model.o_dim)] for v in basis_report.vectors
-    ]
-
-    t_grid = cfg.t_grid
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 0.35, 8)
-    o_layout = _space_layout(model, "O")
-    pointer_state = basis_state(o_layout, (1,))
-    sup = np.zeros(model.o_dim)
-    sup[1] = sup[2] = 2**-0.5
-    superposition = StateVector(o_layout, sup)
-    summary = {
-        "offdiagonal_magnitude": environment_coherence(model, psi_s),
-        "predicted_offdiagonal": predicted,
-        "pointer_basis_flag": basis_report.flag,
-        "pointer_basis_residual": basis_report.residual,
-        "pointer_basis_weights": basis_report.weights.tolist(),
-        "pointer_basis_overlaps": overlaps,
-        "t_grid": list(map(float, t_grid)),
-        "purity_pointer_state": pointer_state_stability(model, pointer_state, t_grid).tolist(),
-        "purity_superposition": pointer_state_stability(model, superposition, t_grid).tolist(),
-    }
-    return summary, None
+    return _run_decoherence(cfg)
 
 
 def _run_erasure(cfg: ScenarioConfig):
-    from .doublet import record_erasure
+    from .doublet import _run_erasure
 
-    initial, measured, recovered, fidelity = record_erasure(
-        cfg.model, system_state(cfg.model, cfg.amplitudes)
-    )
-    summary = {
-        "pointer_values": list(cfg.model.qo_values),
-        "information_initial": initial.tolist(),
-        "information_after_measurement": measured.tolist(),
-        "information_after_reversal": recovered.tolist(),
-        "recovered_initial_state_fidelity": fidelity,
-    }
-    return summary, None
+    return _run_erasure(cfg)
 
 
 def _run_algebra_probe(cfg: ScenarioConfig):
-    layout = _space_layout(cfg.model, cfg.generator_space)
-    tol = cfg.tolerances.get("algebra", ALGEBRA_TOL)
-    alg = generate_algebra([mat for _, mat in cfg.generators], layout, tol=tol)
-    summary: dict[str, Any] = {
-        "generators": [name for name, _ in cfg.generators],
-        "space": cfg.generator_space,
-        "dimension": alg.dimension,
-        "commutative": alg.commutative,
-    }
-    if alg.commutative:
-        chars = extremal_states(alg)
-        summary["characters"] = [
-            [float(v) for v in c.generator_values] for c in chars
-        ]
-        summary["projector_ranks"] = list(joint_spectral_resolution(alg).ranks)
-    else:
-        summary["characters"] = None
-    return summary, None
+    from .generators import _run_algebra_probe
+
+    return _run_algebra_probe(cfg)
 
 
 _RUNNERS = {

@@ -7,12 +7,14 @@ the sampled records; the Breuer verdicts compare the superposition with
 the matched branch mixture through the pointer algebra and through the
 algebra the interference observable adds, closed by Gram-Schmidt.  The
 report holds d x d arrays, bounded at parse by :func:`wigner_friend_bytes`.
+The scenario's runner is here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any
 
 import numpy as np
 
@@ -31,8 +33,10 @@ from .measurement import (
     premeasure,
     restricted_pointer_probabilities,
     run_ensemble,
+    system_state,
 )
 from .restriction import BreuerReport, breuer_indistinguishable
+from .scenarios import ScenarioConfig
 from .states import StateVector, density_from_vector, purity
 
 __all__ = [
@@ -110,3 +114,32 @@ def wigner_friend_report(
         seed=seed,
         events=events,
     )
+
+
+def _breuer_summary(report) -> dict[str, Any]:
+    return {
+        "indistinguishable": report.indistinguishable,
+        "max_deviation": report.max_deviation,
+        "worst_element": report.worst_label,
+    }
+
+
+def _run_wigner_friend(cfg: ScenarioConfig):
+    report = wigner_friend_report(
+        cfg.model,
+        system_state(cfg.model, cfg.amplitudes),
+        cfg.n_events,
+        cfg.seed,
+        breuer_tol=cfg.tolerances.get("breuer", STATE_EQUALITY_ATOL),
+    )
+    summary = {
+        "pointer_values": list(cfg.model.qo_values),
+        "b_expectation": report.b_expectation,
+        "dynamical_purity": report.dynamical_purity,
+        "histogram": report.histogram.tolist(),
+        "frequencies": report.frequencies.tolist(),
+        "restricted_probabilities": report.restricted_probabilities.tolist(),
+        "breuer_pointer": _breuer_summary(report.breuer_pointer),
+        "breuer_with_interference": _breuer_summary(report.breuer_with_interference),
+    }
+    return summary, report.events

@@ -16,11 +16,13 @@ per-event numpy.random section keeps the event sampler that
 per draw, on the package's pipeline prefix.  ``run_ensemble`` is tested
 against it record for record.  Its event keeps
 the pipeline image as amplitudes, O(d); the dense doublet is built only
-when a test asks for it.
+when a test asks for it.  The document reference decodes a scenario
+document in one ``json.loads``, each inline matrix's lists built whole.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -51,6 +53,7 @@ from segalsim.restriction import (
     extremal_states,
     restrict_state,
 )
+from segalsim.scenarios import ConfigError, _decode_entry
 from segalsim.states import DensityMatrix, Gemenge, StateVector, density_from_vector
 
 
@@ -576,3 +579,15 @@ def run_event(
         probability=prob,
     )
     return record, EventAmplitudes(xi, char, event_index)
+
+
+def load_document_reference(text: str) -> dict:
+    """``scenarios.load_document`` as one ``json.loads`` with its object
+    hook: every matrix's list tree is built whole before the hook reads it."""
+    try:
+        raw = json.loads(text, object_hook=_decode_entry)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"malformed config document: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config document must be a JSON object")
+    return raw

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from segalsim.algebra import (
 )
 from segalsim.config import ALGEBRA_TOL, InvariantViolation
 from segalsim.linalg import SpaceLayout, identity, tensor
+from segalsim.measurement import interference_observable, make_model, ms_layout, pointer_operator
 from segalsim.restriction import extremal_states
 
 from _oracles import (
@@ -76,6 +79,25 @@ class TestGenerateAlgebra:
         owner = alg.basis[0].base
         assert all(b.base is owner for b in alg.basis)
         assert owner.nbytes == 16 * alg.dimension * layout.dim**2
+
+    def test_closure_grows_one_buffer(self):
+        # wigner-friend's interference algebra at s_dim 2, o_dim 20 has
+        # k = 24 elements on d = 40: the buffer grows from 6 rows to 12 and
+        # 24.  A growth by copy would hold the old and the new buffer at
+        # once (a peak of 39 rows); grown in place, the peak is the 24-row
+        # buffer and a few d x d temporaries of the residual.
+        model = make_model(s_dim=2, o_dim=20)
+        layout = ms_layout(model)
+        gens = [pointer_operator(model, layout), interference_observable(model)]
+        tracemalloc.start()
+        try:
+            alg = generate_algebra(gens, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row = 16 * layout.dim**2
+        assert alg.dimension == 24
+        assert peak < (24 + 8) * row
 
     def test_matches_oracle_on_random_generators(self):
         rng = np.random.default_rng(3)

@@ -317,7 +317,7 @@ def test_closure_working_set_cap(tmp_path, capsys, monkeypatch, cap_rows, refuse
     err = capsys.readouterr().err
     if refused_rows is None:
         assert code == 0 and report["summary"]["dimension"] == 7
-        assert buffers == [6, 12]
+        assert buffers == [6]  # then grown in place to 12
         return
     assert code == 1
     assert err == (
@@ -330,19 +330,34 @@ def test_closure_working_set_cap(tmp_path, capsys, monkeypatch, cap_rows, refuse
 @pytest.mark.parametrize(
     "generators, o_dim, cap, need",
     [
-        (["QO_MS", "B"], 3, 2879, 16 * 6**2 * 5),
-        (["QO_MS", "B"], 3, 2880, None),
+        (["QO_MS", "B"], 3, 5759, 16 * 6**2 * 10),
+        (["QO_MS", "B"], 3, 5760, None),
+        (["B"], 3, 4031, 16 * 6**2 * 7),
+        (["B"], 3, 4032, None),
         (["QO_MS", "QO_MS"], 3, 1151, 16 * 6**2 * 2),
         (["QO_MS", "QO_MS"], 3, 1152, None),
-        (["QO_MS", "B"], 4096, None, 16 * 8192**2 * 5),
+        (["QO_MS", "B"], 4096, None, 16 * 8192**2 * 10),
+        (["B"], 4096, None, 16 * 8192**2 * 7),
     ],
-    ids=["letter-check-over", "letter-check-at", "diagonal-over", "diagonal-at", "o4096"],
+    ids=[
+        "letter-check-over",
+        "letter-check-at",
+        "eigenbasis-over",
+        "eigenbasis-at",
+        "diagonal-over",
+        "diagonal-at",
+        "o4096",
+        "eigenbasis-o4096",
+    ],
 )
 def test_generator_working_set_estimate(tmp_path, capsys, monkeypatch, generators, o_dim, cap, need):
-    # Named generators are dense: 16 d^2 bytes each, plus the three d x d
-    # products of the letter check unless every generator is diagonal.  A
-    # list over the cap exits 1 with one line at parse, before any named
-    # generator is built; at o_dim = 4096 (d = 8192) that is the real cap.
+    # Named generators are dense: 16 d^2 bytes each, or, unless every
+    # generator is diagonal, 3 n + 4 arrays for n generators: each one and
+    # its adjoint letter, then the letter check's three products or the
+    # joint eigenbasis of commuting letters.  A list over the cap exits 1
+    # with one line at parse, before any named generator is built; at
+    # o_dim = 4096 (d = 8192) that is the real cap, which ["B"] alone
+    # exceeds only with its eigenbasis counted.
     from segalsim import generators as generators_module
 
     limit = 2**32
@@ -369,8 +384,8 @@ def test_generator_working_set_estimate(tmp_path, capsys, monkeypatch, generator
         return
     assert code == 1
     assert err == (
-        f"config error: generators: 2 dense generators on d = {2 * o_dim} would hold about {need} "
-        f"bytes, over the {limit}-byte limit\n"
+        f"config error: generators: {len(generators)} dense generators on d = {2 * o_dim} "
+        f"would hold about {need} bytes, over the {limit}-byte limit\n"
     )
     assert built == []
     assert peak < 2**22
@@ -657,12 +672,16 @@ def _loaded_after_each(tmp_path, names):
 
 def test_event_runs_load_no_scenario_specific_module(tmp_path):
     # pure and gemenge (with and without an environment) need the pipeline,
-    # the pointer algebra and the sampler only.  Every other scenario's
+    # the pointer algebra and the sampler only; their documents never reach
+    # the row-at-a-time reader in generators.  Every other scenario's
     # runner imports its module when called.
     names = [
         "pure",
         "pure-environment",
+        "pure-overrides",
+        "pure-signed-zero",
         "gemenge-csv",
+        "gemenge-json",
         "gemenge-environment",
         "wigner-friend",
         "decoherence",
@@ -673,10 +692,38 @@ def test_event_runs_load_no_scenario_specific_module(tmp_path):
         [],
         [],
         [],
+        [],
+        [],
+        [],
         ["closure", "wigner"],
         ["closure", "decoherence", "wigner"],
         ["closure", "decoherence", "doublet", "wigner"],
     ]
+
+
+def test_document_reader_loads_for_generators_only():
+    # load_document hands a document to generators.read_document only when
+    # it holds generators; every pinned event document is decoded whole.
+    events = [json.dumps(doc) for name, doc in CONFIGS.items() if name.startswith(("pure", "gemenge"))]
+    entry = {"matrix": [[[1.0, 0.0]] * 2] * 2}
+    inline = json.dumps({"scenario": "algebra-probe", "model": {"o_dim": 2}, "generators": [entry]})
+    script = (
+        "import json, sys\n"
+        "from segalsim.scenarios import load_document\n"
+        "for text in json.loads(sys.stdin.read()):\n"
+        "    load_document(text)\n"
+        "    print('segalsim.generators' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps([*events, inline]),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(events) == 7
+    assert proc.stdout.split() == ["False"] * 7 + ["True"]
 
 
 def test_algebra_probe_loads_the_closure_for_non_commuting_letters_only(tmp_path):

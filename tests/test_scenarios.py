@@ -1,19 +1,25 @@
 import csv
 import io
 import json
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segalsim import scenarios, serialize
 from segalsim.config import MAX_DENSE_BYTES, MAX_EVENTS
 from segalsim.scenarios import (
     ConfigError,
+    load_document,
     parse_scenario,
     run_scenario,
 )
 from segalsim.serialize import emit_report
+
+from _oracles import load_document_reference
 
 
 def config_text(**overrides):
@@ -148,20 +154,20 @@ class TestParseScenario:
         assert np.signbit(from_text[0][1].imag[0, 0]) and np.signbit(from_text[0][1].real[1, 0])
 
     def test_inline_generators_decoded_one_at_a_time(self):
-        # Four 40 x 40 inline generators: holding every matrix's list tree
-        # at once peaked at about 1.1 MB, one tree at a time at about 0.4 MB.
+        # One 110 x 110 inline generator: its list tree is about 1.6 MB, and
+        # decoded whole it would peak at about 11.8 x 16 d^2.  Read a row at
+        # a time it peaks at the row arrays, their stack and one row's lists.
+        d = 110
         rng = np.random.default_rng(5)
-        entries = [
-            {"space": "O", "matrix": rng.standard_normal((40, 40, 2)).tolist()} for _ in range(4)
-        ]
-        text = json.dumps({"scenario": "algebra-probe", "model": {"o_dim": 40}, "generators": entries})
+        entry = {"space": "O", "matrix": rng.standard_normal((d, d, 2)).tolist()}
+        text = json.dumps({"scenario": "algebra-probe", "model": {"o_dim": d}, "generators": [entry]})
         parse_scenario(text)  # first-call caches outside the trace
         tracemalloc.start()
         cfg = parse_scenario(text)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert len(cfg.generators) == 4
-        assert peak < 600_000
+        assert cfg.generators[0][1].shape == (d, d)
+        assert peak <= 3 * 16 * d * d + 136 * d  # one row's lists: 136 B a pair
 
     def test_malformed_document(self):
         with pytest.raises(ConfigError, match="malformed"):
@@ -179,6 +185,161 @@ class TestParseScenario:
         cfg = parse_scenario(config_text(scenario="decoherence", n_events=1))
         assert cfg.model.environment is not None
         assert cfg.model.environment.e_dim == 8
+
+
+def _same(a, b) -> bool:
+    """Equal in type and structure, dict key order and every float bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+class _Obj(list):
+    """A JSON object as written: (key text, value) pairs, keys may repeat."""
+
+
+_FLOATS = st.floats(width=64, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -1.7976931348623157e308]
+)
+# How a matrix departs from a rectangle of finite float pairs.
+_MATRIX_KINDS = [
+    "floats",
+    "int",
+    "bool",
+    "null",
+    "string",
+    "nan",
+    "infinity",
+    "overflow",
+    "ragged",
+    "pair-of-one",
+    "pair-of-three",
+    "empty",
+    "empty-row",
+    "nested-entry",
+    "not-a-list",
+]
+
+
+@st.composite
+def _matrices(draw):
+    h, w = draw(st.sampled_from([2, 2, 1, 3])), draw(st.sampled_from([2, 2, 1, 3]))
+    rows = [[[repr(draw(_FLOATS)), repr(draw(_FLOATS))] for _ in range(w)] for _ in range(h)]
+    kind = draw(st.sampled_from(_MATRIX_KINDS[:1] * len(_MATRIX_KINDS) + _MATRIX_KINDS[1:]))
+    i, j, part = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1)), draw(st.integers(0, 1))
+    leaf = {
+        "int": draw(st.sampled_from(["0", "-0", "3", "123456789012345678901"])),
+        "bool": draw(st.sampled_from(["true", "false"])),
+        "null": "null",
+        "string": '"2.0"',
+        "nan": "NaN",
+        "infinity": draw(st.sampled_from(["Infinity", "-Infinity"])),
+        "overflow": "1e400",
+    }
+    if kind in leaf:
+        rows[i][j][part] = leaf[kind]
+    elif kind == "ragged":
+        rows[i] = rows[i][1:]
+    elif kind == "pair-of-one":
+        rows[i][j] = rows[i][j][:1]
+    elif kind == "pair-of-three":
+        rows[i][j] = rows[i][j] + ["1.0"]
+    elif kind == "empty":
+        rows = []
+    elif kind == "empty-row":
+        rows[i] = []
+    elif kind == "nested-entry":
+        rows[i][j] = _Obj([('"matrix"', [[["1.0", "-0.0"]]])])
+    elif kind == "not-a-list":
+        rows = draw(st.sampled_from(['"rows"', "7", "{}"]))
+    return rows
+
+
+@st.composite
+def _entries(draw):
+    pairs = [('"space"', '"O"'), (draw(st.sampled_from(['"matrix"', '"m\\u0061trix"'])), draw(_matrices()))]
+    if draw(st.booleans()):
+        pairs.append(('"matrix"', draw(_matrices())))  # a repeated key
+    if draw(st.integers(0, 7)) == 7:
+        pairs.append(('"extra"', "1"))
+    return _Obj(draw(st.permutations(pairs)))
+
+
+@st.composite
+def _documents(draw):
+    """Scenario documents with generator entries, written with odd
+    whitespace, repeated or escaped keys, and sometimes broken."""
+    space = st.text(" \t\n\r", max_size=2)
+
+    def write(value) -> str:
+        if isinstance(value, _Obj):
+            inner = ",".join(
+                f"{draw(space)}{k}{draw(space)}:{draw(space)}{write(v)}{draw(space)}" for k, v in value
+            )
+            return "{" + (inner or draw(space)) + "}"
+        if isinstance(value, list):
+            inner = ",".join(f"{draw(space)}{write(v)}{draw(space)}" for v in value)
+            return "[" + (inner or draw(space)) + "]"
+        return value
+
+    names = st.sampled_from(['"QO"', "7", "[]"])
+    items = draw(st.lists(st.one_of(_entries(), _entries(), names), min_size=1, max_size=3))
+    model = _Obj([('"s_dim"', "1"), ('"o_dim"', "2")])
+    pairs = [('"scenario"', '"algebra-probe"'), ('"model"', model), ('"generators"', items)]
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(['"generators"', '"gener\\u0061tors"']))
+        pairs.append((key, draw(st.lists(_entries(), max_size=2))))
+    if draw(st.integers(0, 7)) == 7:
+        pairs.append(('"seed"', draw(_entries())))
+    top = _Obj(draw(st.permutations(pairs)))
+    if draw(st.integers(0, 19)) == 19:
+        top = [top]  # not an object
+    text = draw(st.sampled_from([""] * 19 + ["\ufeff"])) + draw(space) + write(top) + draw(space)
+    damage = draw(st.sampled_from(["none"] * 9 + ["cut", "insert", "trailing"]))
+    at = draw(st.integers(0, len(text)))
+    if damage == "cut":
+        text = text[:at]
+    elif damage == "insert":
+        text = text[:at] + draw(st.sampled_from(list(",:]}[{x\f\u00a0"))) + text[at:]
+    elif damage == "trailing":
+        text += draw(st.sampled_from(["x", "{}", ",", "]"]))
+    return text
+
+
+def _outcome(read, document):
+    try:
+        return True, read(document)
+    except ConfigError as exc:
+        return False, str(exc)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_documents())
+def test_load_document_matches_one_json_loads(text):
+    # The reader walks the generators a row at a time; the value, every
+    # float bit and every message are those of one json.loads with the
+    # same object hook, and so is what parse_scenario makes of it.
+    ok, got = _outcome(load_document, text)
+    ref_ok, want = _outcome(load_document_reference, text)
+    assert ok == ref_ok
+    if not ok:
+        assert got == want
+        return
+    assert _same(got, want)
+    parsed, ref_parsed = _outcome(parse_scenario, got), _outcome(parse_scenario, want)
+    assert parsed[0] == ref_parsed[0]
+    if parsed[0]:
+        assert _same([m for _, m in parsed[1].generators], [m for _, m in ref_parsed[1].generators])
+    else:
+        assert parsed[1] == ref_parsed[1]
 
 
 class TestRunScenario:
