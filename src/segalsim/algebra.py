@@ -62,7 +62,7 @@ from functools import cached_property
 import numpy as np
 
 from ._philox import event_uniforms
-from .config import ALGEBRA_TOL, CHARACTER_ATOL, InvariantViolation
+from .config import ALGEBRA_TOL, CHARACTER_ATOL, InvariantViolation, check
 from .linalg import SpaceLayout
 
 __all__ = [
@@ -236,15 +236,11 @@ def generate_algebra(
             f"tol {tol:.3e} is below the round-off floor d * eps = {floor:.3e}: "
             "a letter commutator cannot be told from its round-off"
         )
-    letters = list(gens)
-    for g in gens:
-        adjoint = g.conj().T
-        if not any(np.array_equal(adjoint, h) for h in gens):
-            letters.append(adjoint)
-    if not _letters_commute(letters, tol):
+    # Letters made afresh for the closure: none stays bound beside the eigenbasis.
+    if not _letters_commute(_letters(gens), tol):
         from .closure import _gram_schmidt_closure
 
-        return _gram_schmidt_closure(gens, letters, layout, tol)
+        return _gram_schmidt_closure(gens, _letters(gens), layout, tol)
     return _commutative_algebra(gens, layout, tol, _joint_eigenvectors(gens, d))
 
 
@@ -266,13 +262,26 @@ def diagonal_algebra(
     return _classified_algebra(values, np.zeros(len(values)), layout, tol, None, None)
 
 
+def _letters(gens: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """The generators, then every adjoint that is not exactly a generator."""
+    letters = list(gens)
+    for g in gens:
+        adjoint = g.conj().T
+        if not any(np.array_equal(adjoint, h) for h in gens):
+            letters.append(adjoint)
+    return letters
+
+
 def _letters_commute(letters: list[np.ndarray], tol: float) -> bool:
     """True iff every pair a, b of letters has |[a, b]| <= tol |a| |b| (HS norms)."""
     norms = [float(np.linalg.norm(a)) for a in letters]
+    product = np.empty_like(letters[0])  # a @ b, then [a, b], for each pair in turn
     for i, a in enumerate(letters):
         for j in range(i + 1, len(letters)):
             b = letters[j]
-            if not np.linalg.norm(a @ b - b @ a) <= tol * norms[i] * norms[j]:
+            np.matmul(a, b, out=product)
+            product -= b @ a
+            if not np.linalg.norm(product) <= tol * norms[i] * norms[j]:
                 return False
     return True
 
@@ -286,9 +295,22 @@ def _joint_eigenvectors(gens: tuple[np.ndarray, ...], d: int) -> np.ndarray:
     """
     coefficients = 2.0 * event_uniforms(_EIGENBASIS_SEED, len(gens), 2) - 1.0
     h = np.zeros((d, d), dtype=complex)
+    adjoint, part = np.empty_like(h), np.empty_like(h)
     for g, pair in zip(gens, coefficients):
         c_re, c_im = pair / (np.linalg.norm(g) or 1.0)
-        h += c_re * (g + g.conj().T) / 2.0 + c_im * (g - g.conj().T) / 2.0j
+        # h += c_re (g + g^dag) / 2 + c_im (g - g^dag) / 2i, in that order, in
+        # place on two buffers laid out like h (mixed layouts would copy).
+        adjoint[...] = g.T
+        np.conjugate(adjoint, out=adjoint)
+        np.add(g, adjoint, out=part)
+        np.multiply(c_re, part, out=part)
+        part /= 2.0
+        np.subtract(g, adjoint, out=adjoint)
+        np.multiply(c_im, adjoint, out=adjoint)
+        adjoint /= 2.0j
+        part += adjoint
+        h += part
+    del adjoint, part  # freed before eigh's copy and eigenvectors
     return np.linalg.eigh(h)[1]
 
 
@@ -303,9 +325,16 @@ def _commutative_algebra(
     n, d = len(gens), layout.dim
     if v is None:
         return diagonal_algebra(np.array([np.diagonal(g) for g in gens]).reshape(n, d), layout, tol)
-    rotated = [v.conj().T @ g @ v for g in gens]
-    values = np.array([np.diagonal(w) for w in rotated]).reshape(n, d)
-    off_diagonal = [float(np.linalg.norm(w - np.diag(np.diagonal(w)))) for w in rotated]
+    vh = v.conj().T
+    values = np.empty((n, d), dtype=complex)
+    off_diagonal = []
+    w = np.empty((d, d), dtype=complex)
+    for g, row in zip(gens, values):  # one rotated generator V^dag g V at a time
+        np.matmul(vh @ g, v, out=w)
+        row[:] = np.diagonal(w)
+        w.reshape(-1)[:: d + 1] -= row  # w - diag(row), in place
+        off_diagonal.append(float(np.linalg.norm(w)))
+    del vh, w  # the classification reads the values only
     return _classified_algebra(values, off_diagonal, layout, tol, gens, v)
 
 
@@ -340,16 +369,11 @@ def _classified_algebra(
         scale = float(np.max(np.abs(row)))
         on_diagonal = np.linalg.norm(row - class_values[labels, g_idx])
         residual = float(np.hypot(off_diagonal[g_idx], on_diagonal))
-        if residual > CHARACTER_ATOL * scale:
-            raise InvariantViolation(
-                f"generator {g_idx} is not diagonal on the joint eigenvectors: "
-                f"|V^dag g V - diag(values)| = {residual:.3e}"
-            )
-        if split_gaps[g_idx] <= residual:
-            raise InvariantViolation(
-                f"generator {g_idx} has joint values split by {split_gaps[g_idx]:.3e}, within "
-                f"their accuracy {residual:.3e}; ambiguous classes (tol too small for this data?)"
-            )
+        bound = CHARACTER_ATOL * scale
+        check(f"generator {g_idx} is not diagonal on the joint eigenvectors", residual, bound)
+        # A split must exceed the accuracy: at most the largest float below the gap.
+        gap = np.nextafter(split_gaps[g_idx], 0.0)
+        check(f"generator {g_idx}: joint values split within their accuracy", residual, gap)
     return alg
 
 
@@ -372,11 +396,7 @@ def _joint_classes(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
             split = gaps > width
             starts = np.flatnonzero(np.r_[True, split])
             spread = float(np.max(ordered[np.r_[starts[1:], d] - 1] - ordered[starts]))
-            if spread > width:
-                raise InvariantViolation(
-                    f"generator {g_idx} has a chain of joint values {spread:.3e} wide, more than "
-                    f"tol x scale = {width:.3e}; ambiguous classes"
-                )
+            check(f"generator {g_idx}: chain of joint values wider than tol x scale", spread, width)
             if split.any():
                 split_gaps[g_idx] = min(split_gaps[g_idx], float(np.min(gaps[split])))
             ids[part_idx * n + g_idx, order] = np.cumsum(np.r_[0, split])

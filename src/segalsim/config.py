@@ -1,7 +1,9 @@
-"""Global numerical tolerances and error types.
+"""Global numerical tolerances, error types and the one invariant check.
 
 Every validation threshold used across the package lives here so that the
 contracts are auditable in one place.  Values are absolute unless noted.
+Every numeric-tolerance invariant is one call of :func:`check`, which
+fails closed: a NaN never passes.
 """
 
 # Hermiticity: max |M - M^dag| entrywise for matrices required to be Hermitian.
@@ -82,3 +84,11 @@ class InvariantViolation(ValueError):
     Subclasses ``ValueError`` so generic input validation handlers catch it,
     but remains distinguishable: the CLI maps it to a dedicated exit code.
     """
+
+
+def check(name: str, value: float, tol: float) -> None:
+    """Raise InvariantViolation unless ``value <= tol``; a NaN ``value``
+    or ``tol`` fails.  ``name`` says what failed and which quantity
+    ``value`` is."""
+    if not value <= tol:
+        raise InvariantViolation(f"{name}: {value:.3e} > {tol:.1e}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import InvariantViolation, TRACE_ATOL
+from .config import TRACE_ATOL, check
 from .linalg import require_hermitian, unitary_from_hamiltonian
 from .measurement import (
     MeasurementModel,
@@ -77,16 +77,12 @@ class StatisticalDoublet:
         object.__setattr__(self, "information", info)
         if info.size != len(self.characters):
             raise ValueError("information vector length must match character count")
-        if np.min(info) < -TRACE_ATOL or abs(info.sum() - 1.0) > TRACE_ATOL:
-            raise InvariantViolation(
-                f"information vector is not a probability distribution: {info!r}"
-            )
+        check("information vector has a negative entry, -min", -np.min(info), TRACE_ATOL)
+        check("information vector does not sum to 1", abs(info.sum() - 1.0), TRACE_ATOL)
         alg = self.characters[0].algebra
         recomputed = _information_of(alg.eigenbasis_diagonal(self.dynamical.matrix), self.characters)
-        if np.max(np.abs(recomputed - info)) > 1e-9:
-            raise InvariantViolation(
-                "information vector inconsistent with the dynamical component"
-            )
+        drift = np.max(np.abs(recomputed - info))
+        check("information vector inconsistent with the dynamical component", drift, 1e-9)
 
 
 def _information_of(diagonal: np.ndarray, characters: tuple[Character, ...]) -> np.ndarray:

@@ -47,11 +47,11 @@ def generator_bytes(d: int, count: int, diagonal: bool) -> int:
 
     Exactly diagonal generators are read as diagonals: ``count`` arrays.
     Any other list holds each generator and its adjoint letter, and at
-    most ``count + 4`` arrays more: the letter check's a @ b, b @ a and
-    their difference; or, when the letters commute, the joint eigenbasis
-    (the Hermitian combination, its eigh copy, workspace and
-    eigenvectors, then the eigenvectors, each rotated generator and two
-    temporaries).  The Gram-Schmidt closure checks its own buffer.
+    most ``count + 4`` arrays more, an over-estimate kept as a safe bound:
+    the letter check's product buffer and b @ a; or, for commuting
+    letters, the Hermitian combination and its two buffers, eigh's copy,
+    workspace and eigenvectors, then the eigenvectors, their adjoint and
+    one rotated generator.  The Gram-Schmidt closure checks its own buffer.
     """
     return 16 * d * d * (count if diagonal else 3 * count + 4)
 

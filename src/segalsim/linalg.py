@@ -17,9 +17,9 @@ import numpy as np
 from .config import (
     DEGENERACY_GAP,
     HERMITIAN_ATOL,
-    InvariantViolation,
     ORTHONORMALITY_ATOL,
     RECONSTRUCTION_ATOL,
+    check,
 )
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "basis_vector",
     "degenerate_clusters",
     "hermitian_eig",
-    "identity",
-    "projector",
     "require_hermitian",
     "tensor",
     "unitary_from_hamiltonian",
@@ -87,22 +85,12 @@ class SpaceLayout:
         return out
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
 def basis_vector(dim: int, index: int) -> np.ndarray:
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
-
-
-def projector(v: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |v><v| of a (not necessarily normalized) vector."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return np.outer(v, v.conj())
 
 
 def tensor(*operators: np.ndarray) -> np.ndarray:
@@ -135,13 +123,11 @@ def hermitian_eig(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarr
     m = require_hermitian(m, atol=atol)
     values, vectors = np.linalg.eigh(m)
     recon = (vectors * values) @ vectors.conj().T
-    err = float(np.max(np.abs(recon - m)))
-    if err > RECONSTRUCTION_ATOL:
-        raise InvariantViolation(f"eigendecomposition reconstruction error {err:.3e}")
+    err = np.max(np.abs(recon - m))
+    check("eigendecomposition reconstruction error, max |V w V^dag - M|", err, RECONSTRUCTION_ATOL)
     gram = vectors.conj().T @ vectors
-    ortho = float(np.max(np.abs(gram - np.eye(m.shape[0]))))
-    if ortho > ORTHONORMALITY_ATOL:
-        raise InvariantViolation(f"eigenvectors not orthonormal: deviation {ortho:.3e}")
+    ortho = np.max(np.abs(gram - np.eye(m.shape[0])))
+    check("eigenvectors not orthonormal, max |V^dag V - I|", ortho, ORTHONORMALITY_ATOL)
     return values, vectors
 
 
@@ -171,7 +157,6 @@ def unitary_from_hamiltonian(h: np.ndarray, t: float) -> np.ndarray:
     values, vectors = hermitian_eig(h)
     phases = np.exp(-1j * values * float(t))
     u = (vectors * phases) @ vectors.conj().T
-    err = float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
-    if err > RECONSTRUCTION_ATOL:
-        raise InvariantViolation(f"propagator lost unitarity: |U U^dag - I| = {err:.3e}")
+    err = np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0])))
+    check("propagator lost unitarity, max |U U^dag - I|", err, RECONSTRUCTION_ATOL)
     return u

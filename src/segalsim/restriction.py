@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    InvariantViolation,
-    PROBABILITY_FLOOR,
-    STATE_EQUALITY_ATOL,
-    TRACE_ATOL,
-)
+from .config import PROBABILITY_FLOOR, STATE_EQUALITY_ATOL, TRACE_ATOL, check
 from .algebra import OperatorAlgebra, joint_spectral_resolution
 from .states import DensityMatrix, StateVector
 
@@ -62,14 +57,11 @@ class AlgebraicState:
                 f"{self.algebra.dimension}"
             )
         # <I> and every <B_j^dag B_j> from the algebra's one coefficient table.
-        norm, *positives = (self.algebra.positivity_table @ values).tolist()
-        if abs(norm - 1.0) > TRACE_ATOL:
-            raise InvariantViolation(f"state is not normalized: <I> = {norm!r}")
-        for j, positive in enumerate(positives):
-            if positive.real < -1e-9 or abs(positive.imag) > 1e-9:
-                raise InvariantViolation(
-                    f"positivity violated on basis element {j}: <M^dag M> = {positive!r}"
-                )
+        table = self.algebra.positivity_table @ values
+        check("state is not normalized, |<I> - 1|", abs(table[0] - 1.0), TRACE_ATOL)
+        positives = table[1:]
+        worst = np.max(np.maximum(-positives.real, np.abs(positives.imag)))
+        check("positivity violated, max -Re or |Im| of <B_j^dag B_j>", worst, 1e-9)
 
     def evaluate(self, op: np.ndarray) -> complex:
         """Expectation of ``op``; components orthogonal to the span give 0."""
@@ -78,8 +70,7 @@ class AlgebraicState:
 
     def expectation(self, op: np.ndarray) -> float:
         value = self.evaluate(op)
-        if abs(value.imag) > TRACE_ATOL:
-            raise InvariantViolation(f"expectation has imaginary part {value.imag:.3e}")
+        check("expectation has imaginary part, |Im|", abs(value.imag), TRACE_ATOL)
         return float(value.real)
 
 
@@ -114,12 +105,10 @@ class EnsembleOverCharacters:
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("ensemble needs at least one row")
-        for _, p in rows:
-            if p < -TRACE_ATOL or p > 1.0 + TRACE_ATOL:
-                raise InvariantViolation(f"character probability {p!r} outside [0, 1]")
-        total = sum(p for _, p in rows)
-        if abs(total - 1.0) > TRACE_ATOL:
-            raise InvariantViolation(f"character probabilities sum to {total!r}, not 1")
+        probs = np.array([p for _, p in rows])
+        outside = np.max(np.maximum(-probs, probs - 1.0))  # the worst row's distance from [0, 1]
+        check("character probability outside [0, 1], by", outside, TRACE_ATOL)
+        check("character probabilities do not sum to 1", abs(probs.sum() - 1.0), TRACE_ATOL)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -175,16 +164,12 @@ def decompose_restricted(phi: AlgebraicState, alg: OperatorAlgebra) -> EnsembleO
     chars = extremal_states(alg)
     matrix = np.array([c.values for c in chars]).T
     weights, *_ = np.linalg.lstsq(matrix, phi.values, rcond=None)
-    residual = float(np.linalg.norm(matrix @ weights - phi.values))
-    if residual > 1e-9:
-        raise InvariantViolation(f"character decomposition residual {residual:.3e}")
-    if np.max(np.abs(weights.imag)) > 1e-9:
-        raise InvariantViolation("character decomposition has imaginary weights")
+    residual = np.linalg.norm(matrix @ weights - phi.values)
+    check("character decomposition residual", residual, 1e-9)
+    imaginary = np.max(np.abs(weights.imag))
+    check("character decomposition has imaginary weights, max |Im|", imaginary, 1e-9)
     probs = weights.real
-    if np.min(probs) < -1e-9:
-        raise InvariantViolation(
-            f"positivity violation: character weight {np.min(probs):.3e} below 0"
-        )
+    check("positivity violation: character weight below 0, -min", -np.min(probs), 1e-9)
     probs = np.clip(probs, 0.0, None)
     return EnsembleOverCharacters(tuple(zip(chars, probs)))
 
@@ -257,10 +242,8 @@ def character_probabilities(xi_ms: StateVector, alg: OperatorAlgebra) -> np.ndar
 def draw_cumulative(probs: np.ndarray) -> np.ndarray:
     """Cumulative distribution for inverse-CDF draws over ``probs``."""
     total = float(probs.sum())
-    if total < PROBABILITY_FLOOR:
-        raise InvariantViolation(
-            "all character probabilities vanish; state and algebra are inconsistent"
-        )
+    negated = -total if np.isfinite(total) else np.nan  # an infinite total fails too
+    check("character probabilities vanish: state and algebra disagree", negated, -PROBABILITY_FLOOR)
     cumulative = np.cumsum(probs / total)
     cumulative[-1] = 1.0
     return cumulative

@@ -217,6 +217,8 @@ def load_document(text: str) -> dict:
             raw = decoder.decode(text)
     except json.JSONDecodeError as exc:
         _fail(f"malformed config document: {exc}")
+    except RecursionError as exc:  # raised by the decoder's scanner on deep nesting
+        _fail(f"config document nests too deeply: {exc}")
     if not isinstance(raw, dict):
         _fail("config document must be a JSON object")
     return raw

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import HERMITIAN_ATOL, InvariantViolation, PSD_ATOL, TRACE_ATOL
+from .config import HERMITIAN_ATOL, PSD_ATOL, TRACE_ATOL, check
 from .linalg import SpaceLayout, require_hermitian
 
 __all__ = [
@@ -53,8 +53,7 @@ class StateVector:
                 f"amplitude count {amp.size} does not match layout dim {self.layout.dim}"
             )
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > TRACE_ATOL:
-            raise InvariantViolation(f"state vector not normalized: |psi| = {norm!r}")
+        check("state vector not normalized, ||psi| - 1|", abs(norm - 1.0), TRACE_ATOL)
 
     @property
     def dim(self) -> int:
@@ -86,14 +85,10 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dim {d}")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > HERMITIAN_ATOL:
-            raise InvariantViolation(f"density matrix not Hermitian: deviation {herm_dev:.3e}")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise InvariantViolation(f"density matrix trace {tr!r} differs from 1")
+        check("density matrix not Hermitian, max |M - M^dag|", herm_dev, HERMITIAN_ATOL)
+        check("density matrix trace differs from 1, |tr - 1|", abs(np.trace(mat) - 1.0), TRACE_ATOL)
         lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < -PSD_ATOL:
-            raise InvariantViolation(f"density matrix has negative eigenvalue {lowest:.3e}")
+        check("density matrix has negative eigenvalue, -lowest", -lowest, PSD_ATOL)
         object.__setattr__(self, "matrix", _frozen_array(mat))
 
     @property
@@ -113,14 +108,13 @@ class Gemenge:
         if not rows:
             raise ValueError("Gemenge needs at least one row")
         layout = rows[0][0].layout
-        for state, p in rows:
+        for state, _ in rows:
             if state.layout != layout:
                 raise ValueError("all Gemenge rows must share one layout")
-            if p < -TRACE_ATOL or p > 1.0 + TRACE_ATOL:
-                raise InvariantViolation(f"row probability {p!r} outside [0, 1]")
-        total = sum(p for _, p in rows)
-        if abs(total - 1.0) > TRACE_ATOL:
-            raise InvariantViolation(f"Gemenge probabilities sum to {total!r}, not 1")
+        probs = np.array([p for _, p in rows])
+        outside = np.max(np.maximum(-probs, probs - 1.0))  # the worst row's distance from [0, 1]
+        check("row probability outside [0, 1], by", outside, TRACE_ATOL)
+        check("Gemenge probabilities do not sum to 1", abs(probs.sum() - 1.0), TRACE_ATOL)
         cumulative = np.cumsum([max(p, 0.0) for _, p in rows])
         cumulative[-1] = 1.0
         object.__setattr__(self, "_cumulative", _frozen_array(cumulative, dtype=float))
@@ -176,8 +170,7 @@ def expectation(rho: DensityMatrix, a: np.ndarray) -> float:
     if a.shape[0] != rho.dim:
         raise ValueError(f"observable dim {a.shape[0]} does not match state dim {rho.dim}")
     value = complex(np.einsum("ij,ji->", rho.matrix, a))
-    if abs(value.imag) > TRACE_ATOL:
-        raise InvariantViolation(f"expectation has imaginary part {value.imag:.3e}")
+    check("expectation has imaginary part, |Im|", abs(value.imag), TRACE_ATOL)
     return float(value.real)
 
 

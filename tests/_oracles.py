@@ -57,6 +57,16 @@ from segalsim.scenarios import ConfigError, _decode_entry
 from segalsim.states import DensityMatrix, Gemenge, StateVector, density_from_vector
 
 
+def identity(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex)
+
+
+def projector(v: np.ndarray) -> np.ndarray:
+    """Rank-1 projector |v><v| of a (not necessarily normalized) vector."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    return np.outer(v, v.conj())
+
+
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product by explicit index arithmetic."""
     a = np.asarray(a, dtype=complex)
@@ -588,6 +598,8 @@ def load_document_reference(text: str) -> dict:
         raw = json.loads(text, object_hook=_decode_entry)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config document: {exc}") from None
+    except RecursionError as exc:
+        raise ConfigError(f"config document nests too deeply: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     return raw

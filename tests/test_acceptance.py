@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from segalsim.algebra import generate_algebra
-from segalsim.linalg import SpaceLayout, identity, tensor
+from segalsim.linalg import SpaceLayout, tensor
 from segalsim.decoherence import pointer_state_stability
 from segalsim.doublet import evolve_unitary, initial_doublet
 from segalsim.measurement import (
@@ -41,6 +41,7 @@ from _oracles import (
     closure_dimension_oracle,
     couple_environment,
     extract_pointer_basis,
+    identity,
     premeasurement_unitary,
     reduce_density,
     vector_fidelity,

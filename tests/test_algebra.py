@@ -11,7 +11,7 @@ from segalsim.algebra import (
     joint_spectral_resolution,
 )
 from segalsim.config import ALGEBRA_TOL, InvariantViolation
-from segalsim.linalg import SpaceLayout, identity, tensor
+from segalsim.linalg import SpaceLayout, tensor
 from segalsim.measurement import interference_observable, make_model, ms_layout, pointer_operator
 from segalsim.restriction import extremal_states
 
@@ -20,6 +20,7 @@ from _oracles import (
     closure_dimension_oracle,
     contains,
     element_values,
+    identity,
     joint_resolution_oracle,
     membership_residual,
 )
@@ -98,6 +99,28 @@ class TestGenerateAlgebra:
         row = 16 * layout.dim**2
         assert alg.dimension == 24
         assert peak < (24 + 8) * row
+
+    def test_commuting_path_holds_few_arrays(self):
+        # Two commuting, non-diagonal Hermitian generators at d = 64: the
+        # letter check, the joint eigenbasis and the rotation each hold a
+        # few d x d arrays, and none is kept past its step.  Holding an
+        # adjoint letter and every rotated generator at once would peak at
+        # about 6 arrays beyond the generators.
+        d = 64
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        spectra = [np.repeat(np.arange(4.0), 16), np.tile(np.arange(2.0), 32)]
+        gens = [(u * values) @ u.conj().T for values in spectra]
+        gens = [(g + g.conj().T) / 2 for g in gens]
+        layout = SpaceLayout((("O", d),))
+        tracemalloc.start()
+        try:
+            alg = generate_algebra(gens, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alg.commutative and alg.ranks.tolist() == [8] * 8
+        assert peak < 5 * 16 * d**2
 
     def test_matches_oracle_on_random_generators(self):
         rng = np.random.default_rng(3)

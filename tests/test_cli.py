@@ -157,6 +157,19 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "normalization" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["model", "generators"])
+def test_deep_nesting_is_one_config_error(tmp_path, capsys, key):
+    # 100,000 nested arrays (a 200 KB document) exhaust the JSON scanner's
+    # recursion on both decoding routes: whole-document and row reader.
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"scenario": "pure", "' + key + '": ' + "[" * depth + "]" * depth + "}")
+    assert main(["run", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config document nests too deeply: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--events", "abc"], ["--format", "xml"], ["--bogus"], None],

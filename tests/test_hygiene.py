@@ -7,7 +7,8 @@ another module; every module-level ``_PRIVATE_CONSTANT`` is read
 somewhere beyond its own assignment; every name in a module's
 ``__all__`` is read by the package, its tests or its benchmark, and every
 name in the package root's ``__all__`` is taken from the root by one of
-them; and no module reads ``numpy.random``.
+them; no module reads ``numpy.random``; and ``InvariantViolation`` is
+raised only by ``config.check`` and four structural sites.
 """
 
 import re
@@ -269,3 +270,39 @@ def test_classes_are_read_in_algebra_only():
     assert sites and {name for name, _ in sites} == {"algebra.py"}, (
         f"np.bincount over class labels outside algebra.py: {sites}"
     )
+
+
+def _invariant_raises(tree):
+    """Outermost enclosing function of each ``raise InvariantViolation``."""
+    functions = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, function or child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "InvariantViolation":
+                    functions.append(function)
+            visit(child, function)
+
+    visit(tree, None)
+    return functions
+
+
+def test_numeric_invariants_go_through_check():
+    # Every numeric-tolerance invariant is one config.check call, which
+    # fails closed on NaN.  The other raises are structural: the algebra's
+    # round-off floor on tol, the closure's d^2 bound, a character matching
+    # one pointer value, and a report that is not strict JSON.
+    sites = sorted(
+        (path.name, function) for path in MODULES for function in _invariant_raises(_tree(path))
+    )
+    assert sites == [
+        ("algebra.py", "generate_algebra"),
+        ("closure.py", "_gram_schmidt_closure"),
+        ("config.py", "check"),
+        ("measurement.py", "_pointer_order"),
+        ("serialize.py", "emit_report"),
+    ], f"raise InvariantViolation outside config.check and the structural sites: {sites}"

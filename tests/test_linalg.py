@@ -6,8 +6,6 @@ from segalsim.linalg import (
     basis_vector,
     degenerate_clusters,
     hermitian_eig,
-    identity,
-    projector,
     tensor,
     unitary_from_hamiltonian,
 )
@@ -15,11 +13,13 @@ from segalsim.linalg import (
 from _oracles import (
     expm_series,
     hs_inner,
+    identity,
     kron_oracle,
     layout_axis,
     layout_subset,
     partial_trace,
     partial_trace_oracle,
+    projector,
 )
 
 MS = SpaceLayout((("S", 2), ("O", 3)))

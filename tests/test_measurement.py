@@ -7,7 +7,7 @@ import pytest
 
 from segalsim.algebra import generate_algebra, joint_spectral_resolution
 from segalsim.config import InvariantViolation
-from segalsim.linalg import SpaceLayout, identity, tensor, unitary_from_hamiltonian
+from segalsim.linalg import SpaceLayout, tensor, unitary_from_hamiltonian
 from segalsim.measurement import (
     EnvironmentSpec,
     MeasurementModel,
@@ -72,6 +72,7 @@ from _oracles import (
     event_rng,
     extract_pointer_basis,
     gemenge_mix,
+    identity,
     joint_resolution_oracle,
     kron_oracle,
     layout_subset,
@@ -405,6 +406,19 @@ class TestRunEvent:
                 run_ensemble(MODEL, source, 10, 1)
         with pytest.raises(ValueError, match="input state must live on the bare system layout"):
             premeasure(MODEL, on_ms)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_input_fails_closed(self, bad):
+        # A state whose amplitudes skipped StateVector's check.  Let through,
+        # a NaN would draw pointer 2 for every event and restrict to [0, 0, 0].
+        state = system_state(MODEL, [1.0, 0.0])
+        object.__setattr__(state, "amplitudes", np.array([bad, 0.0], dtype=complex))
+        with pytest.raises(InvariantViolation):
+            run_ensemble(MODEL, state, 10, 1)
+        with pytest.raises(InvariantViolation):
+            restricted_pointer_probabilities(MODEL, state)
+        with pytest.raises(InvariantViolation):
+            system_state(MODEL, [bad, 1.0])
 
     def test_environment_pipeline_keeps_purity(self):
         model = env_model(e_overlap=0.5)

@@ -3,17 +3,18 @@ import pytest
 
 from segalsim.algebra import generate_algebra
 from segalsim.config import InvariantViolation
-from segalsim.linalg import SpaceLayout, identity, tensor
+from segalsim.linalg import SpaceLayout, tensor
 from segalsim.restriction import (
     AlgebraicState,
     breuer_indistinguishable,
     decompose_restricted,
+    draw_cumulative,
     extremal_states,
     restrict_state,
 )
 from segalsim.states import DensityMatrix, Gemenge, StateVector, basis_state, density_from_vector
 
-from _oracles import character_variance, gemenge_mix, sample_individual_restriction
+from _oracles import character_variance, gemenge_mix, identity, sample_individual_restriction
 
 O = SpaceLayout((("O", 3),))
 MS = SpaceLayout((("S", 2), ("O", 3)))
@@ -321,6 +322,12 @@ class TestSampleIndividualRestriction:
         xi = basis_state(MS, (0, 1))
         with pytest.raises(ValueError, match="does not match"):
             sample_individual_restriction(xi, alg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_draw_cumulative_fails_closed(bad):
+    with pytest.raises(InvariantViolation, match="vanish"):
+        draw_cumulative(np.array([bad, 1.0]))
 
 
 class TestAlgebraicStateValidation:

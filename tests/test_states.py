@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from segalsim.config import InvariantViolation
-from segalsim.linalg import SpaceLayout, identity, tensor
+from segalsim.linalg import SpaceLayout, tensor
 from segalsim.states import (
     DensityMatrix,
     Gemenge,
@@ -14,7 +14,14 @@ from segalsim.states import (
     table_inverse_cdf,
 )
 
-from _oracles import gemenge_mix, inverse_cdf, reduce_density, sample_gemenge, vector_fidelity
+from _oracles import (
+    gemenge_mix,
+    identity,
+    inverse_cdf,
+    reduce_density,
+    sample_gemenge,
+    vector_fidelity,
+)
 
 S = SpaceLayout((("S", 2),))
 O = SpaceLayout((("O", 3),))
@@ -124,6 +131,23 @@ class TestGemenge:
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError, match="share one layout"):
             Gemenge(((basis_state(S, (0,)), 0.5), (basis_state(O, (0,)), 0.5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+class TestNonFiniteFailsClosed:
+    # Every check passes only at value <= tol, which a NaN fails; an
+    # infinity exceeds the tolerance or turns into a NaN on the way.
+    def test_state_vector(self, bad):
+        with pytest.raises(InvariantViolation, match="not normalized"):
+            StateVector(S, [bad, 1.0])
+
+    def test_gemenge_probability(self, bad):
+        with pytest.raises(InvariantViolation, match="outside"):
+            Gemenge(((basis_state(S, (0,)), bad), (basis_state(S, (1,)), 1.0)))
+
+    def test_density_matrix(self, bad):
+        with pytest.raises(InvariantViolation, match="Hermitian"):
+            DensityMatrix(S, np.array([[0.5, bad], [bad, 0.5]]))
 
 
 class TestSampleGemenge:
