@@ -65,10 +65,12 @@ def _first_block(seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
 
     Row j equals the first ``n_draws`` ``random()`` values of the stream
     keyed by (seed, indices[j]); the Philox rounds run in place on four
-    state words, the event key and three scratch buffers.
+    state words, the event key and three scratch buffers.  Takes ownership
+    of ``indices``, a uint64 array: it becomes the event key and is
+    overwritten, so the key costs no copy.
     """
     n = indices.size
-    k1 = np.array(indices, dtype=np.uint64)
+    k1 = indices
     x0 = np.ones(n, dtype=np.uint64)  # counter pre-increment
     x1, x2, x3, lo, t, u = (np.zeros(n, dtype=np.uint64) for _ in range(6))
     for r in range(_ROUNDS):

@@ -17,8 +17,10 @@ generators, and its characters are the points of their joint spectrum.
 The columns of V are joint eigenvectors and ``labels[i]`` is the class
 of column i; basis element k is P_k / sqrt(rank_k) for the projector
 P_k onto the columns of class k, made dense only when read.  Beside the
-labels the algebra keeps only the ranks and 1/sqrt(rank), O(d) in all;
-every read of the classes is one class sum, a bincount over ``labels``.
+labels the algebra keeps only the ranks, sqrt(rank) and 1/sqrt(rank),
+O(d) in all; every read of the classes is one class sum, a bincount over
+``labels``.  Character k is the class index k alone: it takes the value
+1/sqrt(rank_k) on basis element k and 0 on every other.
 
 - V.  When every generator is exactly diagonal, V is the identity,
   stored as ``None`` and never materialized, and the generators are
@@ -130,7 +132,8 @@ class OperatorAlgebra:
         else:
             self._basis = None
             self.ranks = np.bincount(labels)
-            self._inv_sqrt_ranks = 1.0 / np.sqrt(self.ranks)
+            self._sqrt_ranks = np.sqrt(self.ranks)
+            self._inv_sqrt_ranks = 1.0 / self._sqrt_ranks
             # (class, generator): each generator's mean joint value over the class.
             sums = np.array([self.class_sums(row) for row in joint_values])
             self._class_values = sums.T / self.ranks[:, None]
@@ -178,15 +181,15 @@ class OperatorAlgebra:
 
     @cached_property
     def positivity_table(self) -> np.ndarray:
-        """Coefficients of I and of every B_j^dag B_j, one row each.
+        """Coefficients of I and of every B_j^dag B_j, one row each; read
+        for a non-commutative algebra only.
 
         A state with basis values v has <I> = table[0] @ v and
         <B_j^dag B_j> = table[j + 1] @ v, so the table is built once per
-        algebra and each state's checks are one small product.
+        algebra and each state's checks are one small product.  A
+        commutative algebra needs no table: there <I> = sum_j sqrt(rank_j)
+        v_j and <B_j^dag B_j> = v_j / sqrt(rank_j).
         """
-        if self.labels is not None:
-            # <B_j, I> = sqrt(rank_j), and B_j^dag B_j = B_j / sqrt(rank_j).
-            return np.vstack([np.sqrt(self.ranks), np.diag(self._inv_sqrt_ranks)])
         rows = [self.project_coefficients(np.eye(self.layout.dim))]
         rows += [self.project_coefficients(m.conj().T @ m) for m in self.basis]
         return np.array(rows)
@@ -413,9 +416,10 @@ class SpectralResolution:
     """Minimal joint eigenprojectors of a commutative algebra.
 
     ``generator_values[k, g]`` is the (real) eigenvalue of generator ``g``
-    on projector ``k``; ``basis_values[k, j]`` the scalar the j-th basis
-    element takes there.  Projectors are ordered by their generator value
-    vectors (lexicographic ascending), which is deterministic.
+    on projector ``k``.  The j-th basis element takes the scalar
+    delta_jk / sqrt(ranks[k]) there, so no table of those is kept.
+    Projectors are ordered by their generator value vectors
+    (lexicographic ascending), which is deterministic.
 
     Projector k sits on the joint eigenvectors (columns of
     ``eigenvectors``, ``None`` for the identity) whose ``labels`` entry is
@@ -423,7 +427,6 @@ class SpectralResolution:
     """
 
     generator_values: np.ndarray
-    basis_values: np.ndarray
     ranks: tuple[int, ...]
     labels: np.ndarray
     eigenvectors: np.ndarray | None = field(default=None, repr=False)
@@ -454,10 +457,8 @@ def joint_spectral_resolution(alg: OperatorAlgebra) -> SpectralResolution:
             "the spectral value table covers Hermitian generators"
         )
     if alg._resolution is None:
-        # Character k takes tr(P_k B_j) / rank_k = delta_jk / sqrt(rank_k).
         alg._resolution = SpectralResolution(
             generator_values=values.real,
-            basis_values=np.diag(alg._inv_sqrt_ranks),
             ranks=tuple(alg.ranks.tolist()),
             labels=alg.labels,
             eigenvectors=alg.eigenvectors,

@@ -56,6 +56,14 @@ def _gram_schmidt_closure(
     two Hermitian letters (a first request of 6 rows) and dimension
     o_dim + 4, so it grows from at most o_dim + 3 rows to twice that,
     under the estimate's 2 + 3 (o_dim + 4).
+
+    The resizes skip numpy's reference count check, which a tracer's
+    extra reference to the frame's locals (``sys.settrace``, a profiler,
+    a debugger) fails.  No view of the buffer is alive at either resize:
+    the views the loop makes (``rows[:k]`` for a residual, ``rows[done]``
+    for a product) are temporaries released before the next ``adjoin``,
+    ``_orthonormal_append`` returns a new array, and the basis stack is
+    a view made after the last resize.
     """
     d = layout.dim
     max_dim = d * d
@@ -87,7 +95,7 @@ def _gram_schmidt_closure(
         if k == len(rows):
             # Grown in place (a realloc, which zero-fills the new rows), so
             # the old rows are never copied into a second buffer.
-            rows.resize(buffer(k, min(2 * k, max_dim)))
+            rows.resize(buffer(k, min(2 * k, max_dim)), refcheck=False)
         rows[k] = r
         k += 1
 
@@ -101,5 +109,5 @@ def _gram_schmidt_closure(
 
     # Return the growth buffer's spare rows in place (a realloc, not a
     # copy, which would raise the peak): the basis holds exactly k rows.
-    rows.resize((k, d * d))
+    rows.resize((k, d * d), refcheck=False)
     return OperatorAlgebra(layout, gens, tol, stack=rows.reshape(k, d, d))

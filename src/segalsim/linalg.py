@@ -106,7 +106,7 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > atol:
+    if not dev <= atol:  # a NaN deviation fails too
         raise ValueError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e} > {atol:.1e}")
     return m
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import InvariantViolation, MAX_DENSE_BYTES, PROBABILITY_FLOOR
 from ._philox import uniform_blocks
-from .algebra import OperatorAlgebra, diagonal_algebra
+from .algebra import OperatorAlgebra, diagonal_algebra, joint_spectral_resolution
 from .linalg import SpaceLayout, basis_vector
 from .restriction import (
     AlgebraicState,
@@ -279,19 +279,34 @@ def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> Operato
 
 def _pointer_order(model, algebra):
     """The algebra's characters in pointer (qo_values) order, and the map
-    from extremal order to pointer order."""
+    from extremal order to pointer order.
+
+    Character k matches every pointer value q with |q - value_k| < 1e-7.
+    Those q are consecutive in sorted order, and any match includes a
+    neighbour of value_k's insertion point, so the two entries on either
+    side of that point show whether exactly one matches.  The match must
+    be one to one: pointer values that merged into one class leave a
+    pointer value with no character.
+    """
     chars_ext = extremal_states(algebra)
-    ext_to_ptr = np.empty(len(chars_ext), np.min_scalar_type(model.o_dim - 1))
+    values = joint_spectral_resolution(algebra).generator_values[:, 0]
+    qo = np.array(model.qo_values)
+    order = np.argsort(qo)
+    near = np.searchsorted(qo[order], values)[:, None] + np.arange(-2, 2)
+    inside = (near >= 0) & (near < qo.size)
+    near = order[np.clip(near, 0, qo.size - 1)]
+    matches = inside & (np.abs(qo[near] - values[:, None]) < 1e-7)
+    bad_values = values[matches.sum(axis=1) != 1]
+    bad_pointers = qo[np.bincount(near[matches], minlength=qo.size) != 1]
+    if bad_values.size or bad_pointers.size:
+        raise InvariantViolation(
+            f"character value {float(bad_values[0])!r} does not match one pointer value"
+            if bad_values.size
+            else f"pointer value {float(bad_pointers[0])!r} does not match one character"
+        )
+    ext_to_ptr = near[matches].astype(np.min_scalar_type(model.o_dim - 1))
     ptr_to_ext = np.full(model.o_dim, -1, dtype=int)
-    for k, char in enumerate(chars_ext):
-        value = char.pointer_value()
-        matches = [j for j, q in enumerate(model.qo_values) if abs(q - value) < 1e-7]
-        if len(matches) != 1:
-            raise InvariantViolation(
-                f"character value {value!r} does not match one pointer value"
-            )
-        ext_to_ptr[k] = matches[0]
-        ptr_to_ext[matches[0]] = k
+    ptr_to_ext[ext_to_ptr] = np.arange(len(chars_ext))
     return tuple(chars_ext[k] for k in ptr_to_ext), ext_to_ptr
 
 

@@ -9,6 +9,11 @@ a sharp eigenvalue to every element; an individual event restricts to one
 of those characters at random, which is the stochastic map that turns a
 deterministic global evolution into sampled pointer outcomes (drawn by
 :func:`segalsim.measurement.run_ensemble`).
+
+A character of a commutative algebra is its class index k: it takes the
+value 1/sqrt(rank_k) on basis element k and 0 on every other, so a
+state's checks, and its decomposition into characters, are O(k) in the
+number of classes.
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ class AlgebraicState:
 
     ``values[j]`` is the expectation the state assigns to the j-th
     orthonormal basis element of the algebra; anything outside the span
-    evaluates to zero by construction.
+    evaluates to zero by construction.  The checks read <I> and every
+    <B_j^dag B_j>: on a commutative algebra from the ranks, in O(k), and
+    otherwise from the algebra's one coefficient table.
     """
 
     algebra: OperatorAlgebra
@@ -56,12 +63,13 @@ class AlgebraicState:
                 f"value count {values.size} does not match algebra dimension "
                 f"{self.algebra.dimension}"
             )
-        # <I> and every <B_j^dag B_j> from the algebra's one coefficient table.
-        table = self.algebra.positivity_table @ values
-        check("state is not normalized, |<I> - 1|", abs(table[0] - 1.0), TRACE_ATOL)
-        positives = table[1:]
-        worst = np.max(np.maximum(-positives.real, np.abs(positives.imag)))
-        check("positivity violated, max -Re or |Im| of <B_j^dag B_j>", worst, 1e-9)
+        alg = self.algebra
+        if alg.commutative:
+            # <B_j, I> = sqrt(rank_j), and B_j^dag B_j = B_j / sqrt(rank_j).
+            _check_state(alg._sqrt_ranks @ values, values * alg._inv_sqrt_ranks)
+        else:
+            table = alg.positivity_table @ values
+            _check_state(table[0], table[1:])
 
     def evaluate(self, op: np.ndarray) -> complex:
         """Expectation of ``op``; components orthogonal to the span give 0."""
@@ -74,16 +82,44 @@ class AlgebraicState:
         return float(value.real)
 
 
-@dataclass(frozen=True, eq=False)
+def _check_state(identity: complex, positives: np.ndarray) -> None:
+    """The state checks on <I> and on the values <B_j^dag B_j>."""
+    check("state is not normalized, |<I> - 1|", abs(identity - 1.0), TRACE_ATOL)
+    worst = np.max(np.maximum(-positives.real, np.abs(positives.imag)))
+    check("positivity violated, max -Re or |Im| of <B_j^dag B_j>", worst, 1e-9)
+
+
 class Character(AlgebraicState):
     """Extremal restricted state of a commutative algebra.
 
     Multiplicative on the algebra (sharp value for every element): the
-    classical point state sitting at one joint eigenvalue tuple.
+    classical point state sitting at one joint eigenvalue tuple.  It is
+    the pair (algebra, class index); its one nonzero value,
+    1/sqrt(rank_k) on basis element k, is checked in O(1), and the
+    ``values`` row is made only when read.
     """
 
     projector_index: int
-    generator_values: np.ndarray
+
+    def __init__(self, algebra: OperatorAlgebra, projector_index: int) -> None:
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "projector_index", projector_index)
+        k = slice(projector_index, projector_index + 1)
+        value = algebra._inv_sqrt_ranks[k].astype(complex)
+        _check_state(algebra._sqrt_ranks[k] @ value, value * algebra._inv_sqrt_ranks[k])
+
+    @property
+    def values(self) -> np.ndarray:
+        """The state's value on each basis element, a new read-only row."""
+        row = np.zeros(self.algebra.dimension, dtype=complex)
+        row[self.projector_index] = self.algebra._inv_sqrt_ranks[self.projector_index]
+        row.setflags(write=False)
+        return row
+
+    @property
+    def generator_values(self) -> np.ndarray:
+        """Each generator's sharp value on this character."""
+        return joint_spectral_resolution(self.algebra).generator_values[self.projector_index]
 
     @property
     def projector(self) -> np.ndarray:
@@ -140,15 +176,7 @@ def extremal_states(alg: OperatorAlgebra) -> tuple[Character, ...]:
     if alg._characters is not None:
         return alg._characters
     res = joint_spectral_resolution(alg)
-    chars = tuple(
-        Character(
-            algebra=alg,
-            values=res.basis_values[k],
-            projector_index=k,
-            generator_values=res.generator_values[k],
-        )
-        for k in range(len(res.ranks))
-    )
+    chars = tuple(Character(alg, k) for k in range(len(res.ranks)))
     alg._characters = chars
     return chars
 
@@ -156,15 +184,17 @@ def extremal_states(alg: OperatorAlgebra) -> tuple[Character, ...]:
 def decompose_restricted(phi: AlgebraicState, alg: OperatorAlgebra) -> EnsembleOverCharacters:
     """Unique convex decomposition of a restricted state into characters.
 
-    For a state restricted from a density matrix the weights equal
-    trace(rho P_k) over the joint eigenprojectors.
+    Character k takes 1/sqrt(rank_k) on basis element k alone, so the
+    weights are w_k = v_k sqrt(rank_k), O(k).  For a state restricted
+    from a density matrix they equal trace(rho P_k) over the joint
+    eigenprojectors.
     """
     if phi.algebra is not alg:
         raise ValueError("state is not defined on the given algebra")
     chars = extremal_states(alg)
-    matrix = np.array([c.values for c in chars]).T
-    weights, *_ = np.linalg.lstsq(matrix, phi.values, rcond=None)
-    residual = np.linalg.norm(matrix @ weights - phi.values)
+    weights = phi.values * alg._sqrt_ranks
+    # The characters, weighted, give the state back.
+    residual = np.linalg.norm(weights * alg._inv_sqrt_ranks - phi.values)
     check("character decomposition residual", residual, 1e-9)
     imaginary = np.max(np.abs(weights.imag))
     check("character decomposition has imaginary weights, max |Im|", imaginary, 1e-9)

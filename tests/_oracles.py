@@ -7,9 +7,12 @@ package now takes on amplitude vectors: the premeasurement unitary, the
 coupled V rho V^dag, partial traces to density matrices, the ensemble
 average and the dense-rho entry points of the pointer-basis extraction
 and of the restricted pointer probabilities.  The package's fast paths
-are tested against them bit for bit.  The algebra readers (projection,
-membership, projector values) work on a package algebra's dense
-``basis`` and ``projectors`` only, never on its class labels.  The
+are tested against them bit for bit.  The dense commutative
+restriction keeps the character and positivity tables and the
+least-squares decomposition that the O(k) class-index reads replace.
+The algebra readers (projection, membership, projector values) work on a
+package algebra's dense ``basis`` and ``projectors`` only, never on its
+class labels.  The
 per-event numpy.random section keeps the event sampler that
 ``run_ensemble`` replaces with its Philox block pass: one
 ``numpy.random.Generator`` per event and a ``searchsorted`` inverse CDF
@@ -28,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from segalsim.algebra import OperatorAlgebra, SpectralResolution
-from segalsim.config import PROBABILITY_FLOOR
+from segalsim.algebra import OperatorAlgebra, SpectralResolution, joint_spectral_resolution
+from segalsim.config import PROBABILITY_FLOOR, TRACE_ATOL, InvariantViolation, check
 from segalsim.linalg import SpaceLayout
 from segalsim.decoherence import pointer_basis
 from segalsim.doublet import DoubletState
@@ -46,7 +49,9 @@ from segalsim.measurement import (
     pointer_characters,
 )
 from segalsim.restriction import (
+    AlgebraicState,
     Character,
+    EnsembleOverCharacters,
     character_probabilities,
     decompose_restricted,
     draw_cumulative,
@@ -446,6 +451,71 @@ def extract_pointer_basis(rho_mse: DensityMatrix, **options):
         for i in range(dims[s_ax])
     ]
     return pointer_basis(np.array(conditioned), **options)
+
+
+# ---------------------------------------------------------------------------
+# dense commutative restriction
+#
+# The tables a commutative algebra's states and characters were once
+# checked and decomposed through: the (k, k) character table, the
+# (k + 1, k) positivity table and the least-squares decomposition.  The
+# package reads the same quantities from the ranks in O(k).
+
+
+def character_table(alg: OperatorAlgebra) -> np.ndarray:
+    """Row k is character k's value on each basis element,
+    tr(P_k B_j) / rank_k = delta_jk / sqrt(rank_k)."""
+    return np.diag(1.0 / np.sqrt(joint_spectral_resolution(alg).ranks))
+
+
+def positivity_table(alg: OperatorAlgebra) -> np.ndarray:
+    """Coefficients of I (<B_j, I> = sqrt(rank_j)) and of every
+    B_j^dag B_j = B_j / sqrt(rank_j), one row each."""
+    return np.vstack([np.sqrt(joint_spectral_resolution(alg).ranks), character_table(alg)])
+
+
+def check_state_dense(alg: OperatorAlgebra, values: np.ndarray) -> None:
+    """The normalization and positivity checks of a state with basis
+    values ``values``, through the dense positivity table."""
+    table = positivity_table(alg) @ np.asarray(values, dtype=complex)
+    check("state is not normalized, |<I> - 1|", abs(table[0] - 1.0), TRACE_ATOL)
+    positives = table[1:]
+    worst = np.max(np.maximum(-positives.real, np.abs(positives.imag)))
+    check("positivity violated, max -Re or |Im| of <B_j^dag B_j>", worst, 1e-9)
+
+
+def lstsq_decomposition(phi: AlgebraicState) -> EnsembleOverCharacters:
+    """``decompose_restricted`` by least squares against the dense
+    character table, with its residual, imaginary-weight and
+    negative-weight checks."""
+    alg = phi.algebra
+    matrix = character_table(alg).T
+    weights, *_ = np.linalg.lstsq(matrix, phi.values, rcond=None)
+    check("character decomposition residual", np.linalg.norm(matrix @ weights - phi.values), 1e-9)
+    check("character decomposition has imaginary weights, max |Im|", np.max(np.abs(weights.imag)), 1e-9)
+    probs = weights.real
+    check("positivity violation: character weight below 0, -min", -np.min(probs), 1e-9)
+    return EnsembleOverCharacters(tuple(zip(extremal_states(alg), np.clip(probs, 0.0, None))))
+
+
+def pointer_order_loop(model: MeasurementModel, algebra: OperatorAlgebra):
+    """``measurement._pointer_order`` as a loop over every (character,
+    pointer value) pair: the characters in pointer order and the map from
+    extremal order to pointer order, one to one."""
+    chars_ext = extremal_states(algebra)
+    ext_to_ptr = np.empty(len(chars_ext), np.min_scalar_type(model.o_dim - 1))
+    ptr_to_ext = np.full(model.o_dim, -1, dtype=int)
+    for k, char in enumerate(chars_ext):
+        value = char.pointer_value()
+        matches = [j for j, q in enumerate(model.qo_values) if abs(q - value) < 1e-7]
+        if len(matches) != 1:
+            raise InvariantViolation(f"character value {value!r} does not match one pointer value")
+        ext_to_ptr[k] = matches[0]
+        ptr_to_ext[matches[0]] = k
+    for j, q in enumerate(model.qo_values):
+        if list(ext_to_ptr).count(j) != 1:
+            raise InvariantViolation(f"pointer value {q!r} does not match one character")
+    return tuple(chars_ext[k] for k in ptr_to_ext), ext_to_ptr
 
 
 def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:

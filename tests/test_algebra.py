@@ -17,12 +17,14 @@ from segalsim.restriction import extremal_states
 
 from _oracles import (
     all_pairs_closure,
+    character_table,
     closure_dimension_oracle,
     contains,
     element_values,
     identity,
     joint_resolution_oracle,
     membership_residual,
+    positivity_table,
 )
 
 O = SpaceLayout((("O", 3),))
@@ -280,8 +282,10 @@ class TestJointSpectralResolution:
         layout = SpaceLayout((("O", 3 * rank),))
         alg = generate_algebra([np.diag(np.repeat([0.0, 1.0, 2.0], rank))], layout)
         table = np.diag(np.full(3, 1 / np.sqrt(rank)))
-        assert np.array_equal(joint_spectral_resolution(alg).basis_values, table)
-        assert np.array_equal(alg.positivity_table, np.vstack([np.full(3, np.sqrt(rank)), table]))
+        assert np.array_equal(character_table(alg), table)
+        assert np.array_equal(positivity_table(alg), np.vstack([np.full(3, np.sqrt(rank)), table]))
+        # The package's characters read those rows off the ranks.
+        assert np.array_equal([c.values for c in extremal_states(alg)], table)
 
     def test_non_commutative_rejected(self):
         with pytest.raises(ValueError, match="commutative"):
@@ -566,7 +570,7 @@ class TestLetterClosureOracle:
 
 
 def dense_resolution_values(res, alg):
-    """basis_values, generator_values and ranks from trace(p @ m) / rank."""
+    """Character values, generator_values and ranks from trace(p @ m) / rank."""
     ranks = [int(round(np.trace(p).real)) for p in res.projectors]
     basis_vals = [[np.trace(p @ m) / r for m in alg.basis] for p, r in zip(res.projectors, ranks)]
     gen_vals = [[np.trace(p @ g) / r for g in alg.generators] for p, r in zip(res.projectors, ranks)]
@@ -585,7 +589,8 @@ class TestBlockResolutionOracle:
         res = joint_spectral_resolution(alg)
         basis_vals, gen_vals, ranks = dense_resolution_values(res, alg)
         assert res.ranks == ranks
-        assert np.allclose(res.basis_values, basis_vals, atol=1e-12)
+        assert np.allclose(character_table(alg), basis_vals, atol=1e-12)
+        assert np.allclose([c.values for c in extremal_states(alg)], basis_vals, atol=1e-12)
         assert np.allclose(res.generator_values, gen_vals.real, atol=1e-12)
         # Ground truth: one projector per distinct (a, b) pair, in value order.
         pairs = sorted(set(zip(values_a, values_b)))
@@ -615,7 +620,8 @@ class TestBlockResolutionOracle:
         res = joint_spectral_resolution(alg)
         basis_vals, gen_vals, ranks = dense_resolution_values(res, alg)
         assert res.ranks == ranks == (1, 4, 1)
-        assert np.allclose(res.basis_values, basis_vals, atol=1e-12)
+        assert np.allclose(character_table(alg), basis_vals, atol=1e-12)
+        assert np.allclose([c.values for c in extremal_states(alg)], basis_vals, atol=1e-12)
         assert np.allclose(res.generator_values, gen_vals.real, atol=1e-12)
         assert np.allclose(res.generator_values[:, 0], [-1.0, 0.0, 1.0], atol=1e-12)
 

@@ -6,6 +6,7 @@ from segalsim.linalg import (
     basis_vector,
     degenerate_clusters,
     hermitian_eig,
+    require_hermitian,
     tensor,
     unitary_from_hamiltonian,
 )
@@ -185,6 +186,13 @@ class TestHermitianEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_fails_closed(self, bad):
+        # M - M^dag is NaN on a non-finite diagonal, and a NaN deviation
+        # must not pass as Hermitian.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+            require_hermitian(np.array([[bad, 0], [0, 1]], dtype=complex))
 
 
 def test_degenerate_clusters_groups_close_values():

@@ -67,6 +67,7 @@ from segalsim.states import (
 import _oracles
 from _oracles import (
     all_pairs_closure,
+    character_table,
     couple_environment,
     environment_unitary_oracle,
     event_rng,
@@ -944,6 +945,52 @@ def test_d720_pointer_setup():
     assert ms_res.ranks == (8,) * 9
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_pointer_order_matches_pair_loop(seed):
+    # Characters are matched to pointer values by one sort and a window
+    # of neighbours; the loop over every pair is the reference.  Class
+    # values sit at, inside and just outside 1e-7 of a pointer value, and
+    # some pointer values sit within 1e-7 of each other.
+    from segalsim.algebra import diagonal_algebra
+    from segalsim.measurement import _pointer_order
+
+    rng = np.random.default_rng([61, seed])
+    offsets = np.array([0.0, 0.5e-7, -0.99e-7, 1e-7, -1.01e-7, 2e-7])
+    for _ in range(40):
+        model = make_model(s_dim=2, o_dim=int(rng.integers(3, 12)))
+        qo = np.array(model.qo_values)
+        if qo.size > 3 and rng.random() < 0.3:  # a spare pointer value next to another
+            spare = int(rng.integers(3, qo.size))
+            qo[spare] = qo[int(rng.integers(0, spare))] + rng.choice(offsets[1:])
+            model = make_model(s_dim=2, o_dim=qo.size, qo_values=qo)
+        shift = np.where(rng.random(qo.size) < 0.2, rng.choice(offsets, qo.size), 0.0)
+        values = (qo + shift)[rng.permutation(qo.size)]
+        algebra = diagonal_algebra(values[None], SpaceLayout((("O", qo.size),)))
+        try:
+            expected = _oracles.pointer_order_loop(model, algebra)
+        except InvariantViolation as exc:
+            with pytest.raises(InvariantViolation) as raised:
+                _pointer_order(model, algebra)
+            assert str(raised.value) == str(exc)
+            continue
+        chars, ext_to_ptr = _pointer_order(model, algebra)
+        assert chars == expected[0]
+        assert ext_to_ptr.dtype == expected[1].dtype
+        assert np.array_equal(ext_to_ptr, expected[1])
+
+
+def test_merged_pointer_values_are_refused():
+    # Three spare pointer values within the algebra's merge width make one
+    # class, whose mean matches one of them: the other two would read
+    # that character's probability again, and the pointer probabilities
+    # would sum past 1.
+    model = make_model(
+        s_dim=2, o_dim=5, q_values=(1000.0, -1.0), qo_values=(0.0, 1000.0, -1.0, 1000.0 + 4e-7, 1000.0 + 8e-7)
+    )
+    with pytest.raises(InvariantViolation, match="pointer value 1000.0 does not match one character"):
+        pointer_characters(model)
+
+
 DIAGONAL_MODELS = [
     MODEL,
     make_model(s_dim=2, o_dim=5),
@@ -1050,7 +1097,8 @@ class TestDiagonalPointerAlgebra:
         assert np.allclose(res.generator_values, values, atol=1e-12)
         oracle_basis = [p / np.sqrt(r) for p, r in zip(projectors, ranks)]
         table = [[np.trace(p @ b).real / r for b in oracle_basis] for p, r in zip(projectors, ranks)]
-        assert np.allclose(res.basis_values, table, atol=1e-12)
+        assert np.allclose(character_table(alg), table, atol=1e-12)
+        assert np.allclose([c.values for c in extremal_states(alg)], table, atol=1e-12)
         rng = np.random.default_rng(46)
         d = alg.layout.dim
         for _ in range(3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segalsim.algebra import generate_algebra
+from segalsim.algebra import diagonal_algebra, generate_algebra
 from segalsim.config import InvariantViolation
 from segalsim.linalg import SpaceLayout, tensor
 from segalsim.restriction import (
@@ -14,7 +14,16 @@ from segalsim.restriction import (
 )
 from segalsim.states import DensityMatrix, Gemenge, StateVector, basis_state, density_from_vector
 
-from _oracles import character_variance, gemenge_mix, identity, sample_individual_restriction
+from _oracles import (
+    character_table,
+    character_variance,
+    check_state_dense,
+    gemenge_mix,
+    identity,
+    lstsq_decomposition,
+    positivity_table,
+    sample_individual_restriction,
+)
 
 O = SpaceLayout((("O", 3),))
 MS = SpaceLayout((("S", 2), ("O", 3)))
@@ -203,7 +212,7 @@ class TestDecomposeRestricted:
         rho = random_density(rng, MS)
         phi = restrict_state(rho, alg)
         ens = decompose_restricted(phi, alg)
-        recon = np.sum([p * c.values for c, p in ens.rows], axis=0)
+        recon = character_table(alg).T @ ens.probabilities
         assert np.max(np.abs(recon - phi.values)) <= 1e-9
 
     def test_unique_up_to_character_permutation(self):
@@ -214,9 +223,8 @@ class TestDecomposeRestricted:
         rho = random_density(rng, MS)
         phi = restrict_state(rho, alg)
         probs = decompose_restricted(phi, alg).probabilities
-        chars = extremal_states(alg)
         perm = [2, 0, 1]
-        matrix = np.array([chars[k].values for k in perm]).T
+        matrix = character_table(alg)[perm].T
         permuted, *_ = np.linalg.lstsq(matrix, phi.values, rcond=None)
         assert np.max(np.abs(permuted.real - probs[perm])) <= 1e-9
 
@@ -364,9 +372,11 @@ class TestAlgebraicStateValidation:
     )
     def test_positivity_table_matches_per_state_evaluation(self, make):
         # The table row of B_j^dag B_j, applied to a state's values, is the
-        # state's expectation of B_j^dag B_j, evaluated afresh.
+        # state's expectation of B_j^dag B_j, evaluated afresh.  A
+        # commutative algebra keeps no table; the oracle's is the one its
+        # O(k) checks read from the ranks.
         alg = make()
-        table = alg.positivity_table
+        table = positivity_table(alg) if alg.commutative else alg.positivity_table
         assert table.shape == (alg.dimension + 1, alg.dimension)
         rng = np.random.default_rng(36)
         states = [restrict_state(random_density(rng, MS), alg) for _ in range(3)]
@@ -377,4 +387,106 @@ class TestAlgebraicStateValidation:
             for j, m in enumerate(alg.basis):
                 expected = phi.evaluate(m.conj().T @ m)
                 assert table[j + 1] @ phi.values == pytest.approx(expected, abs=1e-12)
-        assert alg.positivity_table is table  # built once per algebra
+        if not alg.commutative:
+            assert alg.positivity_table is table  # built once per algebra
+
+
+# ---------------------------------------------------------------------------
+# The O(k) class-index restriction against the dense tables it replaces.
+
+RANKS = [(1,), (1, 1, 1), (2, 5, 1), (3, 3, 3), (1, 4, 1, 7), (6, 1)]
+
+
+def ranked_algebra(ranks):
+    """The diagonal algebra whose classes, in order, have these ranks."""
+    diagonal = np.repeat(np.arange(len(ranks), dtype=float), ranks)
+    return diagonal_algebra(diagonal[None], SpaceLayout((("O", diagonal.size),)))
+
+
+def value_grid(ranks):
+    """Basis values v_j = w_j / sqrt(rank_j) of states and near-states:
+    random weights, a character, signed zeros, and weights, imaginary
+    parts and totals on either side of each check's tolerance."""
+    rng = np.random.default_rng([55, *ranks])
+    k = len(ranks)
+    r = np.array(ranks, dtype=float)
+    grid = [rng.dirichlet(np.ones(k)) for _ in range(8)]
+    grid += [np.eye(k)[0], np.full(k, 1.0 / k)]
+    for total in (1 + 2e-10, 1 + 5e-11, 1 - 2e-10):
+        grid.append(np.full(k, total / k))
+    if k > 1:
+        for below in (-1.5e-9, -0.5e-9, -0.5e-9 / r[-1]):  # w_j / r_j below 0
+            w = np.full(k, 1.0 / k)
+            w[-1] = below * r[-1]
+            w[0] += 1.0 / k - w[-1]
+            grid.append(w)
+    values = [w / np.sqrt(r) + 0j for w in grid]
+    zeros = np.eye(k)[0] / np.sqrt(r) + 0j
+    zeros[1:] = complex(-0.0, -0.0)  # signed zeros off the character
+    values.append(zeros)
+    values.append(np.conj(zeros))
+    for imag in (2e-9, 0.5e-9):
+        w = np.full(k, 1.0 / k) + 0j
+        w[0] += 1j * imag
+        w[-1] -= 1j * imag  # <I> stays real
+        values.append(w / np.sqrt(r))
+        values.append(w.real / np.sqrt(r) + 1j * imag)  # <I> is not real
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.eye(k)[0] / np.sqrt(r) + 0j
+        v[-1] = bad
+        values.append(v)
+    return values
+
+
+def outcome(run):
+    """The name of the invariant ``run`` fails, or "ok" and its result."""
+    try:
+        return "ok", run()
+    except InvariantViolation as exc:
+        return str(exc).rsplit(":", 1)[0], None
+
+
+class TestClassIndexRestriction:
+    @pytest.mark.parametrize("ranks", RANKS, ids=["-".join(map(str, r)) for r in RANKS])
+    def test_checks_and_weights_match_dense_tables(self, ranks):
+        # The O(k) state checks fail exactly where the positivity table's
+        # fail, under the same name; v * sqrt(rank) is the least-squares
+        # solution to within a few ulps, and its checks fail where the
+        # least-squares weights' do.
+        alg = ranked_algebra(ranks)
+        eps = np.finfo(float).eps
+        for values in value_grid(ranks):
+            with np.errstate(invalid="ignore"):  # the NaN and inf rows
+                state, phi = outcome(lambda: AlgebraicState(alg, values))
+                dense, _ = outcome(lambda: check_state_dense(alg, values))
+            assert state == dense, values
+            if phi is None:
+                continue
+            name, weights = outcome(lambda: decompose_restricted(phi, alg).probabilities)
+            dense, reference = outcome(lambda: lstsq_decomposition(phi).probabilities)
+            assert name == dense, values
+            if weights is not None:
+                assert np.max(np.abs(weights - reference)) <= 4 * eps
+
+    @pytest.mark.parametrize("ranks", RANKS, ids=["-".join(map(str, r)) for r in RANKS])
+    def test_character_is_its_class_index(self, ranks):
+        # A character's row, made on demand, is the dense table's row; it
+        # passes the dense checks and decomposes onto itself.
+        alg = ranked_algebra(ranks)
+        table = character_table(alg)
+        for k, char in enumerate(extremal_states(alg)):
+            assert char.projector_index == k and char.algebra is alg
+            assert np.array_equal(char.values, table[k])
+            check_state_dense(alg, char.values)
+            assert np.array_equal(decompose_restricted(char, alg).probabilities, np.eye(len(ranks))[k])
+
+    def test_character_runs_both_state_checks(self, monkeypatch):
+        from segalsim import restriction
+
+        names = []
+        monkeypatch.setattr(restriction, "check", lambda name, value, tol: names.append(name))
+        restriction.Character(ranked_algebra((2, 5, 1)), 1)
+        assert names == [
+            "state is not normalized, |<I> - 1|",
+            "positivity violated, max -Re or |Im| of <B_j^dag B_j>",
+        ]

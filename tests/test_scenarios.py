@@ -489,6 +489,52 @@ class TestPureStatesStayVectors:
         tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_characters_stay_class_indices(self):
+        # k = 2,048 pointer classes.  A character is its class index, so
+        # neither the characters nor a pure run (per-model setup included)
+        # holds a k x k array, 32 MB in float64 at this k.
+        from segalsim.algebra import diagonal_algebra
+        from segalsim.linalg import SpaceLayout
+        from segalsim.restriction import extremal_states
+
+        k = 2048
+        alg = diagonal_algebra(np.arange(k, dtype=float)[None], SpaceLayout((("O", k),)))
+        config = {"scenario": "pure", "model": {"s_dim": 2, "o_dim": k}, "input": {"amplitudes": _equal_amplitudes(2)}}
+        cfg = parse_scenario(config)
+        tracemalloc.start()
+        try:
+            assert len(extremal_states(alg)) == k
+            characters_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            run_scenario(cfg)
+            run_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert characters_peak < 2**20
+        assert run_peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_wigner_friend_runs_under_a_tracer(hook):
+    # A trace or profile hook (a debugger, a coverage run, a profiler)
+    # holds a reference to each frame's locals; the closure's in-place
+    # buffer resizes must not depend on reference counts.
+    import sys
+
+    from segalsim import wigner
+
+    config = {"scenario": "wigner-friend", "model": {"s_dim": 2, "o_dim": 8}, "input": {"amplitudes": _equal_amplitudes(2)}}
+    cfg = parse_scenario(config)
+    expected = emit_report(run_scenario(cfg))
+    wigner._interference_algebra.cache_clear()  # close it again, traced
+    install, previous = getattr(sys, hook), getattr(sys, hook.replace("set", "get"))()
+    install(lambda *args: None)
+    try:
+        report = run_scenario(cfg)
+    finally:
+        install(previous)
+    assert emit_report(report) == expected
+
 
 class TestEmitReport:
     def test_byte_stable(self):
