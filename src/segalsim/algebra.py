@@ -181,15 +181,18 @@ class OperatorAlgebra:
 
     @cached_property
     def positivity_table(self) -> np.ndarray:
-        """Coefficients of I and of every B_j^dag B_j, one row each; read
-        for a non-commutative algebra only.
+        """Coefficients of I and of every B_j^dag B_j of a non-commutative
+        algebra, one row each.
 
         A state with basis values v has <I> = table[0] @ v and
         <B_j^dag B_j> = table[j + 1] @ v, so the table is built once per
         algebra and each state's checks are one small product.  A
-        commutative algebra needs no table: there <I> = sum_j sqrt(rank_j)
-        v_j and <B_j^dag B_j> = v_j / sqrt(rank_j).
+        commutative algebra is refused: it needs no table, since there
+        <I> = sum_j sqrt(rank_j) v_j and <B_j^dag B_j> = v_j / sqrt(rank_j),
+        and building one would make its k dense d x d basis elements.
         """
+        if self.labels is not None:
+            raise ValueError("a commutative algebra has no positivity table; its states are checked from the ranks")
         rows = [self.project_coefficients(np.eye(self.layout.dim))]
         rows += [self.project_coefficients(m.conj().T @ m) for m in self.basis]
         return np.array(rows)

@@ -31,6 +31,7 @@ scenarios that run them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -281,33 +282,34 @@ def _pointer_order(model, algebra):
     """The algebra's characters in pointer (qo_values) order, and the map
     from extremal order to pointer order.
 
-    Character k matches every pointer value q with |q - value_k| < 1e-7.
-    Those q are consecutive in sorted order, and any match includes a
-    neighbour of value_k's insertion point, so the two entries on either
-    side of that point show whether exactly one matches.  The match must
-    be one to one: pointer values that merged into one class leave a
-    pointer value with no character.
+    Character k matches every pointer value q with |q - value_k| < 1e-7,
+    and the match must be one to one: pointer values that merged into one
+    class leave a pointer value with no character.  The character values
+    ascend, so one sweep over the sorted pointer values finds each match:
+    the values within 1e-7 of value_k are consecutive, and neither end of
+    that run moves down as k grows.  The sweep is plain Python; on the
+    pointer algebra's k classes it costs less than the numpy sort and
+    search code it would page in.
     """
     chars_ext = extremal_states(algebra)
-    values = joint_spectral_resolution(algebra).generator_values[:, 0]
-    qo = np.array(model.qo_values)
-    order = np.argsort(qo)
-    near = np.searchsorted(qo[order], values)[:, None] + np.arange(-2, 2)
-    inside = (near >= 0) & (near < qo.size)
-    near = order[np.clip(near, 0, qo.size - 1)]
-    matches = inside & (np.abs(qo[near] - values[:, None]) < 1e-7)
-    bad_values = values[matches.sum(axis=1) != 1]
-    bad_pointers = qo[np.bincount(near[matches], minlength=qo.size) != 1]
-    if bad_values.size or bad_pointers.size:
-        raise InvariantViolation(
-            f"character value {float(bad_values[0])!r} does not match one pointer value"
-            if bad_values.size
-            else f"pointer value {float(bad_pointers[0])!r} does not match one character"
-        )
-    ext_to_ptr = near[matches].astype(np.min_scalar_type(model.o_dim - 1))
-    ptr_to_ext = np.full(model.o_dim, -1, dtype=int)
-    ptr_to_ext[ext_to_ptr] = np.arange(len(chars_ext))
-    return tuple(chars_ext[k] for k in ptr_to_ext), ext_to_ptr
+    values = joint_spectral_resolution(algebra).generator_values[:, 0].tolist()
+    qo = model.qo_values
+    by_value = sorted(range(len(qo)), key=qo.__getitem__)
+    ptr, lo = [], 0  # each character's one pointer index, else None
+    for value in values:
+        while lo < len(qo) and qo[by_value[lo]] < value and not abs(qo[by_value[lo]] - value) < 1e-7:
+            lo += 1
+        hi = lo
+        while hi < len(qo) and abs(qo[by_value[hi]] - value) < 1e-7:
+            hi += 1
+        ptr.append(by_value[lo] if hi - lo == 1 else None)
+    hits = Counter(ptr)
+    bad = [f"character value {v!r} does not match one pointer value" for v, j in zip(values, ptr) if j is None]
+    bad += [f"pointer value {q!r} does not match one character" for j, q in enumerate(qo) if hits[j] != 1]
+    if bad:
+        raise InvariantViolation(bad[0])
+    by_pointer = dict(zip(ptr, chars_ext))
+    return tuple(by_pointer[j] for j in range(len(qo))), np.array(ptr, np.min_scalar_type(model.o_dim - 1))
 
 
 def pointer_algebra(model: MeasurementModel, environment: bool = False) -> OperatorAlgebra:

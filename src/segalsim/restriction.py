@@ -89,6 +89,7 @@ def _check_state(identity: complex, positives: np.ndarray) -> None:
     check("positivity violated, max -Re or |Im| of <B_j^dag B_j>", worst, 1e-9)
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Character(AlgebraicState):
     """Extremal restricted state of a commutative algebra.
 

@@ -490,3 +490,21 @@ class TestClassIndexRestriction:
             "state is not normalized, |<I> - 1|",
             "positivity violated, max -Re or |Im| of <B_j^dag B_j>",
         ]
+
+    def test_character_is_frozen(self):
+        # Characters are cached and shared per algebra, and their class
+        # index picks their weight: it cannot be reassigned.
+        from dataclasses import FrozenInstanceError
+
+        char = extremal_states(ranked_algebra((2, 5, 1)))[1]
+        with pytest.raises(FrozenInstanceError):
+            char.projector_index = 0
+        assert "projector_index=1" in repr(char)
+
+    def test_commutative_algebra_has_no_positivity_table(self):
+        # Its dense table would build all k d x d basis elements; the
+        # states of a commutative algebra are checked from the ranks.
+        alg = ranked_algebra((2, 5, 1))
+        with pytest.raises(ValueError, match="commutative algebra has no positivity table"):
+            alg.positivity_table
+        assert alg._basis is None
