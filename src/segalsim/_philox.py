@@ -27,9 +27,9 @@ _ROUNDS = 10
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0  # 2**-53
 _SH11 = np.uint64(11)
 # Events per kernel call and per block of uniform_blocks: the kernel's eight
-# uint64 buffers (1 MB) stay in cache, and its memory does not grow with the
-# batch.
-_CHUNK = 2**14
+# uint64 buffers (512 KB) stay in cache, and its memory does not grow with
+# the batch.
+_CHUNK = 2**13
 
 
 def _mulhilo(a: int, b: np.ndarray, lo: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
@@ -67,7 +67,8 @@ def _first_block(seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
     keyed by (seed, indices[j]); the Philox rounds run in place on four
     state words, the event key and three scratch buffers.  Takes ownership
     of ``indices``, a uint64 array: it becomes the event key and is
-    overwritten, so the key costs no copy.
+    overwritten, so the key costs no copy.  The key and the scratch
+    buffers are dropped before the output is made.
     """
     n = indices.size
     k1 = indices
@@ -85,6 +86,7 @@ def _first_block(seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
         x1, lo = lo, x1
         x0, x2 = x2, x0
         k1 += _W1
+    del indices, k1, lo, t, u
     out = np.empty((n, n_draws))
     for j, word in enumerate((x0, x1, x2, x3)[:n_draws]):
         word >>= _SH11

@@ -48,7 +48,7 @@ O(d) in all; every read of the classes is one class sum, a bincount over
 Cost: the letter check, one ``eigh`` and two d x d products per
 generator; O(n d log d) for n exactly diagonal generators, plus one pass
 over the dense generators to see that they are diagonal when they do not
-come as diagonals.
+come as diagonals (length-d arrays, for :func:`generate_algebra`).
 
 Non-commutative algebras (the wigner-friend interference algebra,
 Pauli-type probes) are closed by Gram-Schmidt in :mod:`segalsim.closure`,
@@ -222,6 +222,9 @@ def generate_algebra(
 ) -> OperatorAlgebra:
     """Close the generators into the smallest unital *-algebra span.
 
+    A generator is a d x d matrix, or a length-d array that stands for the
+    diagonal matrix it holds.  A list made only of such arrays goes to
+    :func:`diagonal_algebra`, and a mixed list makes them dense.
     Commuting letters give the joint eigenbasis and its classes, others
     the Gram-Schmidt closure (see the module docstring).
     """
@@ -230,10 +233,13 @@ def generate_algebra(
     d = layout.dim
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
     for g in gens:
-        if g.shape != (d, d):
+        if g.shape not in ((d,), (d, d)):
             raise ValueError(f"generator shape {g.shape} does not match layout dim {d}")
         if not np.all(np.isfinite(g)):
             raise ValueError("generator entries must be finite")
+    if all(g.ndim == 1 for g in gens):
+        return diagonal_algebra(np.array(gens).reshape(len(gens), d), layout, tol)
+    gens = tuple(np.diag(g) if g.ndim == 1 else g for g in gens)
     if all(np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in gens):
         return _commutative_algebra(gens, layout, tol, None)
     floor = d * np.finfo(float).eps

@@ -6,10 +6,12 @@ by :func:`read_document`, which decodes each inline matrix a row at a
 time: a row of ``[float, float]`` pairs becomes a (w, 2) float64 array as
 soon as it closes, and ``scenarios._decode_entry`` stacks an entry's rows
 into its complex array (:func:`_float_pairs`, :class:`_DecodedEntry`).
-Any other matrix is read entry by entry at parse.  Every generator is
-dense, so the list is checked against ``MAX_WORKING_SET_BYTES`` before a
-named one is built.  Only documents that hold generators import this
-module; the ``algebra-probe`` runner is here too.
+Any other matrix is read entry by entry at parse.  The named diagonal
+generators ``QO`` and ``QO_MS`` are held as their diagonals, which
+``generate_algebra`` makes dense only beside another generator; the list
+is checked against ``MAX_WORKING_SET_BYTES``, every generator counted
+dense, before a named one is built.  Only documents that hold generators
+import this module; the ``algebra-probe`` runner is here too.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .algebra import generate_algebra, joint_spectral_resolution
 from .config import ALGEBRA_TOL, MAX_WORKING_SET_BYTES
-from .measurement import MeasurementModel, interference_observable, pointer_operator
+from .measurement import MeasurementModel, _pointer_diagonal, interference_observable
 from .restriction import extremal_states
 from .scenarios import ScenarioConfig, _fail, _number, _require_keys, _space_layout
 
@@ -36,9 +38,11 @@ _WHITESPACE = re.compile(r"[ \t\n\r]*").match
 
 
 def _named_generator(name: str, model: MeasurementModel) -> np.ndarray:
+    """``B`` as its dense matrix; ``QO`` and ``QO_MS`` as the diagonal of
+    the pointer operator, a length-d array."""
     if name == "B":
         return interference_observable(model)
-    return pointer_operator(model, _space_layout(model, _GENERATOR_SPACES[name]))
+    return _pointer_diagonal(model, _space_layout(model, _GENERATOR_SPACES[name]))
 
 
 def generator_bytes(d: int, count: int, diagonal: bool) -> int:
@@ -46,6 +50,8 @@ def generator_bytes(d: int, count: int, diagonal: bool) -> int:
     what ``generate_algebra`` holds beside them, 16 d^2 bytes a d x d array.
 
     Exactly diagonal generators are read as diagonals: ``count`` arrays.
+    The named ones are built as diagonals, d entries each, so for a list
+    of them alone this is an over-estimate, kept as a safe bound.
     Any other list holds each generator and its adjoint letter, and at
     most ``count + 4`` arrays more, an over-estimate kept as a safe bound:
     the letter check's product buffer and b @ a; or, for commuting

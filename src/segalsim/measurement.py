@@ -554,6 +554,7 @@ def run_ensemble(
         k = table_inverse_cdf(cumulatives, row, uniforms[:, -1])
         pointer_index[start:stop] = setup.extremal_to_pointer[k]
         start = stop
+        del uniforms, row, k  # no array of this block stays alive while the next is drawn
     return EventBatch(
         seed=seed,
         input_kind=kind,

@@ -29,7 +29,8 @@ _EVENT_COLUMNS = (
     "probability_used",
 )
 
-# Most rows per block of the event log, each formatted and written in turn.
+# Most rows per block of the event log, each formatted and written in turn;
+# at most 10**4, so the digits above a block's last four change at most once.
 _LOG_BLOCK = 2**12
 
 
@@ -60,8 +61,13 @@ def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
 
     Every row after its event index is fixed by the (gemenge row, pointer)
     code, so each code present is formatted once, its probability read
-    from ``outcome_probability``, and looked up per event.  A block never
-    crosses a power of ten: its indices share a digit count.
+    from ``outcome_probability``, and looked up per event in a table
+    padded with NUL bytes, which no row holds.  A block never crosses a
+    power of ten, so its indices share a digit count.  The indices are
+    consecutive: a block's last four digits are one slice of a table that
+    spells i mod 10**4 in row i, and the digits above them change at most
+    once in a block, at a multiple of 10**4.  Each block is laid out as
+    one byte array, and its bytes other than NUL are the rows.
     """
     o_dim = len(events.pointer_values)
     n = len(events)
@@ -84,27 +90,30 @@ def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
             f"{_format_float(events.pointer_values[pointer])},"
             f"{_format_float(probability[code])}\n"
         ).encode("ascii")
-    lengths = np.array([len(s) for s in suffixes])
-    width = int(lengths.max())
-    table = np.frombuffer(b"".join(s.ljust(width) for s in suffixes), np.uint8).reshape(-1, width)
+    width = max(map(len, suffixes))
+    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in suffixes), np.uint8).reshape(-1, width)
+    digit = np.arange(48, 58, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
+    quads = np.concatenate([quads, quads[:_LOG_BLOCK]])  # row i spells i mod 10**4
+
+    def rows(start: int, stop: int) -> np.ndarray:  # its arrays die on return
+        k = len(str(start))
+        block = np.empty((stop - start, k + width), np.uint8)
+        low = start % 10**4
+        block[:, max(k - 4, 0) : k] = quads[low : low + stop - start, max(4 - k, 0) :]
+        if k > 4:
+            turn = 10**4 - low  # the first row whose high digits are one more
+            block[:turn, : k - 4] = np.frombuffer(str(start // 10**4).encode("ascii"), np.uint8)
+            if turn < len(block):
+                block[turn:, : k - 4] = np.frombuffer(str(start // 10**4 + 1).encode("ascii"), np.uint8)
+        block[:, k:] = table[codes(start, stop)]
+        return block[block != 0]
 
     yield np.frombuffer((",".join(_EVENT_COLUMNS) + "\n").encode("ascii"), np.uint8)
-    digit = np.arange(48, 58, dtype=np.uint8)  # row i of quads spells i in four digits
-    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
     start = 0
     while start < n:
-        k = len(str(start))
-        stop = min(n, start + _LOG_BLOCK, 10**k)
-        block = np.empty((stop - start, k + width), np.uint8)
-        rest = np.arange(start, stop)
-        for end in range(k, 0, -4):  # four digits at a time, right to left
-            rest, quad = np.divmod(rest, 10**4)
-            block[:, max(end - 4, 0) : end] = quads[quad, max(4 - end, 0) :]
-        block_codes = codes(start, stop)
-        block[:, k:] = table[block_codes]
-        keep = np.ones(block.shape, dtype=bool)
-        keep[:, k:] = np.arange(width) < lengths[block_codes, None]
-        yield block[keep]
+        stop = min(n, start + _LOG_BLOCK, 10 ** len(str(start)))
+        yield rows(start, stop)
         start = stop
 
 

@@ -398,6 +398,26 @@ class TestDiagonalPathOracle:
             assert_same_resolution(alg, gens)
             assert_rotation_agrees(alg, gens)
 
+    def test_diagonal_arrays_stand_for_their_matrices(self):
+        # A length-d array is the diagonal matrix it holds: a list of them
+        # alone is read as diagonals, and a mixed list makes them dense.
+        model = make_model(s_dim=2, o_dim=3)
+        qo = pointer_operator(model, MS)
+        b = interference_observable(model)
+        rng = np.random.default_rng(9)
+        for dense in ([qo], random_diagonals(rng, MS, 2)):
+            alg = generate_algebra([np.diagonal(g) for g in dense], MS)
+            ref = generate_algebra(dense, MS)
+            assert alg.eigenvectors is None and alg.dimension == ref.dimension
+            assert np.array_equal(alg.labels, ref.labels)
+            assert np.array_equal(alg.generator_diagonals, ref.generator_diagonals)
+        mixed = generate_algebra([np.diagonal(qo), b], MS)
+        ref = generate_algebra([qo, b], MS)
+        assert not mixed.commutative and mixed.dimension == ref.dimension
+        assert np.array_equal(mixed.basis, ref.basis)
+        with pytest.raises(ValueError, match=r"generator shape \(5,\) does not match layout dim 6"):
+            generate_algebra([np.ones(5)], MS)
+
     @pytest.mark.parametrize("layout", LAYOUTS, ids=lambda lay: "x".join(map(str, lay.dims)))
     def test_complex_diagonals_match_generic_and_raise_alike(self, layout):
         rng = np.random.default_rng([8, layout.dim])

@@ -448,6 +448,23 @@ class TestEventStreams:
             extra.append(peak - sum(array.nbytes for array in held))
         assert extra[1] - extra[0] < 2**16
 
+    def test_one_event_block_alive_at_a_time(self):
+        # Beyond the batch, a run's peak is one block of 2**13 events: the
+        # Philox kernel's eight uint64 buffers, 512 KiB, with no array of
+        # the previous block beside them (its uniforms alone are 128 KiB
+        # at two draws) and the key and scratch buffers dropped before the
+        # block's uniforms are made.  The peak reads 0.50 MiB; keeping the
+        # previous block reads 0.75, keeping the kernel's buffers 0.63,
+        # and blocks of 2**14 events 1.00.
+        w = Gemenge(((psi(1.0, 0.0), 0.3), (psi(0.6, 0.8), 0.7)))
+        run_ensemble(MODEL, w, 10, 1)  # per-model setup, outside the trace
+        tracemalloc.start()
+        batch = run_ensemble(MODEL, w, 2 * 10**5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        held = (batch.pointer_index, batch.gemenge_row, batch.outcome_probability)
+        assert peak - sum(array.nbytes for array in held) < 0.6 * 2**20
+
     def test_batch_uniforms_match_per_event_generators(self):
         # The vectorized stream kernel must be bit-identical to the
         # per-event generators it replaces.

@@ -383,6 +383,23 @@ class TestRunScenario:
         values = sorted(v[0] for v in s["characters"])
         assert np.allclose(values, [-1.0, 0.0, 1.0], atol=1e-9)
 
+    def test_named_diagonal_generators_stay_diagonals(self):
+        # QO and QO_MS are held as their diagonals and read by
+        # diagonal_algebra: at s_dim 2, o_dim 1024 one dense generator on
+        # MS (d = 2048) would be 64 MiB, and the run holds O(d).
+        for names in (["QO"], ["QO_MS"], ["QO_MS", "QO_MS"]):
+            text = json.dumps(
+                {"scenario": "algebra-probe", "model": {"s_dim": 2, "o_dim": 1024}, "generators": names}
+            )
+            tracemalloc.start()
+            cfg = parse_scenario(text)
+            report = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert [m.ndim for _, m in cfg.generators] == [1] * len(names)
+            assert report.summary["dimension"] == 1024
+            assert peak < 2**20
+
     def test_algebra_probe_non_commutative(self):
         text = json.dumps(
             {"scenario": "algebra-probe", "generators": ["QO_MS", "B"], "n_events": 1, "seed": 0}
@@ -536,6 +553,28 @@ def test_wigner_friend_runs_under_a_tracer(hook):
     assert emit_report(report) == expected
 
 
+def _log_text(events) -> str:
+    return b"".join(map(bytes, serialize._event_log(events))).decode("ascii")
+
+
+def _row_writer_log(events) -> str:
+    """The event log by csv.writer over the per-event records."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(serialize._EVENT_COLUMNS)
+    for r in events:
+        writer.writerow(
+            [
+                r.event_index,
+                "" if r.gemenge_row is None else r.gemenge_row,
+                r.pointer_index,
+                f"{r.impression:.12g}",
+                f"{r.probability:.12g}",
+            ]
+        )
+    return buf.getvalue()
+
+
 class TestEmitReport:
     def test_byte_stable(self):
         report = run_scenario(parse_scenario(config_text()))
@@ -613,8 +652,9 @@ class TestEmitReport:
         assert peaks[1] - peaks[0] < 2**16
 
     def test_csv_out_working_set_is_a_few_small_blocks(self, tmp_path):
-        # Sixteen blocks of the log: what writing it allocates stays
-        # under what one block of 2**14 rows and its temporaries take.
+        # Sixteen blocks of the log: what writing it allocates, about
+        # 0.3 MiB, is one block of 2**12 rows, its NUL mask and its bytes,
+        # beside the digit and suffix tables.
         report = run_scenario(parse_scenario(json.loads(UNEVEN_GEMENGE) | {"n_events": 2**16}))
         tracemalloc.start()
         emit_report(report, "csv", out=tmp_path / "events.csv")
@@ -653,21 +693,23 @@ class TestEmitReport:
         ]
         for text in texts:
             events = run_scenario(parse_scenario(text)).events
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(serialize._EVENT_COLUMNS)
-            for r in events:
-                writer.writerow(
-                    [
-                        r.event_index,
-                        "" if r.gemenge_row is None else r.gemenge_row,
-                        r.pointer_index,
-                        f"{r.impression:.12g}",
-                        f"{r.probability:.12g}",
-                    ]
-                )
-            log = b"".join(map(bytes, serialize._event_log(events))).decode("ascii")
-            assert log == buf.getvalue()
+            assert _log_text(events) == _row_writer_log(events)
+
+    @pytest.mark.parametrize("log_block", [7, None], ids=["block-7", "block-default"])
+    def test_event_log_crosses_multiples_of_ten_thousand(self, monkeypatch, log_block):
+        # Indices of five and six digits, whose digits above the last four
+        # change inside a block at a multiple of 10**4 (unless a block
+        # happens to start there), against the row writer.
+        if log_block is not None:
+            monkeypatch.setattr(serialize, "_LOG_BLOCK", log_block)
+        texts = [
+            config_text(n_events=20_010),
+            config_text(n_events=100_010),
+            json.dumps(json.loads(UNEVEN_GEMENGE) | {"n_events": 20_010}),
+        ]
+        for text in texts:
+            events = run_scenario(parse_scenario(text)).events
+            assert _log_text(events) == _row_writer_log(events)
 
     def test_uneven_gemenge_log_shape(self):
         report = run_scenario(parse_scenario(UNEVEN_GEMENGE))
