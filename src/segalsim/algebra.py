@@ -32,11 +32,14 @@ O(d) in all; every read of the classes is one class sum, a bincount over
   stream keyed by (``_EIGENBASIS_SEED``, i).  The joint values of
   generator g are diag(V^dag g V).
 - Labels.  For each generator, and for the real and imaginary parts of
-  its joint values apart, the sorted values split wherever a gap exceeds
-  ``tol`` times the generator's largest magnitude: ``tol`` is the width
-  within which joint values merge.  A class is a tuple of cluster ids;
-  classes are numbered in character order, lexicographic in the real
-  joint values rounded to 9 decimals.
+  its joint values apart, the distinct values, sorted, split wherever a
+  gap exceeds ``tol`` times the generator's largest magnitude: ``tol`` is
+  the width within which joint values merge.  A class is a tuple of
+  cluster ids; classes are numbered in character order, lexicographic in
+  the real joint values rounded to 9 decimals (as ``np.round`` rounds
+  them), then in the cluster ids.  The rule runs in plain Python on the
+  distinct values, with no numpy sort, unique or round: per-model setup
+  would page in their code for this alone.
 - Ambiguity.  Input the rule cannot decide raises InvariantViolation; it
   is never merged silently.  That is a cluster wider than ``tol`` times
   the scale (a chain of small gaps); a generator whose V^dag g V differs
@@ -46,7 +49,8 @@ O(d) in all; every read of the classes is one class sum, a bincount over
   measured to.
 
 Cost: the letter check, one ``eigh`` and two d x d products per
-generator; O(n d log d) for n exactly diagonal generators, plus one pass
+generator; for n exactly diagonal generators, an O(d) hashing pass per
+part of each and O(k log k) for its k distinct values, plus one pass
 over the dense generators to see that they are diagonal when they do not
 come as diagonals (length-d arrays, for :func:`generate_algebra`).
 
@@ -58,8 +62,10 @@ commute.  Their basis is one (k, d, d) array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -389,35 +395,77 @@ def _classified_algebra(
     return alg
 
 
-def _joint_classes(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _joint_classes(values: np.ndarray, tol: float) -> tuple[np.ndarray, list[float]]:
     """Class of each column under the grouping rule, in character order.
 
     ``values`` holds one row of joint values per generator.  Also returns
     each generator's smallest gap at a split (inf where nothing splits).
     A cluster wider than its merge width raises InvariantViolation.
+
+    Plain Python: the chain rule runs on the k distinct values of each
+    part of a row, found in one hashing pass, and the columns are mapped
+    back through them.  A class is the tuple of its columns' cluster ids,
+    the real parts of every generator first, then the imaginary parts.
+    Classes are numbered in the order of the real values of their first
+    column, rounded as ``np.round(x, 9)`` rounds them, then of that tuple
+    (no NaN is left to sort: every NaN fails the chain check).
     """
     n, d = values.shape
-    ids = np.empty((2 * n, d), dtype=np.intp)  # real parts first, then imaginary
-    split_gaps = np.full(n, np.inf)
+    real_ids, imag_ids, split_gaps = [], [], []  # per generator; ids per column
     for g_idx, row in enumerate(values):
-        width = tol * np.max(np.abs(row))
-        for part_idx, part in enumerate((row.real, row.imag)):
-            order = np.argsort(part, kind="stable")
-            ordered = part[order]
-            gaps = np.diff(ordered)
-            split = gaps > width
-            starts = np.flatnonzero(np.r_[True, split])
-            spread = float(np.max(ordered[np.r_[starts[1:], d] - 1] - ordered[starts]))
-            check(f"generator {g_idx}: chain of joint values wider than tol x scale", spread, width)
-            if split.any():
-                split_gaps[g_idx] = min(split_gaps[g_idx], float(np.min(gaps[split])))
-            ids[part_idx * n + g_idx, order] = np.cumsum(np.r_[0, split])
-    _, first, labels = np.unique(ids.T, axis=0, return_index=True, return_inverse=True)
-    real = values.real[:, first].T
-    order = sorted(range(len(first)), key=lambda k: tuple(np.round(real[k], 9)))
-    position = np.empty(len(order), dtype=np.intp)
-    position[order] = np.arange(len(order))
-    return position[labels.reshape(-1)], split_gaps
+        width = float(tol * np.max(np.abs(row)))
+        real, real_gap = _cluster_ids(row.real.tolist(), width, g_idx)
+        imag, imag_gap = _cluster_ids(row.imag.tolist(), width, g_idx)
+        real_ids.append(real)
+        imag_ids.append(imag)
+        split_gaps.append(min(real_gap, imag_gap))
+    # Each class's first column: the last write of a key wins, so the
+    # columns go in backwards.  The leading 0 makes n = 0 one class.
+    backwards = zip(repeat(0, d), *map(reversed, real_ids), *map(reversed, imag_ids))
+    first = dict(zip(backwards, range(d - 1, -1, -1)))
+    reals = values.real[:, list(first.values())].tolist()  # a row per generator, a value per class
+    by_value = sorted(zip(*[map(_round9, row) for row in reals], first))
+    for label, key in enumerate(by_value):
+        first[key[-1]] = label
+    labels = map(first.__getitem__, zip(repeat(0, d), *real_ids, *imag_ids))
+    return np.fromiter(labels, np.intp, d), split_gaps
+
+
+def _cluster_ids(column_values: list[float], width: float, g_idx: int) -> tuple[list[int], float]:
+    """The cluster id of each value of one part of a generator's joint
+    values, and the smallest gap at a split (inf where none).
+
+    The distinct values, sorted, split wherever a gap exceeds ``width``,
+    and the widest cluster, its last value minus its first, is checked
+    against ``width``.
+    """
+    distinct = set(column_values)
+    ordered = sorted(x for x in distinct if x == x)
+    if len(ordered) < len(distinct):
+        ordered.append(math.nan)  # numpy sorts a NaN last, into the last cluster
+    cluster, count, spread, smallest = {}, 0, -math.inf, math.inf
+    start = prev = ordered[0]
+    for x in ordered:
+        gap = x - prev
+        if gap > width:
+            smallest = min(smallest, gap)
+            spread = max(prev - start, spread)
+            start = x
+            count += 1
+        cluster[x] = count
+        prev = x
+    spread = max(prev - start, spread)  # a NaN spread stays
+    check(f"generator {g_idx}: chain of joint values wider than tol x scale", spread, width)
+    return list(map(cluster.__getitem__, column_values)), smallest
+
+
+def _round9(x: float) -> float:
+    """``np.round(x, 9)`` bit for bit: x * 1e9 to the nearest integer, ties
+    to even, divided by 1e9; an infinite product stays infinite."""
+    y = x * 1e9
+    if abs(y) < 2.0**52:  # above, every float is an integer
+        y = math.copysign(round(y), y)
+    return y / 1e9
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,11 +68,13 @@ MAX_DENSE_BYTES = 2**30
 # holds two density matrices and an (o_dim + 4)-element basis.  2**32 bytes
 # allows o_dim up to 280 at s_dim 2.  An algebra-probe's generator list is
 # checked at parse too, before a named generator is built
-# (``generators.generator_bytes``: 16 d^2 bytes per diagonal generator,
-# else 16 d^2 (3 n + 4) for n, with adjoints, letter check or eigenbasis);
-# ["QO_MS", "B"] at s_dim 2 passes up to o_dim 2590.  The Gram-Schmidt
-# closure checks its rows held plus requested, 16 d^2 bytes each, before
-# making its buffer.
+# (``generators.generator_bytes``: a list of diagonal generators alone
+# counts 16 d bytes each and 256 d bytes of class labelling per generator
+# and once more; any other list 16 d^2 (3 n + 4) bytes for n, with
+# adjoints, letter check or eigenbasis); ["QO_MS", "B"] at s_dim 2 passes
+# up to o_dim 2590, and ["QO_MS"] * 8 passes at every d under the cap.
+# The Gram-Schmidt closure checks its rows held plus requested, 16 d^2
+# bytes each, before making its buffer.
 # A commutative algebra holds O(d): class labels, sizes and 1/sqrt(size).
 MAX_WORKING_SET_BYTES = 2**32
 

@@ -9,9 +9,10 @@ into its complex array (:func:`_float_pairs`, :class:`_DecodedEntry`).
 Any other matrix is read entry by entry at parse.  The named diagonal
 generators ``QO`` and ``QO_MS`` are held as their diagonals, which
 ``generate_algebra`` makes dense only beside another generator; the list
-is checked against ``MAX_WORKING_SET_BYTES``, every generator counted
-dense, before a named one is built.  Only documents that hold generators
-import this module; the ``algebra-probe`` runner is here too.
+is checked against ``MAX_WORKING_SET_BYTES`` before a named one is built,
+a list of them alone counted as diagonals and any other list as dense.
+Only documents that hold generators import this module; the
+``algebra-probe`` runner is here too.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ __all__ = ["generator_bytes", "read_document"]
 
 _GENERATOR_SPACES = {"QO": "O", "QO_MS": "MS", "B": "MS"}
 
+# Bytes the class labelling of ``diagonal_algebra`` is counted to hold per
+# entry of each diagonal, and per column beside them.  Its tracemalloc peak
+# is about 160 + 126 n bytes a column for n generators of distinct values
+# at d = 8192 (2.4 MB at n = 1), and at most 2 MiB for one generator of
+# 4096 values there (``test_diagonal_algebra_working_set_at_large_d``).
+_CLASSIFIER_BYTES = 256
+
 # The whitespace JSON allows between tokens, as the json module reads it.
 _WHITESPACE = re.compile(r"[ \t\n\r]*").match
 
@@ -46,20 +54,23 @@ def _named_generator(name: str, model: MeasurementModel) -> np.ndarray:
 
 
 def generator_bytes(d: int, count: int, diagonal: bool) -> int:
-    """Estimated bytes of ``count`` dense generators on d dimensions and of
-    what ``generate_algebra`` holds beside them, 16 d^2 bytes a d x d array.
+    """Estimated bytes of ``count`` generators on d dimensions and of what
+    ``generate_algebra`` holds beside them.
 
-    Exactly diagonal generators are read as diagonals: ``count`` arrays.
-    The named ones are built as diagonals, d entries each, so for a list
-    of them alone this is an over-estimate, kept as a safe bound.
-    Any other list holds each generator and its adjoint letter, and at
-    most ``count + 4`` arrays more, an over-estimate kept as a safe bound:
-    the letter check's product buffer and b @ a; or, for commuting
-    letters, the Hermitian combination and its two buffers, eigh's copy,
-    workspace and eigenvectors, then the eigenvectors, their adjoint and
-    one rotated generator.  The Gram-Schmidt closure checks its own buffer.
+    Exactly diagonal generators are built and read as diagonals: 16 d
+    bytes each, plus the class labelling of ``diagonal_algebra``, bounded
+    at ``_CLASSIFIER_BYTES`` per entry of each diagonal and per column.
+    Any other list holds each generator as a dense d x d array of 16 d^2
+    bytes, and its adjoint letter, and at most ``count + 4`` arrays more,
+    an over-estimate kept as a safe bound: the letter check's product
+    buffer and b @ a; or, for commuting letters, the Hermitian combination
+    and its two buffers, eigh's copy, workspace and eigenvectors, then the
+    eigenvectors, their adjoint and one rotated generator.  The
+    Gram-Schmidt closure checks its own buffer.
     """
-    return 16 * d * d * (count if diagonal else 3 * count + 4)
+    if diagonal:
+        return 16 * d * count + _CLASSIFIER_BYTES * d * (count + 1)
+    return 16 * d * d * (3 * count + 4)
 
 
 def _pair_row(row) -> np.ndarray | None:
@@ -284,8 +295,8 @@ def _parse_generators(raw, model: MeasurementModel):
     need = generator_bytes(d, len(entries), diagonal)
     if need > MAX_WORKING_SET_BYTES:
         _fail(
-            f"generators: {len(entries)} dense generators on d = {d} would hold about {need} bytes, "
-            f"over the {MAX_WORKING_SET_BYTES}-byte limit"
+            f"generators: {len(entries)} {'diagonal' if diagonal else 'dense'} generators on d = {d} "
+            f"would hold about {need} bytes, over the {MAX_WORKING_SET_BYTES}-byte limit"
         )
     built = tuple((name, _named_generator(name, model) if mat is None else mat) for name, mat, _ in entries)
     return built, space

@@ -10,6 +10,9 @@ and of the restricted pointer probabilities.  The package's fast paths
 are tested against them bit for bit.  The dense commutative
 restriction keeps the character and positivity tables and the
 least-squares decomposition that the O(k) class-index reads replace.
+``joint_classes_numpy`` is the numpy classifier of joint values that
+``algebra._joint_classes`` replaces with a plain-Python pass; the two are
+compared label for label, gap for gap and message for message.
 The algebra readers (projection, membership, projector values) work on a
 package algebra's dense ``basis`` and ``projectors`` only, never on its
 class labels.  The
@@ -516,6 +519,35 @@ def pointer_order_loop(model: MeasurementModel, algebra: OperatorAlgebra):
         if list(ext_to_ptr).count(j) != 1:
             raise InvariantViolation(f"pointer value {q!r} does not match one character")
     return tuple(chars_ext[k] for k in ptr_to_ext), ext_to_ptr
+
+
+def joint_classes_numpy(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``algebra._joint_classes`` on whole rows with numpy's sort, unique,
+    cumsum and round: the class of each column in character order, and
+    each generator's smallest gap at a split (inf where nothing splits).
+    A cluster wider than its merge width raises InvariantViolation."""
+    n, d = values.shape
+    ids = np.empty((2 * n, d), dtype=np.intp)  # real parts first, then imaginary
+    split_gaps = np.full(n, np.inf)
+    for g_idx, row in enumerate(values):
+        width = tol * np.max(np.abs(row))
+        for part_idx, part in enumerate((row.real, row.imag)):
+            order = np.argsort(part, kind="stable")
+            ordered = part[order]
+            gaps = np.diff(ordered)
+            split = gaps > width
+            starts = np.flatnonzero(np.r_[True, split])
+            spread = float(np.max(ordered[np.r_[starts[1:], d] - 1] - ordered[starts]))
+            check(f"generator {g_idx}: chain of joint values wider than tol x scale", spread, width)
+            if split.any():
+                split_gaps[g_idx] = min(split_gaps[g_idx], float(np.min(gaps[split])))
+            ids[part_idx * n + g_idx, order] = np.cumsum(np.r_[0, split])
+    _, first, labels = np.unique(ids.T, axis=0, return_index=True, return_inverse=True)
+    real = values.real[:, first].T
+    order = sorted(range(len(first)), key=lambda k: tuple(np.round(real[k], 9)))
+    position = np.empty(len(order), dtype=np.intp)
+    position[order] = np.arange(len(order))
+    return position[labels.reshape(-1)], split_gaps
 
 
 def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix) -> np.ndarray:

@@ -2,17 +2,30 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segalsim import algebra
 from segalsim.algebra import (
     _commutative_algebra,
+    _joint_classes,
     _letters_commute,
+    diagonal_algebra,
     generate_algebra,
     joint_spectral_resolution,
 )
 from segalsim.config import ALGEBRA_TOL, InvariantViolation
 from segalsim.linalg import SpaceLayout, tensor
-from segalsim.measurement import interference_observable, make_model, ms_layout, pointer_operator
+from segalsim.measurement import (
+    _pointer_diagonal,
+    _setup,
+    full_layout,
+    interference_observable,
+    make_model,
+    ms_layout,
+    pointer_algebra,
+    pointer_operator,
+)
 from segalsim.restriction import extremal_states
 
 from _oracles import (
@@ -22,6 +35,7 @@ from _oracles import (
     contains,
     element_values,
     identity,
+    joint_classes_numpy,
     joint_resolution_oracle,
     membership_residual,
     positivity_table,
@@ -700,3 +714,110 @@ class TestClusteredSpectra:
         assert _commutative_algebra((gen,), O, 1e-12, None).dimension == 3
         with pytest.raises(InvariantViolation, match="within their accuracy"):
             _commutative_algebra((gen,), O, 1e-12, v)
+
+
+def classified(classifier, values, tol):
+    """The labels and split gaps of ``classifier``, or the message it raised."""
+    try:
+        labels, split_gaps = classifier(values, tol)
+    except InvariantViolation as error:
+        return str(error)
+    return labels.tolist(), [float(gap) for gap in split_gaps]
+
+
+@st.composite
+def joint_value_rows(draw):
+    """Up to 3 rows of up to 64 joint values, and a tol: exact ties, signed
+    zeros, gaps at, just under and just over tol x scale, chains of gaps
+    under it that span more, imaginary parts, and scales at which
+    x * 1e9 overflows."""
+    n, d = draw(st.integers(0, 3)), draw(st.integers(1, 64))
+    tol = draw(st.sampled_from([1e-9, 1e-3, 0.25]))
+    rows = []
+    for _ in range(n):
+        scale = draw(st.sampled_from([1.0, -3.5e-7, 1.8e299, 1.7e299, -1.8e299]))
+        # Column 0 is the largest magnitude: the width is tol x |scale|.
+        width = tol * abs(scale)
+        under, over = np.nextafter(width, 0.0), np.nextafter(width, np.inf)
+        free = [x * abs(scale) for x in draw(st.lists(st.floats(-0.9, 0.9), max_size=3))]
+        reals = [0.0, -0.0, width, under, over, -width, 0.6 * width, 1.2 * width, 2.0 * over, 0.5 * scale]
+        reals.append(0.9995 * scale)  # at 1.8e299, x * 1e9 overflows here too
+        imags = [0.0, -0.0, width, 0.6 * width, 1.2 * width, 0.25 * scale]
+        # A few values a row, each in many columns.
+        reals = draw(st.lists(st.sampled_from(reals + free), min_size=1, max_size=4))
+        imags = draw(st.lists(st.sampled_from(imags), min_size=1, max_size=2))
+        picks = st.tuples(st.integers(0, len(reals) - 1), st.integers(0, len(imags) - 1))
+        columns = draw(st.lists(picks, min_size=d - 1, max_size=d - 1))
+        rows.append([scale, *(complex(reals[i], imags[j]) for i, j in columns)])
+    return np.array(rows, dtype=complex).reshape(n, d), tol
+
+
+class TestJointClassesOracle:
+    """The plain-Python classifier against the numpy one it replaced."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(joint_value_rows())
+    # Both values of generator 0 round to inf, so generator 1 orders them.
+    @example((np.array([[1.8e299, 1.799e299], [1.0, 2.0]], dtype=complex), 1e-9))
+    def test_matches_numpy_classifier(self, case):
+        values, tol = case
+        with np.errstate(over="ignore"):  # np.round of x * 1e9 past the float range
+            expected = classified(joint_classes_numpy, values, tol)
+        assert classified(_joint_classes, values, tol) == expected
+
+    @pytest.mark.parametrize(
+        "row",
+        [[np.inf, 1], [np.inf], [-np.inf, np.inf], [np.nan, 1], [1, np.nan, 2], [complex(1, np.nan), 2],
+         [complex(np.inf, np.nan)], [complex(0, np.inf), 1], [1e308, -1e308], [complex(1e308, 1e308), 0],
+         [np.nan, 1, np.nan, 2, np.nan, 3, np.nan, 4, np.nan]],
+    )
+    def test_non_finite_values_raise_alike(self, row):
+        # Joint values of finite generators can overflow on the eigenbasis path.
+        values = np.array([row], dtype=complex)
+        with np.errstate(all="ignore"):
+            expected = classified(joint_classes_numpy, values, 1e-9)
+            assert classified(_joint_classes, values, 1e-9) == expected
+
+    def test_rounding_is_numpy_round(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(20000) * 10.0 ** rng.integers(-14, 14, 20000)
+        ties = (rng.integers(-10**6, 10**6, 2000) + 0.5) / 1e9  # halves at the 10th decimal
+        x = np.concatenate([x, ties, [0.0, -0.0, -3e-10, 5e-10, 4.5e6, 1.8e299, -1.7e299, 1.8e300, -np.inf]])
+        rounded = np.array([algebra._round9(v) for v in x.tolist()])
+        with np.errstate(over="ignore"):
+            assert rounded.tobytes() == np.round(x, 9).tobytes()
+
+    @pytest.mark.parametrize(
+        "model",
+        [make_model(s_dim=6, o_dim=7, environment={"e_dim": 8}), make_model(s_dim=3, o_dim=4)],
+        ids=["setup-env-d336", "gemenge"],
+    )
+    def test_pointer_setup_runs_no_numpy_sort(self, monkeypatch, model):
+        # The classes come from plain Python: numpy's sort, unique, cumsum,
+        # diff and round code is not paged in by the per-model setup.
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy sort code called")
+
+        _setup.cache_clear()
+        with monkeypatch.context() as patch:
+            for name in ("argsort", "sort", "lexsort", "unique", "cumsum", "diff", "round"):
+                patch.setattr(np, name, refused)
+            algebras = pointer_algebra(model, environment=True), pointer_algebra(model)
+        for alg, layout in zip(algebras, (full_layout(model), ms_layout(model))):
+            labels, _ = joint_classes_numpy(_pointer_diagonal(model, layout)[None], ALGEBRA_TOL)
+            assert alg.labels.tolist() == labels.tolist()
+        _setup.cache_clear()
+
+    def test_diagonal_algebra_working_set_at_large_d(self):
+        # d = 8192 with 4096 distinct values: the classifier keeps no Python
+        # object per entry beyond the labelling's lists of shared ids.
+        values = np.repeat(np.arange(4096.0), 2)[None]
+        layout = SpaceLayout((("O", values.shape[1]),))
+        tracemalloc.start()
+        try:
+            alg = diagonal_algebra(values, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alg.dimension == 4096 and alg.ranks.tolist() == [2] * 4096
+        assert peak < 2 * 2**20

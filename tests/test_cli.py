@@ -347,10 +347,11 @@ def test_closure_working_set_cap(tmp_path, capsys, monkeypatch, cap_rows, refuse
         (["QO_MS", "B"], 3, 5760, None),
         (["B"], 3, 4031, 16 * 6**2 * 7),
         (["B"], 3, 4032, None),
-        (["QO_MS", "QO_MS"], 3, 1151, 16 * 6**2 * 2),
-        (["QO_MS", "QO_MS"], 3, 1152, None),
+        (["QO_MS", "QO_MS"], 3, 4799, 16 * 6 * 2 + 256 * 6 * 3),
+        (["QO_MS", "QO_MS"], 3, 4800, None),
         (["QO_MS", "B"], 4096, None, 16 * 8192**2 * 10),
         (["B"], 4096, None, 16 * 8192**2 * 7),
+        (["QO_MS"] * 8, 4096, None, None),
     ],
     ids=[
         "letter-check-over",
@@ -361,14 +362,16 @@ def test_closure_working_set_cap(tmp_path, capsys, monkeypatch, cap_rows, refuse
         "diagonal-at",
         "o4096",
         "eigenbasis-o4096",
+        "diagonal-o4096",
     ],
 )
 def test_generator_working_set_estimate(tmp_path, capsys, monkeypatch, generators, o_dim, cap, need):
-    # Named generators are dense: 16 d^2 bytes each, or, unless every
-    # generator is diagonal, 3 n + 4 arrays for n generators: each one and
-    # its adjoint letter, then the letter check's three products or the
-    # joint eigenbasis of commuting letters.  A list over the cap exits 1
-    # with one line at parse, before any named generator is built; at
+    # A list of diagonal generators alone counts 16 d bytes each and 256 d
+    # bytes of class labelling per generator and once more.  Any other list
+    # is dense: 3 n + 4 arrays of 16 d^2 bytes for n generators, each one
+    # and its adjoint letter, then the letter check's three products or
+    # the joint eigenbasis of commuting letters.  A list over the cap exits
+    # 1 with one line at parse, before any named generator is built; at
     # o_dim = 4096 (d = 8192) that is the real cap, which ["B"] alone
     # exceeds only with its eigenbasis counted.
     from segalsim import generators as generators_module
@@ -396,8 +399,9 @@ def test_generator_working_set_estimate(tmp_path, capsys, monkeypatch, generator
         assert built == generators
         return
     assert code == 1
+    kind = "dense" if "B" in generators else "diagonal"
     assert err == (
-        f"config error: generators: {len(generators)} dense generators on d = {2 * o_dim} "
+        f"config error: generators: {len(generators)} {kind} generators on d = {2 * o_dim} "
         f"would hold about {need} bytes, over the {limit}-byte limit\n"
     )
     assert built == []
