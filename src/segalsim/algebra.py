@@ -58,19 +58,22 @@ Non-commutative algebras (the wigner-friend interference algebra,
 Pauli-type probes) are closed by Gram-Schmidt in :mod:`segalsim.closure`,
 which :func:`generate_algebra` imports only for letters that do not
 commute.  Their basis is one (k, d, d) array.
+
+The grouping rule and its checks live in :mod:`segalsim.classifier`.
+The letters, their commutativity check and the joint eigenvectors live
+in :mod:`segalsim.eigenbasis`, which :func:`generate_algebra` imports
+only for dense generators that are not all exactly diagonal: no event
+run compiles them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
-from ._philox import event_uniforms
-from .config import ALGEBRA_TOL, CHARACTER_ATOL, InvariantViolation, check
+from .config import ALGEBRA_TOL, CHARACTER_ATOL, InvariantViolation
 from .linalg import SpaceLayout
 
 __all__ = [
@@ -80,10 +83,6 @@ __all__ = [
     "generate_algebra",
     "joint_spectral_resolution",
 ]
-
-# Philox key of the generator combination whose eigenvectors are the joint
-# eigenbasis: every algebra is deterministic.
-_EIGENBASIS_SEED = 0x5E6A1
 
 
 def _from_eigenbasis(v: np.ndarray | None, values: np.ndarray) -> np.ndarray:
@@ -234,7 +233,7 @@ def generate_algebra(
     Commuting letters give the joint eigenbasis and its classes, others
     the Gram-Schmidt closure (see the module docstring).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     d = layout.dim
     gens = tuple(np.asarray(g, dtype=complex) for g in generators)
@@ -247,19 +246,16 @@ def generate_algebra(
         return diagonal_algebra(np.array(gens).reshape(len(gens), d), layout, tol)
     gens = tuple(np.diag(g) if g.ndim == 1 else g for g in gens)
     if all(np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in gens):
-        return _commutative_algebra(gens, layout, tol, None)
+        return diagonal_algebra(np.array([np.diagonal(g) for g in gens]).reshape(len(gens), d), layout, tol)
     floor = d * np.finfo(float).eps
     if tol < floor:
         raise InvariantViolation(
             f"tol {tol:.3e} is below the round-off floor d * eps = {floor:.3e}: "
             "a letter commutator cannot be told from its round-off"
         )
-    # Letters made afresh for the closure: none stays bound beside the eigenbasis.
-    if not _letters_commute(_letters(gens), tol):
-        from .closure import _gram_schmidt_closure
+    from .eigenbasis import _dense_algebra
 
-        return _gram_schmidt_closure(gens, _letters(gens), layout, tol)
-    return _commutative_algebra(gens, layout, tol, _joint_eigenvectors(gens, d))
+    return _dense_algebra(gens, layout, tol)
 
 
 def diagonal_algebra(
@@ -270,202 +266,16 @@ def diagonal_algebra(
     The same algebra as :func:`generate_algebra` on the dense diagonal
     operators, built without any d x d array.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     values = np.asarray(diagonals, dtype=complex)
     if values.ndim != 2 or values.shape[1] != layout.dim:
         raise ValueError(f"diagonals shape {values.shape} does not match layout dim {layout.dim}")
     if not np.all(np.isfinite(values)):
         raise ValueError("generator entries must be finite")
+    from .classifier import _classified_algebra
+
     return _classified_algebra(values, np.zeros(len(values)), layout, tol, None, None)
-
-
-def _letters(gens: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """The generators, then every adjoint that is not exactly a generator."""
-    letters = list(gens)
-    for g in gens:
-        adjoint = g.conj().T
-        if not any(np.array_equal(adjoint, h) for h in gens):
-            letters.append(adjoint)
-    return letters
-
-
-def _letters_commute(letters: list[np.ndarray], tol: float) -> bool:
-    """True iff every pair a, b of letters has |[a, b]| <= tol |a| |b| (HS norms)."""
-    norms = [float(np.linalg.norm(a)) for a in letters]
-    product = np.empty_like(letters[0])  # a @ b, then [a, b], for each pair in turn
-    for i, a in enumerate(letters):
-        for j in range(i + 1, len(letters)):
-            b = letters[j]
-            np.matmul(a, b, out=product)
-            product -= b @ a
-            if not np.linalg.norm(product) <= tol * norms[i] * norms[j]:
-                return False
-    return True
-
-
-def _joint_eigenvectors(gens: tuple[np.ndarray, ...], d: int) -> np.ndarray:
-    """Eigenvectors of a Philox-keyed real combination of the generators'
-    Hermitian and anti-Hermitian parts, each at unit norm.
-
-    Generator i takes its two coefficients 2u - 1, in [-1, 1), from the
-    first block of the stream keyed by (``_EIGENBASIS_SEED``, i).
-    """
-    coefficients = 2.0 * event_uniforms(_EIGENBASIS_SEED, len(gens), 2) - 1.0
-    h = np.zeros((d, d), dtype=complex)
-    adjoint, part = np.empty_like(h), np.empty_like(h)
-    for g, pair in zip(gens, coefficients):
-        c_re, c_im = pair / (np.linalg.norm(g) or 1.0)
-        # h += c_re (g + g^dag) / 2 + c_im (g - g^dag) / 2i, in that order, in
-        # place on two buffers laid out like h (mixed layouts would copy).
-        adjoint[...] = g.T
-        np.conjugate(adjoint, out=adjoint)
-        np.add(g, adjoint, out=part)
-        np.multiply(c_re, part, out=part)
-        part /= 2.0
-        np.subtract(g, adjoint, out=adjoint)
-        np.multiply(c_im, adjoint, out=adjoint)
-        adjoint /= 2.0j
-        part += adjoint
-        h += part
-    del adjoint, part  # freed before eigh's copy and eigenvectors
-    return np.linalg.eigh(h)[1]
-
-
-def _commutative_algebra(
-    gens: tuple[np.ndarray, ...], layout: SpaceLayout, tol: float, v: np.ndarray | None
-) -> OperatorAlgebra:
-    """The algebra of commuting generators on the joint eigenvectors V.
-
-    ``v`` ``None`` is the identity, for exactly diagonal generators, which
-    go to :func:`diagonal_algebra` as their diagonals.
-    """
-    n, d = len(gens), layout.dim
-    if v is None:
-        return diagonal_algebra(np.array([np.diagonal(g) for g in gens]).reshape(n, d), layout, tol)
-    vh = v.conj().T
-    values = np.empty((n, d), dtype=complex)
-    off_diagonal = []
-    w = np.empty((d, d), dtype=complex)
-    for g, row in zip(gens, values):  # one rotated generator V^dag g V at a time
-        np.matmul(vh @ g, v, out=w)
-        row[:] = np.diagonal(w)
-        w.reshape(-1)[:: d + 1] -= row  # w - diag(row), in place
-        off_diagonal.append(float(np.linalg.norm(w)))
-    del vh, w  # the classification reads the values only
-    return _classified_algebra(values, off_diagonal, layout, tol, gens, v)
-
-
-def _classified_algebra(
-    values: np.ndarray,
-    off_diagonal: np.ndarray | list[float],
-    layout: SpaceLayout,
-    tol: float,
-    gens: tuple[np.ndarray, ...] | None,
-    v: np.ndarray | None,
-) -> OperatorAlgebra:
-    """The commutative algebra whose generators have the joint values
-    ``values`` (one row per generator) on the columns of V.
-
-    ``off_diagonal`` holds each |V^dag g V - diag(values)|.  ``gens`` and
-    ``v`` ``None`` are exactly diagonal generators, stored as ``values``,
-    and the identity.  Runs the residual and accuracy checks of the module
-    docstring.
-    """
-    labels, split_gaps = _joint_classes(values, tol)
-    alg = OperatorAlgebra(
-        layout,
-        gens,
-        tol,
-        labels=labels,
-        eigenvectors=v,
-        joint_values=values,
-        generator_diagonals=values if gens is None else None,
-    )
-    class_values = alg._class_values
-    for g_idx, row in enumerate(values):
-        scale = float(np.max(np.abs(row)))
-        on_diagonal = np.linalg.norm(row - class_values[labels, g_idx])
-        residual = float(np.hypot(off_diagonal[g_idx], on_diagonal))
-        bound = CHARACTER_ATOL * scale
-        check(f"generator {g_idx} is not diagonal on the joint eigenvectors", residual, bound)
-        # A split must exceed the accuracy: at most the largest float below the gap.
-        gap = np.nextafter(split_gaps[g_idx], 0.0)
-        check(f"generator {g_idx}: joint values split within their accuracy", residual, gap)
-    return alg
-
-
-def _joint_classes(values: np.ndarray, tol: float) -> tuple[np.ndarray, list[float]]:
-    """Class of each column under the grouping rule, in character order.
-
-    ``values`` holds one row of joint values per generator.  Also returns
-    each generator's smallest gap at a split (inf where nothing splits).
-    A cluster wider than its merge width raises InvariantViolation.
-
-    Plain Python: the chain rule runs on the k distinct values of each
-    part of a row, found in one hashing pass, and the columns are mapped
-    back through them.  A class is the tuple of its columns' cluster ids,
-    the real parts of every generator first, then the imaginary parts.
-    Classes are numbered in the order of the real values of their first
-    column, rounded as ``np.round(x, 9)`` rounds them, then of that tuple
-    (no NaN is left to sort: every NaN fails the chain check).
-    """
-    n, d = values.shape
-    real_ids, imag_ids, split_gaps = [], [], []  # per generator; ids per column
-    for g_idx, row in enumerate(values):
-        width = float(tol * np.max(np.abs(row)))
-        real, real_gap = _cluster_ids(row.real.tolist(), width, g_idx)
-        imag, imag_gap = _cluster_ids(row.imag.tolist(), width, g_idx)
-        real_ids.append(real)
-        imag_ids.append(imag)
-        split_gaps.append(min(real_gap, imag_gap))
-    # Each class's first column: the last write of a key wins, so the
-    # columns go in backwards.  The leading 0 makes n = 0 one class.
-    backwards = zip(repeat(0, d), *map(reversed, real_ids), *map(reversed, imag_ids))
-    first = dict(zip(backwards, range(d - 1, -1, -1)))
-    reals = values.real[:, list(first.values())].tolist()  # a row per generator, a value per class
-    by_value = sorted(zip(*[map(_round9, row) for row in reals], first))
-    for label, key in enumerate(by_value):
-        first[key[-1]] = label
-    labels = map(first.__getitem__, zip(repeat(0, d), *real_ids, *imag_ids))
-    return np.fromiter(labels, np.intp, d), split_gaps
-
-
-def _cluster_ids(column_values: list[float], width: float, g_idx: int) -> tuple[list[int], float]:
-    """The cluster id of each value of one part of a generator's joint
-    values, and the smallest gap at a split (inf where none).
-
-    The distinct values, sorted, split wherever a gap exceeds ``width``,
-    and the widest cluster, its last value minus its first, is checked
-    against ``width``.
-    """
-    distinct = set(column_values)
-    ordered = sorted(x for x in distinct if x == x)
-    if len(ordered) < len(distinct):
-        ordered.append(math.nan)  # numpy sorts a NaN last, into the last cluster
-    cluster, count, spread, smallest = {}, 0, -math.inf, math.inf
-    start = prev = ordered[0]
-    for x in ordered:
-        gap = x - prev
-        if gap > width:
-            smallest = min(smallest, gap)
-            spread = max(prev - start, spread)
-            start = x
-            count += 1
-        cluster[x] = count
-        prev = x
-    spread = max(prev - start, spread)  # a NaN spread stays
-    check(f"generator {g_idx}: chain of joint values wider than tol x scale", spread, width)
-    return list(map(cluster.__getitem__, column_values)), smallest
-
-
-def _round9(x: float) -> float:
-    """``np.round(x, 9)`` bit for bit: x * 1e9 to the nearest integer, ties
-    to even, divided by 1e9; an infinite product stays infinite."""
-    y = x * 1e9
-    if abs(y) < 2.0**52:  # above, every float is an integer
-        y = math.copysign(round(y), y)
-    return y / 1e9
 
 
 @dataclass(frozen=True, eq=False)

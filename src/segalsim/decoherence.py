@@ -18,8 +18,10 @@ import numpy as np
 
 from .config import DEGENERACY_GAP
 from .linalg import SpaceLayout, degenerate_clusters, hermitian_eig
-from .measurement import MeasurementModel, _setup, premeasure, system_state
-from .scenarios import ScenarioConfig, _space_layout
+from .measurement import MeasurementModel, premeasure, system_state
+from .parse import _space_layout
+from .pointer import _setup
+from .scenarios import ScenarioConfig
 from .states import StateVector, basis_state
 
 __all__ = [

@@ -19,15 +19,8 @@ import numpy as np
 
 from .config import TRACE_ATOL, check
 from .linalg import require_hermitian, unitary_from_hamiltonian
-from .measurement import (
-    MeasurementModel,
-    _ready_pointer_swap,
-    _setup,
-    ms_layout,
-    pointer_characters,
-    ready_state,
-    system_state,
-)
+from .measurement import MeasurementModel, ms_layout, pointer_characters, ready_state, system_state
+from .pointer import _ready_pointer_swap, _setup
 from .restriction import Character
 from .scenarios import ScenarioConfig
 from .states import DensityMatrix, StateVector, density_from_vector

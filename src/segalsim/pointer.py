@@ -1,0 +1,232 @@
+"""The per-model pointer set-up and premeasurement.
+
+The pointer algebra of a model, its characters in pointer order and the
+environment records are built once per model and cached (``_setup``).
+Premeasurement is the ready/pointer swap on S (x) O amplitudes; the
+restricted pointer probabilities, the interference expectation and the
+branch mixture are read from the premeasured amplitudes.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
+
+from .config import InvariantViolation, PROBABILITY_FLOOR
+from .algebra import OperatorAlgebra, diagonal_algebra, joint_spectral_resolution
+from .linalg import SpaceLayout
+from .model import (
+    MeasurementModel,
+    _environment_records,
+    _pointer_diagonal,
+    _source_kind,
+    full_layout,
+    ms_layout,
+    ready_state,
+)
+from .restriction import AlgebraicState, Character, decompose_restricted, extremal_states
+from .states import DensityMatrix, Gemenge, StateVector
+
+__all__ = [
+    "branch_mixture",
+    "interference_expectation",
+    "interference_observable",
+    "pointer_algebra",
+    "pointer_characters",
+    "premeasure",
+    "restricted_pointer_probabilities",
+]
+
+
+# ---------------------------------------------------------------------------
+# cached per-model machinery
+
+
+@dataclass(eq=False)
+class _Setup:
+    layout: SpaceLayout
+    records: np.ndarray                        # (o_dim, e_dim) environment records
+    algebra: OperatorAlgebra
+    characters: tuple[Character, ...]          # pointer order (qo_values order)
+    extremal_to_pointer: np.ndarray
+    ms_algebra: OperatorAlgebra                # the S (x) O layout
+    ms_characters: tuple[Character, ...]       # pointer order
+
+
+@lru_cache(maxsize=None)
+def _setup(model: MeasurementModel) -> _Setup:
+    layout = full_layout(model)
+    algebra = _pointer_algebra_on(model, layout)
+    characters, ext_to_ptr = _pointer_order(model, algebra)
+    if model.environment is None:
+        ms_alg, ms_characters = algebra, characters
+    else:
+        ms_alg = _pointer_algebra_on(model, ms_layout(model))
+        ms_characters, _ = _pointer_order(model, ms_alg)
+    return _Setup(
+        layout=layout,
+        records=_environment_records(model),
+        algebra=algebra,
+        characters=characters,
+        extremal_to_pointer=ext_to_ptr,
+        ms_algebra=ms_alg,
+        ms_characters=ms_characters,
+    )
+
+
+def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> OperatorAlgebra:
+    return diagonal_algebra(_pointer_diagonal(model, layout)[None], layout)
+
+
+def _pointer_order(model, algebra):
+    """The algebra's characters in pointer (qo_values) order, and the map
+    from extremal order to pointer order.
+
+    Character k matches every pointer value q with |q - value_k| < 1e-7,
+    and the match must be one to one: pointer values that merged into one
+    class leave a pointer value with no character.  The character values
+    ascend, so one sweep over the sorted pointer values finds each match:
+    the values within 1e-7 of value_k are consecutive, and neither end of
+    that run moves down as k grows.  The sweep is plain Python; on the
+    pointer algebra's k classes it costs less than the numpy sort and
+    search code it would page in.
+    """
+    chars_ext = extremal_states(algebra)
+    values = joint_spectral_resolution(algebra).generator_values[:, 0].tolist()
+    qo = model.qo_values
+    by_value = sorted(range(len(qo)), key=qo.__getitem__)
+    ptr, lo = [], 0  # each character's one pointer index, else None
+    for value in values:
+        while lo < len(qo) and qo[by_value[lo]] < value and not abs(qo[by_value[lo]] - value) < 1e-7:
+            lo += 1
+        hi = lo
+        while hi < len(qo) and abs(qo[by_value[hi]] - value) < 1e-7:
+            hi += 1
+        ptr.append(by_value[lo] if hi - lo == 1 else None)
+    hits = Counter(ptr)
+    bad = [f"character value {v!r} does not match one pointer value" for v, j in zip(values, ptr) if j is None]
+    bad += [f"pointer value {q!r} does not match one character" for j, q in enumerate(qo) if hits[j] != 1]
+    if bad:
+        raise InvariantViolation(bad[0])
+    by_pointer = dict(zip(ptr, chars_ext))
+    return tuple(by_pointer[j] for j in range(len(qo))), np.array(ptr, np.min_scalar_type(model.o_dim - 1))
+
+
+def pointer_algebra(model: MeasurementModel, environment: bool = False) -> OperatorAlgebra:
+    """The observer's effective algebra: unit and pointer observable only."""
+    setup = _setup(model)
+    return setup.algebra if environment else setup.ms_algebra
+
+
+def pointer_characters(model: MeasurementModel, environment: bool = False) -> tuple[Character, ...]:
+    """Characters of the pointer algebra in ``qo_values`` order."""
+    setup = _setup(model)
+    return setup.characters if environment else setup.ms_characters
+
+
+def restricted_pointer_probabilities(model: MeasurementModel, source: StateVector | Gemenge) -> np.ndarray:
+    """Character weights of the post-measurement state of ``source``,
+    restricted to the S (x) O pointer algebra.
+
+    In ``qo_values`` order; weights at or below ``PROBABILITY_FLOOR`` are
+    round-off of a structural zero and read exactly 0.
+    """
+    d = ms_layout(model).dim
+    return _pointer_weights(model, _post_measurement_entries(model, source, np.arange(d), np.arange(d)))
+
+
+def _pointer_weights(model: MeasurementModel, diagonal: np.ndarray) -> np.ndarray:
+    """Restricted pointer probabilities of the S (x) O state with diagonal
+    ``diagonal``, all that the diagonal pointer algebra reads of it."""
+    setup = _setup(model)
+    alg = setup.ms_algebra
+    # tr(rho B_j) = conj(<B_j, rho^dag>), and <B_j, rho^dag> reads only diag(rho)^*.
+    phi = AlgebraicState(alg, alg.project_coefficients(diagonal.conj()).conj())
+    weights = decompose_restricted(phi, alg).probabilities
+    probs = weights[[c.projector_index for c in setup.ms_characters]]
+    return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# premeasurement dynamics
+
+
+def _ready_pointer_swap(model: MeasurementModel, amplitudes: np.ndarray) -> np.ndarray:
+    """The premeasurement on S (x) O amplitudes, its own inverse: within
+    branch i, |s_i, O_0> and |s_i, O_i> trade places.  The ``+ 0.0`` gives
+    the +0 the dense unitary product gives where the gather keeps a -0."""
+    o = model.o_dim
+    index = np.arange(model.s_dim * o).reshape(model.s_dim, o)
+    branch = np.arange(model.s_dim)
+    index[branch, 0] = branch * o + branch + 1
+    index[branch, branch + 1] = branch * o
+    return amplitudes[index.reshape(-1)] + 0.0
+
+
+def _interference_pair(model: MeasurementModel) -> tuple[int, int]:
+    """S (x) O indices of |s_1 O_1> and |s_2 O_2>, the two states the
+    interference observable couples."""
+    if model.s_dim != 2:
+        raise ValueError("the interference observable is defined for s_dim = 2")
+    return 1, model.o_dim + 2
+
+
+def interference_observable(model: MeasurementModel) -> np.ndarray:
+    """Cross-branch correlation witness |s_1 O_1><s_2 O_2| + h.c.
+
+    Its expectation separates the post-measurement superposition from the
+    matched branch mixture, but it lies outside the pointer algebra, so
+    the register itself can never read it.  Defined for two branches.
+    """
+    i, j = _interference_pair(model)
+    b = np.zeros((2 * model.o_dim, 2 * model.o_dim), dtype=complex)
+    b[i, j] = 1.0
+    b[j, i] = 1.0
+    return b
+
+
+def premeasure(model: MeasurementModel, psi_s: StateVector) -> StateVector:
+    """Post-measurement pure state on S (x) O for an input system state."""
+    return StateVector(ms_layout(model), _ready_pointer_swap(model, ready_state(model, psi_s).amplitudes))
+
+
+def _post_measurement_entries(model: MeasurementModel, source: StateVector | Gemenge, rows, cols):
+    """Entries ``rho[rows[n], cols[n]]`` of the post-measurement S (x) O
+    state: a_r conj(a_c) of the premeasured amplitudes, as |a><a| holds it,
+    or for an ensemble its probability-weighted sum over the rows, in order."""
+    if _source_kind(model, source) == "pure":
+        a = premeasure(model, source).amplitudes
+        return a[rows] * a[cols].conj()
+    entries = np.zeros(len(rows), dtype=complex)
+    for state, p in source.rows:
+        a = premeasure(model, state).amplitudes
+        entries += p * (a[rows] * a[cols].conj())
+    return entries
+
+
+def interference_expectation(model: MeasurementModel, source: StateVector | Gemenge) -> float:
+    """<B> of the post-measurement state for the interference observable B.
+
+    B has two unit entries, so <B> is the sum of the two state entries it
+    reads; the ``+ 0.0`` gives the +0 the full trace gives when both are -0.
+    """
+    i, j = _interference_pair(model)
+    x, y = _post_measurement_entries(model, source, [i, j], [j, i]).real
+    return float(x + y + 0.0)
+
+
+def branch_mixture(model: MeasurementModel, amplitudes: Sequence[complex]) -> DensityMatrix:
+    """Classical mixture of measured branches |s_i O_i> with weights |a_i|^2."""
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.size != model.s_dim:
+        raise ValueError(f"expected {model.s_dim} amplitudes")
+    lay = ms_layout(model)
+    mat = np.zeros((lay.dim, lay.dim), dtype=complex)
+    for i, a in enumerate(amps):
+        idx = lay.basis_index((i, i + 1))
+        mat[idx, idx] = abs(a) ** 2
+    return DensityMatrix(lay, mat)

@@ -11,7 +11,7 @@ are tested against them bit for bit.  The dense commutative
 restriction keeps the character and positivity tables and the
 least-squares decomposition that the O(k) class-index reads replace.
 ``joint_classes_numpy`` is the numpy classifier of joint values that
-``algebra._joint_classes`` replaces with a plain-Python pass; the two are
+``classifier._joint_classes`` replaces with a plain-Python pass; the two are
 compared label for label, gap for gap and message for message.
 The algebra readers (projection, membership, projector values) work on a
 package algebra's dense ``basis`` and ``projectors`` only, never on its
@@ -39,18 +39,17 @@ from segalsim.config import PROBABILITY_FLOOR, TRACE_ATOL, InvariantViolation, c
 from segalsim.linalg import SpaceLayout
 from segalsim.decoherence import pointer_basis
 from segalsim.doublet import DoubletState
+from segalsim.events import _pipeline_image
 from segalsim.measurement import (
     EventRecord,
     MeasurementModel,
-    _environment_records,
-    _pipeline_image,
-    _setup,
-    _source_kind,
     full_layout,
     ms_layout,
     pointer_algebra,
     pointer_characters,
 )
+from segalsim.model import _environment_records, _source_kind
+from segalsim.pointer import _setup
 from segalsim.restriction import (
     AlgebraicState,
     Character,
@@ -61,7 +60,8 @@ from segalsim.restriction import (
     extremal_states,
     restrict_state,
 )
-from segalsim.scenarios import ConfigError, _decode_entry
+from segalsim.parse import _decode_entry
+from segalsim.scenarios import ConfigError
 from segalsim.states import DensityMatrix, Gemenge, StateVector, density_from_vector
 
 
@@ -502,7 +502,7 @@ def lstsq_decomposition(phi: AlgebraicState) -> EnsembleOverCharacters:
 
 
 def pointer_order_loop(model: MeasurementModel, algebra: OperatorAlgebra):
-    """``measurement._pointer_order`` as a loop over every (character,
+    """``pointer._pointer_order`` as a loop over every (character,
     pointer value) pair: the characters in pointer order and the map from
     extremal order to pointer order, one to one."""
     chars_ext = extremal_states(algebra)
@@ -522,7 +522,7 @@ def pointer_order_loop(model: MeasurementModel, algebra: OperatorAlgebra):
 
 
 def joint_classes_numpy(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """``algebra._joint_classes`` on whole rows with numpy's sort, unique,
+    """``classifier._joint_classes`` on whole rows with numpy's sort, unique,
     cumsum and round: the class of each column in character order, and
     each generator's smallest gap at a split (inf where nothing splits).
     A cluster wider than its merge width raises InvariantViolation."""
@@ -694,7 +694,7 @@ def run_event(
 
 
 def load_document_reference(text: str) -> dict:
-    """``scenarios.load_document`` as one ``json.loads`` with its object
+    """``parse.load_document`` as one ``json.loads`` with its object
     hook: every matrix's list tree is built whole before the hook reads it."""
     try:
         raw = json.loads(text, object_hook=_decode_entry)

@@ -5,20 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segalsim import algebra
-from segalsim.algebra import (
-    _commutative_algebra,
-    _joint_classes,
-    _letters_commute,
-    diagonal_algebra,
-    generate_algebra,
-    joint_spectral_resolution,
-)
+from segalsim import classifier, eigenbasis
+from segalsim.algebra import diagonal_algebra, generate_algebra, joint_spectral_resolution
+from segalsim.classifier import _joint_classes
 from segalsim.config import ALGEBRA_TOL, InvariantViolation
+from segalsim.eigenbasis import _commutative_algebra, _letters_commute
 from segalsim.linalg import SpaceLayout, tensor
 from segalsim.measurement import (
-    _pointer_diagonal,
-    _setup,
     full_layout,
     interference_observable,
     make_model,
@@ -26,6 +19,8 @@ from segalsim.measurement import (
     pointer_algebra,
     pointer_operator,
 )
+from segalsim.model import _pointer_diagonal
+from segalsim.pointer import _setup
 from segalsim.restriction import extremal_states
 
 from _oracles import (
@@ -170,6 +165,17 @@ class TestGenerateAlgebra:
         alg = generate_algebra([Q_O], O, tol=1e-30)
         assert alg.dimension == 3 and alg.commutative
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan], ids=["zero", "negative", "nan"])
+    @pytest.mark.parametrize("route", ["diagonals", "dense-diagonal", "dense"])
+    def test_tol_must_be_positive(self, tol, route):
+        # A NaN tol is refused as a bad argument, as every tol that is not
+        # above 0 is, before any classification can read it.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            if route == "diagonals":
+                diagonal_algebra(np.diagonal(Q_O)[None], O, tol)
+            else:
+                generate_algebra([Q_O if route == "dense-diagonal" else SX_O], O, tol=tol)
+
     def test_basis_orthonormal(self):
         alg = generate_algebra([q_o_extended(), interference_op()], MS)
         gram = np.array([[np.vdot(a, b) for b in alg.basis] for a in alg.basis])
@@ -268,13 +274,18 @@ class TestJointSpectralResolution:
         assert np.max(np.abs(recon - Q_O)) <= 1e-8
 
     def test_independent_of_random_draw(self, monkeypatch):
-        # Diagonal generators take no draw: the seed cannot move anything.
+        # Diagonal generators take no draw: the seed cannot move anything,
+        # while a rotated generator's eigenvectors show that it is read.
+        (gen,), _ = rotated(np.random.default_rng(5), q_o_extended())
         reference = joint_spectral_resolution(generate_algebra([q_o_extended()], MS))
+        drawn = set()
         for trial in range(10):
-            monkeypatch.setattr(algebra, "_EIGENBASIS_SEED", 1000 + trial)
+            monkeypatch.setattr(eigenbasis, "_EIGENBASIS_SEED", 1000 + trial)
             res = joint_spectral_resolution(generate_algebra([q_o_extended()], MS))
             for p, q in zip(reference.projectors, res.projectors):
                 assert np.max(np.abs(p - q)) <= 1e-7
+            drawn.add(generate_algebra([gen], MS).eigenvectors.tobytes())
+        assert len(drawn) > 1
 
     def test_values_are_algebra_isomorphism(self):
         # Multiplicativity: value vectors of products are entrywise products.
@@ -310,12 +321,15 @@ class TestJointSpectralResolution:
         # projectors, U P_k U^dag for the known U.
         (gen,), u = rotated(np.random.default_rng(5), q_o_extended())
         reference = joint_spectral_resolution(generate_algebra([q_o_extended()], MS))
+        drawn = set()
         for trial in range(10):
-            monkeypatch.setattr(algebra, "_EIGENBASIS_SEED", 1000 + trial)
+            monkeypatch.setattr(eigenbasis, "_EIGENBASIS_SEED", 1000 + trial)
             res = joint_spectral_resolution(generate_algebra([gen], MS))
             assert res.ranks == reference.ranks
             for p, q in zip(reference.projectors, res.projectors):
                 assert np.max(np.abs(u @ p @ u.conj().T - q)) <= 1e-7
+            drawn.add(res.eigenvectors.tobytes())
+        assert len(drawn) > 1
 
 
 # Oracle: the eigenbasis representation against the all-pairs closure and
@@ -711,7 +725,7 @@ class TestClusteredSpectra:
         v = np.eye(3, dtype=complex)
         v[0, 0] = v[2, 2] = np.cos(theta)
         v[0, 2], v[2, 0] = -np.sin(theta), np.sin(theta)
-        assert _commutative_algebra((gen,), O, 1e-12, None).dimension == 3
+        assert generate_algebra([gen], O, 1e-12).dimension == 3
         with pytest.raises(InvariantViolation, match="within their accuracy"):
             _commutative_algebra((gen,), O, 1e-12, v)
 
@@ -783,7 +797,7 @@ class TestJointClassesOracle:
         x = rng.standard_normal(20000) * 10.0 ** rng.integers(-14, 14, 20000)
         ties = (rng.integers(-10**6, 10**6, 2000) + 0.5) / 1e9  # halves at the 10th decimal
         x = np.concatenate([x, ties, [0.0, -0.0, -3e-10, 5e-10, 4.5e6, 1.8e299, -1.7e299, 1.8e300, -np.inf]])
-        rounded = np.array([algebra._round9(v) for v in x.tolist()])
+        rounded = np.array([classifier._round9(v) for v in x.tolist()])
         with np.errstate(over="ignore"):
             assert rounded.tobytes() == np.round(x, 9).tobytes()
 

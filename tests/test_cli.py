@@ -1,9 +1,11 @@
+import ast
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -662,7 +664,7 @@ def test_no_cli_run_imports_numpy_random(tmp_path):
 
 
 # Modules only some scenarios run; an event run compiles none of them.
-_DEFERRED = ("closure", "decoherence", "doublet", "generators", "wigner")
+_DEFERRED = ("closure", "decoherence", "document", "doublet", "eigenbasis", "generators", "wigner")
 
 
 def _loaded_after_each(tmp_path, names):
@@ -690,7 +692,8 @@ def _loaded_after_each(tmp_path, names):
 def test_event_runs_load_no_scenario_specific_module(tmp_path):
     # pure and gemenge (with and without an environment) need the pipeline,
     # the pointer algebra and the sampler only; their documents never reach
-    # the row-at-a-time reader in generators.  Every other scenario's
+    # the row-at-a-time reader in document, and their diagonal pointer
+    # algebras never take the eigenbasis path.  Every other scenario's
     # runner imports its module when called.
     names = [
         "pure",
@@ -712,14 +715,14 @@ def test_event_runs_load_no_scenario_specific_module(tmp_path):
         [],
         [],
         [],
-        ["closure", "wigner"],
-        ["closure", "decoherence", "wigner"],
-        ["closure", "decoherence", "doublet", "wigner"],
+        ["closure", "eigenbasis", "wigner"],
+        ["closure", "decoherence", "eigenbasis", "wigner"],
+        ["closure", "decoherence", "doublet", "eigenbasis", "wigner"],
     ]
 
 
 def test_document_reader_loads_for_generators_only():
-    # load_document hands a document to generators.read_document only when
+    # load_document hands a document to document.read_document only when
     # it holds generators; every pinned event document is decoded whole.
     events = [json.dumps(doc) for name, doc in CONFIGS.items() if name.startswith(("pure", "gemenge"))]
     entry = {"matrix": [[[1.0, 0.0]] * 2] * 2}
@@ -729,7 +732,7 @@ def test_document_reader_loads_for_generators_only():
         "from segalsim.scenarios import load_document\n"
         "for text in json.loads(sys.stdin.read()):\n"
         "    load_document(text)\n"
-        "    print('segalsim.generators' in sys.modules)\n"
+        "    print('segalsim.document' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -744,18 +747,21 @@ def test_document_reader_loads_for_generators_only():
 
 
 def test_algebra_probe_loads_the_closure_for_non_commuting_letters_only(tmp_path):
+    # Diagonal generators take neither the eigenbasis nor the closure;
+    # dense commuting ones take the eigenbasis alone.
     names = ["algebra-probe-qo", "algebra-probe-rotated-pair", "algebra-probe-qo-ms-b"]
     assert _loaded_after_each(tmp_path, names) == [
-        ["generators"],
-        ["generators"],
-        ["closure", "generators"],
+        ["document", "generators"],
+        ["document", "eigenbasis", "generators"],
+        ["closure", "document", "eigenbasis", "generators"],
     ]
 
 
 def test_import_footprint(tmp_path):
     # With no bytecode cached, importing the package after numpy grew
     # VmHWM by about 3.2 MB while every module was compiled on each import;
-    # with the scenario-specific modules deferred it grows by about 2.1 MB.
+    # with the scenario-specific modules deferred it grew by about 2.1 MB,
+    # and with no module over 1,500 tokens it grows by about 1.5 MB.
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc/self/status")
     script = (
@@ -774,3 +780,32 @@ def test_import_footprint(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 2600  # kB
+
+
+def test_import_traced_peak(tmp_path):
+    # The parser holds a module's tokens, memo and AST at once, about
+    # 0.4 KiB per token under tracemalloc, so the largest module compiled
+    # sets the import's traced peak: 1.58 MiB with a 3,148-token module,
+    # 1.05 MiB with none over 1,500.  Every module the package imports
+    # from outside it is loaded first, from its bytecode; the empty
+    # pycache prefix then leaves no bytecode to read for the package.
+    outside = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                outside.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__":
+                outside.add(node.module)
+    script = (
+        "import sys, tracemalloc\n"
+        f"for name in {sorted(outside)!r}:\n"
+        "    __import__(name)\n"
+        "assert not [m for m in sys.modules if m.startswith('segalsim')]\n"
+        f"sys.pycache_prefix = {str(tmp_path)!r}\n"
+        "tracemalloc.start()\n"
+        "import segalsim\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 1.5 * 2**20

@@ -7,11 +7,13 @@ another module; every module-level ``_PRIVATE_CONSTANT`` is read
 somewhere beyond its own assignment; every name in a module's
 ``__all__`` is read by the package, its tests or its benchmark, and every
 name in the package root's ``__all__`` is taken from the root by one of
-them; no module reads ``numpy.random``; and ``InvariantViolation`` is
-raised only by ``config.check`` and four structural sites.
+them; no module reads ``numpy.random``; ``InvariantViolation`` is
+raised only by ``config.check`` and four structural sites; and no module
+exceeds the token budget.
 """
 
 import re
+import tokenize
 
 import ast
 from pathlib import Path
@@ -237,8 +239,8 @@ def test_one_document_decoder():
         for function, line in _json_decoder_reads(_tree(path))
     ]
     assert [(name, function) for name, function, _ in sites] == [
-        ("scenarios.py", "load_document")
-    ], f"JSON decoded outside scenarios.load_document: {sites}"
+        ("parse.py", "load_document")
+    ], f"JSON decoded outside parse.load_document: {sites}"
 
 
 def _class_label_counts(tree):
@@ -303,6 +305,29 @@ def test_numeric_invariants_go_through_check():
         ("algebra.py", "generate_algebra"),
         ("closure.py", "_gram_schmidt_closure"),
         ("config.py", "check"),
-        ("measurement.py", "_pointer_order"),
+        ("pointer.py", "_pointer_order"),
         ("serialize.py", "emit_report"),
     ], f"raise InvariantViolation outside config.check and the structural sites: {sites}"
+
+
+# Compiling a module from source holds its tokens, the parser's memo and
+# the AST at once, about 0.4 KiB per token under tracemalloc, and the
+# freed pages stay resident: the largest module sets the compile's share
+# of every run's peak RSS (PYTHONDONTWRITEBYTECODE leaves no bytecode to
+# read).  The count leaves out comments and layout tokens.
+_MAX_MODULE_TOKENS = 1500
+_LAYOUT_TOKENS = {
+    tokenize.COMMENT,
+    tokenize.NL,
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_token_budget(path):
+    with path.open(encoding="utf-8") as source:
+        count = sum(t.type not in _LAYOUT_TOKENS for t in tokenize.generate_tokens(source.readline))
+    assert count <= _MAX_MODULE_TOKENS, f"{path.name} has {count} tokens, over {_MAX_MODULE_TOKENS}"

@@ -8,14 +8,10 @@ import pytest
 from segalsim.algebra import generate_algebra, joint_spectral_resolution
 from segalsim.config import InvariantViolation
 from segalsim.linalg import SpaceLayout, tensor, unitary_from_hamiltonian
+from segalsim.events import _pipeline_image
 from segalsim.measurement import (
     EnvironmentSpec,
     MeasurementModel,
-    _environment_records,
-    _pipeline_image,
-    _pointer_weights,
-    _ready_pointer_swap,
-    _setup,
     branch_mixture,
     full_layout,
     interference_expectation,
@@ -33,6 +29,8 @@ from segalsim.measurement import (
     system_layout,
     system_state,
 )
+from segalsim.model import _environment_records
+from segalsim.pointer import _pointer_weights, _ready_pointer_swap, _setup
 from segalsim.decoherence import (
     _traced_block,
     environment_coherence,
@@ -969,7 +967,7 @@ def test_pointer_order_matches_pair_loop(seed):
     # values sit at, inside and just outside 1e-7 of a pointer value, and
     # some pointer values sit within 1e-7 of each other.
     from segalsim.algebra import diagonal_algebra
-    from segalsim.measurement import _pointer_order
+    from segalsim.pointer import _pointer_order
 
     rng = np.random.default_rng([61, seed])
     offsets = np.array([0.0, 0.5e-7, -0.99e-7, 1e-7, -1.01e-7, 2e-7])
