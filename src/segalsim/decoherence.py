@@ -1,12 +1,14 @@
 """Decoherence summaries and pointer-basis extraction.
 
 The environment records of :mod:`segalsim.measurement` scale every
-cross-branch coherence of the register by their overlap; this module
-reads that coherence and the S-conditioned register states, each an
-o_dim x o_dim block summed over E from the record table, recovers the
-register basis a tri-partite entangled state selects, and follows the
-register's purity under the dephasing coupling g Q_O (x) V_E.  Only the
-``decoherence`` scenario, whose runner is here, runs it.
+cross-branch coherence of the register by their overlap.  The
+S-conditioned register states are W_s W_s^dag for the o_dim x e_dim
+branch factors W_s = diag(a_s) records, a_s the premeasured amplitudes
+of branch s, so the register basis a tri-partite entangled state selects
+comes from thin SVDs of the factors; the coherence is O(e_dim), and the
+register's purity under the dephasing coupling g Q_O (x) V_E is read
+from its o_dim x e_dim amplitudes.  No o_dim x o_dim array is made.
+Only the ``decoherence`` scenario, whose runner is here, runs it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEGENERACY_GAP
-from .linalg import SpaceLayout, degenerate_clusters, hermitian_eig
+from .config import DEGENERACY_GAP, ORTHONORMALITY_ATOL, RECONSTRUCTION_ATOL, check
+from .linalg import SpaceLayout, degenerate_clusters
 from .measurement import MeasurementModel, premeasure, system_state
 from .parse import _space_layout
 from .pointer import _setup
@@ -33,32 +35,25 @@ __all__ = [
 ]
 
 
-def _traced_block(records: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """<s| Tr_E(V rho V^dag) |s'> for the S (x) O block rho[s j, s' k] =
-    left[j] conj(right[k]) of a pure state, V the environment coupling.
-
-    Entry (j, k) sums (records[j, e] rho[s j, s' k]) records[k, e] over e,
-    the factors in the order the coupled density matrix holds them.
-    """
-    rho = np.outer(left, right.conj())
-    return ((records[:, None, :] * rho[:, :, None]) * records[None]).sum(axis=-1)
-
-
 def environment_coherence(model: MeasurementModel, psi_s: StateVector) -> float:
     """|<s_0 O_1| rho_SO |s_1 O_2>| once E is traced out of the coupled state.
 
     The branch records overlap by ``e_overlap``, so the environment scales
-    the cross-branch coherence by exactly that overlap.
+    the cross-branch coherence by exactly that overlap.  It is entry (1, 2)
+    of W_0 W_1^dag, summed in the coupled density matrix's factor order, so
+    its bits are the dense route's.
     """
     a = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
-    return abs(complex(_traced_block(_setup(model).records, a[0], a[1])[1, 2]))
+    rho_12 = a[0, 1:2] * a[1, 2:3].conj()  # an array: a numpy scalar product rounds apart
+    records = _setup(model).records
+    return abs(complex((records[1] * rho_12 * records[2]).sum()))
 
 
 def environment_pointer_basis(model: MeasurementModel, psi_s: StateVector) -> PointerBasisReport:
-    """:func:`pointer_basis` of the coupled post-measurement state of ``psi_s``."""
-    records = _setup(model).records
-    table = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
-    return pointer_basis(np.array([_traced_block(records, a, a) for a in table]))
+    """:func:`pointer_basis` of the coupled post-measurement state of
+    ``psi_s``, from its branch factors W_s = diag(a_s) records."""
+    a = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
+    return pointer_basis(a[:, :, None] * _setup(model).records)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,41 +66,52 @@ class PointerBasisReport:
     residual: float
 
 
+def _svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin SVD: left singular vectors and descending singular values, checked."""
+    u, sv, vh = np.linalg.svd(w, full_matrices=False)
+    err = np.max(np.abs((u * sv) @ vh - w))
+    check("singular value decomposition reconstruction error, max |U S V^dag - W|", err, RECONSTRUCTION_ATOL)
+    ortho = np.max(np.abs(u.conj().T @ u - np.eye(sv.size)))
+    check("singular vectors not orthonormal, max |U^dag U - I|", ortho, ORTHONORMALITY_ATOL)
+    return u, sv
+
+
 def pointer_basis(
-    conditioned: np.ndarray,
+    factors: np.ndarray,
     weight_floor: float = 1e-10,
     gap: float = DEGENERACY_GAP,
     residual_tol: float = 1e-6,
 ) -> PointerBasisReport:
     """Recover the register basis selected by a tri-partite entangled state.
 
-    ``conditioned[i]`` is the S-conditioned register state <s_i| rho |s_i>
-    with every other factor traced out, unnormalized; their sum is the O
-    marginal.  Primary route: the eigenbasis of the O marginal.  Degenerate
-    eigenvalue clusters are resolved through the S-conditioned O states
-    (each measured branch pins down its own pointer vector, whatever the
-    environment overlaps are); if the conditioned states cannot split a
-    cluster either, the report says DEGENERATE-UNRESOLVED rather than
-    picking a basis arbitrarily.  States whose S-conditioned states fail to
-    be a single register direction are rejected as not being of the
-    measured tri-partite form.
+    ``factors[i]`` is an o_dim x r factor W_i of the unnormalized
+    S-conditioned register state <s_i| rho |s_i> = W_i W_i^dag.  Primary
+    route: the O marginal W W^dag, W the factors side by side, through the
+    left singular vectors of W, weights the squared singular values
+    ascending.  A degenerate cluster is resolved by the branches' top left
+    singular vectors projected on its columns (each measured branch pins
+    down its own pointer vector, whatever the environment overlaps are),
+    or reported DEGENERATE-UNRESOLVED rather than picked arbitrarily.  A
+    branch residual 1 - s_0^2 / sum s^2 above ``residual_tol`` rejects the
+    state as not of the measured tri-partite form.
     """
-    conditional: list[np.ndarray] = []  # normalized O states
+    tops: list[np.ndarray] = []  # each branch's register direction
     residual = 0.0
-    for sigma in conditioned:
-        weight = float(np.trace(sigma).real)
+    for w in factors:
+        u, sv = _svd(w)
+        weight = float(np.sum(sv**2))
         if weight <= weight_floor:
             continue
-        eigvals = np.linalg.eigvalsh(sigma)
-        residual = max(residual, 1.0 - float(eigvals[-1]) / weight)
-        conditional.append(sigma / weight)
+        residual = max(residual, 1.0 - float(sv[0]) ** 2 / weight)
+        tops.append(u[:, 0])
     if residual > residual_tol:
         raise ValueError(
             f"state is not approximately tri-decomposable: branch residual {residual:.3e} "
             f"exceeds {residual_tol:.1e}"
         )
 
-    values, vectors = hermitian_eig(conditioned.sum(axis=0))
+    u, sv = _svd(np.concatenate(factors, axis=1))
+    values, vectors = sv[::-1] ** 2, u[:, ::-1]
     significant = [k for k in range(values.size) if values[k] > weight_floor]
     clusters = [
         [significant[j] for j in group]
@@ -113,19 +119,15 @@ def pointer_basis(
     ]
 
     out_vectors: list[np.ndarray] = []
-    out_weights: list[float] = []
     unresolved = False
     for cluster in clusters:
+        columns = vectors[:, cluster]
         if len(cluster) == 1:
-            out_vectors.append(vectors[:, cluster[0]])
-            out_weights.append(float(values[cluster[0]]))
+            out_vectors.append(columns[:, 0])
             continue
-        p_cluster = vectors[:, cluster] @ vectors[:, cluster].conj().T
         candidates: list[np.ndarray] = []
-        for sigma in conditional:
-            _, sig_vecs = hermitian_eig(sigma)
-            u = sig_vecs[:, -1]
-            projected = p_cluster @ u
+        for top in tops:
+            projected = columns @ (columns.conj().T @ top)
             norm = float(np.linalg.norm(projected))
             if norm**2 < 0.5:
                 continue
@@ -135,17 +137,14 @@ def pointer_basis(
             norm = float(np.linalg.norm(candidate))
             if norm > 1e-6:
                 candidates.append(candidate / norm)
-        if len(candidates) == len(cluster):
-            out_vectors.extend(candidates)
-            out_weights.extend(float(values[k]) for k in cluster)
-        else:
+        if len(candidates) < len(cluster):
             unresolved = True
-            out_vectors.extend(vectors[:, k] for k in cluster)
-            out_weights.extend(float(values[k]) for k in cluster)
+            candidates = list(columns.T)
+        out_vectors.extend(candidates)
 
     return PointerBasisReport(
         vectors=tuple(out_vectors),
-        weights=np.array(out_weights),
+        weights=values[significant],
         flag="DEGENERATE-UNRESOLVED" if unresolved else "UNIQUE",
         residual=residual,
     )
@@ -177,8 +176,8 @@ def pointer_state_stability(
     purities = []
     for t in t_grid:
         amp_t = np.exp(-1j * phases * float(t)) * amp0
-        rho_o = amp_t @ amp_t.conj().T
-        purities.append(float(np.einsum("ij,ji->", rho_o, rho_o).real))
+        gram = amp_t.conj().T @ amp_t  # e_dim x e_dim; its nonzero spectrum is rho_O's
+        purities.append(float(np.vdot(gram, gram).real))
     return np.array(purities)
 
 

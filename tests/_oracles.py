@@ -7,7 +7,11 @@ package now takes on amplitude vectors: the premeasurement unitary, the
 coupled V rho V^dag, partial traces to density matrices, the ensemble
 average and the dense-rho entry points of the pointer-basis extraction
 and of the restricted pointer probabilities.  The package's fast paths
-are tested against them bit for bit.  The dense commutative
+are tested against them bit for bit.  The pointer-basis extraction also
+keeps its dense solver, eigendecompositions of the o x o conditioned
+register states and O marginal, which the package's thin SVDs of the
+branch factors replace: flags and |v| are compared bit for bit, weights
+and residual at the report's 12 digits.  The dense commutative
 restriction keeps the character and positivity tables and the
 least-squares decomposition that the O(k) class-index reads replace.
 ``joint_classes_numpy`` is the numpy classifier of joint values that
@@ -35,9 +39,9 @@ from typing import Iterable
 import numpy as np
 
 from segalsim.algebra import OperatorAlgebra, SpectralResolution, joint_spectral_resolution
-from segalsim.config import PROBABILITY_FLOOR, TRACE_ATOL, InvariantViolation, check
-from segalsim.linalg import SpaceLayout
-from segalsim.decoherence import pointer_basis
+from segalsim.config import DEGENERACY_GAP, PROBABILITY_FLOOR, TRACE_ATOL, InvariantViolation, check
+from segalsim.linalg import SpaceLayout, degenerate_clusters, hermitian_eig
+from segalsim.decoherence import PointerBasisReport
 from segalsim.doublet import DoubletState
 from segalsim.events import _pipeline_image
 from segalsim.measurement import (
@@ -434,9 +438,20 @@ def couple_environment(model: MeasurementModel, rho_ms: DensityMatrix) -> Densit
     return DensityMatrix(layout, coupled.reshape(layout.dim, layout.dim))
 
 
-def extract_pointer_basis(rho_mse: DensityMatrix, **options):
-    """``pointer_basis`` of a dense S (x) O (x) E density matrix: the
-    S-conditioned blocks <s_i| rho |s_i>, each traced down to O."""
+def traced_block(records: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """<s| Tr_E(V rho V^dag) |s'> for the S (x) O block rho[s j, s' k] =
+    left[j] conj(right[k]) of a pure state, V the environment coupling.
+
+    Entry (j, k) sums (records[j, e] rho[s j, s' k]) records[k, e] over e,
+    the factors in the order the coupled density matrix holds them.
+    """
+    rho = np.outer(left, right.conj())
+    return ((records[:, None, :] * rho[:, :, None]) * records[None]).sum(axis=-1)
+
+
+def conditioned_blocks(rho_mse: DensityMatrix) -> np.ndarray:
+    """The S-conditioned blocks <s_i| rho |s_i> of a dense S (x) O (x) E
+    density matrix, each traced down to O."""
     lay = rho_mse.layout
     for label in ("S", "O", "E"):
         if label not in lay.labels:
@@ -445,15 +460,92 @@ def extract_pointer_basis(rho_mse: DensityMatrix, **options):
     dims = lay.dims
     sub_layout = layout_subset(lay, set(lay.labels) - {"S"})
     t = rho_mse.matrix.reshape(dims + dims)
-    conditioned = [
+    return np.array([
         partial_trace(
             np.take(np.take(t, i, axis=s_ax + len(dims)), i, axis=s_ax).reshape(sub_layout.dim, -1),
             sub_layout,
             {"O"},
         )
         for i in range(dims[s_ax])
+    ])
+
+
+def dense_pointer_basis(
+    conditioned: np.ndarray,
+    weight_floor: float = 1e-10,
+    gap: float = DEGENERACY_GAP,
+    residual_tol: float = 1e-6,
+) -> PointerBasisReport:
+    """The dense route of ``decoherence.pointer_basis``, on the
+    S-conditioned register states themselves, unnormalized:
+    ``eigvalsh`` of each for its residual, ``hermitian_eig`` of their sum,
+    the O marginal, for the basis, and each branch's top eigenvector
+    projected through the o x o projector of a degenerate cluster.
+    """
+    conditional: list[np.ndarray] = []  # normalized O states
+    residual = 0.0
+    for sigma in conditioned:
+        weight = float(np.trace(sigma).real)
+        if weight <= weight_floor:
+            continue
+        eigvals = np.linalg.eigvalsh(sigma)
+        residual = max(residual, 1.0 - float(eigvals[-1]) / weight)
+        conditional.append(sigma / weight)
+    if residual > residual_tol:
+        raise ValueError(
+            f"state is not approximately tri-decomposable: branch residual {residual:.3e} "
+            f"exceeds {residual_tol:.1e}"
+        )
+
+    values, vectors = hermitian_eig(conditioned.sum(axis=0))
+    significant = [k for k in range(values.size) if values[k] > weight_floor]
+    clusters = [
+        [significant[j] for j in group]
+        for group in degenerate_clusters(values[significant], gap=gap)
     ]
-    return pointer_basis(np.array(conditioned), **options)
+
+    out_vectors: list[np.ndarray] = []
+    out_weights: list[float] = []
+    unresolved = False
+    for cluster in clusters:
+        if len(cluster) == 1:
+            out_vectors.append(vectors[:, cluster[0]])
+            out_weights.append(float(values[cluster[0]]))
+            continue
+        p_cluster = vectors[:, cluster] @ vectors[:, cluster].conj().T
+        candidates: list[np.ndarray] = []
+        for sigma in conditional:
+            _, sig_vecs = hermitian_eig(sigma)
+            u = sig_vecs[:, -1]
+            projected = p_cluster @ u
+            norm = float(np.linalg.norm(projected))
+            if norm**2 < 0.5:
+                continue
+            candidate = projected / norm
+            for prior in candidates:  # drop duplicates of an already-found branch
+                candidate = candidate - prior * np.vdot(prior, candidate)
+            norm = float(np.linalg.norm(candidate))
+            if norm > 1e-6:
+                candidates.append(candidate / norm)
+        if len(candidates) == len(cluster):
+            out_vectors.extend(candidates)
+            out_weights.extend(float(values[k]) for k in cluster)
+        else:
+            unresolved = True
+            out_vectors.extend(vectors[:, k] for k in cluster)
+            out_weights.extend(float(values[k]) for k in cluster)
+
+    return PointerBasisReport(
+        vectors=tuple(out_vectors),
+        weights=np.array(out_weights),
+        flag="DEGENERATE-UNRESOLVED" if unresolved else "UNIQUE",
+        residual=residual,
+    )
+
+
+def extract_pointer_basis(rho_mse: DensityMatrix, **options) -> PointerBasisReport:
+    """:func:`dense_pointer_basis` of a dense S (x) O (x) E density matrix."""
+    return dense_pointer_basis(conditioned_blocks(rho_mse), **options)
 
 
 # ---------------------------------------------------------------------------

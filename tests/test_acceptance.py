@@ -13,7 +13,7 @@ from scipy.stats import chi2_contingency
 
 from segalsim.algebra import generate_algebra
 from segalsim.linalg import SpaceLayout, tensor
-from segalsim.decoherence import pointer_state_stability
+from segalsim.decoherence import environment_pointer_basis, pointer_state_stability
 from segalsim.doublet import evolve_unitary, initial_doublet
 from segalsim.measurement import (
     EnvironmentSpec,
@@ -211,14 +211,16 @@ def test_10_pointer_basis_extraction():
         model = make_model(environment=EnvironmentSpec(e_overlap=0.0))
 
         def check(a1, a2):
-            rho_ms = density_from_vector(premeasure(model, system_state(model, [a1, a2])))
-            report = extract_pointer_basis(couple_environment(model, rho_ms))
-            assert report.flag == "UNIQUE"
-            assert len(report.vectors) == 2
-            overlaps = np.array([[abs(v[k]) for k in (1, 2)] for v in report.vectors])
-            # each recovered vector matches one register state up to phase
-            assert np.all(np.sort(overlaps.max(axis=1)) >= 1.0 - 1e-8)
-            assert np.allclose(np.sort(overlaps, axis=None)[:2], 0.0, atol=1e-8)
+            psi_s = system_state(model, [a1, a2])
+            rho_ms = density_from_vector(premeasure(model, psi_s))
+            dense = extract_pointer_basis(couple_environment(model, rho_ms))
+            for report in (environment_pointer_basis(model, psi_s), dense):
+                assert report.flag == "UNIQUE"
+                assert len(report.vectors) == 2
+                overlaps = np.array([[abs(v[k]) for k in (1, 2)] for v in report.vectors])
+                # each recovered vector matches one register state up to phase
+                assert np.all(np.sort(overlaps.max(axis=1)) >= 1.0 - 1e-8)
+                assert np.allclose(np.sort(overlaps, axis=None)[:2], 0.0, atol=1e-8)
 
         check(np.sqrt(0.3), np.sqrt(0.7))
         check(2**-0.5, 2**-0.5)  # degenerate weights resolved by S-conditioning

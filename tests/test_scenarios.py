@@ -491,11 +491,18 @@ class TestPureStatesStayVectors:
                 "model": {"s_dim": 12, "o_dim": 13, "environment": {"e_dim": 14}},
                 "input": {"amplitudes": _equal_amplitudes(12)},
             },
+            {
+                "scenario": "decoherence",
+                "model": {"s_dim": 2, "o_dim": 1024, "environment": {"e_dim": 4}},
+                "input": {"amplitudes": _equal_amplitudes(2)},
+            },
         ],
-        ids=["pure-d1640", "decoherence-d2184"],
+        ids=["pure-d1640", "decoherence-d2184", "decoherence-o1024"],
     )
     def test_run_peak_memory(self, config):
         # A dense d x d state is 43 MB at d = 1640 and 76 MB at d = 2184.
+        # At o_dim = 1024 one o_dim x o_dim register block is 16 MiB, and
+        # an (o_dim, o_dim, e_dim) traced block 64 MiB.
         from segalsim.measurement import pointer_algebra
 
         cfg = parse_scenario(config)
