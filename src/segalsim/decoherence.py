@@ -30,7 +30,7 @@ __all__ = [
     "PointerBasisReport",
     "environment_coherence",
     "environment_pointer_basis",
-    "pointer_basis",
+    "pointer_basis_of_factors",
     "pointer_state_stability",
 ]
 
@@ -50,10 +50,10 @@ def environment_coherence(model: MeasurementModel, psi_s: StateVector) -> float:
 
 
 def environment_pointer_basis(model: MeasurementModel, psi_s: StateVector) -> PointerBasisReport:
-    """:func:`pointer_basis` of the coupled post-measurement state of
+    """:func:`pointer_basis_of_factors` of the coupled post-measurement state of
     ``psi_s``, from its branch factors W_s = diag(a_s) records."""
     a = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
-    return pointer_basis(a[:, :, None] * _setup(model).records)
+    return pointer_basis_of_factors(a[:, :, None] * _setup(model).records)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +76,7 @@ def _svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, sv
 
 
-def pointer_basis(
+def pointer_basis_of_factors(
     factors: np.ndarray,
     weight_floor: float = 1e-10,
     gap: float = DEGENERACY_GAP,

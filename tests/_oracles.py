@@ -476,7 +476,7 @@ def dense_pointer_basis(
     gap: float = DEGENERACY_GAP,
     residual_tol: float = 1e-6,
 ) -> PointerBasisReport:
-    """The dense route of ``decoherence.pointer_basis``, on the
+    """The dense route of ``decoherence.pointer_basis_of_factors``, on the
     S-conditioned register states themselves, unnormalized:
     ``eigvalsh`` of each for its residual, ``hermitian_eig`` of their sum,
     the O marginal, for the basis, and each branch's top eigenvector

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -757,47 +758,37 @@ def test_algebra_probe_loads_the_closure_for_non_commuting_letters_only(tmp_path
     ]
 
 
-def _outside_modules():
-    """Every module the package imports from outside it."""
-    outside = set()
-    for path in Path(cli.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                outside.update(a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__":
-                outside.add(node.module)
-    return sorted(outside)
-
-
 def test_import_footprint(tmp_path):
     # With no bytecode cached, importing the package after numpy grew
     # VmHWM by about 3.2 MB while every module was compiled on each import;
     # with the scenario-specific modules deferred it grew by about 2.1 MB,
     # and with no module over 1,500 tokens it grows by about 1.5 MB.  The
-    # modules from outside the package are loaded first, from their
-    # bytecode, and the empty pycache prefix then leaves no bytecode, stale
-    # or not, to read for the package: it grows by about 1.3 MB, where a
-    # stale src/segalsim/__pycache__ read 0.8 MB.  PYTHONPYCACHEPREFIX
-    # would compile numpy too, and the package's compile would fit in the
-    # pages that freed (0.36 MB).
+    # child imports a copy of the package with no __pycache__, so stale
+    # bytecode in the source tree is never read, and every module from
+    # outside the package but numpy is loaded inside the measurement.
     if not os.path.exists("/proc/self/status"):
         pytest.skip("needs /proc/self/status")
+    shutil.copytree(
+        Path(cli.__file__).parent,
+        tmp_path / "segalsim",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
     script = (
         "import sys\n"
         "def hwm():\n"
         "    for line in open('/proc/self/status'):\n"
         "        if line.startswith('VmHWM:'):\n"
         "            return int(line.split()[1])\n"
-        f"for name in {_outside_modules()!r}:\n"
-        "    __import__(name)\n"
-        f"sys.pycache_prefix = {str(tmp_path)!r}\n"
+        "import numpy\n"
         "before = hwm()\n"
         "import segalsim\n"
+        "assert segalsim.__file__.startswith(sys.argv[1]), segalsim.__file__\n"
         "print(hwm() - before)\n"
     )
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tmp_path)}
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 2600  # kB
@@ -810,9 +801,16 @@ def test_import_traced_peak(tmp_path):
     # 1.05 MiB with none over 1,500.  Every module the package imports
     # from outside it is loaded first, from its bytecode; the empty
     # pycache prefix then leaves no bytecode to read for the package.
+    outside = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                outside.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level and node.module != "__future__":
+                outside.add(node.module)
     script = (
         "import sys, tracemalloc\n"
-        f"for name in {_outside_modules()!r}:\n"
+        f"for name in {sorted(outside)!r}:\n"
         "    __import__(name)\n"
         "assert not [m for m in sys.modules if m.startswith('segalsim')]\n"
         f"sys.pycache_prefix = {str(tmp_path)!r}\n"

@@ -34,7 +34,7 @@ from segalsim.pointer import _pointer_weights, _ready_pointer_swap, _setup
 from segalsim.decoherence import (
     environment_coherence,
     environment_pointer_basis,
-    pointer_basis,
+    pointer_basis_of_factors,
     pointer_state_stability,
 )
 from segalsim.doublet import (
@@ -601,9 +601,9 @@ class TestExtractPointerBasis:
             dense = dense_pointer_basis(conditioned)
         except ValueError:
             with pytest.raises(ValueError, match="tri-decomposable"):
-                pointer_basis(np.array(factors))
+                pointer_basis_of_factors(np.array(factors))
             raise
-        report = pointer_basis(np.array(factors))
+        report = pointer_basis_of_factors(np.array(factors))
         assert report.flag == dense.flag
         assert np.allclose(report.weights, dense.weights, rtol=0, atol=1e-14)
         assert report.residual == pytest.approx(dense.residual, abs=1e-14)
