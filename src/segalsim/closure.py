@@ -1,17 +1,18 @@
 """The Gram-Schmidt closure of a non-commutative algebra.
 
 :func:`segalsim.algebra.generate_algebra` imports this module only when
-its letters do not commute (the wigner-friend interference algebra,
-Pauli-type probes).  The unital algebra generated by S and S^dag is the
-span of all words in the letters, so it is the smallest subspace that
-contains I and is closed under left multiplication by each letter.  The span is seeded with {I} + letters,
-orthonormalized with two-pass Gram-Schmidt under the Hilbert-Schmidt
-inner product, and every basis element, in the order found, is
-multiplied once by each letter; a product adds a direction when its
-residual exceeds ``tol`` times its norm.  The dimension is bounded by
-dim(H)^2; exceeding that bound signals numerical breakdown, not
-mathematics.  The basis is one (k, d, d) array.  Cost: L k products of
-d x d matrices.
+its letters do not commute: algebra-probe lists such as ["QO_MS", "B"],
+whose closure is the interference algebra that wigner-friend reads in
+closed form, and Pauli-type probes.  The unital algebra generated by S
+and S^dag is the span of all words in the letters, so it is the smallest
+subspace that contains I and is closed under left multiplication by each
+letter.  The span is seeded with {I} + letters, orthonormalized with
+two-pass Gram-Schmidt under the Hilbert-Schmidt inner product, and every
+basis element, in the order found, is multiplied once by each letter; a
+product adds a direction when its residual exceeds ``tol`` times its
+norm.  The dimension is bounded by dim(H)^2; exceeding that bound
+signals numerical breakdown, not mathematics.  The basis is one
+(k, d, d) array.  Cost: L k products of d x d matrices.
 """
 
 from __future__ import annotations
@@ -51,11 +52,9 @@ def _gram_schmidt_closure(
     The row buffer doubles in place, by realloc.  Rows held plus rows
     requested, 16 d^2 bytes each (a realloc that cannot grow in place
     holds both), over MAX_WORKING_SET_BYTES raise ValueError before the
-    row buffer is made or grown.  A wigner-friend model within
-    ``wigner.wigner_friend_bytes`` passes: its interference algebra has
-    two Hermitian letters (a first request of 6 rows) and dimension
-    o_dim + 4, so it grows from at most o_dim + 3 rows to twice that,
-    under the estimate's 2 + 3 (o_dim + 4).
+    row buffer is made or grown.  ["QO_MS", "B"] at s_dim 2 has two
+    Hermitian letters (a first request of 6 rows) and dimension
+    o_dim + 4, so it grows from at most o_dim + 3 rows to twice that.
 
     The resizes skip numpy's reference count check, which a tracer's
     extra reference to the frame's locals (``sys.settrace``, a profiler,

@@ -51,23 +51,17 @@ MAX_EVENTS = 10**7
 
 # Cap on d = s_dim * o_dim * e_dim, as the bytes of one dense d x d complex
 # array (16 d^2), checked when the model is made, before any allocation.
-# Per-model setup and the pure, gemenge, decoherence and erasure runs hold
-# no such array (their states stay amplitude vectors).  wigner-friend holds
-# the dense S (x) O density matrices and the interference algebra's
-# (o_dim + 4, d, d) basis, but not the pointer algebra's basis: its Breuer
-# verdicts read restricted values only.  The algebra-probe generators are
-# dense too.  The cap bounds neither run's total; MAX_WORKING_SET_BYTES
-# bounds wigner-friend's, the algebra-probe generators' and every closure
-# buffer.  2**30 bytes allows d up
-# to 8192; one such array at d = 2184 (s_dim 12, o_dim 13, e_dim 14) is 76 MB.
+# Per-model setup and every scenario run but algebra-probe hold no such
+# array: their states stay amplitude vectors, and wigner-friend reads both
+# Breuer verdicts from the premeasured amplitudes.  The algebra-probe
+# generators are dense; the cap bounds one of them, and
+# MAX_WORKING_SET_BYTES bounds the list and every closure buffer.  2**30
+# bytes allows d up to 8192 (o_dim up to 4096 at s_dim 2); one such array
+# at d = 2184 (s_dim 12, o_dim 13, e_dim 14) is 76 MB.
 MAX_DENSE_BYTES = 2**30
 
-# Cap on the bytes a wigner-friend run is estimated to hold in dense
-# arrays at once (``wigner.wigner_friend_bytes``), checked at parse,
-# before any allocation: each dense array fits MAX_DENSE_BYTES, but the run
-# holds two density matrices and an (o_dim + 4)-element basis.  2**32 bytes
-# allows o_dim up to 280 at s_dim 2.  An algebra-probe's generator list is
-# checked at parse too, before a named generator is built
+# Cap on the bytes an algebra-probe's generator list is estimated to hold,
+# checked at parse, before a named generator is built
 # (``generators.generator_bytes``: a list of diagonal generators alone
 # counts 16 d bytes each and 256 d bytes of class labelling per generator
 # and once more; any other list 16 d^2 (3 n + 4) bytes for n, with

@@ -91,7 +91,9 @@ def pointer_basis_of_factors(
     ascending.  A degenerate cluster is resolved by the branches' top left
     singular vectors projected on its columns (each measured branch pins
     down its own pointer vector, whatever the environment overlaps are),
-    or reported DEGENERATE-UNRESOLVED rather than picked arbitrarily.  A
+    or reported DEGENERATE-UNRESOLVED rather than picked arbitrarily, as
+    when a branch's is neither parallel nor orthogonal to an earlier one
+    (within 1e-6) and the branch order would pick the basis.  A
     branch residual 1 - s_0^2 / sum s^2 above ``residual_tol`` rejects the
     state as not of the measured tri-partite form.
     """
@@ -132,11 +134,16 @@ def pointer_basis_of_factors(
             if norm**2 < 0.5:
                 continue
             candidate = projected / norm
-            for prior in candidates:  # drop duplicates of an already-found branch
+            # A repeat of a found branch, or orthogonal to all; else unresolved.
+            overlaps = [np.vdot(prior, candidate) for prior in candidates]
+            if any(np.linalg.norm(candidate - prior * o) <= 1e-6 for prior, o in zip(candidates, overlaps)):
+                continue
+            if any(abs(o) > 1e-6 for o in overlaps):
+                candidates = []
+                break
+            for prior in candidates:
                 candidate = candidate - prior * np.vdot(prior, candidate)
-            norm = float(np.linalg.norm(candidate))
-            if norm > 1e-6:
-                candidates.append(candidate / norm)
+            candidates.append(candidate / np.linalg.norm(candidate))
         if len(candidates) < len(cluster):
             unresolved = True
             candidates = list(columns.T)

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .config import MAX_EVENTS, MAX_WORKING_SET_BYTES
+from .config import MAX_EVENTS
 from .linalg import SpaceLayout
 from .model import MeasurementModel, make_model, ms_layout
 from .readers import _fail, _integer, _number, _numbers, _object, _require_keys
@@ -149,17 +149,8 @@ def parse_scenario(document: str | dict) -> ScenarioConfig:
     _require_keys(raw, _COMMON_KEYS | _SCENARIO_KEYS[scenario], "config")
 
     model = _parse_model(raw.get("model", {}), scenario)
-    if scenario == "wigner-friend":
-        if model.s_dim != 2:
-            _fail("scenario wigner-friend needs s_dim = 2 (interference observable)")
-        from .wigner import wigner_friend_bytes
-
-        need = wigner_friend_bytes(model)
-        if need > MAX_WORKING_SET_BYTES:
-            _fail(
-                f"scenario wigner-friend at o_dim = {model.o_dim} would hold about {need} bytes "
-                f"of dense arrays, over the {MAX_WORKING_SET_BYTES}-byte limit"
-            )
+    if scenario == "wigner-friend" and model.s_dim != 2:
+        _fail("scenario wigner-friend needs s_dim = 2 (interference observable)")
     if scenario == "decoherence" and model.s_dim < 2:
         _fail("scenario decoherence needs at least two measured branches")
 

@@ -139,14 +139,19 @@ def restricted_pointer_probabilities(model: MeasurementModel, source: StateVecto
     return _pointer_weights(model, _post_measurement_entries(model, source, np.arange(d), np.arange(d)))
 
 
+def _pointer_state(model: MeasurementModel, diagonal: np.ndarray) -> AlgebraicState:
+    """The S (x) O state with diagonal ``diagonal`` restricted to the
+    pointer algebra, which reads nothing else of it."""
+    alg = _setup(model).ms_algebra
+    # tr(rho B_j) = conj(<B_j, rho^dag>), and <B_j, rho^dag> reads only diag(rho)^*.
+    return AlgebraicState(alg, alg.project_coefficients(diagonal.conj()).conj())
+
+
 def _pointer_weights(model: MeasurementModel, diagonal: np.ndarray) -> np.ndarray:
     """Restricted pointer probabilities of the S (x) O state with diagonal
-    ``diagonal``, all that the diagonal pointer algebra reads of it."""
+    ``diagonal``."""
     setup = _setup(model)
-    alg = setup.ms_algebra
-    # tr(rho B_j) = conj(<B_j, rho^dag>), and <B_j, rho^dag> reads only diag(rho)^*.
-    phi = AlgebraicState(alg, alg.project_coefficients(diagonal.conj()).conj())
-    weights = decompose_restricted(phi, alg).probabilities
+    weights = decompose_restricted(_pointer_state(model, diagonal), setup.ms_algebra).probabilities
     probs = weights[[c.projector_index for c in setup.ms_characters]]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
 

@@ -228,27 +228,34 @@ def breuer_indistinguishable(
 
     The verdict compares the restricted states entrywise on the
     orthonormal basis; the deviation report additionally covers the
-    generators in their own normalization, and names the worst offender.
+    generators in their own normalization (:func:`_breuer_verdict`).
     Only the restricted values are read, never a dense basis element.
     """
     if rho1.layout != rho2.layout:
         raise ValueError("states must share one layout")
-    phi1 = restrict_state(rho1, alg)
-    phi2 = restrict_state(rho2, alg)
-    basis_dev = np.abs(phi1.values - phi2.values)
+    return _restricted_verdict(restrict_state(rho1, alg), restrict_state(rho2, alg), tol)
+
+
+def _restricted_verdict(phi1: AlgebraicState, phi2: AlgebraicState, tol: float) -> BreuerReport:
+    """The Breuer verdict on two states restricted to one algebra."""
+    alg = phi1.algebra
     # Exactly diagonal generators are read as their diagonals; build no diag.
     generators = alg.generators if alg.generator_diagonals is None else alg.generator_diagonals
-    coefficients = [alg.project_coefficients(g) for g in generators]
-    generator_dev = [abs(c @ phi1.values - c @ phi2.values) for c in coefficients]
+    generator_dev = [abs(c @ phi1.values - c @ phi2.values) for c in map(alg.project_coefficients, generators)]
+    return _breuer_verdict(np.abs(phi1.values - phi2.values), generator_dev, tol)
+
+
+def _breuer_verdict(basis_dev: np.ndarray, generator_dev: list[float], tol: float) -> BreuerReport:
+    """The one Breuer rule: indistinguishable when no basis deviation exceeds
+    ``tol``; the report names the first largest deviation, basis elements first."""
     deviations = [*basis_dev, *generator_dev]
-    labels = [f"basis[{j}]" for j in range(basis_dev.size)]
-    labels += [f"generator[{g_idx}]" for g_idx in range(len(generator_dev))]
     worst = int(np.argmax(deviations))
+    label = f"basis[{worst}]" if worst < len(basis_dev) else f"generator[{worst - len(basis_dev)}]"
     return BreuerReport(
         indistinguishable=bool(np.max(basis_dev) <= tol),
         tol=tol,
         max_deviation=float(deviations[worst]),
-        worst_label=labels[worst],
+        worst_label=label,
     )
 
 

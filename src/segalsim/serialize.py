@@ -59,39 +59,36 @@ def _format_float(value: float) -> str:
 def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
     """The event log's bytes, ``_LOG_BLOCK`` rows at a time.
 
-    Every row after its event index is fixed by the (gemenge row, pointer)
-    code, so each code present is formatted once, its probability read
-    from ``outcome_probability``, and looked up per event in a table
-    padded with NUL bytes, which no row holds.  A block never crosses a
-    power of ten, so its indices share a digit count.  The indices are
-    consecutive: a block's last four digits are one slice of a table that
-    spells i mod 10**4 in row i, and the digits above them change at most
-    once in a block, at a multiple of 10**4.  Each block is laid out as
-    one byte array, and its bytes other than NUL are the rows.
+    Every row after its event index is fixed by the event's (gemenge row,
+    pointer) pair, so each pair present is formatted once, its probability
+    read from ``outcome_probability``, and looked up per event as
+    ``table[row, pointer]`` (row 0 for a pure input) in a table padded
+    with NUL bytes, which no row holds.  A block never crosses a power of
+    ten, so its indices share a digit count.  The indices are consecutive:
+    a block's last four digits are one slice of a table that spells
+    i mod 10**4 in row i, and the digits above them change at most once
+    in a block, at a multiple of 10**4.  Each block is laid out as one
+    byte array, and its bytes other than NUL are the rows.
     """
-    o_dim = len(events.pointer_values)
     n = len(events)
-    probability = events.outcome_probability.ravel()  # indexed by code
+    probability = events.outcome_probability
 
-    def codes(start: int, stop: int) -> np.ndarray:
-        if events.gemenge_row is None:
-            return events.pointer_index[start:stop]
-        row = events.gemenge_row[start:stop].astype(np.intp)  # a uint8 row times o_dim wraps
-        return row * o_dim + events.pointer_index[start:stop]
+    def row_of(start: int, stop: int) -> int | np.ndarray:
+        return 0 if events.gemenge_row is None else events.gemenge_row[start:stop]
 
-    present = np.zeros(probability.size, bool)
+    present = np.zeros(probability.shape, bool)
     for start in range(0, n, _LOG_BLOCK):
-        present[codes(start, start + _LOG_BLOCK)] = True
+        present[row_of(start, start + _LOG_BLOCK), events.pointer_index[start : start + _LOG_BLOCK]] = True
     suffixes = [b""] * probability.size
-    for code in np.flatnonzero(present):
-        row, pointer = divmod(int(code), o_dim)
-        suffixes[code] = (
+    for row, pointer in np.argwhere(present).tolist():
+        suffixes[row * probability.shape[1] + pointer] = (
             f",{'' if events.gemenge_row is None else row},{pointer},"
             f"{_format_float(events.pointer_values[pointer])},"
-            f"{_format_float(probability[code])}\n"
+            f"{_format_float(probability[row, pointer])}\n"
         ).encode("ascii")
     width = max(map(len, suffixes))
-    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in suffixes), np.uint8).reshape(-1, width)
+    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in suffixes), np.uint8)
+    table = table.reshape(*probability.shape, width)
     digit = np.arange(48, 58, dtype=np.uint8)
     quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
     quads = np.concatenate([quads, quads[:_LOG_BLOCK]])  # row i spells i mod 10**4
@@ -106,7 +103,7 @@ def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
             block[:turn, : k - 4] = np.frombuffer(str(start // 10**4).encode("ascii"), np.uint8)
             if turn < len(block):
                 block[turn:, : k - 4] = np.frombuffer(str(start // 10**4 + 1).encode("ascii"), np.uint8)
-        block[:, k:] = table[codes(start, stop)]
+        block[:, k:] = table[row_of(start, stop), events.pointer_index[start:stop]]
         return block[block != 0]
 
     yield np.frombuffer((",".join(_EVENT_COLUMNS) + "\n").encode("ascii"), np.uint8)

@@ -27,7 +27,6 @@ __all__ = [
     "basis_state",
     "density_from_vector",
     "expectation",
-    "purity",
     "table_inverse_cdf",
 ]
 
@@ -172,7 +171,3 @@ def expectation(rho: DensityMatrix, a: np.ndarray) -> float:
     value = complex(np.einsum("ij,ji->", rho.matrix, a))
     check("expectation has imaginary part, |Im|", abs(value.imag), TRACE_ATOL)
     return float(value.real)
-
-
-def purity(rho: DensityMatrix) -> float:
-    return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)

@@ -1,49 +1,54 @@
-"""The two-observer comparison (``wigner-friend``).
+"""The two-observer comparison (``wigner-friend``) and its runner.
 
-The external observer never collapses anything: it sees the dense
-post-measurement density matrix, its purity and the interference
-expectation.  The internal one, confined to the pointer algebra, sees
-the sampled records; the Breuer verdicts compare the superposition with
-the matched branch mixture through the pointer algebra and through the
-algebra the interference observable adds, closed by Gram-Schmidt.  The
-report holds d x d arrays, bounded at parse by :func:`wigner_friend_bytes`.
-The scenario's runner is here.
+The external observer never collapses anything: it sees the unitary
+post-measurement state, its purity and the interference expectation.
+The internal one, confined to the pointer algebra, sees the sampled
+records.  The Breuer verdicts compare rho_p = |a><a|, ``a`` the
+premeasured amplitudes, with the matched branch mixture rho_m through
+the pointer algebra and through the algebra the interference observable
+B adds, all read from ``a``: nothing of size d x d is made.
+
+- Pointer algebra.  It is diagonal and reads the diagonals a * conj(a)
+  and |amp_s|^2 at |s, O_{s+1}>, as ``branch_mixture`` writes it.
+- Interference algebra: the pointer classes plus one M_2 on span{|i>,
+  |j>}, (i, j) = ``pointer._interference_pair``, of dimension o_dim + 4.
+  rho_p - rho_m is c = a_i conj(a_j) at (i, j), its conjugate at (j, i),
+  and 0 elsewhere.  The Gram-Schmidt closure of the letters P (pointer)
+  and B seeds I, P and B, then multiplies each element in turn by P and
+  by B.  So basis[2] is B / sqrt(2), a seed; P basis[1] adds P^2 as
+  basis[3], new because o_dim >= 3 pointer values are distinct; B
+  basis[1] adds the residual of B P, (|i><j| - |j><i|) / sqrt(2) up to
+  sign, as basis[4].  Every later product of P or B with an element is
+  diagonal or in the span of those two, so only basis[2] and basis[4]
+  have entries at (i, j): deviations sqrt(2) |Re c| and sqrt(2) |Im c|.
+  Generator B deviates by 2 |Re c|, and every other entry by 0.  The
+  closure route is ``tests/_oracles.py::dense_wigner_verdicts``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-from .config import STATE_EQUALITY_ATOL
-from .algebra import OperatorAlgebra, generate_algebra
+from .config import PSD_ATOL, STATE_EQUALITY_ATOL, TRACE_ATOL, check
 from .measurement import (
     EventBatch,
     MeasurementModel,
-    branch_mixture,
     interference_expectation,
-    interference_observable,
-    ms_layout,
-    pointer_algebra,
     pointer_histogram,
-    pointer_operator,
     premeasure,
     restricted_pointer_probabilities,
     run_ensemble,
     system_state,
 )
-from .restriction import BreuerReport, breuer_indistinguishable
+from .pointer import _interference_pair, _pointer_state
+from .restriction import BreuerReport, _breuer_verdict, _restricted_verdict
 from .scenarios import ScenarioConfig
-from .states import StateVector, density_from_vector, purity
+from .states import StateVector
 
-__all__ = [
-    "WignerFriendReport",
-    "wigner_friend_bytes",
-    "wigner_friend_report",
-]
+__all__ = ["WignerFriendReport", "wigner_friend_report"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,23 +68,26 @@ class WignerFriendReport:
     events: EventBatch
 
 
-def wigner_friend_bytes(model: MeasurementModel) -> int:
-    """Upper estimate of the bytes ``wigner_friend_report`` holds in dense
-    arrays at once, from the model alone.
+def _breuer_verdicts(
+    model: MeasurementModel, a: np.ndarray, amplitudes: np.ndarray, tol: float
+) -> tuple[BreuerReport, BreuerReport]:
+    """The pointer and interference verdicts on rho_p = |a><a| against
+    the branch mixture of ``amplitudes`` (see the module docstring)."""
+    weights = np.array([abs(x) ** 2 for x in amplitudes])  # branch_mixture's bits; np.abs rounds apart
+    check("branch mixture weights do not sum to 1, |sum - 1|", abs(weights.sum() - 1.0), TRACE_ATOL)
+    mixture = np.zeros(a.size, dtype=complex)
+    branch = np.arange(model.s_dim)
+    mixture[branch * model.o_dim + branch + 1] = weights
+    pointer = _restricted_verdict(_pointer_state(model, a * a.conj()), _pointer_state(model, mixture), tol)
 
-    That is the two d x d density matrices on S (x) O and the interference
-    algebra's (o_dim + 4)-element basis, 16 d^2 bytes per element, in a
-    row buffer that doubles as it grows: while it grows the old buffer and
-    the new one, up to twice the basis, are both held.
-    """
-    d = ms_layout(model).dim
-    return 16 * d * d * (2 + 3 * (model.o_dim + 4))
-
-
-@lru_cache(maxsize=None)
-def _interference_algebra(model: MeasurementModel) -> OperatorAlgebra:
-    lay = ms_layout(model)
-    return generate_algebra([pointer_operator(model, lay), interference_observable(model)], lay)
+    i, j = _interference_pair(model)
+    c = complex(a[i] * a[j].conj())
+    p, q = abs(a[i]) ** 2, abs(a[j]) ** 2
+    lowest = (p + q - np.hypot(p - q, 2 * abs(c))) / 2  # of [[p, c], [c*, q]]
+    check("state not positive on the interference block, -min eigenvalue", -lowest, PSD_ATOL)
+    basis_dev = np.zeros(model.o_dim + 4)
+    basis_dev[[2, 4]] = np.sqrt(2) * abs(c.real), np.sqrt(2) * abs(c.imag)
+    return pointer, _breuer_verdict(basis_dev, [0.0, 2 * abs(c.real)], tol)
 
 
 def wigner_friend_report(
@@ -93,23 +101,18 @@ def wigner_friend_report(
 
     The sampled batch is returned on the report as ``events``.
     """
-    rho_p = density_from_vector(premeasure(model, psi_s))
-    rho_m = branch_mixture(model, psi_s.amplitudes)
-
+    a = premeasure(model, psi_s).amplitudes
+    pointer, interference = _breuer_verdicts(model, a, psi_s.amplitudes, breuer_tol)
     events = run_ensemble(model, psi_s, n_events, seed)
     histogram = pointer_histogram(model, events)
-
-    ms_alg = pointer_algebra(model, environment=False)
     return WignerFriendReport(
         b_expectation=interference_expectation(model, psi_s),
-        dynamical_purity=purity(rho_p),
+        dynamical_purity=float(np.vdot(a, a).real) ** 2,
         histogram=histogram,
         frequencies=histogram / float(n_events),
         restricted_probabilities=restricted_pointer_probabilities(model, psi_s),
-        breuer_pointer=breuer_indistinguishable(rho_p, rho_m, ms_alg, tol=breuer_tol),
-        breuer_with_interference=breuer_indistinguishable(
-            rho_p, rho_m, _interference_algebra(model), tol=breuer_tol
-        ),
+        breuer_pointer=pointer,
+        breuer_with_interference=interference,
         n_events=n_events,
         seed=seed,
         events=events,

@@ -6,12 +6,16 @@ The dense-route section keeps the density-matrix forms of steps the
 package now takes on amplitude vectors: the premeasurement unitary, the
 coupled V rho V^dag, partial traces to density matrices, the ensemble
 average and the dense-rho entry points of the pointer-basis extraction
-and of the restricted pointer probabilities.  The package's fast paths
-are tested against them bit for bit.  The pointer-basis extraction also
-keeps its dense solver, eigendecompositions of the o x o conditioned
-register states and O marginal, which the package's thin SVDs of the
-branch factors replace: flags and |v| are compared bit for bit, weights
-and residual at the report's 12 digits.  The dense commutative
+and of the restricted pointer probabilities, the purity and the
+wigner-friend Breuer verdicts (both d x d density matrices, restricted
+to the pointer algebra and to the Gram-Schmidt closure of the pointer
+operator and the interference observable).  The package's fast paths
+are tested against them bit for bit, the interference verdict to 1e-11
+relative.  The pointer-basis extraction also keeps its dense solver,
+eigendecompositions of the o x o conditioned register states and O
+marginal, which the package's thin SVDs of the branch factors replace:
+flags and |v| are compared bit for bit, weights and residual at the
+report's 12 digits.  The dense commutative
 restriction keeps the character and positivity tables and the
 least-squares decomposition that the O(k) class-index reads replace.
 ``joint_classes_numpy`` is the numpy classifier of joint values that
@@ -34,12 +38,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
-from segalsim.algebra import OperatorAlgebra, SpectralResolution, joint_spectral_resolution
-from segalsim.config import DEGENERACY_GAP, PROBABILITY_FLOOR, TRACE_ATOL, InvariantViolation, check
+from segalsim.algebra import OperatorAlgebra, SpectralResolution, generate_algebra, joint_spectral_resolution
+from segalsim.config import (
+    DEGENERACY_GAP,
+    PROBABILITY_FLOOR,
+    STATE_EQUALITY_ATOL,
+    TRACE_ATOL,
+    InvariantViolation,
+    check,
+)
 from segalsim.linalg import SpaceLayout, degenerate_clusters, hermitian_eig
 from segalsim.decoherence import PointerBasisReport
 from segalsim.doublet import DoubletState
@@ -47,17 +59,23 @@ from segalsim.events import _pipeline_image
 from segalsim.measurement import (
     EventRecord,
     MeasurementModel,
+    branch_mixture,
     full_layout,
+    interference_observable,
     ms_layout,
     pointer_algebra,
     pointer_characters,
+    pointer_operator,
+    premeasure,
 )
 from segalsim.model import _environment_records, _source_kind
 from segalsim.pointer import _setup
 from segalsim.restriction import (
     AlgebraicState,
+    BreuerReport,
     Character,
     EnsembleOverCharacters,
+    breuer_indistinguishable,
     character_probabilities,
     decompose_restricted,
     draw_cumulative,
@@ -406,6 +424,32 @@ def gemenge_mix(w: Gemenge) -> DensityMatrix:
     return DensityMatrix(w.layout, mat)
 
 
+def purity(rho: DensityMatrix) -> float:
+    return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
+
+
+@lru_cache(maxsize=None)
+def interference_algebra(model: MeasurementModel) -> OperatorAlgebra:
+    """The Gram-Schmidt closure of the pointer operator and the
+    interference observable B on S (x) O."""
+    lay = ms_layout(model)
+    return generate_algebra([pointer_operator(model, lay), interference_observable(model)], lay)
+
+
+def dense_wigner_verdicts(
+    model: MeasurementModel, psi_s: StateVector, tol: float = STATE_EQUALITY_ATOL
+) -> tuple[BreuerReport, BreuerReport]:
+    """The dense route of the wigner-friend Breuer verdicts: the d x d
+    superposition and branch mixture compared through the pointer algebra
+    and through :func:`interference_algebra`."""
+    rho_p = density_from_vector(premeasure(model, psi_s))
+    rho_m = branch_mixture(model, psi_s.amplitudes)
+    return (
+        breuer_indistinguishable(rho_p, rho_m, pointer_algebra(model), tol=tol),
+        breuer_indistinguishable(rho_p, rho_m, interference_algebra(model), tol=tol),
+    )
+
+
 def reduce_density(rho: DensityMatrix, keep) -> DensityMatrix:
     """Partial trace onto the kept factors."""
     reduced = partial_trace(rho.matrix, rho.layout, keep)
@@ -522,11 +566,16 @@ def dense_pointer_basis(
             if norm**2 < 0.5:
                 continue
             candidate = projected / norm
-            for prior in candidates:  # drop duplicates of an already-found branch
+            # A repeat of a found branch, or orthogonal to all; else unresolved.
+            overlaps = [np.vdot(prior, candidate) for prior in candidates]
+            if any(np.linalg.norm(candidate - prior * o) <= 1e-6 for prior, o in zip(candidates, overlaps)):
+                continue
+            if any(abs(o) > 1e-6 for o in overlaps):
+                candidates = []
+                break
+            for prior in candidates:
                 candidate = candidate - prior * np.vdot(prior, candidate)
-            norm = float(np.linalg.norm(candidate))
-            if norm > 1e-6:
-                candidates.append(candidate / norm)
+            candidates.append(candidate / np.linalg.norm(candidate))
         if len(candidates) == len(cluster):
             out_vectors.extend(candidates)
             out_weights.extend(float(values[k]) for k in cluster)

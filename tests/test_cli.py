@@ -695,7 +695,8 @@ def test_event_runs_load_no_scenario_specific_module(tmp_path):
     # the pointer algebra and the sampler only; their documents never reach
     # the row-at-a-time reader in document, and their diagonal pointer
     # algebras never take the eigenbasis path.  Every other scenario's
-    # runner imports its module when called.
+    # runner imports its module when called; wigner-friend reads its
+    # interference verdict from amplitudes and closes no algebra.
     names = [
         "pure",
         "pure-environment",
@@ -716,9 +717,9 @@ def test_event_runs_load_no_scenario_specific_module(tmp_path):
         [],
         [],
         [],
-        ["closure", "eigenbasis", "wigner"],
-        ["closure", "decoherence", "eigenbasis", "wigner"],
-        ["closure", "decoherence", "doublet", "eigenbasis", "wigner"],
+        ["wigner"],
+        ["decoherence", "wigner"],
+        ["decoherence", "doublet", "wigner"],
     ]
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 import types
 
@@ -30,7 +31,7 @@ from segalsim.measurement import (
     system_state,
 )
 from segalsim.model import _environment_records
-from segalsim.pointer import _pointer_weights, _ready_pointer_swap, _setup
+from segalsim.pointer import _interference_pair, _pointer_weights, _ready_pointer_swap, _setup
 from segalsim.decoherence import (
     environment_coherence,
     environment_pointer_basis,
@@ -45,7 +46,7 @@ from segalsim.doublet import (
     interaction_hamiltonian,
     record_erasure,
 )
-from segalsim.wigner import wigner_friend_report
+from segalsim.wigner import _breuer_verdicts, wigner_friend_report
 from segalsim.restriction import (
     breuer_indistinguishable,
     character_probabilities,
@@ -59,7 +60,6 @@ from segalsim.states import (
     basis_state,
     density_from_vector,
     expectation,
-    purity,
 )
 
 import _oracles
@@ -69,16 +69,19 @@ from _oracles import (
     conditioned_blocks,
     couple_environment,
     dense_pointer_basis,
+    dense_wigner_verdicts,
     environment_unitary_oracle,
     event_rng,
     extract_pointer_basis,
     gemenge_mix,
     identity,
+    interference_algebra,
     joint_resolution_oracle,
     kron_oracle,
     layout_subset,
     partial_trace,
     premeasurement_unitary,
+    purity,
     reduce_density,
     run_event,
     traced_block,
@@ -663,6 +666,23 @@ class TestExtractPointerBasis:
         assert np.allclose(report.weights, [0.2, 0.2, 0.6], atol=1e-12)
         assert report.residual == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_branches_at_120_degrees_unresolved_in_every_order(self, order):
+        # Three equal-weight branches leave the register in g_0, g_1, g_2,
+        # 120 degrees apart in span{O_1, O_2}: the O marginal is I / 2 there,
+        # one degenerate cluster.  Each branch lies in it, but g_1 is
+        # neither parallel nor orthogonal to g_0, so whichever two branches
+        # came first would pick the basis; no order may resolve it.
+        lay = SpaceLayout((("S", 3), ("O", 3), ("E", 3)))
+        amplitudes = np.zeros(lay.dim, dtype=complex)
+        for s, k in enumerate(order):
+            angle = 2 * np.pi * k / 3
+            amplitudes[lay.basis_index((s, 1, s))] = np.cos(angle) / np.sqrt(3)
+            amplitudes[lay.basis_index((s, 2, s))] = np.sin(angle) / np.sqrt(3)
+        report = self.extract(density_from_vector(StateVector(lay, amplitudes)))
+        assert report.flag == "DEGENERATE-UNRESOLVED"
+        assert np.allclose(report.weights, [0.5, 0.5], atol=1e-12)
+
     def test_non_tri_form_rejected(self):
         model = env_model()
         lay = full_layout(model)
@@ -751,6 +771,85 @@ class TestWignerFriend:
         report = wigner_friend_report(model, system_state(model, [0.8, 0.6]), 50, seed=5)
         assert report.breuer_pointer.indistinguishable
         assert pointer_algebra(model)._generators is None
+
+
+def wigner_grid():
+    """Seeded (model, input, tol) triples for the wigner-friend verdicts:
+    o_dim up to 20, default and drawn pointer values, and a coherence
+    c = a_i conj(a_j) that is generic, real, imaginary, made with signed
+    zeros, or exactly 0."""
+    rng = np.random.default_rng(27)
+    for o_dim in (3, 4, 7, 20):
+        qo = list(rng.permutation(o_dim) + rng.uniform(0.0, 0.5, o_dim))
+        for model in (make_model(o_dim=o_dim), make_model(o_dim=o_dim, q_values=qo[1:3], qo_values=qo)):
+            for n in range(12):
+                x, y = rng.standard_normal(2), rng.standard_normal(2)
+                amps = [
+                    [complex(x[0], y[0]), complex(x[1], y[1])],  # generic
+                    [complex(x[0], y[0]), complex(x[1], y[1])],
+                    [complex(x[0], 0.0), complex(x[1], 0.0)],  # real
+                    [complex(x[0], 0.0), complex(0.0, x[1])],  # imaginary
+                    [complex(x[0], y[0]), complex(x[0], y[0]) * 1j],
+                    [complex(-0.0, x[0]), complex(x[1], -0.0)],  # signed zeros, c != 0
+                    [complex(-x[0], -0.0), complex(-0.0, -y[1])],
+                    [complex(1.0, 0.0), complex(0.0, 0.0)],  # c = 0
+                    [complex(0.0, 0.0), complex(x[1], y[1])],
+                    [complex(-1.0, -0.0), complex(-0.0, -0.0)],
+                    [complex(x[0], y[0]), complex(-0.0, 0.0)],
+                    [complex(-0.0, -0.0), complex(-0.0, y[1])],
+                ][n]
+                amps = np.array(amps) / np.linalg.norm(amps)
+                tol = 1e-8 if n % 2 else float(10 ** rng.uniform(-3, 0))
+                yield model, system_state(model, amps), tol
+
+
+class TestWignerVerdictsMatchDenseRoute:
+    """The verdicts read from the premeasured amplitudes against the d x d
+    superposition and branch mixture restricted to the pointer algebra and
+    to the Gram-Schmidt closure of the pointer operator and B."""
+
+    def test_verdicts_match(self):
+        seen = set()
+        for model, source, tol in wigner_grid():
+            pointer, interference = _breuer_verdicts(model, premeasure(model, source).amplitudes, source.amplitudes, tol)
+            dense_pointer, dense_interference = dense_wigner_verdicts(model, source, tol)
+            assert vars(pointer) == vars(dense_pointer)  # bit for bit
+            a = premeasure(model, source).amplitudes
+            i, j = _interference_pair(model)
+            c = a[i] * a[j].conj()
+            if c == 0:
+                # Only the diagonals' round-off is left, read by P in its own scale.
+                seen.add("zero")
+                scale = max(1.0, *map(abs, model.qo_values))
+                for verdict in (interference, dense_interference):
+                    assert verdict.indistinguishable and verdict.max_deviation <= 1e-15 * scale
+                continue
+            seen.add("real" if c.imag == 0 else "imaginary" if c.real == 0 else "generic")
+            assert interference.indistinguishable == dense_interference.indistinguishable
+            assert interference.worst_label == dense_interference.worst_label
+            assert interference.max_deviation == pytest.approx(dense_interference.max_deviation, rel=1e-11, abs=0)
+        assert seen == {"zero", "real", "imaginary", "generic"}
+
+    def test_mixture_weights_checked(self):
+        source = system_state(MODEL, [0.6, 0.8j])
+        a = premeasure(MODEL, source).amplitudes
+        with pytest.raises(InvariantViolation, match="branch mixture weights do not sum to 1"):
+            _breuer_verdicts(MODEL, a, source.amplitudes * 1.001, 1e-8)
+
+    @pytest.mark.parametrize("o_dim", [3, 4, 7, 20])
+    def test_only_basis_2_and_4_read_the_coherence(self, o_dim):
+        # The closure seeds I, P and B / sqrt(2), then adds P^2 and the
+        # residual of B P; every later element is diagonal.
+        model = make_model(o_dim=o_dim)
+        alg = interference_algebra(model)
+        i, j = _interference_pair(model)
+        assert alg.dimension == o_dim + 4
+        reading = [k for k, b in enumerate(alg.basis) if b[i, j] != 0 or b[j, i] != 0]
+        assert reading == [2, 4]
+        assert np.allclose(alg.basis[2], interference_observable(model) / np.sqrt(2), rtol=0, atol=1e-15)
+        # (|i><j| - |j><i|) / sqrt(2), up to sign.
+        assert abs(alg.basis[4][i, j]) == pytest.approx(2**-0.5, abs=1e-15)
+        assert alg.basis[4][j, i] == pytest.approx(-alg.basis[4][i, j], abs=1e-15)
 
 
 def random_vector(rng, layout):

@@ -20,6 +20,7 @@ from segalsim.scenarios import (
 from segalsim.serialize import emit_report
 
 from _oracles import load_document_reference
+from test_byte_stability import CONFIGS
 
 
 def config_text(**overrides):
@@ -99,30 +100,6 @@ class TestParseScenario:
             parse_scenario(config_text(model={"environment": {"e_dim": 100000}}))
         with pytest.raises(ConfigError, match="over the"):
             parse_scenario(config_text(model={"s_dim": 10**8}))
-
-    def test_wigner_friend_working_set_budget(self):
-        # Only the estimate runs: o_dim = 4096 passes the d cap (d = 8192,
-        # one dense operator is 2**30 bytes), then its two density matrices
-        # and interference basis would need about 13 TB, refused at parse.
-        from segalsim.measurement import make_model
-        from segalsim.wigner import wigner_friend_bytes
-
-        def wigner_friend(o_dim):
-            return config_text(
-                scenario="wigner-friend",
-                model={"s_dim": 2, "o_dim": o_dim},
-                input={"amplitudes": [[0.6, 0], [0.8, 0]]},
-            )
-
-        assert wigner_friend_bytes(make_model(s_dim=2, o_dim=4096)) == 16 * 8192**2 * (2 + 3 * 4100)
-        assert wigner_friend_bytes(make_model(s_dim=2, o_dim=120)) == 344_678_400
-        for o_dim in (120, 280):
-            assert parse_scenario(wigner_friend(o_dim)).model.o_dim == o_dim
-        refused = r"o_dim = 281 would hold about 4330852928 bytes .* over the 4294967296-byte limit"
-        with pytest.raises(ConfigError, match=refused):
-            parse_scenario(wigner_friend(281))
-        with pytest.raises(ConfigError, match="wigner-friend at o_dim = 4096 would hold"):
-            parse_scenario(wigner_friend(4096))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -464,6 +441,11 @@ class TestPureStatesStayVectors:
             "input": {"amplitudes": _equal_amplitudes(3)},
         },
         "erasure": {"scenario": "erasure", "model": {"s_dim": 3, "o_dim": 5}, "input": {"amplitudes": _equal_amplitudes(3)}},
+        "wigner-friend": {
+            "scenario": "wigner-friend",
+            "model": {"s_dim": 2, "o_dim": 6},
+            "input": {"amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
+        },
     }
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -496,13 +478,19 @@ class TestPureStatesStayVectors:
                 "model": {"s_dim": 2, "o_dim": 1024, "environment": {"e_dim": 4}},
                 "input": {"amplitudes": _equal_amplitudes(2)},
             },
+            {
+                "scenario": "wigner-friend",
+                "model": {"s_dim": 2, "o_dim": 4096},
+                "input": {"amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
+            },
         ],
-        ids=["pure-d1640", "decoherence-d2184", "decoherence-o1024"],
+        ids=["pure-d1640", "decoherence-d2184", "decoherence-o1024", "wigner-friend-o4096"],
     )
     def test_run_peak_memory(self, config):
         # A dense d x d state is 43 MB at d = 1640 and 76 MB at d = 2184.
         # At o_dim = 1024 one o_dim x o_dim register block is 16 MiB, and
-        # an (o_dim, o_dim, e_dim) traced block 64 MiB.
+        # an (o_dim, o_dim, e_dim) traced block 64 MiB.  At o_dim = 4096
+        # (d = 8192, the cap) one S (x) O density matrix is 1 GiB.
         from segalsim.measurement import pointer_algebra
 
         cfg = parse_scenario(config)
@@ -542,15 +530,13 @@ class TestPureStatesStayVectors:
 def test_wigner_friend_runs_under_a_tracer(hook):
     # A trace or profile hook (a debugger, a coverage run, a profiler)
     # holds a reference to each frame's locals; the closure's in-place
-    # buffer resizes must not depend on reference counts.
+    # buffer resizes must not depend on reference counts.  ["QO_MS", "B"]
+    # is the interference algebra wigner-friend's verdict reads: its
+    # closure grows its first 6 rows to 12 and returns the spare 5.
     import sys
 
-    from segalsim import wigner
-
-    config = {"scenario": "wigner-friend", "model": {"s_dim": 2, "o_dim": 8}, "input": {"amplitudes": _equal_amplitudes(2)}}
-    cfg = parse_scenario(config)
+    cfg = parse_scenario(CONFIGS["algebra-probe-qo-ms-b"])
     expected = emit_report(run_scenario(cfg))
-    wigner._interference_algebra.cache_clear()  # close it again, traced
     install, previous = getattr(sys, hook), getattr(sys, hook.replace("set", "get"))()
     install(lambda *args: None)
     try:
@@ -558,6 +544,7 @@ def test_wigner_friend_runs_under_a_tracer(hook):
     finally:
         install(previous)
     assert emit_report(report) == expected
+    assert report.summary["dimension"] == 7
 
 
 def _log_text(events) -> str:

@@ -10,7 +10,6 @@ from segalsim.states import (
     basis_state,
     density_from_vector,
     expectation,
-    purity,
     table_inverse_cdf,
 )
 
@@ -18,6 +17,7 @@ from _oracles import (
     gemenge_mix,
     identity,
     inverse_cdf,
+    purity,
     reduce_density,
     sample_gemenge,
     vector_fidelity,
