@@ -19,7 +19,8 @@ import numpy as np
 
 from .config import TRACE_ATOL, check
 from .linalg import require_hermitian, unitary_from_hamiltonian
-from .measurement import MeasurementModel, ms_layout, pointer_characters, ready_state, system_state
+from .algebra import OperatorAlgebra
+from .measurement import MeasurementModel, full_layout, ms_layout, pointer_characters, ready_state, system_state
 from .pointer import _ready_pointer_swap, _setup
 from .restriction import Character
 from .scenarios import ScenarioConfig
@@ -72,33 +73,35 @@ class StatisticalDoublet:
             raise ValueError("information vector length must match character count")
         check("information vector has a negative entry, -min", -np.min(info), TRACE_ATOL)
         check("information vector does not sum to 1", abs(info.sum() - 1.0), TRACE_ATOL)
-        alg = self.characters[0].algebra
-        recomputed = _information_of(alg.eigenbasis_diagonal(self.dynamical.matrix), self.characters)
+        recomputed = _records(self.dynamical, self.characters)
         drift = np.max(np.abs(recomputed - info))
         check("information vector inconsistent with the dynamical component", drift, 1e-9)
 
 
-def _information_of(diagonal: np.ndarray, characters: tuple[Character, ...]) -> np.ndarray:
-    """The record distribution tr(rho P_k), in character order, from
-    ``diagonal`` = diag(V^dag rho V) on the characters' algebra: its sum
-    over class k."""
-    sums = characters[0].algebra.class_sums(diagonal.real)
-    return np.clip(sums[[c.projector_index for c in characters]], 0.0, None)
+def _information_of(diagonal: np.ndarray, algebra: OperatorAlgebra, classes) -> np.ndarray:
+    """The record distribution tr(rho P_k) over the classes ``classes``,
+    in their order, from ``diagonal`` = diag(V^dag rho V) on ``algebra``:
+    its sum over each class."""
+    return np.clip(algebra.class_sums(diagonal.real)[classes], 0.0, None)
+
+
+def _records(rho: DensityMatrix, characters: tuple[Character, ...]) -> np.ndarray:
+    """The record distribution of ``rho`` over ``characters``, in their order."""
+    alg = characters[0].algebra
+    return _information_of(alg.eigenbasis_diagonal(rho.matrix), alg, [c.projector_index for c in characters])
 
 
 def _doublet(rho: DensityMatrix, characters: tuple[Character, ...]) -> StatisticalDoublet:
     """The doublet of ``rho`` with its record distribution read from it."""
-    diagonal = characters[0].algebra.eigenbasis_diagonal(rho.matrix)
-    return StatisticalDoublet(rho, _information_of(diagonal, characters), characters)
+    return StatisticalDoublet(rho, _records(rho, characters), characters)
 
 
 def statistical_doublet(model: MeasurementModel, rho: DensityMatrix) -> StatisticalDoublet:
     """Doublet with the record distribution computed from the state."""
-    setup = _setup(model)
-    if rho.layout == setup.layout:
-        chars = setup.characters
-    elif rho.layout == ms_layout(model):
-        chars = pointer_characters(model, environment=False)
+    if rho.layout == ms_layout(model):
+        chars = pointer_characters(model)
+    elif rho.layout == full_layout(model):
+        chars = pointer_characters(model, environment=True)
     else:
         raise ValueError("state layout matches neither the measurement nor the full layout")
     return _doublet(rho, chars)
@@ -140,7 +143,8 @@ def record_erasure(model: MeasurementModel, psi_s: StateVector) -> tuple[np.ndar
     measured = _ready_pointer_swap(model, ready)
     recovered = _ready_pointer_swap(model, measured)
     overlap = np.vdot(ready, recovered)
-    infos = [_information_of(a * a.conj(), pointer_characters(model)) for a in (ready, measured, recovered)]
+    setup = _setup(model)
+    infos = [_information_of(a * a.conj(), setup.algebra, setup.pointer_class) for a in (ready, measured, recovered)]
     return (*infos, float((overlap * overlap.conj()).real))
 
 

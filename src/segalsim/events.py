@@ -14,8 +14,8 @@ import numpy as np
 
 from ._philox import uniform_blocks
 from .model import MeasurementModel, _source_kind
-from .pointer import _Setup, _setup, premeasure
-from .restriction import character_probabilities, draw_cumulative
+from .pointer import _setup, restricted_pointer_probabilities
+from .restriction import draw_cumulative
 from .states import Gemenge, StateVector, table_inverse_cdf
 
 __all__ = ["EventBatch", "EventRecord", "column_counts", "pointer_histogram", "run_ensemble"]
@@ -37,13 +37,6 @@ class EventRecord:
     probability: float
 
 
-def _pipeline_image(model: MeasurementModel, setup: _Setup, psi_s: StateVector) -> StateVector:
-    """Exact image of a system state, every register ready, under the pipeline:
-    the premeasured amplitude of |s, O_j> times environment record j."""
-    amp = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim, 1)
-    return StateVector(setup.layout, (amp * setup.records).reshape(-1))
-
-
 @dataclass(frozen=True, eq=False)
 class EventBatch:
     """Columnar log of one ensemble run, event i at position i of each column.
@@ -53,13 +46,14 @@ class EventBatch:
     ``None`` for a pure input, each in the smallest unsigned dtype that
     holds its range (uint8 up to 256 pointers or rows).  The probability
     an event carried belongs to its row's restricted state, so it is
-    stored once per outcome: ``outcome_probability[r, j]`` is the Born
-    weight of pointer j for row r (one row for a pure input), and
-    ``probability`` gathers it per event on demand.  The seed, the input
-    kind and the pointer values are stored once.  Indexing and iteration
-    give the per-event :class:`EventRecord`, equal record for record to
-    the per-event reference ``run_event`` with ``event_rng`` in
-    ``tests/_oracles.py``.
+    stored once per outcome: ``outcome_probability[r]`` is row r's
+    ``restricted_pointer_probabilities`` (one row for a pure input), the
+    weights the report prints, and ``probability`` gathers it per event
+    on demand.  The seed, the input kind and the pointer values are
+    stored once.  Indexing and iteration give the per-event
+    :class:`EventRecord`, equal record for record to the per-event
+    reference ``run_event`` with ``event_rng`` in ``tests/_oracles.py``,
+    the probability to a few ulps.
     """
 
     seed: int
@@ -113,23 +107,24 @@ def run_ensemble(
     ensemble row (for a gemenge) and then its pointer character from the
     Philox stream keyed by (seed, i), each by ``table_inverse_cdf``, and
     equals ``run_event(..., event_rng(seed, i))`` of ``tests/_oracles.py``
-    record for record.  The deterministic pipeline prefix runs once per
-    input row; the event streams are then evaluated, and the inverse CDFs
-    searched, one block of events at a time, straight into the batch's
-    columns: one byte per event and column up to 256 pointers and rows.
+    record for record, the probability to a few ulps.  Each input row's
+    pointer weights are its restricted pointer probabilities, read once
+    on S (x) O: the pointer algebra is the identity on E, so the
+    environment leaves them as they are, and a weight floored to 0 is
+    never drawn.  The pointer is drawn over the cumulative in class order
+    (ascending pointer value).  The event streams are evaluated, and the
+    inverse CDFs searched, one block of events at a time, straight into
+    the batch's columns: one byte per event and column up to 256
+    pointers and rows.
     """
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
     setup = _setup(model)
     kind = _source_kind(model, source)
     states = [state for state, _ in source.rows] if kind == "gemenge" else [source]
-    images = [_pipeline_image(model, setup, state) for state in states]
-    probs = np.array([character_probabilities(xi, setup.algebra) for xi in images])
-    cumulatives = np.array([draw_cumulative(p) for p in probs])
-
-    outcome_probability = np.zeros((len(states), model.o_dim))
-    outcome_probability[:, setup.extremal_to_pointer] = probs
-    pointer_index = np.empty(n_events, setup.extremal_to_pointer.dtype)
+    outcome_probability = np.array([restricted_pointer_probabilities(model, state) for state in states])
+    cumulatives = np.array([draw_cumulative(p) for p in outcome_probability[:, setup.class_pointer]])
+    pointer_index = np.empty(n_events, setup.class_pointer.dtype)
     rows = np.empty(n_events, np.min_scalar_type(len(states) - 1)) if kind == "gemenge" else None
     start = 0
     # A pure input draws the pointer only; an ensemble draws its row first.
@@ -139,7 +134,7 @@ def run_ensemble(
         if rows is not None:
             row = rows[start:stop] = table_inverse_cdf(source.cumulative[None], 0, uniforms[:, 0])
         k = table_inverse_cdf(cumulatives, row, uniforms[:, -1])
-        pointer_index[start:stop] = setup.extremal_to_pointer[k]
+        pointer_index[start:stop] = setup.class_pointer[k]
         start = stop
         del uniforms, row, k  # no array of this block stays alive while the next is drawn
     return EventBatch(

@@ -1,15 +1,21 @@
 """The per-model pointer set-up and premeasurement.
 
-The pointer algebra of a model, its characters in pointer order and the
+The pointer algebra on S (x) O, its characters in pointer order and the
 environment records are built once per model and cached (``_setup``).
-Premeasurement is the ready/pointer swap on S (x) O amplitudes; the
-restricted pointer probabilities, the interference expectation and the
-branch mixture are read from the premeasured amplitudes.
+The pointer observable is diag(qo_values) on O, so the class of column
+|s_0, O_j> is pointer j's class: the algebra's labels there are the one
+class<->pointer map, and a class that holds two pointer values is
+refused.  The pointer algebra acts as the identity on E, so restricting
+the S (x) O (x) E state to it gives the S (x) O weights; that algebra is
+built only when asked for (``pointer_algebra(model, environment=True)``)
+and no scenario run does.  Premeasurement is the ready/pointer swap on
+S (x) O amplitudes; the restricted pointer probabilities, the
+interference expectation and the branch mixture are read from the
+premeasured amplitudes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -17,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import InvariantViolation, PROBABILITY_FLOOR
-from .algebra import OperatorAlgebra, diagonal_algebra, joint_spectral_resolution
+from .algebra import OperatorAlgebra, diagonal_algebra
 from .linalg import SpaceLayout
 from .model import (
     MeasurementModel,
@@ -48,84 +54,69 @@ __all__ = [
 
 @dataclass(eq=False)
 class _Setup:
-    layout: SpaceLayout
     records: np.ndarray                        # (o_dim, e_dim) environment records
-    algebra: OperatorAlgebra
+    algebra: OperatorAlgebra                   # the pointer algebra on S (x) O
     characters: tuple[Character, ...]          # pointer order (qo_values order)
-    extremal_to_pointer: np.ndarray
-    ms_algebra: OperatorAlgebra                # the S (x) O layout
-    ms_characters: tuple[Character, ...]       # pointer order
+    pointer_class: np.ndarray                  # pointer j's class: the label of |s_0, O_j>
+    class_pointer: np.ndarray                  # class k's pointer, the inverse map
 
 
 @lru_cache(maxsize=None)
 def _setup(model: MeasurementModel) -> _Setup:
-    layout = full_layout(model)
-    algebra = _pointer_algebra_on(model, layout)
-    characters, ext_to_ptr = _pointer_order(model, algebra)
-    if model.environment is None:
-        ms_alg, ms_characters = algebra, characters
-    else:
-        ms_alg = _pointer_algebra_on(model, ms_layout(model))
-        ms_characters, _ = _pointer_order(model, ms_alg)
+    algebra = _pointer_algebra_on(model, ms_layout(model))
+    pointer_class = algebra.labels[: model.o_dim]
+    characters = _pointer_order(model, algebra, pointer_class)
+    class_pointer = np.empty(model.o_dim, np.min_scalar_type(model.o_dim - 1))
+    class_pointer[pointer_class] = np.arange(model.o_dim)
     return _Setup(
-        layout=layout,
         records=_environment_records(model),
         algebra=algebra,
         characters=characters,
-        extremal_to_pointer=ext_to_ptr,
-        ms_algebra=ms_alg,
-        ms_characters=ms_characters,
+        pointer_class=pointer_class,
+        class_pointer=class_pointer,
     )
+
+
+@lru_cache(maxsize=None)
+def _environment_characters(model: MeasurementModel) -> tuple[Character, ...]:
+    """The characters of the S (x) O (x) E pointer algebra in pointer
+    order, read at its columns |s_0, O_j, E_0>; built only when asked."""
+    algebra = _pointer_algebra_on(model, full_layout(model))
+    e_dim = model.environment.e_dim
+    return _pointer_order(model, algebra, algebra.labels[: model.o_dim * e_dim : e_dim])
 
 
 def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> OperatorAlgebra:
     return diagonal_algebra(_pointer_diagonal(model, layout)[None], layout)
 
 
-def _pointer_order(model, algebra):
-    """The algebra's characters in pointer (qo_values) order, and the map
-    from extremal order to pointer order.
+def _pointer_order(model: MeasurementModel, algebra: OperatorAlgebra, pointer_class: np.ndarray):
+    """The algebra's characters in pointer order, ``pointer_class[j]``
+    the class of pointer j.
 
-    Character k matches every pointer value q with |q - value_k| < 1e-7,
-    and the match must be one to one: pointer values that merged into one
-    class leave a pointer value with no character.  The character values
-    ascend, so one sweep over the sorted pointer values finds each match:
-    the values within 1e-7 of value_k are consecutive, and neither end of
-    that run moves down as k grows.  The sweep is plain Python; on the
-    pointer algebra's k classes it costs less than the numpy sort and
-    search code it would page in.
+    Every class holds a pointer column, so the map is onto; a class that
+    holds more than one pointer value (values merged within the
+    algebra's tolerance) is refused, naming its first pointer value.
     """
-    chars_ext = extremal_states(algebra)
-    values = joint_spectral_resolution(algebra).generator_values[:, 0].tolist()
-    qo = model.qo_values
-    by_value = sorted(range(len(qo)), key=qo.__getitem__)
-    ptr, lo = [], 0  # each character's one pointer index, else None
-    for value in values:
-        while lo < len(qo) and qo[by_value[lo]] < value and not abs(qo[by_value[lo]] - value) < 1e-7:
-            lo += 1
-        hi = lo
-        while hi < len(qo) and abs(qo[by_value[hi]] - value) < 1e-7:
-            hi += 1
-        ptr.append(by_value[lo] if hi - lo == 1 else None)
-    hits = Counter(ptr)
-    bad = [f"character value {v!r} does not match one pointer value" for v, j in zip(values, ptr) if j is None]
-    bad += [f"pointer value {q!r} does not match one character" for j, q in enumerate(qo) if hits[j] != 1]
-    if bad:
-        raise InvariantViolation(bad[0])
-    by_pointer = dict(zip(ptr, chars_ext))
-    return tuple(by_pointer[j] for j in range(len(qo))), np.array(ptr, np.min_scalar_type(model.o_dim - 1))
+    classes = pointer_class.tolist()
+    if algebra.dimension < len(classes):  # a class holds two pointer values
+        j = next(j for j, k in enumerate(classes) if classes.count(k) > 1)
+        raise InvariantViolation(f"pointer value {model.qo_values[j]!r} does not match one character")
+    chars = extremal_states(algebra)
+    return tuple(chars[k] for k in classes)
 
 
 def pointer_algebra(model: MeasurementModel, environment: bool = False) -> OperatorAlgebra:
-    """The observer's effective algebra: unit and pointer observable only."""
-    setup = _setup(model)
-    return setup.algebra if environment else setup.ms_algebra
+    """The observer's effective algebra: unit and pointer observable only,
+    on S (x) O, or with ``environment`` on the pipeline layout."""
+    return pointer_characters(model, environment)[0].algebra
 
 
 def pointer_characters(model: MeasurementModel, environment: bool = False) -> tuple[Character, ...]:
     """Characters of the pointer algebra in ``qo_values`` order."""
-    setup = _setup(model)
-    return setup.characters if environment else setup.ms_characters
+    if environment and model.environment is not None:
+        return _environment_characters(model)
+    return _setup(model).characters
 
 
 def restricted_pointer_probabilities(model: MeasurementModel, source: StateVector | Gemenge) -> np.ndarray:
@@ -142,7 +133,7 @@ def restricted_pointer_probabilities(model: MeasurementModel, source: StateVecto
 def _pointer_state(model: MeasurementModel, diagonal: np.ndarray) -> AlgebraicState:
     """The S (x) O state with diagonal ``diagonal`` restricted to the
     pointer algebra, which reads nothing else of it."""
-    alg = _setup(model).ms_algebra
+    alg = _setup(model).algebra
     # tr(rho B_j) = conj(<B_j, rho^dag>), and <B_j, rho^dag> reads only diag(rho)^*.
     return AlgebraicState(alg, alg.project_coefficients(diagonal.conj()).conj())
 
@@ -151,8 +142,8 @@ def _pointer_weights(model: MeasurementModel, diagonal: np.ndarray) -> np.ndarra
     """Restricted pointer probabilities of the S (x) O state with diagonal
     ``diagonal``."""
     setup = _setup(model)
-    weights = decompose_restricted(_pointer_state(model, diagonal), setup.ms_algebra).probabilities
-    probs = weights[[c.projector_index for c in setup.ms_characters]]
+    weights = decompose_restricted(_pointer_state(model, diagonal), setup.algebra).probabilities
+    probs = weights[setup.pointer_class]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
 
 

@@ -46,9 +46,12 @@ class AlgebraicState:
 
     ``values[j]`` is the expectation the state assigns to the j-th
     orthonormal basis element of the algebra; anything outside the span
-    evaluates to zero by construction.  The checks read <I> and every
-    <B_j^dag B_j>: on a commutative algebra from the ranks, in O(k), and
-    otherwise from the algebra's one coefficient table.
+    evaluates to zero by construction.  The functional is positive on the
+    algebra exactly when its density rho_phi = sum_j v_j B_j^dag, which
+    lies in the algebra, is Hermitian, PSD and of unit trace, and that is
+    what is checked.  On a commutative algebra rho_phi is v_k / sqrt(rank_k)
+    on class k, its trace sum_k sqrt(rank_k) v_k, read in O(k); otherwise
+    rho_phi is built from the basis rows and takes one ``eigvalsh``.
     """
 
     algebra: OperatorAlgebra
@@ -58,18 +61,19 @@ class AlgebraicState:
         values = np.array(self.values, dtype=complex)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if values.size != self.algebra.dimension:
-            raise ValueError(
-                f"value count {values.size} does not match algebra dimension "
-                f"{self.algebra.dimension}"
-            )
         alg = self.algebra
+        if values.size != alg.dimension:
+            raise ValueError(f"value count {values.size} does not match algebra dimension {alg.dimension}")
         if alg.commutative:
-            # <B_j, I> = sqrt(rank_j), and B_j^dag B_j = B_j / sqrt(rank_j).
-            _check_state(alg._sqrt_ranks @ values, values * alg._inv_sqrt_ranks)
+            # B_k = P_k / sqrt(rank_k): rho_phi is v_k / sqrt(rank_k) on class k.
+            rho = values * alg._inv_sqrt_ranks
+            _check_state(alg._sqrt_ranks @ values, rho.real, abs(rho.imag))
         else:
-            table = alg.positivity_table @ values
-            _check_state(table[0], table[1:])
+            rho = (values @ alg._basis_vec.conj()).reshape(alg.layout.dim, -1).T
+            skew = (rho - rho.conj().T) / 2
+            # A NaN or inf fails the trace check; eigvalsh is not asked about it.
+            eigenvalues = np.linalg.eigvalsh(rho - skew) if np.isfinite(rho).all() else np.nan
+            _check_state(np.trace(rho), eigenvalues, abs(skew))
 
     def evaluate(self, op: np.ndarray) -> complex:
         """Expectation of ``op``; components orthogonal to the span give 0."""
@@ -82,11 +86,13 @@ class AlgebraicState:
         return float(value.real)
 
 
-def _check_state(identity: complex, positives: np.ndarray) -> None:
-    """The state checks on <I> and on the values <B_j^dag B_j>."""
-    check("state is not normalized, |<I> - 1|", abs(identity - 1.0), TRACE_ATOL)
-    worst = np.max(np.maximum(-positives.real, np.abs(positives.imag)))
-    check("positivity violated, max -Re or |Im| of <B_j^dag B_j>", worst, 1e-9)
+def _check_state(trace, eigenvalues, skew) -> None:
+    """The state checks on rho_phi: its trace, the eigenvalues of its
+    Hermitian part and the entries of its anti-Hermitian part (arrays, or
+    a scalar standing for all of them)."""
+    check("state is not normalized, |<I> - 1|", abs(trace - 1.0), TRACE_ATOL)
+    worst = np.maximum(-np.min(eigenvalues), np.max(skew))
+    check("positivity violated, max -eigenvalue or anti-Hermitian entry of rho_phi", worst, 1e-9)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -106,8 +112,8 @@ class Character(AlgebraicState):
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "projector_index", projector_index)
         k = slice(projector_index, projector_index + 1)
-        value = algebra._inv_sqrt_ranks[k].astype(complex)
-        _check_state(algebra._sqrt_ranks[k] @ value, value * algebra._inv_sqrt_ranks[k])
+        value = algebra._inv_sqrt_ranks[k]
+        _check_state(algebra._sqrt_ranks[k] @ value, value * value, 0.0)
 
     @property
     def values(self) -> np.ndarray:
@@ -278,10 +284,13 @@ def character_probabilities(xi_ms: StateVector, alg: OperatorAlgebra) -> np.ndar
 
 
 def draw_cumulative(probs: np.ndarray) -> np.ndarray:
-    """Cumulative distribution for inverse-CDF draws over ``probs``."""
+    """Cumulative distribution for inverse-CDF draws over ``probs``.
+
+    It reads exactly 1 from the last nonzero weight on, so no zero weight
+    is drawn, trailing ones included."""
     total = float(probs.sum())
     negated = -total if np.isfinite(total) else np.nan  # an infinite total fails too
     check("character probabilities vanish: state and algebra disagree", negated, -PROBABILITY_FLOOR)
     cumulative = np.cumsum(probs / total)
-    cumulative[-1] = 1.0
+    cumulative[cumulative == cumulative[-1]] = 1.0
     return cumulative

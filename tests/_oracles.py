@@ -27,8 +27,10 @@ class labels.  The
 per-event numpy.random section keeps the event sampler that
 ``run_ensemble`` replaces with its Philox block pass: one
 ``numpy.random.Generator`` per event and a ``searchsorted`` inverse CDF
-per draw, on the package's pipeline prefix.  ``run_ensemble`` is tested
-against it record for record.  Its event keeps
+per draw, on the generic route, the full S (x) O (x) E pipeline image
+restricted to the pointer algebra on that layout.  ``run_ensemble``,
+which reads the restricted S (x) O probabilities, is tested against it
+record for record, the probability to a few ulps.  Its event keeps
 the pipeline image as amplitudes, O(d); the dense doublet is built only
 when a test asks for it.  The document reference decodes a scenario
 document in one ``json.loads``, each inline matrix's lists built whole.
@@ -49,13 +51,11 @@ from segalsim.config import (
     PROBABILITY_FLOOR,
     STATE_EQUALITY_ATOL,
     TRACE_ATOL,
-    InvariantViolation,
     check,
 )
 from segalsim.linalg import SpaceLayout, degenerate_clusters, hermitian_eig
 from segalsim.decoherence import PointerBasisReport
 from segalsim.doublet import DoubletState
-from segalsim.events import _pipeline_image
 from segalsim.measurement import (
     EventRecord,
     MeasurementModel,
@@ -69,7 +69,6 @@ from segalsim.measurement import (
     premeasure,
 )
 from segalsim.model import _environment_records, _source_kind
-from segalsim.pointer import _setup
 from segalsim.restriction import (
     AlgebraicState,
     BreuerReport,
@@ -625,7 +624,7 @@ def check_state_dense(alg: OperatorAlgebra, values: np.ndarray) -> None:
     check("state is not normalized, |<I> - 1|", abs(table[0] - 1.0), TRACE_ATOL)
     positives = table[1:]
     worst = np.max(np.maximum(-positives.real, np.abs(positives.imag)))
-    check("positivity violated, max -Re or |Im| of <B_j^dag B_j>", worst, 1e-9)
+    check("positivity violated, max -eigenvalue or anti-Hermitian entry of rho_phi", worst, 1e-9)
 
 
 def lstsq_decomposition(phi: AlgebraicState) -> EnsembleOverCharacters:
@@ -640,26 +639,6 @@ def lstsq_decomposition(phi: AlgebraicState) -> EnsembleOverCharacters:
     probs = weights.real
     check("positivity violation: character weight below 0, -min", -np.min(probs), 1e-9)
     return EnsembleOverCharacters(tuple(zip(extremal_states(alg), np.clip(probs, 0.0, None))))
-
-
-def pointer_order_loop(model: MeasurementModel, algebra: OperatorAlgebra):
-    """``pointer._pointer_order`` as a loop over every (character,
-    pointer value) pair: the characters in pointer order and the map from
-    extremal order to pointer order, one to one."""
-    chars_ext = extremal_states(algebra)
-    ext_to_ptr = np.empty(len(chars_ext), np.min_scalar_type(model.o_dim - 1))
-    ptr_to_ext = np.full(model.o_dim, -1, dtype=int)
-    for k, char in enumerate(chars_ext):
-        value = char.pointer_value()
-        matches = [j for j, q in enumerate(model.qo_values) if abs(q - value) < 1e-7]
-        if len(matches) != 1:
-            raise InvariantViolation(f"character value {value!r} does not match one pointer value")
-        ext_to_ptr[k] = matches[0]
-        ptr_to_ext[matches[0]] = k
-    for j, q in enumerate(model.qo_values):
-        if list(ext_to_ptr).count(j) != 1:
-            raise InvariantViolation(f"pointer value {q!r} does not match one character")
-    return tuple(chars_ext[k] for k in ptr_to_ext), ext_to_ptr
 
 
 def joint_classes_numpy(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -732,10 +711,18 @@ def element_values(res: SpectralResolution, op: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # per-event numpy.random route
 #
-# Like the dense route, this calls the package's pipeline prefix (the
-# cached setup, the source check and the pipeline image) and its
-# character probabilities and cumulatives; only the per-event stream and
-# the searchsorted inverse CDF are its own.
+# The generic route the sampler replaces: the full pipeline image on
+# S (x) O (x) E, the pointer algebra on that layout and its character
+# probabilities.  It calls the package's source check, premeasurement,
+# environment records, pointer characters and cumulatives; the image,
+# the per-event stream and the searchsorted inverse CDF are its own.
+
+
+def pipeline_image(model: MeasurementModel, psi_s: StateVector) -> StateVector:
+    """Exact image of a system state, every register ready, under the pipeline:
+    the premeasured amplitude of |s, O_j> times environment record j."""
+    amp = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim, 1)
+    return StateVector(full_layout(model), (amp * _environment_records(model)).reshape(-1))
 
 
 def event_rng(seed: int, event_index: int) -> np.random.Generator:
@@ -816,12 +803,11 @@ def run_event(
     input (no collapse), as amplitudes; the record carries the sampled
     pointer character and the probability it was drawn with.
     """
-    setup = _setup(model)
     kind = _source_kind(model, source)
     row, psi_s = sample_gemenge(source, rng) if kind == "gemenge" else (None, source)
-    xi = _pipeline_image(model, setup, psi_s)
-    char, prob = sample_individual_restriction(xi, setup.algebra, rng)
-    pointer_index = int(setup.extremal_to_pointer[char.projector_index])
+    xi = pipeline_image(model, psi_s)
+    char, prob = sample_individual_restriction(xi, pointer_algebra(model, environment=True), rng)
+    pointer_index = pointer_characters(model, environment=True).index(char)
     record = EventRecord(
         event_index=event_index,
         seed=seed,

@@ -20,7 +20,7 @@ from segalsim.measurement import (
     pointer_operator,
 )
 from segalsim.model import _pointer_diagonal
-from segalsim.pointer import _setup
+from segalsim.pointer import _environment_characters, _setup
 from segalsim.restriction import extremal_states
 
 from _oracles import (
@@ -813,6 +813,7 @@ class TestJointClassesOracle:
             raise AssertionError("numpy sort code called")
 
         _setup.cache_clear()
+        _environment_characters.cache_clear()
         with monkeypatch.context() as patch:
             for name in ("argsort", "sort", "lexsort", "unique", "cumsum", "diff", "round"):
                 patch.setattr(np, name, refused)
@@ -821,6 +822,7 @@ class TestJointClassesOracle:
             labels, _ = joint_classes_numpy(_pointer_diagonal(model, layout)[None], ALGEBRA_TOL)
             assert alg.labels.tolist() == labels.tolist()
         _setup.cache_clear()
+        _environment_characters.cache_clear()
 
     def test_diagonal_algebra_working_set_at_large_d(self):
         # d = 8192 with 4096 distinct values: the classifier keeps no Python

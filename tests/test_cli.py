@@ -35,6 +35,14 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def test_pointer_values_closer_than_1e7_run(tmp_path, capsys):
+    # Farther apart than the algebra's merge width: four pointer classes.
+    path = write_config(tmp_path, model={"s_dim": 2, "o_dim": 4, "qo_values": [0, 1, -1, 1 + 5e-8]})
+    assert main(["run", str(path), "--quiet"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["summary"]["histogram"]) == 4 and sum(doc["summary"]["histogram"]) == 200
+
+
 def test_run_to_stdout(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["run", str(path), "--quiet"]) == 0

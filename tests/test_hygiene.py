@@ -296,8 +296,8 @@ def _invariant_raises(tree):
 def test_numeric_invariants_go_through_check():
     # Every numeric-tolerance invariant is one config.check call, which
     # fails closed on NaN.  The other raises are structural: the algebra's
-    # round-off floor on tol, the closure's d^2 bound, a character matching
-    # one pointer value, and a report that is not strict JSON.
+    # round-off floor on tol, the closure's d^2 bound, a pointer class
+    # holding one pointer value, and a report that is not strict JSON.
     sites = sorted(
         (path.name, function) for path in MODULES for function in _invariant_raises(_tree(path))
     )

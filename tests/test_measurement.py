@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import tracemalloc
@@ -7,9 +8,8 @@ import numpy as np
 import pytest
 
 from segalsim.algebra import generate_algebra, joint_spectral_resolution
-from segalsim.config import InvariantViolation
+from segalsim.config import ALGEBRA_TOL, InvariantViolation
 from segalsim.linalg import SpaceLayout, tensor, unitary_from_hamiltonian
-from segalsim.events import _pipeline_image
 from segalsim.measurement import (
     EnvironmentSpec,
     MeasurementModel,
@@ -31,7 +31,7 @@ from segalsim.measurement import (
     system_state,
 )
 from segalsim.model import _environment_records
-from segalsim.pointer import _interference_pair, _pointer_weights, _ready_pointer_swap, _setup
+from segalsim.pointer import _environment_characters, _interference_pair, _pointer_weights, _ready_pointer_swap, _setup
 from segalsim.decoherence import (
     environment_coherence,
     environment_pointer_basis,
@@ -80,6 +80,7 @@ from _oracles import (
     kron_oracle,
     layout_subset,
     partial_trace,
+    pipeline_image,
     premeasurement_unitary,
     purity,
     reduce_density,
@@ -379,7 +380,12 @@ class TestRunEvent:
             n = 200 if model.o_dim <= 256 else 1000
             batch = run_ensemble(model, source, n, 17)
             events = [run_event(model, source, event_rng(17, i), event_index=i, seed=17) for i in range(n)]
-            assert list(batch) == [record for record, _ in events]
+            # The batch draws from the restricted S (x) O probabilities, the
+            # reference from the S (x) O (x) E image: the outcomes agree, the
+            # probabilities to a few ulps of their sums' order.
+            for got, (want, _) in zip(batch, events, strict=True):
+                assert dataclasses.replace(got, probability=want.probability) == want
+                assert abs(got.probability - want.probability) <= 8 * np.spacing(want.probability)
             for _, event in events[:3]:  # the dense doublet is a valid pure state
                 assert purity(event.doublet().dynamical) == pytest.approx(1.0, abs=1e-9)
             assert batch.pointer_index.dtype == (np.uint16 if model.o_dim > 256 else np.uint8)
@@ -895,7 +901,8 @@ class TestMaskedPointerProbabilities:
             rho = random_density(rng, chars[0].algebra.layout)
             dense = [float(np.trace(rho.matrix @ c.projector).real) for c in chars]
             diagonal = chars[0].algebra.eigenbasis_diagonal(rho.matrix)
-            assert np.allclose(_information_of(diagonal, chars), dense, atol=1e-12)
+            classes = [c.projector_index for c in chars]
+            assert np.allclose(_information_of(diagonal, chars[0].algebra, classes), dense, atol=1e-12)
 
     def test_restricted_pointer_probabilities_in_pointer_order(self):
         model = MASK_MODELS[1]
@@ -965,7 +972,7 @@ class TestEnvironmentRecordsOracle:
             psi_s = random_vector(rng, system_layout(model))
             amp = np.where(np.arange(s_dim) == trial % s_dim, 0.0, psi_s.amplitudes)
             psi_s = StateVector(psi_s.layout, amp / np.linalg.norm(amp))
-            image = _pipeline_image(model, _setup(model), psi_s).amplitudes
+            image = pipeline_image(model, psi_s).amplitudes
             assert np.array_equal(image, pipeline @ np.kron(psi_s.amplitudes, ready))
 
 
@@ -1114,37 +1121,104 @@ def test_d720_pointer_setup():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_pointer_order_matches_pair_loop(seed):
-    # Characters are matched to pointer values by one sort and a window
-    # of neighbours; the loop over every pair is the reference.  Class
-    # values sit at, inside and just outside 1e-7 of a pointer value, and
-    # some pointer values sit within 1e-7 of each other.
-    from segalsim.algebra import diagonal_algebra
-    from segalsim.pointer import _pointer_order
-
+def test_pointer_classes_read_off_the_labels(seed):
+    # The class of pointer j is the algebra's label at |s_0, O_j(, E_0)>,
+    # on S (x) O and on S (x) O (x) E alike.  A spare pointer value sits
+    # 0.5e-7 to 2e-7 from another (its own class: the merge width is
+    # about 1e-8 here) or inside the merge width (one class, refused,
+    # naming the first pointer value of that class).
     rng = np.random.default_rng([61, seed])
-    offsets = np.array([0.0, 0.5e-7, -0.99e-7, 1e-7, -1.01e-7, 2e-7])
-    for _ in range(40):
-        model = make_model(s_dim=2, o_dim=int(rng.integers(3, 12)))
-        qo = np.array(model.qo_values)
-        if qo.size > 3 and rng.random() < 0.3:  # a spare pointer value next to another
-            spare = int(rng.integers(3, qo.size))
-            qo[spare] = qo[int(rng.integers(0, spare))] + rng.choice(offsets[1:])
-            model = make_model(s_dim=2, o_dim=qo.size, qo_values=qo)
-        shift = np.where(rng.random(qo.size) < 0.2, rng.choice(offsets, qo.size), 0.0)
-        values = (qo + shift)[rng.permutation(qo.size)]
-        algebra = diagonal_algebra(values[None], SpaceLayout((("O", qo.size),)))
-        try:
-            expected = _oracles.pointer_order_loop(model, algebra)
-        except InvariantViolation as exc:
-            with pytest.raises(InvariantViolation) as raised:
-                _pointer_order(model, algebra)
-            assert str(raised.value) == str(exc)
-            continue
-        chars, ext_to_ptr = _pointer_order(model, algebra)
-        assert chars == expected[0]
-        assert ext_to_ptr.dtype == expected[1].dtype
-        assert np.array_equal(ext_to_ptr, expected[1])
+    offsets = [0.5e-7, -0.99e-7, 1e-7, -1.01e-7, 2e-7]
+    for _ in range(30):
+        o_dim = int(rng.integers(4, 12))
+        environment = {"e_dim": int(rng.integers(4, 6))} if rng.random() < 0.5 else None
+        qo = np.array(make_model(s_dim=2, o_dim=o_dim).qo_values)
+        merged = None
+        if rng.random() < 0.7:  # a spare pointer value next to another
+            spare, partner = int(rng.integers(3, o_dim)), int(rng.integers(0, o_dim - 1))
+            partner += partner >= spare
+            width = ALGEBRA_TOL * np.max(np.abs(qo))
+            if rng.random() < 0.3:
+                qo[spare] = qo[partner] + rng.uniform(-0.5, 0.5) * width
+                merged = min(spare, partner) if qo[spare] != qo[partner] else None
+            else:
+                qo[spare] = qo[partner] + rng.choice(offsets)
+            if qo[spare] == qo[partner]:
+                continue
+        model = make_model(s_dim=2, o_dim=o_dim, qo_values=qo, environment=environment)
+        e_dim = 1 if environment is None else environment["e_dim"]
+        for env in (False, True):
+            if merged is not None:
+                message = f"pointer value {float(qo[merged])!r} does not match one character"
+                with pytest.raises(InvariantViolation) as raised:
+                    pointer_characters(model, env)
+                assert str(raised.value) == message
+                continue
+            chars = pointer_characters(model, env)
+            assert pointer_algebra(model, env).dimension == o_dim
+            step = e_dim if env else 1
+            for j, char in enumerate(chars):
+                column = np.zeros(char.algebra.layout.dim)
+                column[j * step] = 1.0
+                assert np.array_equal(char.projector @ column, column)
+                assert abs(char.pointer_value() - qo[j]) <= 1e-12 * max(1.0, abs(qo[j]))
+        if merged is None:
+            setup = _setup(model)
+            assert np.array_equal(setup.pointer_class, [c.projector_index for c in setup.characters])
+            assert np.array_equal(setup.class_pointer[setup.pointer_class], np.arange(o_dim))
+
+
+def test_pointer_values_within_1e7_run():
+    # Apart by more than the merge width, 5e-8 apart: four classes.
+    model = make_model(s_dim=2, o_dim=4, qo_values=(0.0, 1.0, -1.0, 1.0 + 5e-8))
+    assert pointer_algebra(model).dimension == 4
+    assert [c.pointer_value() for c in pointer_characters(model)] == list(model.qo_values)
+    psi_s = system_state(model, [0.6, 0.8])
+    batch = run_ensemble(model, psi_s, 100, 5)
+    assert pointer_histogram(model, batch).tolist()[3] == 0
+    assert restricted_pointer_probabilities(model, psi_s).tolist() == pytest.approx([0.0, 0.36, 0.64, 0.0])
+
+
+@pytest.mark.parametrize("case", ["pure", "gemenge", "environment"])
+def test_outcome_probability_is_the_restricted_probabilities(case):
+    # The sampler draws from the weights the report prints, bit for bit.
+    if case == "gemenge":
+        model, source = wide_gemenge()
+        rows = [state for state, _ in source.rows]
+    else:
+        model = env_model(e_overlap=0.3, e_dim=5) if case == "environment" else make_model(s_dim=3, o_dim=6)
+        source = system_state(model, [0.6, 0.8j] if model.s_dim == 2 else [0.6, 0.0, 0.8j])
+        rows = [source]
+    batch = run_ensemble(model, source, 50, 9)
+    assert batch.outcome_probability.shape == (len(rows), model.o_dim)
+    for row, state in zip(batch.outcome_probability, rows, strict=True):
+        assert row.tobytes() == restricted_pointer_probabilities(model, state).tobytes()
+
+
+def test_pure_run_with_environment_builds_one_pointer_algebra(monkeypatch):
+    # One pointer algebra per scenario, on S (x) O: the environment is
+    # left out of it, as the pointer algebra is the identity on E.
+    from segalsim import pointer
+    from segalsim.scenarios import parse_scenario, run_scenario
+
+    built = []
+    diagonal_algebra = pointer.diagonal_algebra
+    monkeypatch.setattr(pointer, "diagonal_algebra", lambda values, layout: built.append(layout.dim) or diagonal_algebra(values, layout))
+    cfg = parse_scenario(
+        {
+            "scenario": "pure",
+            "model": {"s_dim": 3, "o_dim": 5, "environment": {"e_dim": 7}},
+            "input": {"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]},
+            "n_events": 100,
+        }
+    )
+    _setup.cache_clear()
+    _environment_characters.cache_clear()
+    try:
+        run_scenario(cfg)
+    finally:
+        _setup.cache_clear()
+    assert built == [3 * 5]
 
 
 def test_merged_pointer_values_are_refused():
@@ -1275,12 +1349,16 @@ class TestDiagonalPointerAlgebra:
             assert np.allclose(alg.project_coefficients(a), coefficients, atol=1e-12)
 
     def test_setup_holds_no_dense_array(self):
-        model = make_model(s_dim=2, o_dim=4, environment={"e_dim": 15})
-        d = full_layout(model).dim
-        assert d == 120
+        model = make_model(s_dim=2, o_dim=40, environment={"e_dim": 15})
+        d = ms_layout(model).dim
+        assert d == 80
         setup = _setup.__wrapped__(model)  # a fresh setup, not the cached one
-        # The class labels and the pointer diagonal; no (classes, d) table.
-        assert max(a.size for a in _reachable_arrays(setup)) <= d
+        assert setup.algebra.layout.dim == d
+        # The class labels, the pointer diagonal and the (o_dim, e_dim)
+        # environment records; no (classes, d) table and nothing of the
+        # S (x) O (x) E layout.
+        assert setup.records.shape == (40, 15)
+        assert max(a.size for a in _reachable_arrays(setup) if a is not setup.records) <= d
         setup.algebra.generators  # made dense on first read, and kept
         assert max(a.size for a in _reachable_arrays(setup)) == d * d
 

@@ -12,7 +12,7 @@ from segalsim.restriction import (
     extremal_states,
     restrict_state,
 )
-from segalsim.states import DensityMatrix, Gemenge, StateVector, basis_state, density_from_vector
+from segalsim.states import DensityMatrix, Gemenge, StateVector, basis_state, density_from_vector, table_inverse_cdf
 
 from _oracles import (
     character_table,
@@ -21,7 +21,6 @@ from _oracles import (
     gemenge_mix,
     identity,
     lstsq_decomposition,
-    positivity_table,
     sample_individual_restriction,
 )
 
@@ -338,6 +337,21 @@ def test_draw_cumulative_fails_closed(bad):
         draw_cumulative(np.array([bad, 1.0]))
 
 
+def test_draw_cumulative_never_draws_a_zero_weight():
+    # Trailing zero weights (spare pointers sort last) keep the last
+    # nonzero weight's cumulative, which round-off can leave below 1: the
+    # largest uniform below 1 must still draw the last nonzero weight.
+    rng = np.random.default_rng(39)
+    below = 0
+    for _ in range(200):
+        probs = np.r_[rng.dirichlet(np.ones(5)), 0.0, 0.0]
+        below += np.cumsum(probs / probs.sum())[4] < 1.0
+        cumulative = draw_cumulative(probs)
+        assert cumulative[4:].tolist() == [1.0, 1.0, 1.0]
+        assert table_inverse_cdf(cumulative[None], 0, np.array([np.nextafter(1.0, 0.0)]))[0] == 4
+    assert below  # the grid holds the case the rule is for
+
+
 class TestAlgebraicStateValidation:
     def test_unnormalized_rejected(self):
         alg = pointer_algebra()
@@ -367,28 +381,52 @@ class TestAlgebraicStateValidation:
             lambda: generate_algebra([rotated_pointer()], MS),
             lambda: generate_algebra([interference_op()], MS),
             lambda: generate_algebra([q_o_extended(), nilpotent_op()], MS),
+            lambda: generate_algebra([interference_op(), q_o_extended()], MS),
         ],
-        ids=["diagonal", "generic-pointer", "generic-interference", "non-commutative"],
+        ids=["diagonal", "generic-pointer", "generic-interference", "non-commutative", "interference-algebra"],
     )
-    def test_positivity_table_matches_per_state_evaluation(self, make):
-        # The table row of B_j^dag B_j, applied to a state's values, is the
-        # state's expectation of B_j^dag B_j, evaluated afresh.  A
-        # commutative algebra keeps no table; the oracle's is the one its
-        # O(k) checks read from the ranks.
+    def test_state_check_is_the_density_in_the_algebra(self, make):
+        # A functional is positive on the algebra exactly when its density
+        # rho_phi = sum_j v_j B_j^dag, built here from the dense basis, is
+        # PSD.  Restricted density matrices pass; functionals of Hermitian,
+        # unit-trace matrices pass exactly when rho_phi's lowest
+        # eigenvalue does.
         alg = make()
-        table = positivity_table(alg) if alg.commutative else alg.positivity_table
-        assert table.shape == (alg.dimension + 1, alg.dimension)
         rng = np.random.default_rng(36)
-        states = [restrict_state(random_density(rng, MS), alg) for _ in range(3)]
-        if alg.commutative:
-            states += list(extremal_states(alg))
-        for phi in states:
-            assert table[0] @ phi.values == pytest.approx(phi.evaluate(identity(6)), abs=1e-12)
-            for j, m in enumerate(alg.basis):
-                expected = phi.evaluate(m.conj().T @ m)
-                assert table[j + 1] @ phi.values == pytest.approx(expected, abs=1e-12)
-        if not alg.commutative:
-            assert alg.positivity_table is table  # built once per algebra
+        for _ in range(3):
+            restrict_state(random_density(rng, MS), alg)
+        for scale in (0.5, 1.0, 3.0):
+            h = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            h = (h + h.conj().T) / 12
+            m = identity(6) / 6 + scale * (h - np.trace(h) / 6 * identity(6))  # unit trace
+            values = alg.project_coefficients(m.conj().T).conj()
+            rho_phi = sum(v * b.conj().T for v, b in zip(values, alg.basis))
+            lowest = np.linalg.eigvalsh(rho_phi)[0]
+            if lowest >= 0:
+                AlgebraicState(alg, values)
+            else:
+                with pytest.raises(InvariantViolation, match="positivity violated"):
+                    AlgebraicState(alg, values)
+
+    def test_pauli_functional_outside_the_bloch_ball_is_refused(self):
+        # <B_j^dag B_j> >= 0 on each basis element holds for this functional
+        # (Bloch length 1.56); its density, lowest eigenvalue -0.279, is not
+        # positive.  Density matrices on the same algebra still pass.
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sy = np.array([[0, -1j], [1j, 0]])
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        two = SpaceLayout((("Q", 2),))
+        alg = generate_algebra([sx, sz], two)
+        assert not alg.commutative and alg.dimension == 4
+        m = (identity(2) + 0.9 * (sx + sy + sz)) / 2
+        assert np.isclose(np.linalg.eigvalsh(m)[0], -0.279, atol=1e-3)
+        with pytest.raises(InvariantViolation, match="positivity violated"):
+            AlgebraicState(alg, alg.project_coefficients(m.conj().T).conj())
+        rng = np.random.default_rng(38)
+        for _ in range(5):
+            phi = restrict_state(random_density(rng, two), alg)
+            assert phi.expectation(identity(2)) == pytest.approx(1.0, abs=1e-12)
+        AlgebraicState(alg, alg.project_coefficients((identity(2) + sz).conj().T / 2).conj())  # a pure state
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +526,7 @@ class TestClassIndexRestriction:
         restriction.Character(ranked_algebra((2, 5, 1)), 1)
         assert names == [
             "state is not normalized, |<I> - 1|",
-            "positivity violated, max -Re or |Im| of <B_j^dag B_j>",
+            "positivity violated, max -eigenvalue or anti-Hermitian entry of rho_phi",
         ]
 
     def test_character_is_frozen(self):
@@ -501,10 +539,11 @@ class TestClassIndexRestriction:
             char.projector_index = 0
         assert "projector_index=1" in repr(char)
 
-    def test_commutative_algebra_has_no_positivity_table(self):
-        # Its dense table would build all k d x d basis elements; the
-        # states of a commutative algebra are checked from the ranks.
+    def test_commutative_state_check_builds_no_basis(self):
+        # rho_phi is diagonal on the classes: the check reads v_k / sqrt(rank_k)
+        # and sum_k sqrt(rank_k) v_k, and no dense basis element is made.
         alg = ranked_algebra((2, 5, 1))
-        with pytest.raises(ValueError, match="commutative algebra has no positivity table"):
-            alg.positivity_table
+        AlgebraicState(alg, np.array([0.2, 0.5, 0.3]) / np.sqrt(alg.ranks))
+        with pytest.raises(InvariantViolation, match="positivity violated"):
+            AlgebraicState(alg, np.array([1.2, 0.1, -0.3]) / np.sqrt(alg.ranks))
         assert alg._basis is None

@@ -494,7 +494,7 @@ class TestPureStatesStayVectors:
         from segalsim.measurement import pointer_algebra
 
         cfg = parse_scenario(config)
-        pointer_algebra(cfg.model, environment=True)  # per-model setup, outside the trace
+        pointer_algebra(cfg.model)  # per-model setup, outside the trace
         tracemalloc.start()
         run_scenario(cfg)
         peak = tracemalloc.get_traced_memory()[1]
