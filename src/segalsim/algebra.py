@@ -54,7 +54,7 @@ part of each and O(k log k) for its k distinct values, plus one pass
 over the dense generators to see that they are diagonal when they do not
 come as diagonals (length-d arrays, for :func:`generate_algebra`).
 
-Non-commutative algebras (the wigner-friend interference algebra,
+Non-commutative algebras (algebra-probe lists such as ["QO_MS", "B"],
 Pauli-type probes) are closed by Gram-Schmidt in :mod:`segalsim.closure`,
 which :func:`generate_algebra` imports only for letters that do not
 commute.  Their basis is one (k, d, d) array.

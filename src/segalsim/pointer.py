@@ -142,7 +142,7 @@ def _pointer_weights(model: MeasurementModel, diagonal: np.ndarray) -> np.ndarra
     """Restricted pointer probabilities of the S (x) O state with diagonal
     ``diagonal``."""
     setup = _setup(model)
-    weights = decompose_restricted(_pointer_state(model, diagonal), setup.algebra).probabilities
+    weights = decompose_restricted(_pointer_state(model, diagonal), setup.algebra)
     probs = weights[setup.pointer_class]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
 

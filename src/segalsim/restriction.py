@@ -13,7 +13,8 @@ deterministic global evolution into sampled pointer outcomes (drawn by
 A character of a commutative algebra is its class index k: it takes the
 value 1/sqrt(rank_k) on basis element k and 0 on every other, so a
 state's checks, and its decomposition into characters, are O(k) in the
-number of classes.
+number of classes; the decomposition is its weight vector, one float
+per character.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "AlgebraicState",
     "BreuerReport",
     "Character",
-    "EnsembleOverCharacters",
     "breuer_indistinguishable",
     "character_probabilities",
     "decompose_restricted",
@@ -137,31 +137,6 @@ class Character(AlgebraicState):
         return float(self.generator_values[generator_index])
 
 
-@dataclass(frozen=True, eq=False)
-class EnsembleOverCharacters:
-    """Probability table over the characters of one commutative algebra."""
-
-    rows: tuple[tuple[Character, float], ...]
-
-    def __post_init__(self) -> None:
-        rows = tuple((char, float(p)) for char, p in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise ValueError("ensemble needs at least one row")
-        probs = np.array([p for _, p in rows])
-        outside = np.max(np.maximum(-probs, probs - 1.0))  # the worst row's distance from [0, 1]
-        check("character probability outside [0, 1], by", outside, TRACE_ATOL)
-        check("character probabilities do not sum to 1", abs(probs.sum() - 1.0), TRACE_ATOL)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.rows])
-
-    @property
-    def characters(self) -> tuple[Character, ...]:
-        return tuple(char for char, _ in self.rows)
-
-
 def restrict_state(rho: DensityMatrix, alg: OperatorAlgebra) -> AlgebraicState:
     """Evaluate a global state on the algebra only (the view from inside)."""
     if rho.dim != alg.layout.dim:
@@ -188,8 +163,9 @@ def extremal_states(alg: OperatorAlgebra) -> tuple[Character, ...]:
     return chars
 
 
-def decompose_restricted(phi: AlgebraicState, alg: OperatorAlgebra) -> EnsembleOverCharacters:
-    """Unique convex decomposition of a restricted state into characters.
+def decompose_restricted(phi: AlgebraicState, alg: OperatorAlgebra) -> np.ndarray:
+    """Unique convex decomposition of a restricted state into characters:
+    its weight vector, a new float64 array in :func:`extremal_states` order.
 
     Character k takes 1/sqrt(rank_k) on basis element k alone, so the
     weights are w_k = v_k sqrt(rank_k), O(k).  For a state restricted
@@ -198,7 +174,7 @@ def decompose_restricted(phi: AlgebraicState, alg: OperatorAlgebra) -> EnsembleO
     """
     if phi.algebra is not alg:
         raise ValueError("state is not defined on the given algebra")
-    chars = extremal_states(alg)
+    extremal_states(alg)  # refuses a non-commutative algebra
     weights = phi.values * alg._sqrt_ranks
     # The characters, weighted, give the state back.
     residual = np.linalg.norm(weights * alg._inv_sqrt_ranks - phi.values)
@@ -208,7 +184,10 @@ def decompose_restricted(phi: AlgebraicState, alg: OperatorAlgebra) -> EnsembleO
     probs = weights.real
     check("positivity violation: character weight below 0, -min", -np.min(probs), 1e-9)
     probs = np.clip(probs, 0.0, None)
-    return EnsembleOverCharacters(tuple(zip(chars, probs)))
+    outside = np.max(np.maximum(-probs, probs - 1.0))  # the worst weight's distance from [0, 1]
+    check("character probability outside [0, 1], by", outside, TRACE_ATOL)
+    check("character probabilities do not sum to 1", abs(probs.sum() - 1.0), TRACE_ATOL)
+    return probs
 
 
 @dataclass(frozen=True, eq=False)

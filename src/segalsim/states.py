@@ -123,10 +123,6 @@ class Gemenge:
         return self.rows[0][0].layout
 
     @property
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.rows])
-
-    @property
     def cumulative(self) -> np.ndarray:
         """Cumulative row probabilities, for inverse-CDF sampling."""
         return self._cumulative

@@ -73,7 +73,6 @@ from segalsim.restriction import (
     AlgebraicState,
     BreuerReport,
     Character,
-    EnsembleOverCharacters,
     breuer_indistinguishable,
     character_probabilities,
     decompose_restricted,
@@ -627,18 +626,20 @@ def check_state_dense(alg: OperatorAlgebra, values: np.ndarray) -> None:
     check("positivity violated, max -eigenvalue or anti-Hermitian entry of rho_phi", worst, 1e-9)
 
 
-def lstsq_decomposition(phi: AlgebraicState) -> EnsembleOverCharacters:
+def lstsq_decomposition(phi: AlgebraicState) -> np.ndarray:
     """``decompose_restricted`` by least squares against the dense
-    character table, with its residual, imaginary-weight and
-    negative-weight checks."""
-    alg = phi.algebra
-    matrix = character_table(alg).T
+    character table, with its residual, imaginary-weight, negative-weight,
+    [0, 1] and sum checks: the weights in ``extremal_states`` order."""
+    matrix = character_table(phi.algebra).T
     weights, *_ = np.linalg.lstsq(matrix, phi.values, rcond=None)
     check("character decomposition residual", np.linalg.norm(matrix @ weights - phi.values), 1e-9)
     check("character decomposition has imaginary weights, max |Im|", np.max(np.abs(weights.imag)), 1e-9)
     probs = weights.real
     check("positivity violation: character weight below 0, -min", -np.min(probs), 1e-9)
-    return EnsembleOverCharacters(tuple(zip(extremal_states(alg), np.clip(probs, 0.0, None))))
+    probs = np.clip(probs, 0.0, None)
+    check("character probability outside [0, 1], by", np.max(np.maximum(-probs, probs - 1.0)), TRACE_ATOL)
+    check("character probabilities do not sum to 1", abs(probs.sum() - 1.0), TRACE_ATOL)
+    return probs
 
 
 def joint_classes_numpy(values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -674,7 +675,7 @@ def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix
     """Character weights of a dense S (x) O density matrix restricted to the
     pointer algebra, through ``restrict_state``, in ``qo_values`` order."""
     alg = pointer_algebra(model)
-    weights = decompose_restricted(restrict_state(rho, alg), alg).probabilities
+    weights = decompose_restricted(restrict_state(rho, alg), alg)
     probs = weights[[c.projector_index for c in pointer_characters(model)]]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
 

@@ -7,7 +7,8 @@ another module; every module-level ``_PRIVATE_CONSTANT`` is read
 somewhere beyond its own assignment; every name in a module's
 ``__all__`` is read by the package, its tests or its benchmark, and every
 name in the package root's ``__all__`` is taken from the root by one of
-them; no module reads ``numpy.random``; ``InvariantViolation`` is
+them; every public method or property of a package class is read by one
+of them; no module reads ``numpy.random``; ``InvariantViolation`` is
 raised only by ``config.check`` and four structural sites; and no module
 exceeds the token budget.
 """
@@ -140,6 +141,22 @@ def test_every_exported_name_is_read():
         for name in sorted(_exported_names(_tree(path)) - read)
     ]
     assert not unread, f"exported names nothing reads: {unread}"
+
+
+def test_every_public_method_is_read():
+    # A public method or property of a package class earns its place when
+    # the package, its tests or its benchmark read it by attribute name.
+    readers = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*map(_read_names, map(_tree, readers)))
+    unread = [
+        f"{path.name}:{node.name}.{item.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_") and item.name not in read
+    ]
+    assert not unread, f"public methods and properties nothing reads: {unread}"
 
 
 def _numpy_random_reads(tree):

@@ -1375,3 +1375,20 @@ class TestDiagonalPointerAlgebra:
         tracemalloc.stop()
         assert np.isclose(probs.sum(), 1.0)
         assert peak < 2 * 2**20
+
+    def test_restricted_read_holds_no_object_per_character(self):
+        # One read at s_dim 2, o_dim 4096 (d = 8192, 4096 characters) with
+        # the setup built: the premeasured amplitudes, the diagonal and the
+        # restricted values are a few length-d arrays, and the weights one
+        # float each.  A (Character, float) pair per character read 7.9
+        # complex rows of length d; the weight array reads 5.0.
+        model = make_model(s_dim=2, o_dim=4096)
+        psi_s = system_state(model, [0.6, 0.8])
+        restricted_pointer_probabilities(model, psi_s)  # per-model setup, outside the trace
+        d = ms_layout(model).dim
+        tracemalloc.start()
+        probs = restricted_pointer_probabilities(model, psi_s)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert probs[[1, 2]].tolist() == pytest.approx([0.36, 0.64])
+        assert peak < 6 * 16 * d

@@ -174,8 +174,8 @@ class TestDecomposeRestricted:
     def test_born_weights(self):
         alg = pointer_algebra()
         rho = density_from_vector(ms_entangled(np.sqrt(0.3), np.sqrt(0.7)))
-        ens = decompose_restricted(restrict_state(rho, alg), alg)
-        by_value = {round(c.pointer_value()): p for (c, p) in ens.rows}
+        probs = decompose_restricted(restrict_state(rho, alg), alg)
+        by_value = {round(c.pointer_value()): p for (c, p) in zip(extremal_states(alg), probs)}
         assert by_value[1] == pytest.approx(0.3, abs=1e-10)
         assert by_value[-1] == pytest.approx(0.7, abs=1e-10)
         assert by_value[0] == pytest.approx(0.0, abs=1e-10)
@@ -183,24 +183,24 @@ class TestDecomposeRestricted:
     def test_character_decomposes_to_itself(self):
         alg = pointer_algebra()
         chars = extremal_states(alg)
-        ens = decompose_restricted(chars[1], alg)
+        probs = decompose_restricted(chars[1], alg)
         expected = np.zeros(3)
         expected[1] = 1.0
-        assert np.allclose(ens.probabilities, expected, atol=1e-10)
+        assert np.allclose(probs, expected, atol=1e-10)
 
     def test_tracial_state_uniform(self):
         alg = pointer_algebra()
         phi = restrict_state(DensityMatrix(MS, identity(6) / 6), alg)
-        ens = decompose_restricted(phi, alg)
-        assert np.allclose(ens.probabilities, [1 / 3, 1 / 3, 1 / 3], atol=1e-10)
+        probs = decompose_restricted(phi, alg)
+        assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-10)
 
     def test_weights_equal_projector_traces(self):
         alg = pointer_algebra()
         rng = np.random.default_rng(11)
         for _ in range(10):
             rho = random_density(rng, MS)
-            ens = decompose_restricted(restrict_state(rho, alg), alg)
-            for char, p in ens.rows:
+            probs = decompose_restricted(restrict_state(rho, alg), alg)
+            for char, p in zip(extremal_states(alg), probs):
                 assert p == pytest.approx(
                     float(np.trace(rho.matrix @ char.projector).real), abs=1e-9
                 )
@@ -210,8 +210,7 @@ class TestDecomposeRestricted:
         rng = np.random.default_rng(12)
         rho = random_density(rng, MS)
         phi = restrict_state(rho, alg)
-        ens = decompose_restricted(phi, alg)
-        recon = character_table(alg).T @ ens.probabilities
+        recon = character_table(alg).T @ decompose_restricted(phi, alg)
         assert np.max(np.abs(recon - phi.values)) <= 1e-9
 
     def test_unique_up_to_character_permutation(self):
@@ -221,7 +220,7 @@ class TestDecomposeRestricted:
         rng = np.random.default_rng(13)
         rho = random_density(rng, MS)
         phi = restrict_state(rho, alg)
-        probs = decompose_restricted(phi, alg).probabilities
+        probs = decompose_restricted(phi, alg)
         perm = [2, 0, 1]
         matrix = character_table(alg)[perm].T
         permuted, *_ = np.linalg.lstsq(matrix, phi.values, rcond=None)
@@ -258,8 +257,8 @@ class TestBreuer:
         rho_p = density_from_vector(ms_entangled(2**-0.5, 2**-0.5))
         rho_m = branch_mixture(0.5, 0.5)
         assert breuer_indistinguishable(rho_p, rho_m, alg, tol=1e-9)
-        p1 = decompose_restricted(restrict_state(rho_p, alg), alg).probabilities
-        p2 = decompose_restricted(restrict_state(rho_m, alg), alg).probabilities
+        p1 = decompose_restricted(restrict_state(rho_p, alg), alg)
+        p2 = decompose_restricted(restrict_state(rho_m, alg), alg)
         assert np.max(np.abs(p1 - p2)) <= 1e-9
 
 
@@ -298,9 +297,7 @@ class TestSampleIndividualRestriction:
     def test_statistics_match_decomposition(self):
         alg = pointer_algebra()
         xi = ms_entangled(np.sqrt(0.3), np.sqrt(0.7))
-        expected = decompose_restricted(
-            restrict_state(density_from_vector(xi), alg), alg
-        ).probabilities
+        expected = decompose_restricted(restrict_state(density_from_vector(xi), alg), alg)
         rng = np.random.default_rng(34)
         n = 50_000
         counts = np.zeros(3)
@@ -500,11 +497,32 @@ class TestClassIndexRestriction:
             assert state == dense, values
             if phi is None:
                 continue
-            name, weights = outcome(lambda: decompose_restricted(phi, alg).probabilities)
-            dense, reference = outcome(lambda: lstsq_decomposition(phi).probabilities)
+            name, weights = outcome(lambda: decompose_restricted(phi, alg))
+            dense, reference = outcome(lambda: lstsq_decomposition(phi))
             assert name == dense, values
             if weights is not None:
                 assert np.max(np.abs(weights - reference)) <= 4 * eps
+
+    @pytest.mark.parametrize("ranks", RANKS, ids=["-".join(map(str, r)) for r in RANKS])
+    def test_decomposition_is_its_weight_array(self, ranks):
+        # One float64 weight per character, in extremal_states order: bit
+        # for bit the clipped v_k sqrt(rank_k), each weight read as a float.
+        alg = ranked_algebra(ranks)
+        decomposed = 0
+        for values in value_grid(ranks):
+            with np.errstate(invalid="ignore"):  # the NaN and inf rows
+                _, phi = outcome(lambda: AlgebraicState(alg, values))
+            if phi is None:
+                continue
+            _, weights = outcome(lambda: decompose_restricted(phi, alg))
+            if weights is None:
+                continue
+            expected = np.array([float(w) for w in np.clip((phi.values * np.sqrt(ranks)).real, 0.0, None)])
+            assert type(weights) is np.ndarray and weights.dtype == np.float64
+            assert weights.shape == (alg.dimension,) == (len(extremal_states(alg)),)
+            assert weights.tobytes() == expected.tobytes(), values
+            decomposed += 1
+        assert decomposed >= 10
 
     @pytest.mark.parametrize("ranks", RANKS, ids=["-".join(map(str, r)) for r in RANKS])
     def test_character_is_its_class_index(self, ranks):
@@ -516,7 +534,7 @@ class TestClassIndexRestriction:
             assert char.projector_index == k and char.algebra is alg
             assert np.array_equal(char.values, table[k])
             check_state_dense(alg, char.values)
-            assert np.array_equal(decompose_restricted(char, alg).probabilities, np.eye(len(ranks))[k])
+            assert np.array_equal(decompose_restricted(char, alg), np.eye(len(ranks))[k])
 
     def test_character_runs_both_state_checks(self, monkeypatch):
         from segalsim import restriction
