@@ -59,36 +59,44 @@ def _format_float(value: float) -> str:
 def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
     """The event log's bytes, ``_LOG_BLOCK`` rows at a time.
 
-    Every row after its event index is fixed by the event's (gemenge row,
-    pointer) pair, so each pair present is formatted once, its probability
-    read from ``outcome_probability``, and looked up per event as
-    ``table[row, pointer]`` (row 0 for a pure input) in a table padded
-    with NUL bytes, which no row holds.  A block never crosses a power of
-    ten, so its indices share a digit count.  The indices are consecutive:
-    a block's last four digits are one slice of a table that spells
-    i mod 10**4 in row i, and the digits above them change at most once
-    in a block, at a multiple of 10**4.  Each block is laid out as one
-    byte array, and its bytes other than NUL are the rows.
+    Every row after its event index is fixed by the event's outcome code
+    ``row * o + pointer`` (row 0 for a pure input), so each code present
+    is formatted once, its probability read from ``outcome_probability``,
+    and looked up per event as ``np.take(table, code, axis=0)`` in a flat
+    (rows * o, width) table padded with NUL bytes, which no row holds.
+    The codes are computed in intp: the uint8 columns would wrap at 256.
+    A block never crosses a power of ten, so its indices share a digit
+    count.  The indices are consecutive: a block's last four digits are
+    one slice of a table that spells i mod 10**4 in row i, and the digits
+    above them change at most once in a block, at a multiple of 10**4.
+    Each block is laid out as one byte array, and its bytes other than
+    NUL are the rows.
     """
     n = len(events)
     probability = events.outcome_probability
+    o = probability.shape[1]
 
-    def row_of(start: int, stop: int) -> int | np.ndarray:
-        return 0 if events.gemenge_row is None else events.gemenge_row[start:stop]
+    def code_of(start: int, stop: int) -> np.ndarray:
+        pointer = events.pointer_index[start:stop]
+        if events.gemenge_row is None:
+            return pointer
+        code = np.multiply(events.gemenge_row[start:stop], o, dtype=np.intp)
+        code += pointer
+        return code
 
-    present = np.zeros(probability.shape, bool)
+    present = np.zeros(probability.size, bool)
     for start in range(0, n, _LOG_BLOCK):
-        present[row_of(start, start + _LOG_BLOCK), events.pointer_index[start : start + _LOG_BLOCK]] = True
+        present[code_of(start, start + _LOG_BLOCK)] = True
     suffixes = [b""] * probability.size
-    for row, pointer in np.argwhere(present).tolist():
-        suffixes[row * probability.shape[1] + pointer] = (
+    for code in np.flatnonzero(present).tolist():
+        row, pointer = divmod(code, o)
+        suffixes[code] = (
             f",{'' if events.gemenge_row is None else row},{pointer},"
             f"{_format_float(events.pointer_values[pointer])},"
             f"{_format_float(probability[row, pointer])}\n"
         ).encode("ascii")
     width = max(map(len, suffixes))
-    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in suffixes), np.uint8)
-    table = table.reshape(*probability.shape, width)
+    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in suffixes), np.uint8).reshape(-1, width)
     digit = np.arange(48, 58, dtype=np.uint8)
     quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
     quads = np.concatenate([quads, quads[:_LOG_BLOCK]])  # row i spells i mod 10**4
@@ -103,7 +111,7 @@ def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
             block[:turn, : k - 4] = np.frombuffer(str(start // 10**4).encode("ascii"), np.uint8)
             if turn < len(block):
                 block[turn:, : k - 4] = np.frombuffer(str(start // 10**4 + 1).encode("ascii"), np.uint8)
-        block[:, k:] = table[row_of(start, stop), events.pointer_index[start:stop]]
+        block[:, k:] = np.take(table, code_of(start, stop), axis=0)
         return block[block != 0]
 
     yield np.frombuffer((",".join(_EVENT_COLUMNS) + "\n").encode("ascii"), np.uint8)

@@ -140,21 +140,21 @@ def table_inverse_cdf(table: np.ndarray, rows: int | np.ndarray, u: np.ndarray) 
     probability) is never selected.  The result has the shape of ``u``.
 
     One binary search over all uniforms at once: each count takes every
-    power-of-two step whose last entry is at or below its uniform.  It ends
-    at the number of entries at or below ``u`` (``searchsorted(side=
-    "right")``), or past the row's end when the whole row is, and both cap
-    to the same index.  Rows must be nondecreasing, as cumulatives are.
-    The tests hold it against ``searchsorted`` (``inverse_cdf`` in
-    ``tests/_oracles.py``).
+    power-of-two step whose last entry is at or below its uniform, as one
+    unmasked add of ``step * hit``.  It ends at the number of entries at or
+    below ``u`` (``searchsorted(side="right")``), or past the row's end
+    when the whole row is, and both cap to the same index.  Rows must be
+    nondecreasing, as cumulatives are.  ``rows`` is read as intp, so a
+    uint8 row column does not wrap.  The tests hold it against
+    ``searchsorted`` (``inverse_cdf`` in ``tests/_oracles.py``).
     """
     m = table.shape[1]
     flat = table.ravel()
-    before = np.asarray(rows) * m - 1  # entry j of row r is flat[before + j + 1]
+    before = np.asarray(rows, np.intp) * m - 1  # entry j of row r is flat[before + j + 1]
     count = np.zeros(np.shape(u), np.intp)
     step = 1 << (m.bit_length() - 1)
     while step:
-        taken = count + step
-        np.copyto(count, taken, where=flat[before + np.minimum(taken, m)] <= u)
+        count += step * (flat[before + np.minimum(count + step, m)] <= u)
         step >>= 1
     return np.minimum(count, m - 1)
 

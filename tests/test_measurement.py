@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+from segalsim._philox import _W0
 from segalsim.algebra import generate_algebra, joint_spectral_resolution
 from segalsim.config import ALGEBRA_TOL, InvariantViolation
 from segalsim.linalg import SpaceLayout, tensor, unitary_from_hamiltonian
@@ -475,16 +476,21 @@ class TestEventStreams:
         held = (batch.pointer_index, batch.gemenge_row, batch.outcome_probability)
         assert peak - sum(array.nbytes for array in held) < 0.6 * 2**20
 
+    # Seeds around the wrap of round 1's key word seed + W0, which the
+    # folded schedule reads as one Python int.
+    FOLD_SEEDS = (0, 1, 987654321, 2**63, 2**64 - _W0 - 1, 2**64 - _W0, 2**64 - 2, 2**64 - 1)
+
     def test_batch_uniforms_match_per_event_generators(self):
         # The vectorized stream kernel must be bit-identical to the
-        # per-event generators it replaces.
+        # per-event generators it replaces, for every number of draws:
+        # one or two draws skip the last round's M0 product.
         from segalsim._philox import event_uniforms
 
-        for seed in (0, 1, 987654321, 2**63, 2**64 - 2, 2**64 - 1):
-            batch = event_uniforms(seed, 25, 3)
+        for seed, n_draws in itertools.product(self.FOLD_SEEDS, (1, 2, 3, 4)):
+            batch = event_uniforms(seed, 25, n_draws)
             for i in range(25):
                 g = event_rng(seed, i)
-                reference = [g.random() for _ in range(3)]
+                reference = [g.random() for _ in range(n_draws)]
                 assert batch[i].tolist() == reference
 
     def test_batch_uniforms_match_across_kernel_chunks(self, monkeypatch):
@@ -512,12 +518,25 @@ class TestEventStreams:
         # before them are evaluated.
         from segalsim._philox import _first_block
 
-        indices = [2**32 - 1, 2**32, 2**40, 2**63]
-        for seed in (0, 2**63, 2**64 - 2, 2**64 - 1):
-            batch = _first_block(seed, np.array(indices, dtype=np.uint64), 4)
+        indices = [0, 2**13, 2**32 - 1, 2**32, 2**40, 2**63, 2**64 - 1]
+        for seed, n_draws in itertools.product(self.FOLD_SEEDS, (1, 2, 3, 4)):
+            batch = _first_block(seed, np.array(indices, dtype=np.uint64), n_draws)
             for row, i in zip(batch, indices):
                 g = event_rng(seed, i)
-                assert row.tolist() == [g.random() for _ in range(4)]
+                assert row.tolist() == [g.random() for _ in range(n_draws)]
+
+    @pytest.mark.parametrize("n_draws, products", [(1, 16), (2, 16), (3, 17), (4, 17)])
+    def test_block_kernel_vector_products(self, monkeypatch, n_draws, products):
+        # Round 0 and round 1's M0 product are the same for every event, and
+        # the last round's M0 product feeds only the third and fourth words:
+        # the plain ten-round network makes 20 vector products a block.
+        from segalsim import _philox
+
+        calls = []
+        mulhilo = _philox._mulhilo
+        monkeypatch.setattr(_philox, "_mulhilo", lambda *args: calls.append(1) or mulhilo(*args))
+        _philox._first_block(5, np.arange(8, dtype=np.uint64), n_draws)
+        assert len(calls) == products
 
     def test_event_rng_rejects_bad_seed(self):
         with pytest.raises(ValueError, match="64-bit"):

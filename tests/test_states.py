@@ -213,11 +213,20 @@ class TestInverseCdf:
             table = table_inverse_cdf(arr[None], 0, np.array(points))
             assert table.tolist() == expected
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 9, 200])
-    def test_table_rows_match_inverse_cdf(self, width):
+    @pytest.mark.parametrize(
+        "width, dtype",
+        [
+            pytest.param(width, dtype, id=str(width) if dtype is np.int64 else f"{width}-uint8")
+            for dtype in (np.int64, np.uint8)
+            for width in (1, 2, 3, 4, 5, 8, 9, 200)
+        ],
+    )
+    def test_table_rows_match_inverse_cdf(self, width, dtype):
         # The all-rows search against one search per event, on rows with
         # zero-probability entries, uniforms on entries and a row whose
-        # last entry lies below some uniforms.
+        # last entry lies below some uniforms.  Rows as uint8, the dtype of
+        # EventBatch.gemenge_row, are read as intp: row * width must not
+        # wrap at 256.
         rng = np.random.default_rng(width)
         probs = rng.random((40, width))
         if width > 1:
@@ -228,7 +237,7 @@ class TestInverseCdf:
         u = rng.random(5000)
         u[:500] = table[rows[:500], rng.integers(width, size=500)]
         expected = [inverse_cdf(table[r], x) for r, x in zip(rows, u)]
-        assert table_inverse_cdf(table, rows, u).tolist() == expected
+        assert table_inverse_cdf(table, rows.astype(dtype), u).tolist() == expected
 
 
 class TestExpectation:
