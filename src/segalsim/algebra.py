@@ -165,9 +165,14 @@ class OperatorAlgebra:
         return len(self._basis) if self.labels is None else len(self.ranks)
 
     def class_sums(self, x: np.ndarray) -> np.ndarray:
-        """Sum of ``x``, one entry per joint eigenvector, over each class."""
+        """Sum of ``x`` over each class, ``x`` one entry per joint
+        eigenvector, or m consecutive entries per joint eigenvector on the
+        layout extended by an m-dim factor the algebra is the identity on."""
         if not np.iscomplexobj(x):
-            return np.bincount(self.labels, x, len(self.ranks))
+            labels = self.labels
+            if len(x) != len(labels):
+                labels = np.repeat(labels, len(x) // len(labels))
+            return np.bincount(labels, x, len(self.ranks))
         sums = self.class_sums(x.real).astype(complex)
         sums.imag = self.class_sums(x.imag)
         return sums
@@ -210,8 +215,9 @@ def generate_algebra(
     """Close the generators into the smallest unital *-algebra span.
 
     A generator is a d x d matrix, or a length-d array that stands for the
-    diagonal matrix it holds.  A list made only of such arrays goes to
-    :func:`diagonal_algebra`, and a mixed list makes them dense.
+    diagonal matrix it holds.  A list whose matrices are all exactly
+    diagonal goes to :func:`diagonal_algebra` as the stacked diagonals;
+    only a list with another matrix makes the arrays dense.
     Commuting letters give the joint eigenbasis and its classes, others
     the Gram-Schmidt closure (see the module docstring).
     """
@@ -224,11 +230,10 @@ def generate_algebra(
             raise ValueError(f"generator shape {g.shape} does not match layout dim {d}")
         if not np.all(np.isfinite(g)):
             raise ValueError("generator entries must be finite")
-    if all(g.ndim == 1 for g in gens):
-        return diagonal_algebra(np.array(gens).reshape(len(gens), d), layout, tol)
+    if all(g.ndim == 1 or np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in gens):
+        diagonals = np.array([g if g.ndim == 1 else np.diagonal(g) for g in gens])
+        return diagonal_algebra(diagonals.reshape(len(gens), d), layout, tol)
     gens = tuple(np.diag(g) if g.ndim == 1 else g for g in gens)
-    if all(np.count_nonzero(g) == np.count_nonzero(np.diagonal(g)) for g in gens):
-        return diagonal_algebra(np.array([np.diagonal(g) for g in gens]).reshape(len(gens), d), layout, tol)
     floor = d * np.finfo(float).eps
     if tol < floor:
         raise InvariantViolation(

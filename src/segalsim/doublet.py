@@ -3,7 +3,8 @@
 A doublet pairs the dynamical state, which only ever evolves unitarily,
 with the information state of the observer register.  For an ensemble
 (:class:`StatisticalDoublet`) that is the record distribution tr(rho P_j)
-over the pointer characters, recomputed from the state after every step;
+over the S (x) O pointer characters, for a state on S (x) O or on
+S (x) O (x) E alike, recomputed from the state after every step;
 for one event (:class:`DoubletState`) it is the one character the
 register holds.  The premeasurement coupling as a Hamiltonian, its
 Schroedinger-Liouville evolution and the erasure of a record by the
@@ -86,7 +87,9 @@ def _information_of(diagonal: np.ndarray, algebra: OperatorAlgebra, classes) -> 
 
 
 def _records(rho: DensityMatrix, characters: tuple[Character, ...]) -> np.ndarray:
-    """The record distribution of ``rho`` over ``characters``, in their order."""
+    """The record distribution of ``rho`` over ``characters``, in their
+    order; on S (x) O (x) E each class sums the e_dim entries of each of
+    its S (x) O columns, as the S (x) O (x) E class sums do."""
     alg = characters[0].algebra
     return _information_of(alg.eigenbasis_diagonal(rho.matrix), alg, [c.projector_index for c in characters])
 
@@ -98,13 +101,9 @@ def _doublet(rho: DensityMatrix, characters: tuple[Character, ...]) -> Statistic
 
 def statistical_doublet(model: MeasurementModel, rho: DensityMatrix) -> StatisticalDoublet:
     """Doublet with the record distribution computed from the state."""
-    if rho.layout == ms_layout(model):
-        chars = pointer_characters(model)
-    elif rho.layout == full_layout(model):
-        chars = pointer_characters(model, environment=True)
-    else:
+    if rho.layout not in (ms_layout(model), full_layout(model)):
         raise ValueError("state layout matches neither the measurement nor the full layout")
-    return _doublet(rho, chars)
+    return _doublet(rho, pointer_characters(model))
 
 
 def initial_doublet(model: MeasurementModel, psi_s: StateVector) -> StatisticalDoublet:

@@ -1,17 +1,17 @@
 """The per-model pointer set-up and premeasurement.
 
-The pointer algebra on S (x) O, its characters in pointer order and the
+The pointer algebra on S (x) O, its class<->pointer map and the
 environment records are built once per model and cached (``_setup``).
 The pointer observable is diag(qo_values) on O, so the class of column
 |s_0, O_j> is pointer j's class: the algebra's labels there are the one
 class<->pointer map, and a class that holds two pointer values is
-refused.  The pointer algebra acts as the identity on E, so restricting
-the S (x) O (x) E state to it gives the S (x) O weights; that algebra is
-built only when asked for (``pointer_algebra(model, environment=True)``)
-and no scenario run does.  Premeasurement is the ready/pointer swap on
-S (x) O amplitudes; the restricted pointer probabilities, the
-interference expectation and the branch mixture are read from the
-premeasured amplitudes.
+refused.  The pointer algebra acts as the identity on E: its labels on
+S (x) O (x) E are the S (x) O ones repeated e_dim times, and the
+restricted states are the S (x) O ones.  No scenario run builds that
+algebra (``pointer_algebra(model, environment=True)``) or a character.
+Premeasurement is the ready/pointer swap on S (x) O amplitudes; the
+restricted pointer probabilities, the interference expectation and the
+branch mixture are read from the premeasured amplitudes.
 """
 
 from __future__ import annotations
@@ -56,67 +56,50 @@ __all__ = [
 class _Setup:
     records: np.ndarray                        # (o_dim, e_dim) environment records
     algebra: OperatorAlgebra                   # the pointer algebra on S (x) O
-    characters: tuple[Character, ...]          # pointer order (qo_values order)
     pointer_class: np.ndarray                  # pointer j's class: the label of |s_0, O_j>
     class_pointer: np.ndarray                  # class k's pointer, the inverse map
 
 
 @lru_cache(maxsize=None)
 def _setup(model: MeasurementModel) -> _Setup:
+    """The S (x) O pointer set-up.  Every class holds a pointer column, so
+    ``pointer_class`` is onto; a class holding two pointer values (merged
+    within the algebra's tolerance) is refused, naming its first one."""
     algebra = _pointer_algebra_on(model, ms_layout(model))
     pointer_class = algebra.labels[: model.o_dim]
-    characters = _pointer_order(model, algebra, pointer_class)
+    if algebra.dimension < model.o_dim:  # a class holds two pointer values
+        classes = pointer_class.tolist()
+        j = next(j for j, k in enumerate(classes) if classes.count(k) > 1)
+        raise InvariantViolation(f"pointer value {model.qo_values[j]!r} does not match one character")
     class_pointer = np.empty(model.o_dim, np.min_scalar_type(model.o_dim - 1))
     class_pointer[pointer_class] = np.arange(model.o_dim)
     return _Setup(
         records=_environment_records(model),
         algebra=algebra,
-        characters=characters,
         pointer_class=pointer_class,
         class_pointer=class_pointer,
     )
-
-
-@lru_cache(maxsize=None)
-def _environment_characters(model: MeasurementModel) -> tuple[Character, ...]:
-    """The characters of the S (x) O (x) E pointer algebra in pointer
-    order, read at its columns |s_0, O_j, E_0>; built only when asked."""
-    algebra = _pointer_algebra_on(model, full_layout(model))
-    e_dim = model.environment.e_dim
-    return _pointer_order(model, algebra, algebra.labels[: model.o_dim * e_dim : e_dim])
 
 
 def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> OperatorAlgebra:
     return diagonal_algebra(_pointer_diagonal(model, layout)[None], layout)
 
 
-def _pointer_order(model: MeasurementModel, algebra: OperatorAlgebra, pointer_class: np.ndarray):
-    """The algebra's characters in pointer order, ``pointer_class[j]``
-    the class of pointer j.
-
-    Every class holds a pointer column, so the map is onto; a class that
-    holds more than one pointer value (values merged within the
-    algebra's tolerance) is refused, naming its first pointer value.
-    """
-    classes = pointer_class.tolist()
-    if algebra.dimension < len(classes):  # a class holds two pointer values
-        j = next(j for j, k in enumerate(classes) if classes.count(k) > 1)
-        raise InvariantViolation(f"pointer value {model.qo_values[j]!r} does not match one character")
-    chars = extremal_states(algebra)
-    return tuple(chars[k] for k in classes)
-
-
 def pointer_algebra(model: MeasurementModel, environment: bool = False) -> OperatorAlgebra:
     """The observer's effective algebra: unit and pointer observable only,
-    on S (x) O, or with ``environment`` on the pipeline layout."""
-    return pointer_characters(model, environment)[0].algebra
-
-
-def pointer_characters(model: MeasurementModel, environment: bool = False) -> tuple[Character, ...]:
-    """Characters of the pointer algebra in ``qo_values`` order."""
+    on S (x) O, or with ``environment`` built afresh on the pipeline
+    layout, where its labels are the S (x) O ones repeated e_dim times."""
+    algebra = _setup(model).algebra  # refuses merged pointer values
     if environment and model.environment is not None:
-        return _environment_characters(model)
-    return _setup(model).characters
+        return _pointer_algebra_on(model, full_layout(model))
+    return algebra
+
+
+def pointer_characters(model: MeasurementModel) -> tuple[Character, ...]:
+    """Characters of the S (x) O pointer algebra in ``qo_values`` order."""
+    setup = _setup(model)
+    chars = extremal_states(setup.algebra)
+    return tuple(chars[k] for k in setup.pointer_class.tolist())
 
 
 def restricted_pointer_probabilities(model: MeasurementModel, source: StateVector | Gemenge) -> np.ndarray:

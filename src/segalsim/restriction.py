@@ -168,13 +168,15 @@ def decompose_restricted(phi: AlgebraicState, alg: OperatorAlgebra) -> np.ndarra
     its weight vector, a new float64 array in :func:`extremal_states` order.
 
     Character k takes 1/sqrt(rank_k) on basis element k alone, so the
-    weights are w_k = v_k sqrt(rank_k), O(k).  For a state restricted
-    from a density matrix they equal trace(rho P_k) over the joint
-    eigenprojectors.
+    weights are w_k = v_k sqrt(rank_k), O(k), with no character object
+    built.  For a state restricted from a density matrix they equal
+    trace(rho P_k) over the joint eigenprojectors.  A non-commutative
+    algebra is refused as :func:`extremal_states` refuses it.
     """
     if phi.algebra is not alg:
         raise ValueError("state is not defined on the given algebra")
-    extremal_states(alg)  # refuses a non-commutative algebra
+    if not alg.commutative:
+        raise ValueError("extremal state enumeration requires a commutative algebra")
     weights = phi.values * alg._sqrt_ranks
     # The characters, weighted, give the state back.
     residual = np.linalg.norm(weights * alg._inv_sqrt_ranks - phi.values)

@@ -114,8 +114,9 @@ class Gemenge:
         outside = np.max(np.maximum(-probs, probs - 1.0))  # the worst row's distance from [0, 1]
         check("row probability outside [0, 1], by", outside, TRACE_ATOL)
         check("Gemenge probabilities do not sum to 1", abs(probs.sum() - 1.0), TRACE_ATOL)
+        # Exactly 1 from the last positive row on: no zero row is drawn.
         cumulative = np.cumsum([max(p, 0.0) for _, p in rows])
-        cumulative[-1] = 1.0
+        cumulative[cumulative == cumulative[-1]] = 1.0
         object.__setattr__(self, "_cumulative", _frozen_array(cumulative, dtype=float))
 
     @property

@@ -28,7 +28,9 @@ per-event numpy.random section keeps the event sampler that
 ``run_ensemble`` replaces with its Philox block pass: one
 ``numpy.random.Generator`` per event and a ``searchsorted`` inverse CDF
 per draw, on the generic route, the full S (x) O (x) E pipeline image
-restricted to the pointer algebra on that layout.  ``run_ensemble``,
+restricted to the pointer algebra on that layout, which it builds itself
+from the pointer diagonal and reads pointer by pointer at its labels of
+|s_0, O_j, E_0>.  ``run_ensemble``,
 which reads the restricted S (x) O probabilities, is tested against it
 record for record, the probability to a few ulps.  Its event keeps
 the pipeline image as amplitudes, O(d); the dense doublet is built only
@@ -45,7 +47,13 @@ from typing import Iterable
 
 import numpy as np
 
-from segalsim.algebra import OperatorAlgebra, SpectralResolution, generate_algebra, joint_spectral_resolution
+from segalsim.algebra import (
+    OperatorAlgebra,
+    SpectralResolution,
+    diagonal_algebra,
+    generate_algebra,
+    joint_spectral_resolution,
+)
 from segalsim.config import (
     DEGENERACY_GAP,
     PROBABILITY_FLOOR,
@@ -68,7 +76,7 @@ from segalsim.measurement import (
     pointer_operator,
     premeasure,
 )
-from segalsim.model import _environment_records, _source_kind
+from segalsim.model import _environment_records, _pointer_diagonal, _source_kind
 from segalsim.restriction import (
     AlgebraicState,
     BreuerReport,
@@ -715,8 +723,9 @@ def element_values(res: SpectralResolution, op: np.ndarray) -> np.ndarray:
 # The generic route the sampler replaces: the full pipeline image on
 # S (x) O (x) E, the pointer algebra on that layout and its character
 # probabilities.  It calls the package's source check, premeasurement,
-# environment records, pointer characters and cumulatives; the image,
-# the per-event stream and the searchsorted inverse CDF are its own.
+# environment records, diagonal algebra and cumulatives; the image, the
+# pointer algebra's class<->pointer map, the per-event stream and the
+# searchsorted inverse CDF are its own.
 
 
 def pipeline_image(model: MeasurementModel, psi_s: StateVector) -> StateVector:
@@ -724,6 +733,16 @@ def pipeline_image(model: MeasurementModel, psi_s: StateVector) -> StateVector:
     the premeasured amplitude of |s, O_j> times environment record j."""
     amp = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim, 1)
     return StateVector(full_layout(model), (amp * _environment_records(model)).reshape(-1))
+
+
+@lru_cache(maxsize=None)
+def pipeline_pointer_algebra(model: MeasurementModel) -> tuple[OperatorAlgebra, list[int]]:
+    """The pointer algebra on S (x) O (x) E, built from the pointer
+    diagonal, and each pointer's class: its label at |s_0, O_j, E_0>."""
+    layout = full_layout(model)
+    alg = diagonal_algebra(_pointer_diagonal(model, layout)[None], layout)
+    e_dim = layout.dim // ms_layout(model).dim
+    return alg, alg.labels[: model.o_dim * e_dim : e_dim].tolist()
 
 
 def event_rng(seed: int, event_index: int) -> np.random.Generator:
@@ -807,8 +826,9 @@ def run_event(
     kind = _source_kind(model, source)
     row, psi_s = sample_gemenge(source, rng) if kind == "gemenge" else (None, source)
     xi = pipeline_image(model, psi_s)
-    char, prob = sample_individual_restriction(xi, pointer_algebra(model, environment=True), rng)
-    pointer_index = pointer_characters(model, environment=True).index(char)
+    alg, pointer_class = pipeline_pointer_algebra(model)
+    char, prob = sample_individual_restriction(xi, alg, rng)
+    pointer_index = pointer_class.index(char.projector_index)
     record = EventRecord(
         event_index=event_index,
         seed=seed,

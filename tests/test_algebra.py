@@ -20,7 +20,7 @@ from segalsim.measurement import (
     pointer_operator,
 )
 from segalsim.model import _pointer_diagonal
-from segalsim.pointer import _environment_characters, _setup
+from segalsim.pointer import _setup
 from segalsim.restriction import extremal_states
 
 from _oracles import (
@@ -132,6 +132,26 @@ class TestGenerateAlgebra:
             tracemalloc.stop()
         assert alg.commutative and alg.ranks.tolist() == [8] * 8
         assert peak < 5 * 16 * d**2
+
+    def test_mixed_diagonal_list_stays_diagonal(self):
+        # A length-d array beside an exactly diagonal d x d matrix: both are
+        # read as diagonals, and the array is never made dense.  One more
+        # d x d array would be 16 MiB at d = 1024.
+        d = 1024
+        layout = SpaceLayout((("O", d),))
+        values = np.repeat(np.arange(4.0), d // 4).astype(complex)
+        gens = [values, np.diag(np.tile(np.arange(2.0), d // 2).astype(complex))]
+        tracemalloc.start()
+        try:
+            alg = generate_algebra(gens, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert alg.eigenvectors is None and alg.ranks.tolist() == [d // 8] * 8
+        assert peak < 16 * d * d / 8
+        ref = generate_algebra([np.diag(values), gens[1]], layout)
+        assert np.array_equal(alg.labels, ref.labels)
+        assert alg.generator_diagonals.tobytes() == ref.generator_diagonals.tobytes()
 
     def test_matches_oracle_on_random_generators(self):
         rng = np.random.default_rng(3)
@@ -813,7 +833,6 @@ class TestJointClassesOracle:
             raise AssertionError("numpy sort code called")
 
         _setup.cache_clear()
-        _environment_characters.cache_clear()
         with monkeypatch.context() as patch:
             for name in ("argsort", "sort", "lexsort", "unique", "cumsum", "diff", "round"):
                 patch.setattr(np, name, refused)
@@ -822,7 +841,6 @@ class TestJointClassesOracle:
             labels, _ = joint_classes_numpy(_pointer_diagonal(model, layout)[None], ALGEBRA_TOL)
             assert alg.labels.tolist() == labels.tolist()
         _setup.cache_clear()
-        _environment_characters.cache_clear()
 
     def test_diagonal_algebra_working_set_at_large_d(self):
         # d = 8192 with 4096 distinct values: the classifier keeps no Python

@@ -32,7 +32,7 @@ from segalsim.measurement import (
     system_state,
 )
 from segalsim.model import _environment_records
-from segalsim.pointer import _environment_characters, _interference_pair, _pointer_weights, _ready_pointer_swap, _setup
+from segalsim.pointer import _interference_pair, _pointer_weights, _ready_pointer_swap, _setup
 from segalsim.decoherence import (
     environment_coherence,
     environment_pointer_basis,
@@ -46,6 +46,7 @@ from segalsim.doublet import (
     initial_doublet,
     interaction_hamiltonian,
     record_erasure,
+    statistical_doublet,
 )
 from segalsim.wigner import _breuer_verdicts, wigner_friend_report
 from segalsim.restriction import (
@@ -82,6 +83,7 @@ from _oracles import (
     layout_subset,
     partial_trace,
     pipeline_image,
+    pipeline_pointer_algebra,
     premeasurement_unitary,
     purity,
     reduce_density,
@@ -914,11 +916,19 @@ class TestMaskedPointerProbabilities:
     @pytest.mark.parametrize("model", MASK_MODELS, ids=["default", "s3-env"])
     @pytest.mark.parametrize("environment", [True, False])
     def test_information_matches_dense(self, model, environment):
-        chars = pointer_characters(model, environment=environment)
+        # On S (x) O (x) E the pointer classes are the S (x) O ones, each
+        # column repeated e_dim times, and the records are read through
+        # the S (x) O characters with P_k (x) I_E.
+        chars = pointer_characters(model)
+        layout = full_layout(model) if environment else ms_layout(model)
+        e_dim = layout.dim // ms_layout(model).dim
+        labels = pointer_algebra(model, environment=environment).labels
+        assert np.array_equal(labels, np.repeat(pointer_algebra(model).labels, e_dim))
         rng = np.random.default_rng(42)
         for _ in range(5):
-            rho = random_density(rng, chars[0].algebra.layout)
-            dense = [float(np.trace(rho.matrix @ c.projector).real) for c in chars]
+            rho = random_density(rng, layout)
+            dense = [float(np.trace(rho.matrix @ np.kron(c.projector, np.eye(e_dim))).real) for c in chars]
+            assert np.allclose(statistical_doublet(model, rho).information, dense, atol=1e-12)
             diagonal = chars[0].algebra.eigenbasis_diagonal(rho.matrix)
             classes = [c.projector_index for c in chars]
             assert np.allclose(_information_of(diagonal, chars[0].algebra, classes), dense, atol=1e-12)
@@ -926,17 +936,42 @@ class TestMaskedPointerProbabilities:
     def test_restricted_pointer_probabilities_in_pointer_order(self):
         model = MASK_MODELS[1]
         rho = random_density(np.random.default_rng(43), ms_layout(model))
-        chars = pointer_characters(model, environment=False)
+        chars = pointer_characters(model)
         dense = [float(np.trace(rho.matrix @ c.projector).real) for c in chars]
         assert [c.pointer_value() for c in chars] == list(model.qo_values)
         assert np.allclose(_pointer_weights(model, np.diagonal(rho.matrix)), dense, atol=1e-12)
 
     def test_ms_characters_built_once(self):
         model = MASK_MODELS[1]
-        first = pointer_characters(model, environment=False)
-        again = pointer_characters(model, environment=False)
+        first = pointer_characters(model)
+        again = pointer_characters(model)
         assert all(a is b for a, b in zip(first, again))
         assert first[0].algebra is pointer_algebra(model, environment=False)
+
+
+def test_full_layout_records_are_the_environment_class_sums():
+    # statistical_doublet reads a state on S (x) O (x) E through the S (x) O
+    # pointer algebra, its labels repeated e_dim times: bit for bit the
+    # class sums of the S (x) O (x) E pointer algebra.  Summing over E
+    # first and then over the S (x) O classes rounds apart.
+    rng = np.random.default_rng(62)
+    summed_apart = 0
+    for _ in range(300):
+        s_dim = int(rng.integers(2, 4))
+        o_dim = s_dim + 1 + int(rng.integers(0, 3))
+        e_dim = s_dim + 2 + int(rng.integers(0, 3))
+        qo = rng.standard_normal(o_dim)
+        model = make_model(s_dim, o_dim, qo[1 : s_dim + 1], qo, environment={"e_dim": e_dim})
+        rho = random_density(rng, full_layout(model))
+        records = statistical_doublet(model, rho).information
+        alg, pointer_class = pipeline_pointer_algebra(model)
+        diagonal = np.diagonal(rho.matrix).real
+        reference = np.clip(alg.class_sums(diagonal)[pointer_class], 0.0, None)
+        assert records.tobytes() == reference.tobytes()
+        setup = _setup(model)
+        e_first = setup.algebra.class_sums(diagonal.reshape(-1, e_dim).sum(axis=1))[setup.pointer_class]
+        summed_apart += e_first.tobytes() != reference.tobytes()
+    assert summed_apart  # the grid holds states where the order of the sums shows
 
 
 # (s_dim, o_dim, e_dim, e_overlap); o_dim > s_dim + 1 leaves spare pointer states.
@@ -1130,10 +1165,11 @@ def test_d720_pointer_setup():
     model = make_model(s_dim=8, o_dim=9, environment={"e_dim": 10})
     alg = pointer_algebra(model, environment=True)
     assert alg.layout.dim == 720
+    assert np.array_equal(alg.labels, np.repeat(pointer_algebra(model).labels, 10))
     res = joint_spectral_resolution(alg)
     assert res.ranks == (80,) * 9
     assert res.generator_values[:, 0].tolist() == sorted(model.qo_values)
-    chars = pointer_characters(model, environment=True)
+    chars = pointer_characters(model)
     assert [c.pointer_value() for c in chars] == list(model.qo_values)
     ms_res = joint_spectral_resolution(pointer_algebra(model, environment=False))
     assert ms_res.ranks == (8,) * 9
@@ -1141,8 +1177,9 @@ def test_d720_pointer_setup():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pointer_classes_read_off_the_labels(seed):
-    # The class of pointer j is the algebra's label at |s_0, O_j(, E_0)>,
-    # on S (x) O and on S (x) O (x) E alike.  A spare pointer value sits
+    # The class of pointer j is the algebra's label at |s_0, O_j>; on
+    # S (x) O (x) E each label is repeated e_dim times, and a merged class
+    # is refused on both layouts alike.  A spare pointer value sits
     # 0.5e-7 to 2e-7 from another (its own class: the merge width is
     # about 1e-8 here) or inside the merge width (one class, refused,
     # naming the first pointer value of that class).
@@ -1166,25 +1203,25 @@ def test_pointer_classes_read_off_the_labels(seed):
                 continue
         model = make_model(s_dim=2, o_dim=o_dim, qo_values=qo, environment=environment)
         e_dim = 1 if environment is None else environment["e_dim"]
-        for env in (False, True):
-            if merged is not None:
-                message = f"pointer value {float(qo[merged])!r} does not match one character"
+        if merged is not None:
+            message = f"pointer value {float(qo[merged])!r} does not match one character"
+            for read in (pointer_characters, lambda m: pointer_algebra(m, False), lambda m: pointer_algebra(m, True)):
                 with pytest.raises(InvariantViolation) as raised:
-                    pointer_characters(model, env)
+                    read(model)
                 assert str(raised.value) == message
-                continue
-            chars = pointer_characters(model, env)
-            assert pointer_algebra(model, env).dimension == o_dim
-            step = e_dim if env else 1
-            for j, char in enumerate(chars):
-                column = np.zeros(char.algebra.layout.dim)
-                column[j * step] = 1.0
-                assert np.array_equal(char.projector @ column, column)
-                assert abs(char.pointer_value() - qo[j]) <= 1e-12 * max(1.0, abs(qo[j]))
-        if merged is None:
-            setup = _setup(model)
-            assert np.array_equal(setup.pointer_class, [c.projector_index for c in setup.characters])
-            assert np.array_equal(setup.class_pointer[setup.pointer_class], np.arange(o_dim))
+            continue
+        chars = pointer_characters(model)
+        assert pointer_algebra(model).dimension == o_dim
+        full = pointer_algebra(model, environment=True)
+        assert np.array_equal(full.labels, np.repeat(pointer_algebra(model).labels, e_dim))
+        for j, char in enumerate(chars):
+            column = np.zeros(char.algebra.layout.dim)
+            column[j] = 1.0
+            assert np.array_equal(char.projector @ column, column)
+            assert abs(char.pointer_value() - qo[j]) <= 1e-12 * max(1.0, abs(qo[j]))
+        setup = _setup(model)
+        assert np.array_equal(setup.pointer_class, [c.projector_index for c in chars])
+        assert np.array_equal(setup.class_pointer[setup.pointer_class], np.arange(o_dim))
 
 
 def test_pointer_values_within_1e7_run():
@@ -1214,30 +1251,46 @@ def test_outcome_probability_is_the_restricted_probabilities(case):
         assert row.tobytes() == restricted_pointer_probabilities(model, state).tobytes()
 
 
-def test_pure_run_with_environment_builds_one_pointer_algebra(monkeypatch):
+AMPLITUDES = [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]
+# scenario: (s_dim, input)
+RUN_INPUTS = {
+    "pure": (3, {"amplitudes": AMPLITUDES}),
+    "gemenge": (
+        3,
+        {"gemenge": [{"amplitudes": AMPLITUDES, "probability": 0.25}, {"amplitudes": AMPLITUDES[::-1], "probability": 0.75}]},
+    ),
+    "wigner-friend": (2, {"amplitudes": AMPLITUDES[:2]}),
+    "erasure": (3, {"amplitudes": AMPLITUDES}),
+}
+
+
+@pytest.mark.parametrize("scenario", list(RUN_INPUTS))
+def test_pure_run_with_environment_builds_one_pointer_algebra(monkeypatch, scenario):
     # One pointer algebra per scenario, on S (x) O: the environment is
-    # left out of it, as the pointer algebra is the identity on E.
+    # left out of it, as the pointer algebra is the identity on E.  The
+    # run reads the class<->pointer arrays and builds no character.
     from segalsim import pointer
     from segalsim.scenarios import parse_scenario, run_scenario
 
     built = []
     diagonal_algebra = pointer.diagonal_algebra
     monkeypatch.setattr(pointer, "diagonal_algebra", lambda values, layout: built.append(layout.dim) or diagonal_algebra(values, layout))
+    s_dim, run_input = RUN_INPUTS[scenario]
     cfg = parse_scenario(
         {
-            "scenario": "pure",
-            "model": {"s_dim": 3, "o_dim": 5, "environment": {"e_dim": 7}},
-            "input": {"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]},
+            "scenario": scenario,
+            "model": {"s_dim": s_dim, "o_dim": 5, "environment": {"e_dim": 7}},
+            "input": run_input,
             "n_events": 100,
         }
     )
     _setup.cache_clear()
-    _environment_characters.cache_clear()
     try:
         run_scenario(cfg)
+        assert _setup(cfg.model).algebra._characters is None
     finally:
         _setup.cache_clear()
-    assert built == [3 * 5]
+    assert built == [s_dim * 5]
 
 
 def test_merged_pointer_values_are_refused():

@@ -108,6 +108,10 @@ class TestDensityFromVector:
         assert purity(density_from_vector(StateVector(MS, amp))) == pytest.approx(1.0, abs=1e-9)
 
 
+# Row weights whose normalized cumulative sum ends below 1.
+PARSED_WEIGHTS = [0.282, 0.215, 0.639, 0.805, 0.0]
+
+
 class TestGemenge:
     def test_single_row_mix(self):
         w = Gemenge(((basis_state(S, (0,)), 1.0),))
@@ -131,6 +135,21 @@ class TestGemenge:
     def test_layout_mismatch_rejected(self):
         with pytest.raises(ValueError, match="share one layout"):
             Gemenge(((basis_state(S, (0,)), 0.5), (basis_state(O, (0,)), 0.5)))
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.1] * 10 + [0.0], [x / sum(PARSED_WEIGHTS) for x in PARSED_WEIGHTS]],
+        ids=["tenths", "parsed"],
+    )
+    def test_trailing_zero_row_is_never_drawn(self, probs):
+        # The rows' cumulative sum stops at 0.9999999999999999 at the last
+        # positive row (the second list is normalized as the config parser
+        # normalizes it); the largest uniform, 1 - 2**-53, must draw that row.
+        w = Gemenge(tuple((basis_state(S, (0,)), p) for p in probs))
+        last = int(np.flatnonzero(probs)[-1])
+        assert np.cumsum(probs)[last] < 1.0
+        assert w.cumulative[last:].tolist() == [1.0] * (len(probs) - last)
+        assert table_inverse_cdf(w.cumulative[None], 0, np.array([1 - 2**-53]))[0] == last
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
