@@ -46,10 +46,10 @@ class EventBatch:
     ``None`` for a pure input, each in the smallest unsigned dtype that
     holds its range (uint8 up to 256 pointers or rows).  The probability
     an event carried belongs to its row's restricted state, so it is
-    stored once per outcome: ``outcome_probability[r]`` is row r's
-    ``restricted_pointer_probabilities`` (one row for a pure input), the
-    weights the report prints, and ``probability`` gathers it per event
-    on demand.  The seed, the input kind and the pointer values are
+    stored once per outcome: ``outcome_probability[r, i]`` is row r's
+    ``restricted_pointer_probabilities`` at pointer i+1, the only ones
+    drawn (one row for a pure input), and ``probability`` gathers it per
+    event on demand.  The seed, the input kind and the pointer values are
     stored once.  Indexing and iteration give the per-event
     :class:`EventRecord`, equal record for record to the per-event
     reference ``run_event`` with ``event_rng`` in ``tests/_oracles.py``,
@@ -75,7 +75,7 @@ class EventBatch:
     def probability(self) -> np.ndarray:
         """The probability each event was drawn with, a new array."""
         row = 0 if self.gemenge_row is None else self.gemenge_row
-        return self.outcome_probability[row, self.pointer_index]
+        return self.outcome_probability[row, self.pointer_index - 1]
 
     def __getitem__(self, i: int) -> EventRecord:
         i = range(len(self))[i]
@@ -88,11 +88,28 @@ class EventBatch:
             gemenge_row=row,
             pointer_index=pointer_index,
             impression=self.pointer_values[pointer_index],
-            probability=float(self.outcome_probability[row or 0, pointer_index]),
+            probability=float(self.outcome_probability[row or 0, pointer_index - 1]),
         )
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+
+def _draw_table(model: MeasurementModel, states: list[StateVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's weights at pointers 1..s_dim, their cumulatives in class order
+    and each column's pointer.  A cumulative is cut from the whole class-order
+    row's, zeros included: the support alone would sum its total apart."""
+    setup = _setup(model)
+    support = setup.pointer_class[1 : model.s_dim + 1]
+    order = sorted(support.tolist())
+    weights = np.empty((len(states), model.s_dim))
+    cumulatives = np.empty_like(weights)
+    row = np.zeros(model.o_dim)  # class order; only the support is written
+    for state, w, cumulative in zip(states, weights, cumulatives):
+        w[:] = restricted_pointer_probabilities(model, state)[1 : model.s_dim + 1]
+        row[support] = w
+        cumulative[:] = draw_cumulative(row)[order]
+    return weights, cumulatives, setup.class_pointer[order]
 
 
 def run_ensemble(
@@ -119,12 +136,10 @@ def run_ensemble(
     """
     if n_events < 1:
         raise ValueError("n_events must be at least 1")
-    setup = _setup(model)
     kind = _source_kind(model, source)
     states = [state for state, _ in source.rows] if kind == "gemenge" else [source]
-    outcome_probability = np.array([restricted_pointer_probabilities(model, state) for state in states])
-    cumulatives = np.array([draw_cumulative(p) for p in outcome_probability[:, setup.class_pointer]])
-    pointer_index = np.empty(n_events, setup.class_pointer.dtype)
+    outcome_probability, cumulatives, pointers = _draw_table(model, states)
+    pointer_index = np.empty(n_events, pointers.dtype)
     rows = np.empty(n_events, np.min_scalar_type(len(states) - 1)) if kind == "gemenge" else None
     start = 0
     # A pure input draws the pointer only; an ensemble draws its row first.
@@ -134,7 +149,7 @@ def run_ensemble(
         if rows is not None:
             row = rows[start:stop] = table_inverse_cdf(source.cumulative[None], 0, uniforms[:, 0])
         k = table_inverse_cdf(cumulatives, row, uniforms[:, -1])
-        pointer_index[start:stop] = setup.class_pointer[k]
+        pointer_index[start:stop] = pointers[k]
         start = stop
         del uniforms, row, k  # no array of this block stays alive while the next is drawn
     return EventBatch(

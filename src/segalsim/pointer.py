@@ -9,9 +9,9 @@ refused.  The pointer algebra acts as the identity on E: its labels on
 S (x) O (x) E are the S (x) O ones repeated e_dim times, and the
 restricted states are the S (x) O ones.  No scenario run builds that
 algebra (``pointer_algebra(model, environment=True)``) or a character.
-Premeasurement is the ready/pointer swap on S (x) O amplitudes; the
-restricted pointer probabilities, the interference expectation and the
-branch mixture are read from the premeasured amplitudes.
+Premeasurement is the ready/pointer swap on S (x) O amplitudes.  It
+leaves a_i at |s_i, O_{i+1}> and 0 elsewhere, so the restricted pointer
+probabilities and the interference expectation read the s a_i alone.
 """
 
 from __future__ import annotations
@@ -109,25 +109,20 @@ def restricted_pointer_probabilities(model: MeasurementModel, source: StateVecto
     In ``qo_values`` order; weights at or below ``PROBABILITY_FLOOR`` are
     round-off of a structural zero and read exactly 0.
     """
-    d = ms_layout(model).dim
-    return _pointer_weights(model, _post_measurement_entries(model, source, np.arange(d), np.arange(d)))
-
-
-def _pointer_state(model: MeasurementModel, diagonal: np.ndarray) -> AlgebraicState:
-    """The S (x) O state with diagonal ``diagonal`` restricted to the
-    pointer algebra, which reads nothing else of it."""
-    alg = _setup(model).algebra
-    # tr(rho B_j) = conj(<B_j, rho^dag>), and <B_j, rho^dag> reads only diag(rho)^*.
-    return AlgebraicState(alg, alg.project_coefficients(diagonal.conj()).conj())
-
-
-def _pointer_weights(model: MeasurementModel, diagonal: np.ndarray) -> np.ndarray:
-    """Restricted pointer probabilities of the S (x) O state with diagonal
-    ``diagonal``."""
     setup = _setup(model)
-    weights = decompose_restricted(_pointer_state(model, diagonal), setup.algebra)
-    probs = weights[setup.pointer_class]
+    branch = np.arange(model.s_dim)
+    state = _pointer_state(model, _branch_entries(model, source, branch, branch))
+    probs = decompose_restricted(state, setup.algebra)[setup.pointer_class]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
+
+
+def _pointer_state(model: MeasurementModel, entries: np.ndarray) -> AlgebraicState:
+    """The pointer-algebra restriction of the S (x) O state with diagonal
+    ``entries[i]`` at |s_i, O_{i+1}>, 0 elsewhere: class sums / sqrt(rank)."""
+    setup = _setup(model)
+    sums = np.zeros(setup.algebra.dimension, dtype=complex)
+    sums[setup.pointer_class[1 : model.s_dim + 1]] = entries
+    return AlgebraicState(setup.algebra, sums * setup.algebra._inv_sqrt_ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +168,16 @@ def premeasure(model: MeasurementModel, psi_s: StateVector) -> StateVector:
     return StateVector(ms_layout(model), _ready_pointer_swap(model, ready_state(model, psi_s).amplitudes))
 
 
-def _post_measurement_entries(model: MeasurementModel, source: StateVector | Gemenge, rows, cols):
-    """Entries ``rho[rows[n], cols[n]]`` of the post-measurement S (x) O
-    state: a_r conj(a_c) of the premeasured amplitudes, as |a><a| holds it,
-    or for an ensemble its probability-weighted sum over the rows, in order."""
+def _branch_entries(model: MeasurementModel, source: StateVector | Gemenge, rows, cols):
+    """Post-measurement entries b_r conj(b_c) at |s_r, O_{r+1}>, |s_c, O_{c+1}>, b the amplitudes
+    ``+ 0.0`` (a -0 premeasures to +0); for an ensemble, weighted and summed over its rows in order."""
     if _source_kind(model, source) == "pure":
-        a = premeasure(model, source).amplitudes
-        return a[rows] * a[cols].conj()
+        b = source.amplitudes + 0.0
+        return b[rows] * b[cols].conj()
     entries = np.zeros(len(rows), dtype=complex)
     for state, p in source.rows:
-        a = premeasure(model, state).amplitudes
-        entries += p * (a[rows] * a[cols].conj())
+        b = state.amplitudes + 0.0
+        entries += p * (b[rows] * b[cols].conj())
     return entries
 
 
@@ -193,8 +187,8 @@ def interference_expectation(model: MeasurementModel, source: StateVector | Geme
     B has two unit entries, so <B> is the sum of the two state entries it
     reads; the ``+ 0.0`` gives the +0 the full trace gives when both are -0.
     """
-    i, j = _interference_pair(model)
-    x, y = _post_measurement_entries(model, source, [i, j], [j, i]).real
+    _interference_pair(model)  # defined for two branches
+    x, y = _branch_entries(model, source, [0, 1], [1, 0]).real
     return float(x + y + 0.0)
 
 

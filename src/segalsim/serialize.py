@@ -60,10 +60,10 @@ def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
     """The event log's bytes, ``_LOG_BLOCK`` rows at a time.
 
     Every row after its event index is fixed by the event's outcome code
-    ``row * o + pointer`` (row 0 for a pure input), so each code present
-    is formatted once, its probability read from ``outcome_probability``,
+    ``row * s + pointer - 1`` (row 0 for a pure input), its index in the
+    (rows, s) ``outcome_probability``, so each outcome is formatted once
     and looked up per event as ``np.take(table, code, axis=0)`` in a flat
-    (rows * o, width) table padded with NUL bytes, which no row holds.
+    (rows * s, width) table padded with NUL bytes, which no row holds.
     The codes are computed in intp: the uint8 columns would wrap at 256.
     A block never crosses a power of ten, so its indices share a digit
     count.  The indices are consecutive: a block's last four digits are
@@ -73,30 +73,22 @@ def _event_log(events: EventBatch) -> Iterator[np.ndarray]:
     NUL are the rows.
     """
     n = len(events)
-    probability = events.outcome_probability
-    o = probability.shape[1]
+    s = events.outcome_probability.shape[1]
 
     def code_of(start: int, stop: int) -> np.ndarray:
-        pointer = events.pointer_index[start:stop]
-        if events.gemenge_row is None:
-            return pointer
-        code = np.multiply(events.gemenge_row[start:stop], o, dtype=np.intp)
-        code += pointer
+        code = np.subtract(events.pointer_index[start:stop], 1, dtype=np.intp)
+        if events.gemenge_row is not None:
+            code += np.multiply(events.gemenge_row[start:stop], s, dtype=np.intp)
         return code
 
-    present = np.zeros(probability.size, bool)
-    for start in range(0, n, _LOG_BLOCK):
-        present[code_of(start, start + _LOG_BLOCK)] = True
-    suffixes = [b""] * probability.size
-    for code in np.flatnonzero(present).tolist():
-        row, pointer = divmod(code, o)
-        suffixes[code] = (
-            f",{'' if events.gemenge_row is None else row},{pointer},"
-            f"{_format_float(events.pointer_values[pointer])},"
-            f"{_format_float(probability[row, pointer])}\n"
-        ).encode("ascii")
+    pure = events.gemenge_row is None
+    suffixes = [
+        f",{'' if pure else row},{pointer},{_format_float(events.pointer_values[pointer])},{_format_float(p)}\n"
+        for row, weights in enumerate(events.outcome_probability.tolist())
+        for pointer, p in enumerate(weights, 1)
+    ]
     width = max(map(len, suffixes))
-    table = np.frombuffer(b"".join(s.ljust(width, b"\0") for s in suffixes), np.uint8).reshape(-1, width)
+    table = np.frombuffer("".join(x.ljust(width, "\0") for x in suffixes).encode("ascii"), np.uint8).reshape(-1, width)
     digit = np.arange(48, 58, dtype=np.uint8)
     quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), -1).reshape(-1, 4)
     quads = np.concatenate([quads, quads[:_LOG_BLOCK]])  # row i spells i mod 10**4

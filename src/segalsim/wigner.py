@@ -8,8 +8,9 @@ premeasured amplitudes, with the matched branch mixture rho_m through
 the pointer algebra and through the algebra the interference observable
 B adds, all read from ``a``: nothing of size d x d is made.
 
-- Pointer algebra.  It is diagonal and reads the diagonals a * conj(a)
-  and |amp_s|^2 at |s, O_{s+1}>, as ``branch_mixture`` writes it.
+- Pointer algebra.  It is diagonal and reads the two diagonals where
+  they can be nonzero, at |s, O_{s+1}>: a * conj(a) there, and |amp_s|^2
+  as ``branch_mixture`` writes it.
 - Interference algebra: the pointer classes plus one M_2 on span{|i>,
   |j>}, (i, j) = ``pointer._interference_pair``, of dimension o_dim + 4.
   rho_p - rho_m is c = a_i conj(a_j) at (i, j), its conjugate at (j, i),
@@ -75,10 +76,8 @@ def _breuer_verdicts(
     the branch mixture of ``amplitudes`` (see the module docstring)."""
     weights = np.array([abs(x) ** 2 for x in amplitudes])  # branch_mixture's bits; np.abs rounds apart
     check("branch mixture weights do not sum to 1, |sum - 1|", abs(weights.sum() - 1.0), TRACE_ATOL)
-    mixture = np.zeros(a.size, dtype=complex)
-    branch = np.arange(model.s_dim)
-    mixture[branch * model.o_dim + branch + 1] = weights
-    pointer = _restricted_verdict(_pointer_state(model, a * a.conj()), _pointer_state(model, mixture), tol)
+    b = amplitudes + 0.0  # a at |s_i, O_{i+1}>, its only nonzero entries
+    pointer = _restricted_verdict(_pointer_state(model, b * b.conj()), _pointer_state(model, weights), tol)
 
     i, j = _interference_pair(model)
     c = complex(a[i] * a[j].conj())

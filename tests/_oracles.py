@@ -34,7 +34,12 @@ from the pointer diagonal and reads pointer by pointer at its labels of
 which reads the restricted S (x) O probabilities, is tested against it
 record for record, the probability to a few ulps.  Its event keeps
 the pipeline image as amplitudes, O(d); the dense doublet is built only
-when a test asks for it.  The document reference decodes a scenario
+when a test asks for it.  The per-row length-d section keeps the route
+the pure and gemenge reads took before they read the branch amplitudes
+alone: each row premeasured, its length-d diagonal projected and
+decomposed, and each row's (o,) weights and class-order cumulative; the
+package's reads, weights and cumulatives are tested against it bit for
+bit.  The document reference decodes a scenario
 document in one ``json.loads``, each inline matrix's lists built whole.
 """
 
@@ -686,6 +691,59 @@ def restricted_pointer_probabilities(model: MeasurementModel, rho: DensityMatrix
     weights = decompose_restricted(restrict_state(rho, alg), alg)
     probs = weights[[c.projector_index for c in pointer_characters(model)]]
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-row length-d route
+#
+# The route the pure and gemenge reads took before they read the s branch
+# amplitudes alone: each row premeasured to its length-d S (x) O vector,
+# the length-d diagonal (or entries) of the post-measurement state, the
+# pointer algebra's ``project_coefficients`` and ``decompose_restricted``,
+# and each row's full (o,) weights and class-order cumulative.
+
+
+def _premeasured_entries(model: MeasurementModel, source: StateVector | Gemenge, rows, cols) -> np.ndarray:
+    """Entries ``rho[rows[n], cols[n]]`` of the post-measurement S (x) O
+    state from each row's premeasured amplitudes, summed over an
+    ensemble's rows in order."""
+    if isinstance(source, StateVector):
+        a = premeasure(model, source).amplitudes
+        return a[rows] * a[cols].conj()
+    entries = np.zeros(len(rows), dtype=complex)
+    for state, p in source.rows:
+        a = premeasure(model, state).amplitudes
+        entries += p * (a[rows] * a[cols].conj())
+    return entries
+
+
+def premeasured_pointer_probabilities(model: MeasurementModel, source: StateVector | Gemenge) -> np.ndarray:
+    """Restricted pointer probabilities, ``qo_values`` order, read from the
+    length-d diagonal of the premeasured state."""
+    alg = pointer_algebra(model)
+    d = ms_layout(model).dim
+    diagonal = _premeasured_entries(model, source, np.arange(d), np.arange(d))
+    values = alg.project_coefficients(diagonal.conj()).conj()
+    weights = decompose_restricted(AlgebraicState(alg, values), alg)
+    probs = weights[[c.projector_index for c in pointer_characters(model)]]
+    return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
+
+
+def premeasured_interference(model: MeasurementModel, source: StateVector | Gemenge) -> float:
+    """<B> from the two premeasured entries at |s_1 O_1>, |s_2 O_2>."""
+    i, j = 1, model.o_dim + 2
+    x, y = _premeasured_entries(model, source, [i, j], [j, i]).real
+    return float(x + y + 0.0)
+
+
+def premeasured_draw_table(model: MeasurementModel, states) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each row's (o,) weights, its (o,) cumulative in class order and
+    each class's pointer, as the sampler once held them."""
+    weights = np.array([premeasured_pointer_probabilities(model, state) for state in states])
+    class_pointer = [c.projector_index for c in pointer_characters(model)]
+    class_pointer = [class_pointer.index(k) for k in range(model.o_dim)]
+    cumulatives = np.array([draw_cumulative(w[class_pointer]) for w in weights])
+    return weights, cumulatives, class_pointer
 
 
 # ---------------------------------------------------------------------------

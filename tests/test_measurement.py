@@ -32,7 +32,8 @@ from segalsim.measurement import (
     system_state,
 )
 from segalsim.model import _environment_records
-from segalsim.pointer import _interference_pair, _pointer_weights, _ready_pointer_swap, _setup
+from segalsim.events import _draw_table
+from segalsim.pointer import _interference_pair, _ready_pointer_swap, _setup
 from segalsim.decoherence import (
     environment_coherence,
     environment_pointer_basis,
@@ -51,6 +52,7 @@ from segalsim.doublet import (
 from segalsim.wigner import _breuer_verdicts, wigner_friend_report
 from segalsim.restriction import (
     breuer_indistinguishable,
+    draw_cumulative,
     character_probabilities,
     extremal_states,
     restrict_state,
@@ -95,13 +97,14 @@ from _oracles import (
 MODEL = make_model()
 
 
-def wide_gemenge():
-    """A 40-row ensemble at s_dim 3, o_dim 9: its (row, pointer) codes run
-    past 256 while each of the two columns fits one byte."""
+def wide_gemenge(n_rows=40):
+    """An ``n_rows``-row ensemble at s_dim 3, o_dim 9: row * o_dim runs
+    past 256 at 40 rows, row * s_dim past 256 at 100, while each of the
+    two columns fits one byte."""
     model = make_model(s_dim=3, o_dim=9)
     rng = np.random.default_rng(40)
-    amps = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
-    weights = rng.random(40)
+    amps = rng.standard_normal((n_rows, 3)) + 1j * rng.standard_normal((n_rows, 3))
+    weights = rng.random(n_rows)
     weights[7] = 0.0  # a row that is never drawn
     rows = tuple(
         (system_state(model, a / np.linalg.norm(a)), w / weights.sum()) for a, w in zip(amps, weights)
@@ -406,6 +409,23 @@ class TestRunEvent:
             lines.append(f"{i},{r.gemenge_row},{r.pointer_index},{r.impression:.12g},{r.probability:.12g}")
         batch = run_ensemble(model, source, 200, 17)
         assert int(batch.gemenge_row.max()) * model.o_dim > 255  # codes drawn past one byte
+        log = b"".join(map(bytes, serialize._event_log(batch)))
+        assert log == ("\n".join(lines) + "\n").encode("ascii")
+
+    def test_long_gemenge_log_codes_past_one_byte(self):
+        # The log's outcome code row * s_dim + pointer - 1 passes 255 here;
+        # computed in the uint8 columns' dtype it would wrap to another row.
+        from segalsim import serialize
+
+        model, source = wide_gemenge(100)
+        batch = run_ensemble(model, source, 400, 23)
+        assert batch.gemenge_row.dtype == np.uint8
+        assert int(batch.gemenge_row.max()) * model.s_dim > 255
+        lines = [",".join(serialize._EVENT_COLUMNS)]
+        for i in range(400):
+            r = run_event(model, source, event_rng(23, i), event_index=i, seed=23)[0]
+            p = batch.outcome_probability[r.gemenge_row, r.pointer_index - 1]
+            lines.append(f"{i},{r.gemenge_row},{r.pointer_index},{r.impression:.12g},{p:.12g}")
         log = b"".join(map(bytes, serialize._event_log(batch)))
         assert log == ("\n".join(lines) + "\n").encode("ascii")
 
@@ -934,12 +954,16 @@ class TestMaskedPointerProbabilities:
             assert np.allclose(_information_of(diagonal, chars[0].algebra, classes), dense, atol=1e-12)
 
     def test_restricted_pointer_probabilities_in_pointer_order(self):
+        # The ensemble's rows, premeasured, mixed and restricted through
+        # dense projectors in qo_values order.
         model = MASK_MODELS[1]
-        rho = random_density(np.random.default_rng(43), ms_layout(model))
+        rng = np.random.default_rng(43)
+        ensemble = Gemenge(tuple((random_vector(rng, system_layout(model)), p) for p in (0.3, 0.7)))
+        rho = gemenge_mix(Gemenge(tuple((premeasure(model, state), p) for state, p in ensemble.rows)))
         chars = pointer_characters(model)
         dense = [float(np.trace(rho.matrix @ c.projector).real) for c in chars]
         assert [c.pointer_value() for c in chars] == list(model.qo_values)
-        assert np.allclose(_pointer_weights(model, np.diagonal(rho.matrix)), dense, atol=1e-12)
+        assert np.allclose(restricted_pointer_probabilities(model, ensemble), dense, atol=1e-12)
 
     def test_ms_characters_built_once(self):
         model = MASK_MODELS[1]
@@ -1158,6 +1182,98 @@ class TestVectorRoutesMatchDenseRoute:
             assert f"{fidelity:.12g}" == f"{dense:.12g}"
 
 
+def premeasured_grid():
+    """Seeded (model, pure source, ensemble) cases for the per-row route:
+    spare pointers, permuted and negative qo_values, an environment, zero
+    and signed-zero amplitudes, a zero-probability row, and o_dim >= 9 at
+    s_dim >= 3."""
+    rng = np.random.default_rng(73)
+    shapes = [
+        (2, 3, None),
+        (2, 6, {"e_dim": 4, "e_overlap": 0.3}),
+        (3, 9, None),
+        (3, 12, {"e_dim": 5}),
+        (4, 13, None),
+        (5, 19, None),
+    ]
+    cases = []
+    for s_dim, o_dim, environment in shapes:
+        for trial in range(4):
+            qo = [float(v) for v in rng.permutation(o_dim) - o_dim // 2]
+            model = make_model(s_dim, o_dim, q_values=qo[1 : s_dim + 1], qo_values=qo, environment=environment)
+            psi_s = system_state(model, signed_zero_amplitudes(rng, s_dim, trial))
+            weights = rng.random(3 + trial)
+            weights[1] = 0.0
+            rows = tuple(
+                (system_state(model, signed_zero_amplitudes(rng, s_dim, trial + k)), float(p))
+                for k, p in enumerate(weights / weights.sum())
+            )
+            cases.append((model, psi_s, Gemenge(rows)))
+    return cases
+
+
+class TestBranchReadsMatchPremeasuredRoute:
+    """The pure and gemenge reads take the s branch amplitudes alone; each
+    must equal, bit for bit, the per-row route through the premeasured
+    length-d vector (``_oracles.premeasured_*``)."""
+
+    CASES = premeasured_grid()
+
+    def test_restricted_probabilities_and_interference(self):
+        for model, psi_s, ensemble in self.CASES:
+            for source in (psi_s, ensemble):
+                assert same_bits(
+                    restricted_pointer_probabilities(model, source),
+                    _oracles.premeasured_pointer_probabilities(model, source),
+                )
+                if model.s_dim == 2:
+                    assert same_bits(
+                        interference_expectation(model, source), _oracles.premeasured_interference(model, source)
+                    )
+
+    def test_draw_table(self):
+        # The cumulative is the whole class-order row's: the support's
+        # weights alone sum in another grouping once o_dim >= 9, and the
+        # grid holds rows where that total differs in its bits.
+        support_total_differs = 0
+        for model, psi_s, ensemble in self.CASES:
+            s_dim = model.s_dim
+            for states in ([psi_s], [state for state, _ in ensemble.rows]):
+                weights, cumulatives, pointers = _draw_table(model, states)
+                full_weights, full_cumulatives, class_pointer = _oracles.premeasured_draw_table(model, states)
+                order = sorted(class_pointer.index(j) for j in range(1, s_dim + 1))
+                assert same_bits(weights, full_weights[:, 1 : s_dim + 1])
+                assert same_bits(cumulatives, full_cumulatives[:, order])
+                assert pointers.tolist() == [class_pointer[k] for k in order]
+                support = full_weights[:, [class_pointer[k] for k in order]]
+                support_total_differs += sum(
+                    not same_bits(draw_cumulative(w), c) for w, c in zip(support, cumulatives)
+                )
+            # The batch holds the ensemble's weights, the loop's last table.
+            assert same_bits(run_ensemble(model, ensemble, 10, 3).outcome_probability, weights)
+        assert support_total_differs > 0
+
+    def test_draws_match_run_event(self):
+        for n, (model, psi_s, ensemble) in enumerate(self.CASES):
+            for source in (psi_s, ensemble):
+                batch = run_ensemble(model, source, 30, n)
+                for i, got in enumerate(batch):
+                    want = run_event(model, source, event_rng(n, i), event_index=i, seed=n)[0]
+                    assert (got.gemenge_row, got.pointer_index) == (want.gemenge_row, want.pointer_index)
+
+    def test_draw_table_runs_no_numpy_sort(self, monkeypatch):
+        # The support's class order is a plain-Python sort of s_dim ints.
+        def refused(*args, **kwargs):
+            raise AssertionError("numpy sort code called")
+
+        model, psi_s, ensemble = self.CASES[-1]
+        want = run_ensemble(model, ensemble, 50, 4)
+        for name in ("argsort", "sort", "lexsort", "unique"):
+            monkeypatch.setattr(np, name, refused)
+        got = run_ensemble(model, ensemble, 50, 4)
+        assert same_bits(got.pointer_index, want.pointer_index)
+
+
 def test_d720_pointer_setup():
     # d = 8 * 9 * 10: 25 s through a Gram-Schmidt closure, well under a
     # second on the diagonal classes.  A dense detour would show up as a
@@ -1246,9 +1362,9 @@ def test_outcome_probability_is_the_restricted_probabilities(case):
         source = system_state(model, [0.6, 0.8j] if model.s_dim == 2 else [0.6, 0.0, 0.8j])
         rows = [source]
     batch = run_ensemble(model, source, 50, 9)
-    assert batch.outcome_probability.shape == (len(rows), model.o_dim)
+    assert batch.outcome_probability.shape == (len(rows), model.s_dim)
     for row, state in zip(batch.outcome_probability, rows, strict=True):
-        assert row.tobytes() == restricted_pointer_probabilities(model, state).tobytes()
+        assert row.tobytes() == restricted_pointer_probabilities(model, state)[1 : model.s_dim + 1].tobytes()
 
 
 AMPLITUDES = [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]
@@ -1291,6 +1407,31 @@ def test_pure_run_with_environment_builds_one_pointer_algebra(monkeypatch, scena
     finally:
         _setup.cache_clear()
     assert built == [s_dim * 5]
+
+
+@pytest.mark.parametrize("scenario", ["pure", "gemenge"])
+def test_event_runs_read_branch_amplitudes_only(monkeypatch, scenario):
+    # pure and gemenge read the s branch amplitudes: no premeasured
+    # length-d vector is made.
+    from segalsim import pointer
+    from segalsim.scenarios import parse_scenario, run_scenario
+
+    def refused(*args, **kwargs):
+        raise AssertionError("premeasured vector built")
+
+    s_dim, run_input = RUN_INPUTS[scenario]
+    cfg = parse_scenario(
+        {
+            "scenario": scenario,
+            "model": {"s_dim": s_dim, "o_dim": 5, "environment": {"e_dim": 7}},
+            "input": run_input,
+            "n_events": 100,
+        }
+    )
+    want = run_scenario(cfg).summary
+    monkeypatch.setattr(pointer, "premeasure", refused)
+    monkeypatch.setattr(pointer, "_ready_pointer_swap", refused)
+    assert run_scenario(cfg).summary == want
 
 
 def test_merged_pointer_values_are_refused():

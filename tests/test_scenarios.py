@@ -427,6 +427,38 @@ def _equal_amplitudes(s_dim):
     return [[s_dim**-0.5, 0.0]] * s_dim
 
 
+def _many_rows_gemenge(n_rows, o_dim):
+    """``n_rows`` equal gemenge rows of amplitudes (0.6, 0.8i), 10 events."""
+    row = {"amplitudes": [[0.6, 0.0], [0.0, 0.8]], "probability": 1 / n_rows}
+    return {
+        "scenario": "gemenge",
+        "model": {"s_dim": 2, "o_dim": o_dim},
+        "input": {"gemenge": [row] * n_rows},
+        "n_events": 10,
+    }
+
+
+def _traced_run_and_emit(config):
+    """tracemalloc peaks of ``run_scenario`` and of the csv ``emit_report``
+    past what the run left held, the per-model setup outside both."""
+    from segalsim.measurement import pointer_algebra
+
+    cfg = parse_scenario(config)
+    pointer_algebra(cfg.model)
+    tracemalloc.start()
+    try:
+        report = run_scenario(cfg)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        if report.events is not None:
+            emit_report(report, "csv", io.BytesIO())
+        emit_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    return run_peak, emit_peak
+
+
 class TestPureStatesStayVectors:
     """The scenarios whose post-measurement state is pure, or an ensemble of
     pure rows, read it from amplitudes: no density matrix is made, and what
@@ -483,23 +515,29 @@ class TestPureStatesStayVectors:
                 "model": {"s_dim": 2, "o_dim": 4096},
                 "input": {"amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
             },
+            _many_rows_gemenge(2048, 4096),
         ],
-        ids=["pure-d1640", "decoherence-d2184", "decoherence-o1024", "wigner-friend-o4096"],
+        ids=["pure-d1640", "decoherence-d2184", "decoherence-o1024", "wigner-friend-o4096", "gemenge-rows2048-o4096"],
     )
     def test_run_peak_memory(self, config):
         # A dense d x d state is 43 MB at d = 1640 and 76 MB at d = 2184.
         # At o_dim = 1024 one o_dim x o_dim register block is 16 MiB, and
         # an (o_dim, o_dim, e_dim) traced block 64 MiB.  At o_dim = 4096
-        # (d = 8192, the cap) one S (x) O density matrix is 1 GiB.
-        from segalsim.measurement import pointer_algebra
+        # (d = 8192, the cap) one S (x) O density matrix is 1 GiB, and a
+        # (rows, o_dim) float table at 2,048 rows 64 MiB.
+        run_peak, emit_peak = _traced_run_and_emit(config)
+        assert run_peak < 16 * 2**20
+        assert emit_peak < 16 * 2**20
 
-        cfg = parse_scenario(config)
-        pointer_algebra(cfg.model)  # per-model setup, outside the trace
-        tracemalloc.start()
-        run_scenario(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak < 16 * 2**20
+    def test_gemenge_size_law(self):
+        # From 512 rows at o_dim 1024, twice the rows, then twice o_dim:
+        # a gemenge holds O(rows * s_dim + o_dim), so each doubling adds
+        # under 2 MiB to the traced run and to the traced emit.  Tables of
+        # rows * o_dim entries added 12 MiB to the run and 84 MiB to the emit.
+        base = _traced_run_and_emit(_many_rows_gemenge(512, 1024))
+        for n_rows, o_dim in ((1024, 1024), (512, 2048)):
+            grown = _traced_run_and_emit(_many_rows_gemenge(n_rows, o_dim))
+            assert [g - b < 2 * 2**20 for g, b in zip(grown, base)] == [True, True]
 
     def test_characters_stay_class_indices(self):
         # k = 2,048 pointer classes.  A character is its class index, so
