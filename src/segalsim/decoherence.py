@@ -18,11 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEGENERACY_GAP, ORTHONORMALITY_ATOL, RECONSTRUCTION_ATOL, check
+from .config import ORTHONORMALITY_ATOL, RECONSTRUCTION_ATOL, check
 from .linalg import SpaceLayout, degenerate_clusters
 from .measurement import MeasurementModel, premeasure, system_state
 from .parse import _space_layout
-from .pointer import _setup
 from .scenarios import ScenarioConfig
 from .states import StateVector, basis_state
 
@@ -33,6 +32,9 @@ __all__ = [
     "pointer_basis_of_factors",
     "pointer_state_stability",
 ]
+
+_WEIGHT_FLOOR = 1e-10
+_RESIDUAL_TOL = 1e-6
 
 
 def environment_coherence(model: MeasurementModel, psi_s: StateVector) -> float:
@@ -45,7 +47,7 @@ def environment_coherence(model: MeasurementModel, psi_s: StateVector) -> float:
     """
     a = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
     rho_12 = a[0, 1:2] * a[1, 2:3].conj()  # an array: a numpy scalar product rounds apart
-    records = _setup(model).records
+    records = model._setup.records
     return abs(complex((records[1] * rho_12 * records[2]).sum()))
 
 
@@ -53,7 +55,7 @@ def environment_pointer_basis(model: MeasurementModel, psi_s: StateVector) -> Po
     """:func:`pointer_basis_of_factors` of the coupled post-measurement state of
     ``psi_s``, from its branch factors W_s = diag(a_s) records."""
     a = premeasure(model, psi_s).amplitudes.reshape(model.s_dim, model.o_dim)
-    return pointer_basis_of_factors(a[:, :, None] * _setup(model).records)
+    return pointer_basis_of_factors(a[:, :, None] * model._setup.records)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +78,7 @@ def _svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, sv
 
 
-def pointer_basis_of_factors(
-    factors: np.ndarray,
-    weight_floor: float = 1e-10,
-    gap: float = DEGENERACY_GAP,
-    residual_tol: float = 1e-6,
-) -> PointerBasisReport:
+def pointer_basis_of_factors(factors: np.ndarray) -> PointerBasisReport:
     """Recover the register basis selected by a tri-partite entangled state.
 
     ``factors[i]`` is an o_dim x r factor W_i of the unnormalized
@@ -94,30 +91,32 @@ def pointer_basis_of_factors(
     or reported DEGENERATE-UNRESOLVED rather than picked arbitrarily, as
     when a branch's is neither parallel nor orthogonal to an earlier one
     (within 1e-6) and the branch order would pick the basis.  A
-    branch residual 1 - s_0^2 / sum s^2 above ``residual_tol`` rejects the
-    state as not of the measured tri-partite form.
+    branch residual 1 - s_0^2 / sum s^2 above ``_RESIDUAL_TOL`` rejects the
+    state as not of the measured tri-partite form.  A branch, and a
+    weight, at or below ``_WEIGHT_FLOOR`` is left out; weights within
+    ``config.DEGENERACY_GAP`` form one cluster.
     """
     tops: list[np.ndarray] = []  # each branch's register direction
     residual = 0.0
     for w in factors:
         u, sv = _svd(w)
         weight = float(np.sum(sv**2))
-        if weight <= weight_floor:
+        if weight <= _WEIGHT_FLOOR:
             continue
         residual = max(residual, 1.0 - float(sv[0]) ** 2 / weight)
         tops.append(u[:, 0])
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise ValueError(
             f"state is not approximately tri-decomposable: branch residual {residual:.3e} "
-            f"exceeds {residual_tol:.1e}"
+            f"exceeds {_RESIDUAL_TOL:.1e}"
         )
 
     u, sv = _svd(np.concatenate(factors, axis=1))
     values, vectors = sv[::-1] ** 2, u[:, ::-1]
-    significant = [k for k in range(values.size) if values[k] > weight_floor]
+    significant = [k for k in range(values.size) if values[k] > _WEIGHT_FLOOR]
     clusters = [
         [significant[j] for j in group]
-        for group in degenerate_clusters(values[significant], gap=gap)
+        for group in degenerate_clusters(values[significant])
     ]
 
     out_vectors: list[np.ndarray] = []

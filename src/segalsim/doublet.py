@@ -22,7 +22,7 @@ from .config import TRACE_ATOL, check
 from .linalg import require_hermitian, unitary_from_hamiltonian
 from .algebra import OperatorAlgebra
 from .measurement import MeasurementModel, full_layout, ms_layout, pointer_characters, ready_state, system_state
-from .pointer import _ready_pointer_swap, _setup
+from .pointer import _ready_pointer_swap
 from .restriction import Character
 from .scenarios import ScenarioConfig
 from .states import DensityMatrix, StateVector, density_from_vector
@@ -142,7 +142,7 @@ def record_erasure(model: MeasurementModel, psi_s: StateVector) -> tuple[np.ndar
     measured = _ready_pointer_swap(model, ready)
     recovered = _ready_pointer_swap(model, measured)
     overlap = np.vdot(ready, recovered)
-    setup = _setup(model)
+    setup = model._setup
     infos = [_information_of(a * a.conj(), setup.algebra, setup.pointer_class) for a in (ready, measured, recovered)]
     return (*infos, float((overlap * overlap.conj()).real))
 

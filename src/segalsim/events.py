@@ -14,7 +14,7 @@ import numpy as np
 
 from ._philox import uniform_blocks
 from .model import MeasurementModel, _source_kind
-from .pointer import _setup, restricted_pointer_probabilities
+from .pointer import _class_weights
 from .restriction import draw_cumulative
 from .states import Gemenge, StateVector, table_inverse_cdf
 
@@ -48,9 +48,8 @@ class EventBatch:
     an event carried belongs to its row's restricted state, so it is
     stored once per outcome: ``outcome_probability[r, i]`` is row r's
     ``restricted_pointer_probabilities`` at pointer i+1, the only ones
-    drawn (one row for a pure input), and ``probability`` gathers it per
-    event on demand.  The seed, the input kind and the pointer values are
-    stored once.  Indexing and iteration give the per-event
+    drawn (one row for a pure input).  The seed, the input kind and the
+    pointer values are stored once.  Indexing and iteration give the per-event
     :class:`EventRecord`, equal record for record to the per-event
     reference ``run_event`` with ``event_rng`` in ``tests/_oracles.py``,
     the probability to a few ulps.
@@ -70,12 +69,6 @@ class EventBatch:
 
     def __len__(self) -> int:
         return self.pointer_index.size
-
-    @property
-    def probability(self) -> np.ndarray:
-        """The probability each event was drawn with, a new array."""
-        row = 0 if self.gemenge_row is None else self.gemenge_row
-        return self.outcome_probability[row, self.pointer_index - 1]
 
     def __getitem__(self, i: int) -> EventRecord:
         i = range(len(self))[i]
@@ -97,17 +90,19 @@ class EventBatch:
 
 def _draw_table(model: MeasurementModel, states: list[StateVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's weights at pointers 1..s_dim, their cumulatives in class order
-    and each column's pointer.  A cumulative is cut from the whole class-order
-    row's, zeros included: the support alone would sum its total apart."""
-    setup = _setup(model)
+    and each column's pointer, from one class-order weight row per state (its
+    restricted pointer probabilities before the gather into pointer order).
+    A cumulative is cut from the whole class-order row's, zeros included: the
+    support alone would sum its total apart."""
+    setup = model._setup
     support = setup.pointer_class[1 : model.s_dim + 1]
     order = sorted(support.tolist())
     weights = np.empty((len(states), model.s_dim))
     cumulatives = np.empty_like(weights)
-    row = np.zeros(model.o_dim)  # class order; only the support is written
     for state, w, cumulative in zip(states, weights, cumulatives):
-        w[:] = restricted_pointer_probabilities(model, state)[1 : model.s_dim + 1]
-        row[support] = w
+        b = state.amplitudes + 0.0  # a -0 premeasures to +0
+        row = _class_weights(setup, b * b.conj())
+        w[:] = row[support]
         cumulative[:] = draw_cumulative(row)[order]
     return weights, cumulatives, setup.class_pointer[order]
 

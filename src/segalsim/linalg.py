@@ -101,17 +101,17 @@ def tensor(*operators: np.ndarray) -> np.ndarray:
     return reduce(np.kron, mats)
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if not dev <= atol:  # a NaN deviation fails too
-        raise ValueError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e} > {atol:.1e}")
+    if not dev <= HERMITIAN_ATOL:  # a NaN deviation fails too
+        raise ValueError(f"{what} is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITIAN_ATOL:.1e}")
     return m
 
 
-def hermitian_eig(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(values, vectors)`` with eigenvalues ascending and orthonormal
@@ -120,7 +120,7 @@ def hermitian_eig(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarr
     returned values when downstream logic must not rely on the arbitrary
     basis choice inside a degenerate eigenspace.
     """
-    m = require_hermitian(m, atol=atol)
+    m = require_hermitian(m)
     values, vectors = np.linalg.eigh(m)
     recon = (vectors * values) @ vectors.conj().T
     err = np.max(np.abs(recon - m))

@@ -21,9 +21,10 @@ observer sees exact unitary evolution throughout, while the sampled
 pointer character is what the register itself records.
 
 The code lives in three modules, each imported by every event run:
-:mod:`segalsim.model` (the model, its layouts and the environment
-records), :mod:`segalsim.pointer` (the cached per-model pointer
-algebra, premeasurement and the restricted probabilities) and
+:mod:`segalsim.model` (the model, its layouts, the environment
+records and the per-model pointer set-up the model holds),
+:mod:`segalsim.pointer` (the pointer algebra read off that set-up,
+premeasurement and the restricted probabilities) and
 :mod:`segalsim.events` (the event runner and its counts).  This module
 gathers their public names.  The doublet dynamics
 (:mod:`segalsim.doublet`), the decoherence summaries

@@ -5,17 +5,20 @@ register O, optionally followed by an environment register E (the
 pipeline is set out in :mod:`segalsim.measurement`).  This module holds
 the model, its factory, its layouts, the ready input, the pointer
 operator and the environment records, all read off the model alone.
+The model holds its S (x) O pointer set-up (``MeasurementModel._setup``):
+built on first read, kept on the model and freed with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
 
-from .config import MAX_DENSE_BYTES
+from .algebra import OperatorAlgebra, diagonal_algebra
+from .config import MAX_DENSE_BYTES, InvariantViolation
 from .linalg import SpaceLayout, basis_vector
 from .states import Gemenge, StateVector
 
@@ -95,6 +98,29 @@ class MeasurementModel:
                 f"environment dim {self.environment.e_dim} too small to host "
                 f"{self.s_dim} branch states plus the ready and shared directions"
             )
+
+    @cached_property
+    def _setup(self) -> _Setup:
+        """The S (x) O pointer set-up.  Every class holds a pointer column, so
+        ``pointer_class`` is onto; a class holding two pointer values (merged
+        within the algebra's tolerance) is refused, naming its first one."""
+        algebra = _pointer_algebra_on(self, ms_layout(self))
+        pointer_class = algebra.labels[: self.o_dim]
+        if algebra.dimension < self.o_dim:  # a class holds two pointer values
+            classes = pointer_class.tolist()
+            j = next(j for j, k in enumerate(classes) if classes.count(k) > 1)
+            raise InvariantViolation(f"pointer value {self.qo_values[j]!r} does not match one character")
+        class_pointer = np.empty(self.o_dim, np.min_scalar_type(self.o_dim - 1))
+        class_pointer[pointer_class] = np.arange(self.o_dim)
+        return _Setup(_environment_records(self), algebra, pointer_class, class_pointer)
+
+
+@dataclass(eq=False)
+class _Setup:
+    records: np.ndarray                        # (o_dim, e_dim) environment records
+    algebra: OperatorAlgebra                   # the pointer algebra on S (x) O
+    pointer_class: np.ndarray                  # pointer j's class: the label of |s_0, O_j>
+    class_pointer: np.ndarray                  # class k's pointer, the inverse map
 
 
 def make_model(
@@ -191,6 +217,10 @@ def _pointer_diagonal(model: MeasurementModel, layout: SpaceLayout) -> np.ndarra
     """Diagonal of :func:`pointer_operator`: qo_values on O, ones elsewhere."""
     q_o = np.asarray(model.qo_values, dtype=complex)
     return reduce(np.kron, [q_o if label == "O" else np.ones(dim) for label, dim in layout.factors])
+
+
+def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> OperatorAlgebra:
+    return diagonal_algebra(_pointer_diagonal(model, layout)[None], layout)
 
 
 # ---------------------------------------------------------------------------

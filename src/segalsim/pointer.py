@@ -1,7 +1,8 @@
-"""The per-model pointer set-up and premeasurement.
+"""The pointer algebra, the restricted probabilities and premeasurement.
 
 The pointer algebra on S (x) O, its class<->pointer map and the
-environment records are built once per model and cached (``_setup``).
+environment records are the model's own set-up (``model._setup``, built
+on first read and freed with the model).
 The pointer observable is diag(qo_values) on O, so the class of column
 |s_0, O_j> is pointer j's class: the algebra's labels there are the one
 class<->pointer map, and a class that holds two pointer values is
@@ -16,19 +17,16 @@ probabilities and the interference expectation read the s a_i alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .config import InvariantViolation, PROBABILITY_FLOOR
-from .algebra import OperatorAlgebra, diagonal_algebra
-from .linalg import SpaceLayout
+from .config import PROBABILITY_FLOOR
+from .algebra import OperatorAlgebra
 from .model import (
     MeasurementModel,
-    _environment_records,
-    _pointer_diagonal,
+    _Setup,
+    _pointer_algebra_on,
     _source_kind,
     full_layout,
     ms_layout,
@@ -49,47 +47,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# cached per-model machinery
-
-
-@dataclass(eq=False)
-class _Setup:
-    records: np.ndarray                        # (o_dim, e_dim) environment records
-    algebra: OperatorAlgebra                   # the pointer algebra on S (x) O
-    pointer_class: np.ndarray                  # pointer j's class: the label of |s_0, O_j>
-    class_pointer: np.ndarray                  # class k's pointer, the inverse map
-
-
-@lru_cache(maxsize=None)
-def _setup(model: MeasurementModel) -> _Setup:
-    """The S (x) O pointer set-up.  Every class holds a pointer column, so
-    ``pointer_class`` is onto; a class holding two pointer values (merged
-    within the algebra's tolerance) is refused, naming its first one."""
-    algebra = _pointer_algebra_on(model, ms_layout(model))
-    pointer_class = algebra.labels[: model.o_dim]
-    if algebra.dimension < model.o_dim:  # a class holds two pointer values
-        classes = pointer_class.tolist()
-        j = next(j for j, k in enumerate(classes) if classes.count(k) > 1)
-        raise InvariantViolation(f"pointer value {model.qo_values[j]!r} does not match one character")
-    class_pointer = np.empty(model.o_dim, np.min_scalar_type(model.o_dim - 1))
-    class_pointer[pointer_class] = np.arange(model.o_dim)
-    return _Setup(
-        records=_environment_records(model),
-        algebra=algebra,
-        pointer_class=pointer_class,
-        class_pointer=class_pointer,
-    )
-
-
-def _pointer_algebra_on(model: MeasurementModel, layout: SpaceLayout) -> OperatorAlgebra:
-    return diagonal_algebra(_pointer_diagonal(model, layout)[None], layout)
+# the restricted pointer state
 
 
 def pointer_algebra(model: MeasurementModel, environment: bool = False) -> OperatorAlgebra:
     """The observer's effective algebra: unit and pointer observable only,
     on S (x) O, or with ``environment`` built afresh on the pipeline
     layout, where its labels are the S (x) O ones repeated e_dim times."""
-    algebra = _setup(model).algebra  # refuses merged pointer values
+    algebra = model._setup.algebra  # refuses merged pointer values
     if environment and model.environment is not None:
         return _pointer_algebra_on(model, full_layout(model))
     return algebra
@@ -97,7 +62,7 @@ def pointer_algebra(model: MeasurementModel, environment: bool = False) -> Opera
 
 def pointer_characters(model: MeasurementModel) -> tuple[Character, ...]:
     """Characters of the S (x) O pointer algebra in ``qo_values`` order."""
-    setup = _setup(model)
+    setup = model._setup
     chars = extremal_states(setup.algebra)
     return tuple(chars[k] for k in setup.pointer_class.tolist())
 
@@ -109,19 +74,23 @@ def restricted_pointer_probabilities(model: MeasurementModel, source: StateVecto
     In ``qo_values`` order; weights at or below ``PROBABILITY_FLOOR`` are
     round-off of a structural zero and read exactly 0.
     """
-    setup = _setup(model)
+    setup = model._setup
     branch = np.arange(model.s_dim)
-    state = _pointer_state(model, _branch_entries(model, source, branch, branch))
-    probs = decompose_restricted(state, setup.algebra)[setup.pointer_class]
+    return _class_weights(setup, _branch_entries(model, source, branch, branch))[setup.pointer_class]
+
+
+def _class_weights(setup: _Setup, entries: np.ndarray) -> np.ndarray:
+    """The restricted pointer state's character weights in class order,
+    those at or below ``PROBABILITY_FLOOR`` read as exactly 0."""
+    probs = decompose_restricted(_pointer_state(setup, entries), setup.algebra)
     return np.where(probs > PROBABILITY_FLOOR, probs, 0.0)
 
 
-def _pointer_state(model: MeasurementModel, entries: np.ndarray) -> AlgebraicState:
+def _pointer_state(setup: _Setup, entries: np.ndarray) -> AlgebraicState:
     """The pointer-algebra restriction of the S (x) O state with diagonal
     ``entries[i]`` at |s_i, O_{i+1}>, 0 elsewhere: class sums / sqrt(rank)."""
-    setup = _setup(model)
     sums = np.zeros(setup.algebra.dimension, dtype=complex)
-    sums[setup.pointer_class[1 : model.s_dim + 1]] = entries
+    sums[setup.pointer_class[1 : len(entries) + 1]] = entries
     return AlgebraicState(setup.algebra, sums * setup.algebra._inv_sqrt_ranks)
 
 

@@ -133,8 +133,9 @@ class Character(AlgebraicState):
         """The dense joint eigenprojector this character sits on."""
         return joint_spectral_resolution(self.algebra).projectors[self.projector_index]
 
-    def pointer_value(self, generator_index: int = 0) -> float:
-        return float(self.generator_values[generator_index])
+    def pointer_value(self) -> float:
+        """The first generator's sharp value on this character."""
+        return float(self.generator_values[0])
 
 
 def restrict_state(rho: DensityMatrix, alg: OperatorAlgebra) -> AlgebraicState:

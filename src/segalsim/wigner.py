@@ -77,7 +77,8 @@ def _breuer_verdicts(
     weights = np.array([abs(x) ** 2 for x in amplitudes])  # branch_mixture's bits; np.abs rounds apart
     check("branch mixture weights do not sum to 1, |sum - 1|", abs(weights.sum() - 1.0), TRACE_ATOL)
     b = amplitudes + 0.0  # a at |s_i, O_{i+1}>, its only nonzero entries
-    pointer = _restricted_verdict(_pointer_state(model, b * b.conj()), _pointer_state(model, weights), tol)
+    setup = model._setup
+    pointer = _restricted_verdict(_pointer_state(setup, b * b.conj()), _pointer_state(setup, weights), tol)
 
     i, j = _interference_pair(model)
     c = complex(a[i] * a[j].conj())

@@ -20,7 +20,6 @@ from segalsim.measurement import (
     pointer_operator,
 )
 from segalsim.model import _pointer_diagonal
-from segalsim.pointer import _setup
 from segalsim.restriction import extremal_states
 
 from _oracles import (
@@ -822,17 +821,17 @@ class TestJointClassesOracle:
             assert rounded.tobytes() == np.round(x, 9).tobytes()
 
     @pytest.mark.parametrize(
-        "model",
-        [make_model(s_dim=6, o_dim=7, environment={"e_dim": 8}), make_model(s_dim=3, o_dim=4)],
+        "dims",
+        [{"s_dim": 6, "o_dim": 7, "environment": {"e_dim": 8}}, {"s_dim": 3, "o_dim": 4}],
         ids=["setup-env-d336", "gemenge"],
     )
-    def test_pointer_setup_runs_no_numpy_sort(self, monkeypatch, model):
+    def test_pointer_setup_runs_no_numpy_sort(self, monkeypatch, dims):
         # The classes come from plain Python: numpy's sort, unique, cumsum,
         # diff and round code is not paged in by the per-model setup.
         def refused(*args, **kwargs):
             raise AssertionError("numpy sort code called")
 
-        _setup.cache_clear()
+        model = make_model(**dims)  # a fresh model builds its setup under the patch
         with monkeypatch.context() as patch:
             for name in ("argsort", "sort", "lexsort", "unique", "cumsum", "diff", "round"):
                 patch.setattr(np, name, refused)
@@ -840,7 +839,6 @@ class TestJointClassesOracle:
         for alg, layout in zip(algebras, (full_layout(model), ms_layout(model))):
             labels, _ = joint_classes_numpy(_pointer_diagonal(model, layout)[None], ALGEBRA_TOL)
             assert alg.labels.tolist() == labels.tolist()
-        _setup.cache_clear()
 
     def test_diagonal_algebra_working_set_at_large_d(self):
         # d = 8192 with 4096 distinct values: the classifier keeps no Python

@@ -322,7 +322,7 @@ def test_numeric_invariants_go_through_check():
         ("algebra.py", "generate_algebra"),
         ("closure.py", "_gram_schmidt_closure"),
         ("config.py", "check"),
-        ("pointer.py", "_setup"),
+        ("model.py", "_setup"),
         ("serialize.py", "emit_report"),
     ], f"raise InvariantViolation outside config.check and the structural sites: {sites}"
 

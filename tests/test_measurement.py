@@ -3,6 +3,7 @@ import gc
 import itertools
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from segalsim.measurement import (
 )
 from segalsim.model import _environment_records
 from segalsim.events import _draw_table
-from segalsim.pointer import _interference_pair, _ready_pointer_swap, _setup
+from segalsim.pointer import _interference_pair, _ready_pointer_swap
 from segalsim.decoherence import (
     environment_coherence,
     environment_pointer_basis,
@@ -992,7 +993,7 @@ def test_full_layout_records_are_the_environment_class_sums():
         diagonal = np.diagonal(rho.matrix).real
         reference = np.clip(alg.class_sums(diagonal)[pointer_class], 0.0, None)
         assert records.tobytes() == reference.tobytes()
-        setup = _setup(model)
+        setup = model._setup
         e_first = setup.algebra.class_sums(diagonal.reshape(-1, e_dim).sum(axis=1))[setup.pointer_class]
         summed_apart += e_first.tobytes() != reference.tobytes()
     assert summed_apart  # the grid holds states where the order of the sums shows
@@ -1335,7 +1336,7 @@ def test_pointer_classes_read_off_the_labels(seed):
             column[j] = 1.0
             assert np.array_equal(char.projector @ column, column)
             assert abs(char.pointer_value() - qo[j]) <= 1e-12 * max(1.0, abs(qo[j]))
-        setup = _setup(model)
+        setup = model._setup
         assert np.array_equal(setup.pointer_class, [c.projector_index for c in chars])
         assert np.array_equal(setup.class_pointer[setup.pointer_class], np.arange(o_dim))
 
@@ -1385,12 +1386,12 @@ def test_pure_run_with_environment_builds_one_pointer_algebra(monkeypatch, scena
     # One pointer algebra per scenario, on S (x) O: the environment is
     # left out of it, as the pointer algebra is the identity on E.  The
     # run reads the class<->pointer arrays and builds no character.
-    from segalsim import pointer
+    from segalsim import model
     from segalsim.scenarios import parse_scenario, run_scenario
 
     built = []
-    diagonal_algebra = pointer.diagonal_algebra
-    monkeypatch.setattr(pointer, "diagonal_algebra", lambda values, layout: built.append(layout.dim) or diagonal_algebra(values, layout))
+    diagonal_algebra = model.diagonal_algebra
+    monkeypatch.setattr(model, "diagonal_algebra", lambda values, layout: built.append(layout.dim) or diagonal_algebra(values, layout))
     s_dim, run_input = RUN_INPUTS[scenario]
     cfg = parse_scenario(
         {
@@ -1400,12 +1401,8 @@ def test_pure_run_with_environment_builds_one_pointer_algebra(monkeypatch, scena
             "n_events": 100,
         }
     )
-    _setup.cache_clear()
-    try:
-        run_scenario(cfg)
-        assert _setup(cfg.model).algebra._characters is None
-    finally:
-        _setup.cache_clear()
+    run_scenario(cfg)
+    assert cfg.model._setup.algebra._characters is None
     assert built == [s_dim * 5]
 
 
@@ -1565,7 +1562,7 @@ class TestDiagonalPointerAlgebra:
         model = make_model(s_dim=2, o_dim=40, environment={"e_dim": 15})
         d = ms_layout(model).dim
         assert d == 80
-        setup = _setup.__wrapped__(model)  # a fresh setup, not the cached one
+        setup = MeasurementModel._setup.func(model)  # a fresh setup, not the cached one
         assert setup.algebra.layout.dim == d
         # The class labels, the pointer diagonal and the (o_dim, e_dim)
         # environment records; no (classes, d) table and nothing of the
@@ -1575,13 +1572,21 @@ class TestDiagonalPointerAlgebra:
         setup.algebra.generators  # made dense on first read, and kept
         assert max(a.size for a in _reachable_arrays(setup)) == d * d
 
+    def test_setup_dies_with_its_model(self):
+        # The setup is the model's own, not a process-wide cache: its
+        # algebra is freed with the model.
+        model = make_model(s_dim=2, o_dim=40, environment={"e_dim": 15})
+        algebra = weakref.ref(pointer_algebra(model))
+        del model
+        gc.collect()
+        assert algebra() is None
+
     def test_setup_and_first_read_stay_small(self):
         # pure at s_dim 90, o_dim 91: d = 8190 in 91 classes.  A (classes, d)
         # float table alone would be 5.7 MiB; the setup and the first
         # restricted probabilities stay O(d).
         model = make_model(s_dim=90, o_dim=91)
         psi_s = system_state(model, np.full(90, 1 / np.sqrt(90)))
-        _setup.cache_clear()
         tracemalloc.start()
         probs = restricted_pointer_probabilities(model, psi_s)
         peak = tracemalloc.get_traced_memory()[1]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import struct
@@ -539,6 +540,35 @@ class TestPureStatesStayVectors:
             grown = _traced_run_and_emit(_many_rows_gemenge(n_rows, o_dim))
             assert [g - b < 2 * 2**20 for g, b in zip(grown, base)] == [True, True]
 
+    @pytest.mark.parametrize(
+        "scenario, base, grown",
+        [
+            ("pure", {"o_dim": 1024, "n_events": 2**15}, {"o_dim": 2048, "n_events": 2**15}),
+            ("pure", {"o_dim": 1024, "n_events": 2**15}, {"o_dim": 1024, "n_events": 2**16}),
+            ("wigner-friend", {"o_dim": 1024}, {"o_dim": 2048}),
+            ("decoherence", {"o_dim": 512, "e_dim": 4}, {"o_dim": 1024, "e_dim": 4}),
+            ("decoherence", {"o_dim": 256, "e_dim": 8}, {"o_dim": 256, "e_dim": 16}),
+            ("erasure", {"o_dim": 1024}, {"o_dim": 2048}),
+        ],
+        ids=["pure-o", "pure-events", "wigner-friend-o", "decoherence-o", "decoherence-e", "erasure-o"],
+    )
+    def test_size_law(self, scenario, base, grown):
+        # At s_dim 2, doubling o_dim, e_dim or n_events adds under 2 MiB to
+        # the traced run and to the traced emit: a run holds O(o_dim * e_dim)
+        # and one byte or two per event, the emitted log O(n_events).  An
+        # o_dim x o_dim float table is 8 MiB at o_dim 1024, an (o_dim e_dim)^2
+        # one 32 MiB at o_dim e_dim 2048, and a tuple of two numbers per
+        # event 2.8 MiB at 2**15 events.
+        def config(o_dim, e_dim=None, n_events=10):
+            model = {"s_dim": 2, "o_dim": o_dim}
+            if e_dim is not None:
+                model["environment"] = {"e_dim": e_dim}
+            amplitudes = [[0.6, 0.0], [0.0, 0.8]]
+            return {"scenario": scenario, "model": model, "input": {"amplitudes": amplitudes}, "n_events": n_events}
+
+        peaks = [_traced_run_and_emit(config(**sizes)) for sizes in (base, grown)]
+        assert [g - b < 2 * 2**20 for g, b in zip(peaks[1], peaks[0])] == [True, True]
+
     def test_characters_stay_class_indices(self):
         # k = 2,048 pointer classes.  A character is its class index, so
         # neither the characters nor a pure run (per-model setup included)
@@ -562,6 +592,48 @@ class TestPureStatesStayVectors:
             tracemalloc.stop()
         assert characters_peak < 2**20
         assert run_peak < 4 * 2**20
+
+
+def test_many_row_gemenge_hashes_no_model(monkeypatch):
+    # 2,048 distinct rows at o_dim 4096.  The run reads the setup the model
+    # holds, so it never hashes the model (o_dim floats a hash), and each
+    # row's draw weights are one class-order read: the source is checked a
+    # few times per run, not once per row.  The pins are the report and
+    # event log recorded while a process-wide cache keyed by the model held
+    # the setup.
+    from segalsim import events, model, pointer
+    from segalsim.model import MeasurementModel
+
+    n = 2048
+    rows = [
+        {"amplitudes": [[(r + 1) / (n + 1), 0.0], [0.0, np.sqrt(1 - ((r + 1) / (n + 1)) ** 2)]], "probability": 1 / n}
+        for r in range(n)
+    ]
+    cfg = parse_scenario({"scenario": "gemenge", "model": {"s_dim": 2, "o_dim": 4096}, "input": {"gemenge": rows}, "n_events": 1000})
+
+    def unhashable(self):
+        raise TypeError("the model was hashed")
+
+    calls = []
+    source_kind = model._source_kind
+
+    def counted(*args):
+        calls.append(args)
+        return source_kind(*args)
+
+    monkeypatch.setattr(MeasurementModel, "__hash__", unhashable)
+    for module in (events, model, pointer):
+        monkeypatch.setattr(module, "_source_kind", counted)
+    report = run_scenario(cfg)
+    log = io.BytesIO()
+    emit_report(report, "csv", log)
+    assert hashlib.sha256(emit_report(report).encode()).hexdigest() == (
+        "9c200aa4ba98ff0e9c378041b9a26fb7188fdc0e8c4c4a9dc112393736493306"
+    )
+    assert hashlib.sha256(log.getvalue()).hexdigest() == (
+        "48ca3b96a1ca1e20c83cef6b6b0227411273e6af21fc5069fc897a13229618ba"
+    )
+    assert len(calls) < 10
 
 
 @pytest.mark.parametrize("hook", ["settrace", "setprofile"])
